@@ -2,7 +2,7 @@
 
 Subcommands: invariants, pairing, fillings, surface, moves, check-slice,
 classify, verify.  Exit codes: 0 success, 1 failed verification,
-2 parse error.
+2 bad input (a parse error, an invalid move log, an unreadable file).
 """
 
 from __future__ import annotations
@@ -341,7 +341,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE_EXIT
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_EXIT
 

@@ -192,7 +192,16 @@ def slice_status(
     phis: Optional[Sequence[PhiSpec]] = None,
     extra_templates: Sequence[tuple[tuple, tuple[str, ...]]] = (),
 ) -> SliceVerdict:
-    record = invariant_record(w, phis)
+    return slice_verdict(invariant_record(w, phis), caps, extra_templates)
+
+
+def slice_verdict(
+    record: InvariantRecord,
+    caps: Caps = DEFAULT_CAPS,
+    extra_templates: Sequence[tuple[tuple, tuple[str, ...]]] = (),
+) -> SliceVerdict:
+    """The verdict for the word of an already computed record: the first
+    nonzero obstruction, else a bounded search for the empty word."""
     if not record.gamma.is_identity():
         return SliceVerdict(NOT_SLICE, "gamma", caps=caps)
     if not record.u.is_zero():
@@ -201,6 +210,7 @@ def slice_status(
         return SliceVerdict(NOT_SLICE, "genus", caps=caps)
     if not record.hyperbolic:
         return SliceVerdict(NOT_SLICE, "pairing", caps=caps)
+    w = record.word
     search = bounded_bfs(
         w, Nanoword.empty(w.ground), caps, extra_templates=extra_templates
     )
@@ -271,10 +281,11 @@ def classify_words(
     jobs: int = 1,
 ) -> ClassificationTable:
     """Bucket by invariant record, then merge bucket members whose
-    equivalence the bounded search certifies.  Record and verdict
-    computations are independent per word and honor the worker cap."""
+    equivalence the bounded search certifies: ``j`` joins ``i`` when one
+    search from ``i`` reaches ``j``.  Record and verdict computations are
+    independent per word and honor the worker cap."""
     records = parallel_map(lambda w: invariant_record(w, phis), words, jobs)
-    verdicts = parallel_map(lambda w: slice_status(w, caps, phis), words, jobs)
+    verdicts = parallel_map(lambda rec: slice_verdict(rec, caps), records, jobs)
 
     parent = list(range(len(words)))
 
@@ -300,14 +311,17 @@ def classify_words(
         buckets.setdefault(rec.cobordism_key(), []).append(i)
     for members in buckets.values():
         for pos, i in enumerate(members):
+            reached = None  # searched once, when i first meets an unresolved j
             for j in members[pos + 1 :]:
                 if find(i) == find(j):
                     continue
-                if records[i].word.canonical_key() == records[j].word.canonical_key():
+                key = records[j].word.canonical_key()
+                if records[i].word.canonical_key() == key:
                     union(i, j)
                     continue
-                search = bounded_bfs(words[i], words[j], merge_caps)
-                if search.equivalent:
+                if reached is None:
+                    reached = bounded_bfs(words[i], None, merge_caps).reached
+                if key in reached:
                     union(i, j)
 
     rows = tuple(
@@ -319,17 +333,15 @@ def classify_words(
 
 
 def _assert_sound(table: ClassificationTable) -> None:
-    """A pair must never be both invariant-distinct and search-cobordant."""
-    for i in range(len(table.rows)):
-        for j in range(i + 1, len(table.rows)):
-            a, b = table.rows[i], table.rows[j]
-            if (
-                a.component == b.component
-                and a.record.cobordism_key() != b.record.cobordism_key()
-            ):
-                raise AssertionError(
-                    f"classification soundness violated for rows {i}, {j}"
-                )
+    """A pair must never be both invariant-distinct and search-cobordant:
+    every component holds a single cobordism key."""
+    first: dict[int, ClassRow] = {}
+    for row in table.rows:
+        a = first.setdefault(row.component, row)
+        if a.record.cobordism_key() != row.record.cobordism_key():
+            raise AssertionError(
+                f"classification soundness violated for rows {a.index}, {row.index}"
+            )
 
 
 def classify(

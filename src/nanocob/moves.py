@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence
+from typing import AbstractSet, Iterator, Optional, Sequence
 
 from .algebra import InvolutiveAlphabet
 from .pairings import (
@@ -154,7 +154,15 @@ class Move:
 
     @staticmethod
     def from_line(line: str) -> "Move":
-        text = line.strip()
+        try:
+            return Move._parse_line(line.strip())
+        except (KeyError, ValueError) as exc:
+            raise WordError(f"cannot parse move line {line.strip()!r}") from exc
+
+    @staticmethod
+    def _parse_line(text: str) -> "Move":
+        """A missing field raises KeyError; a malformed value or an unknown
+        kind raises ValueError."""
         inverse = text.startswith("INV ")
         if inverse:
             text = text[4:]
@@ -169,15 +177,11 @@ class Move:
         kind = text.split(" ", 1)[0]
         if kind == "SURG":
             letters = tuple(int(x) for x in fields["letters"].split(","))
-            segments = tuple(
-                tuple(int(v) for v in seg.split("-")) for seg in fields["segs"].split(",")
-            )
+            segments = _parse_segments(fields["segs"])
             return Move("SURG", (letters, segments), inverse)
         if kind == "BRIDGE":
             letters = tuple(int(x) for x in fields["letters"].split(","))
-            segments = tuple(
-                tuple(int(v) for v in seg.split("-")) for seg in fields["segs"].split(",")
-            )
+            segments = _parse_segments(fields["segs"])
             kappa = tuple(int(x) for x in fields["kappa"].split(","))
             return Move(
                 "BRIDGE", (letters, segments, kappa), inverse,
@@ -191,7 +195,16 @@ class Move:
             proj = tuple(fields["proj"].split(","))
             positions = tuple(int(x) for x in fields["at"].split(","))
             return Move("INS", (words, proj, positions), inverse)
-        raise WordError(f"cannot parse move line {line!r}")
+        raise ValueError(f"unknown move kind {kind!r}")
+
+
+def _parse_segments(text: str) -> tuple[tuple[int, int], ...]:
+    """``a-b,c-d`` as ((a, b), (c, d)); anything else raises ValueError."""
+    out = []
+    for seg in text.split(","):
+        start, end = seg.split("-")
+        out.append((int(start), int(end)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -414,15 +427,17 @@ def _runs(positions: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def _segmentations(
-    runs: Sequence[tuple[int, int]], max_k: int
+    runs: Sequence[tuple[int, int]], max_k: int, step: int = 1
 ) -> Iterator[tuple[tuple[int, int], ...]]:
     """Split each maximal run into nonempty consecutive segments; adjacent
-    segments model empty context between them."""
+    segments model empty context between them.  Runs are cut only at
+    multiples of ``step``, so with step 2 and even runs every segment is
+    even; the splits come in the same order as with step 1."""
 
     def split_run(start: int, end: int) -> Iterator[tuple[tuple[int, int], ...]]:
         length = end - start
-        for parts in range(1, length + 1):
-            for cuts in itertools.combinations(range(1, length), parts - 1):
+        for parts in range(1, length // step + 1):
+            for cuts in itertools.combinations(range(step, length, step), parts - 1):
                 bounds = (0,) + cuts + (length,)
                 yield tuple(
                     (start + bounds[t], start + bounds[t + 1]) for t in range(parts)
@@ -446,10 +461,13 @@ def _segmentations(
 
 
 def enumerate_factors(
-    w: Nanoword, max_letters: int, max_k: int
+    w: Nanoword, max_letters: int, max_k: int, even: bool = False
 ) -> Iterator[Factor]:
-    """Every factor within the caps, in deterministic order."""
+    """Every factor within the caps, in deterministic order.  With ``even``
+    only the factors whose segments all have even length, in the same
+    relative order."""
     m = w.num_letters
+    step = 2 if even else 1
     for size in range(1, min(m, max_letters) + 1):
         for subset in itertools.combinations(range(m), size):
             chosen = set(subset)
@@ -457,21 +475,20 @@ def enumerate_factors(
             runs = _runs(positions)
             if len(runs) > max_k:
                 continue
-            for segments in _segmentations(runs, max_k):
+            if even and any((end - start) % 2 for start, end in runs):
+                continue
+            for segments in _segmentations(runs, max_k, step):
                 yield Factor(tuple(subset), segments)
 
 
 def enumerate_even_symmetric_factors(
     w: Nanoword, max_letters: int = DEFAULT_CAPS.max_letters, max_k: int = DEFAULT_CAPS.max_k
 ) -> list[Factor]:
-    out = []
-    for factor in enumerate_factors(w, max_letters, max_k):
-        if any((end - start) % 2 for start, end in factor.segments):
-            continue
-        phrase = factor.phrase(w)
-        if phrase.is_symmetric():
-            out.append(factor)
-    return out
+    return [
+        factor
+        for factor in enumerate_factors(w, max_letters, max_k, even=True)
+        if factor.phrase(w).is_symmetric()
+    ]
 
 
 def apply_surgery(w: Nanoword, factor: Factor) -> Nanoword:
@@ -695,6 +712,7 @@ class SearchOutcome:
     metamorphosis: Optional[Metamorphosis]
     explored: int
     min_length: int
+    reached: AbstractSet[tuple]  # canonical keys of every state discovered
 
     @property
     def equivalent(self) -> bool:
@@ -725,7 +743,9 @@ def bounded_bfs(
         return Metamorphosis(tuple(reversed(moves)))
 
     if target_key is not None and start.canonical_key() == target_key:
-        return SearchOutcome("equivalent", Metamorphosis(()), 1, min_length)
+        return SearchOutcome(
+            "equivalent", Metamorphosis(()), 1, min_length, parents.keys()
+        )
 
     queue = deque([start.canonical_key()])
     explored = 0
@@ -746,9 +766,11 @@ def bounded_bfs(
             state_words[ckey] = child
             min_length = min(min_length, child.length)
             if target_key is not None and ckey == target_key:
-                return SearchOutcome("equivalent", witness(ckey), explored, min_length)
+                return SearchOutcome(
+                    "equivalent", witness(ckey), explored, min_length, parents.keys()
+                )
             queue.append(ckey)
-    return SearchOutcome("unknown", None, explored, min_length)
+    return SearchOutcome("unknown", None, explored, min_length, parents.keys())
 
 
 def length_norm_bounds(

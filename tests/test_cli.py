@@ -167,6 +167,29 @@ class TestCommands:
         assert code == 0
         assert "result\t(empty)" in out
 
+    @pytest.mark.parametrize("log", ["SURG foo\n", "SURG letters=0 segs=1\n", "H1@x\n"])
+    def test_replay_rejects_malformed_log(self, capsys, tmp_path, log):
+        log_file = tmp_path / "moves.log"
+        log_file.write_text(log)
+        code = main(
+            ["moves", "--alphabet", "alphabet: a x;tau: a<->x", "--word", "AA",
+             "--proj", "A=a", "--replay", str(log_file)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot parse move line")
+        assert len(err.splitlines()) == 1
+
+    def test_replay_missing_log_file(self, capsys, tmp_path):
+        code = main(
+            ["moves", "--alphabet", "alphabet: a x;tau: a<->x", "--word", "AA",
+             "--proj", "A=a", "--replay", str(tmp_path / "absent.log")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "absent.log" in err
+        assert len(err.splitlines()) == 1
+
     def test_surface_command(self, capsys):
         code = main(["surface", "--word", "word: A B A B;proj: A=+ B=+"])
         out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,8 @@ from nanocob.explorer import (
     NOT_SLICE,
     SLICE,
     UNKNOWN,
+    ClassificationTable,
+    _assert_sound,
     classify,
     classify_words,
     enumerate_matchings,
@@ -20,7 +23,8 @@ from nanocob.explorer import (
     slice_status,
     suite_bridge_inequality,
 )
-from nanocob.moves import Caps
+from nanocob import explorer
+from nanocob.moves import Caps, bounded_bfs
 from nanocob.words import Nanoword
 
 
@@ -214,6 +218,94 @@ class TestClassification:
             ("a", "b", "c"), ("A", "B", "C")
         )
         assert len(phi_sign_battery(three)) == 4
+
+
+def pairwise_components(words, caps=Caps()):
+    """The merge that one search per word replaced: a targeted search for
+    every pair of a bucket not yet in one component."""
+    records = [invariant_record(w) for w in words]
+    verdicts = [slice_status(w, caps) for w in words]
+    parent = list(range(len(words)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        parent[max(rx, ry)] = min(rx, ry)
+
+    slice_members = [i for i, v in enumerate(verdicts) if v.status == SLICE]
+    for i, j in zip(slice_members, slice_members[1:]):
+        union(i, j)
+    merge_caps = replace(caps, bfs_nodes=min(caps.bfs_nodes, 600))
+    buckets = {}
+    for i, rec in enumerate(records):
+        buckets.setdefault(rec.cobordism_key(), []).append(i)
+    for members in buckets.values():
+        for i, j in itertools.combinations(members, 2):
+            if find(i) == find(j):
+                continue
+            if (
+                records[i].word.canonical_key() == records[j].word.canonical_key()
+                or bounded_bfs(words[i], words[j], merge_caps).equivalent
+            ):
+                union(i, j)
+    return [find(i) for i in range(len(words))]
+
+
+class TestReachedSetMerge:
+    def components(self, words, caps=Caps()):
+        return [row.component for row in classify_words(words, caps).rows]
+
+    def test_two_orbit_table(self, two_free):
+        words = enumerate_nanowords(2, two_free, allow_large=True)
+        assert self.components(words) == pairwise_components(words)
+
+    @pytest.mark.parametrize("half_length", [0, 1, 2, 3])
+    def test_fixed_point_tables(self, half_length):
+        words = enumerate_nanowords(half_length, InvolutiveAlphabet.build(("a",), {"a": "a"}))
+        assert self.components(words) == pairwise_components(words)
+
+    def test_starved_caps(self, two_free, word_factory):
+        caps = Caps(max_letters=1, max_k=1, bfs_nodes=5, bfs_length=6)
+        words = enumerate_nanowords(2, two_free, allow_large=True) + [
+            word_factory(two_free, "ABAB", A="a", B="A")
+        ]
+        components = self.components(words, caps)
+        assert components == pairwise_components(words, caps)
+        assert len(set(components)) > 1
+
+    def test_one_search_per_left_word(self, monkeypatch):
+        starts = []
+
+        def counting_bfs(w, v, *args, **kwargs):
+            if v is None:
+                starts.append(w.canonical_key())
+            return bounded_bfs(w, v, *args, **kwargs)
+
+        monkeypatch.setattr(explorer, "bounded_bfs", counting_bfs)
+        ground = InvolutiveAlphabet.fixed_point_free(("a",), ("x",))
+        classify(3, ground)
+        assert len(starts) == len(set(starts)) == 10
+
+
+class TestSoundnessCheck:
+    def test_mixed_component_rejected(self, two_free, word_factory):
+        words = [
+            word_factory(two_free, "ABAB", A="a", B="b"),
+            Nanoword.empty(two_free),
+            word_factory(two_free, "AA", A="a"),
+        ]
+        table = classify_words(words)
+        _assert_sound(table)
+        assert table.rows[0].component != table.rows[1].component
+        planted = ClassificationTable(
+            tuple(replace(row, component=0) for row in table.rows), table.caps
+        )
+        with pytest.raises(AssertionError):
+            _assert_sound(planted)
 
 
 class TestRecordInvariance:

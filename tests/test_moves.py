@@ -17,6 +17,7 @@ from nanocob.moves import (
     bounded_bfs,
     enumerate_bridges,
     enumerate_even_symmetric_factors,
+    enumerate_factors,
     find_h1_sites,
     find_h2_sites,
     find_h3_sites,
@@ -148,6 +149,38 @@ class TestSurgeryFactors:
         )
 
 
+class TestEvenFactorGeneration:
+    """Generating only even factors must match the route it replaces:
+    filtering every factor by segment parity, in the same order."""
+
+    ALPHABETS = (
+        InvolutiveAlphabet.fixed_point_free(("a", "b"), ("A", "B")),
+        InvolutiveAlphabet.build(("c",), {"c": "c"}),
+        InvolutiveAlphabet.build(("a", "A", "c"), {"a": "A", "A": "a", "c": "c"}),
+    )
+
+    @staticmethod
+    def filtered(w, max_letters, max_k):
+        return [
+            f
+            for f in enumerate_factors(w, max_letters, max_k)
+            if not any((end - start) % 2 for start, end in f.segments)
+        ]
+
+    def test_matches_parity_filter_in_order(self):
+        rng = random.Random(21)
+        for trial in range(400):
+            ground = self.ALPHABETS[trial % 3]
+            w = random_nanoword(rng, ground, rng.randint(0, 6))
+            max_k = 1 + trial % 4
+            max_letters = rng.randint(1, 4)
+            expected = self.filtered(w, max_letters, max_k)
+            assert list(enumerate_factors(w, max_letters, max_k, even=True)) == expected
+            assert enumerate_even_symmetric_factors(w, max_letters, max_k) == [
+                f for f in expected if f.phrase(w).is_symmetric()
+            ]
+
+
 class TestBridges:
     def test_single_letter_one_arch(self, two_free, word_factory):
         w = word_factory(two_free, "ABCBCA", A="a", B="b", C="b")
@@ -236,6 +269,19 @@ class TestSearch:
         out = bounded_bfs(w, Nanoword.empty(two_free), caps)
         assert not out.equivalent
         assert not w.gamma().is_identity()  # the obstruction certifying it
+
+    def test_reached_set_decides_targeted_search(self, two_free):
+        """A target is found exactly when an untargeted search with the
+        same caps discovers its canonical key."""
+        rng = random.Random(22)
+        caps = Caps(bfs_nodes=40)
+        for _ in range(12):
+            w = random_nanoword(rng, two_free, rng.randint(1, 3))
+            v = random_nanoword(rng, two_free, rng.randint(0, 3))
+            reached = bounded_bfs(w, None, caps).reached
+            assert w.canonical_key() in reached
+            targeted = bounded_bfs(w, v, caps)
+            assert targeted.equivalent == (v.canonical_key() in reached)
 
     def test_two_surgery_witness_replays(self, word_factory):
         ground = InvolutiveAlphabet.fixed_point_free(("a", "c"), ("A", "C"))
