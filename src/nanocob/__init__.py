@@ -13,14 +13,7 @@ from .algebra import (
     PhiSpec,
     PiElement,
     PiWord,
-    abelianize,
-    orbit_decomposition,
-    phi_apply,
-    pi_add,
-    pi_negate,
-    pi_of_letter,
     pi_word_is_conjugate,
-    pi_word_multiply,
 )
 from .moves import (
     Bridge,
@@ -57,7 +50,6 @@ from .pairings import (
     is_hyperbolic,
     is_hyperbolic_tuple,
     m_shift,
-    opposite_pairing,
     pairing_of_nanoword,
     pairing_of_nanoword_alt,
     phi_sign_battery,
@@ -75,15 +67,6 @@ from .words import (
     Nanophrase,
     Nanoword,
     SymmetryWitness,
-    canonical_form,
-    circular_shift,
-    concatenate,
-    epsilon,
-    is_even,
-    opposite,
-    pull_back,
-    push_forward,
-    symmetry_witness,
 )
 from .explorer import (
     classify,

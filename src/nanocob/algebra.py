@@ -158,10 +158,6 @@ class Orbit:
         return self.kind == FREE
 
 
-def orbit_decomposition(alphabet: InvolutiveAlphabet) -> tuple[Orbit, ...]:
-    return alphabet.orbits()
-
-
 @dataclass(frozen=True)
 class PiElement:
     """Element of the abelian group on the alphabet with a + tau(a) = 0.
@@ -247,13 +243,13 @@ class PiElement:
             return 1 if rep in self.torsion else 0
         return dict(self.free).get(rep, 0)
 
-    def coordinates(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(free-orbit integer vector, fixed-orbit bit vector), orbit order."""
+    def coordinates(self) -> tuple[int, ...]:
+        """Free-orbit integer coefficients, then fixed-orbit bits, each in
+        orbit order."""
         free = dict(self.free)
         tor = set(self.torsion)
-        return (
-            tuple(free.get(r, 0) for r in self.alphabet.free_reps()),
-            tuple(1 if r in tor else 0 for r in self.alphabet.fixed_reps()),
+        return tuple(free.get(r, 0) for r in self.alphabet.free_reps()) + tuple(
+            1 if r in tor else 0 for r in self.alphabet.fixed_reps()
         )
 
     def format(self, torsion_suffix: bool = False) -> str:
@@ -274,18 +270,6 @@ class PiElement:
 
     def __str__(self) -> str:
         return self.format()
-
-
-def pi_of_letter(alphabet: InvolutiveAlphabet, symbol: str) -> PiElement:
-    return PiElement.of_letter(alphabet, symbol)
-
-
-def pi_add(x: PiElement, y: PiElement) -> PiElement:
-    return x + y
-
-
-def pi_negate(x: PiElement) -> PiElement:
-    return -x
 
 
 @dataclass(frozen=True)
@@ -355,9 +339,6 @@ class PiWord:
             out.append((rep, exp if self.alphabet.is_fixed(rep) else -exp))
         return PiWord(self.alphabet, tuple(out))
 
-    def conjugated_by(self, g: "PiWord") -> "PiWord":
-        return g.inverse() * self * g
-
     def cyclic_reduction(self) -> "PiWord":
         """Shortest conjugate obtained by merging matching end syllables."""
         syl = list(self.syllables)
@@ -398,10 +379,6 @@ class PiWord:
         return " ".join(parts)
 
 
-def pi_word_multiply(u: PiWord, v: PiWord) -> PiWord:
-    return u * v
-
-
 def pi_word_is_conjugate(u: PiWord, v: PiWord) -> bool:
     """Conjugacy via the free-product criterion: equal cyclic reductions
     up to syllable rotation (single-syllable and trivial cases compare
@@ -416,10 +393,6 @@ def pi_word_is_conjugate(u: PiWord, v: PiWord) -> bool:
     return any(rv[i:] + rv[:i] == ru for i in range(len(rv)))
 
 
-def abelianize(u: PiWord) -> PiElement:
-    return u.abelianized()
-
-
 RATIONALS = "Q"
 PRIME_FIELD = "F"
 
@@ -428,14 +401,21 @@ class PhiSpecError(ValueError):
     """Raised when a coefficient homomorphism violates the torsion relations."""
 
 
+def _require_reps(alphabet: InvolutiveAlphabet, values: Mapping[str, object]) -> None:
+    for key in values:
+        if key not in alphabet or alphabet.orbit_rep(key) != key:
+            raise PhiSpecError(f"{key!r} is not an orbit representative")
+
+
 @dataclass(frozen=True)
 class PhiSpec:
     """Additive map from the abelianized group into an exact coefficient
     field: the rationals or a prime field GF(p).
 
-    Values are given on orbit representatives.  On a fixed orbit the
-    relation a + a = 0 forces 2*phi(a) = 0, so rational targets (and odd
-    prime fields) demand phi(a) = 0 there.
+    Values are given on orbit representatives; any other key is
+    rejected.  On a fixed orbit the relation a + a = 0 forces
+    2*phi(a) = 0, so rational targets (and odd prime fields) demand
+    phi(a) = 0 there.
     """
 
     target: str
@@ -446,6 +426,7 @@ class PhiSpec:
     def rationals(
         alphabet: InvolutiveAlphabet, values: Mapping[str, Union[int, Fraction]]
     ) -> "PhiSpec":
+        _require_reps(alphabet, values)
         vals = {}
         for rep, _ in alphabet.pairs:
             v = Fraction(values.get(rep, 0))
@@ -460,6 +441,7 @@ class PhiSpec:
     ) -> "PhiSpec":
         if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
             raise PhiSpecError(f"{p} is not prime")
+        _require_reps(alphabet, values)
         vals = {}
         for rep, _ in alphabet.pairs:
             v = values.get(rep, 0) % p
@@ -505,6 +487,3 @@ class PhiSpec:
         base = "Q" if self.target == RATIONALS else f"GF({self.prime})"
         return f"phi[{base}]({inside})"
 
-
-def phi_apply(phi: PhiSpec, x: PiElement):
-    return phi.apply(x)

@@ -117,8 +117,11 @@ def _phis(args, ground: InvolutiveAlphabet) -> tuple[PhiSpec, ...]:
         return phi_sign_battery(ground)
     values = {}
     for chunk in args.phi.replace(",", " ").split():
-        rep, value = chunk.split("=", 1)
-        values[rep] = int(value)
+        rep, _, value = chunk.partition("=")
+        try:
+            values[rep] = int(value)
+        except ValueError:
+            raise ParseError(0, f"--phi expects SYMBOL=INTEGER, got {chunk!r}") from None
     return (PhiSpec.rationals(ground, values),)
 
 
@@ -255,14 +258,13 @@ def cmd_classify(args) -> int:
         _caps(args),
         _phis(args, ground),
         allow_large=args.allow_large,
-        jobs=args.jobs,
     )
     if args.format == "csv":
-        for line in table.csv_lines():
-            print(line)
+        lines = table.csv_lines()
     else:
-        for line in table.csv_lines():
-            print(line.replace(",", "\t"))
+        lines = ["\t".join(fields) for fields in table.fields()]
+    for line in lines:
+        print(line)
     return 0
 
 
@@ -275,7 +277,7 @@ def cmd_verify(args) -> int:
             return PARSE_EXIT
         suite = ALL_SUITES[name]
         if name == "genus-rank":
-            result = suite(max_half_length=args.max_half_length, jobs=args.jobs)
+            result = suite(max_half_length=args.max_half_length)
         else:
             result = suite(seed=args.seed)
         print(result.line())
@@ -299,7 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--phi", help="'all' (default battery) or 'a=1,b=-1'")
         p.add_argument("--format", choices=("text", "csv"), default="text")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1, help="worker cap for suites")
+        p.add_argument(
+            "--jobs", type=int, choices=(1,), default=1,
+            help="accepted for compatibility; all work runs in one thread",
+        )
         p.add_argument("--strict", action="store_true", help="reject tau redeclarations")
 
     for name, fn in (

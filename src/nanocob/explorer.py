@@ -7,9 +7,10 @@ orders are deterministic so tables are reproducible run to run.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -46,13 +47,6 @@ from .words import Nanoword
 
 class EnumerationGuard(ValueError):
     """Raised when an enumeration request would blow up combinatorially."""
-
-
-def parallel_map(fn: Callable, items: Sequence, jobs: int = 1) -> list:
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +90,9 @@ def enumerate_nanowords(
     half_length: int, ground: InvolutiveAlphabet, allow_large: bool = False
 ) -> list[Nanoword]:
     """All isomorphism classes with the given number of letters: chord
-    matchings crossed with projection labelings, deduplicated by canonical
-    key (first-occurrence labeling already makes them canonical)."""
+    matchings crossed with projection labelings.  Matchings are listed by
+    first position and letters numbered in that order, so every word is
+    already its own canonical form and no two coincide."""
     if half_length < 0:
         raise EnumerationGuard("half-length must be nonnegative")
     if not allow_large and (len(ground.symbols) > 3 or half_length > 6):
@@ -106,16 +101,11 @@ def enumerate_nanowords(
         )
     if half_length == 0:
         return [Nanoword.empty(ground)]
-    seen = set()
-    out = []
-    for matching in enumerate_matchings(half_length):
-        for labels in itertools.product(ground.symbols, repeat=half_length):
-            word = matching_to_word(ground, matching, labels)
-            key = word.canonical_key()
-            if key not in seen:
-                seen.add(key)
-                out.append(word)
-    return out
+    return [
+        matching_to_word(ground, matching, labels)
+        for matching in enumerate_matchings(half_length)
+        for labels in itertools.product(ground.symbols, repeat=half_length)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +129,6 @@ class InvariantRecord:
             self.genera,
             self.hyperbolic,
             (self.r.free, self.r.torsion),
-        )
-
-    def weak_key(self) -> tuple:
-        return (
-            self.gamma_cyclic,
-            tuple((rep, poly.terms) for rep, poly in self.u.entries),
-            self.genera,
         )
 
 
@@ -248,44 +231,48 @@ class ClassificationTable:
             return DISTINCT
         return UNKNOWN
 
-    def csv_lines(self) -> list[str]:
-        lines = [
-            "index,word,proj,length,gamma,u_hash,u,sigma,verdict,component"
+    def fields(self) -> list[list[str]]:
+        """The header and then one list of fields per row."""
+        out = [
+            ["index", "word", "proj", "length", "gamma", "u_hash", "u", "sigma",
+             "verdict", "component"]
         ]
         for row in self.rows:
             w = row.record.word
             sigma = ";".join(f"{label}:{twice}" for label, twice in row.record.genera)
-            lines.append(
-                ",".join(
-                    (
-                        str(row.index),
-                        " ".join(w.letter_seq()) or "(empty)",
-                        " ".join(f"{n}={a}" for n, a in zip(w.names, w.proj)),
-                        str(w.length),
-                        str(row.record.gamma),
-                        row.record.u.fingerprint(),
-                        str(row.record.u).replace(",", ";"),
-                        sigma,
-                        str(row.verdict),
-                        str(row.component),
-                    )
-                )
+            out.append(
+                [
+                    str(row.index),
+                    " ".join(w.letter_seq()) or "(empty)",
+                    " ".join(f"{n}={a}" for n, a in zip(w.names, w.proj)),
+                    str(w.length),
+                    str(row.record.gamma),
+                    row.record.u.fingerprint(),
+                    str(row.record.u).replace(",", ";"),
+                    sigma,
+                    str(row.verdict),
+                    str(row.component),
+                ]
             )
-        return lines
+        return out
+
+    def csv_lines(self) -> list[str]:
+        """The table as CSV lines, fields quoted where they hold commas."""
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(self.fields())
+        return buf.getvalue().splitlines()
 
 
 def classify_words(
     words: Sequence[Nanoword],
     caps: Caps = DEFAULT_CAPS,
     phis: Optional[Sequence[PhiSpec]] = None,
-    jobs: int = 1,
 ) -> ClassificationTable:
     """Bucket by invariant record, then merge bucket members whose
     equivalence the bounded search certifies: ``j`` joins ``i`` when one
-    search from ``i`` reaches ``j``.  Record and verdict computations are
-    independent per word and honor the worker cap."""
-    records = parallel_map(lambda w: invariant_record(w, phis), words, jobs)
-    verdicts = parallel_map(lambda rec: slice_verdict(rec, caps), records, jobs)
+    search from ``i`` reaches ``j``."""
+    records = [invariant_record(w, phis) for w in words]
+    verdicts = [slice_verdict(rec, caps) for rec in records]
 
     parent = list(range(len(words)))
 
@@ -350,10 +337,9 @@ def classify(
     caps: Caps = DEFAULT_CAPS,
     phis: Optional[Sequence[PhiSpec]] = None,
     allow_large: bool = False,
-    jobs: int = 1,
 ) -> ClassificationTable:
     return classify_words(
-        enumerate_nanowords(half_length, ground, allow_large), caps, phis, jobs
+        enumerate_nanowords(half_length, ground, allow_large), caps, phis
     )
 
 
@@ -622,13 +608,12 @@ def suite_move_invariance(seed: int = 0, count: int = 1000) -> SuiteResult:
     return SuiteResult("move-invariance", True, count)
 
 
-def suite_genus_rank(max_half_length: int = 5, jobs: int = 1) -> SuiteResult:
+def suite_genus_rank(max_half_length: int = 5) -> SuiteResult:
     ground = InvolutiveAlphabet.plus_minus()
     words = []
     for n in range(max_half_length + 1):
         words.extend(enumerate_nanowords(n, ground))
-    results = parallel_map(genus_rank_check, words, jobs)
-    bad = [w for w, ok in zip(words, results) if not ok]
+    bad = [w for w in words if not genus_rank_check(w)]
     if bad:
         return SuiteResult(
             "genus-rank", False, len(words), f"first failure {bad[0]}"

@@ -59,20 +59,7 @@ class Factor:
         return len(self.segments)
 
     def phrase(self, w: Nanoword) -> Nanophrase:
-        local = {g: i for i, g in enumerate(self.letters)}
-        words = []
-        for start, end in self.segments:
-            chunk = w.seq[start:end]
-            for x in chunk:
-                if x not in local:
-                    raise WordError("segment contains a letter outside the factor")
-            words.append(tuple(local[x] for x in chunk))
-        return Nanophrase(
-            w.ground,
-            tuple(words),
-            tuple(w.proj[g] for g in self.letters),
-            tuple(w.names[g] for g in self.letters),
-        )
+        return w.factor_phrase(self.letters, self.segments)
 
 
 @dataclass(frozen=True)
@@ -609,10 +596,6 @@ def validate_bridge(
 def apply_bridge(w: Nanoword, bridge: Bridge) -> Nanoword:
     word, _ = w.delete_letters(bridge.factor.letters)
     return word
-
-
-def arches(bridge: Bridge) -> int:
-    return bridge.arches
 
 
 def _involutions(k: int) -> Iterator[tuple[int, ...]]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .algebra import (
@@ -25,7 +26,7 @@ from .algebra import (
     RATIONALS,
 )
 from .intlinalg import IntegerLattice, integer_rank, rank_mod_p, rational_rank
-from .words import Nanophrase, Nanoword, WordError
+from .words import Nanoword, WordError
 
 
 class PairingError(ValueError):
@@ -118,19 +119,12 @@ class AlphaPairing:
         rows = tuple(tuple(-v for v in row) for row in self.matrix)
         return AlphaPairing(self.ground, self.proj, self.names, rows)
 
-    def letter_index_by_name(self, name: str) -> int:
-        return self.names.index(name) + 1
-
     def format_matrix(self, sep: str = "\t") -> str:
         labels = ("s",) + self.names
         lines = [sep.join((" ",) + labels)]
         for lab, row in zip(labels, self.matrix):
             lines.append(sep.join((lab,) + tuple(str(v) for v in row)))
         return "\n".join(lines)
-
-
-def opposite_pairing(p: AlphaPairing) -> AlphaPairing:
-    return p.opposite()
 
 
 def sum_pairings(p1: AlphaPairing, p2: AlphaPairing) -> AlphaPairing:
@@ -329,27 +323,35 @@ def _admissible_signs(ground: InvolutiveAlphabet, a: str, b: str) -> tuple[int, 
     return tuple(signs)
 
 
-def enumerate_fillings(p: AlphaPairing) -> Iterator[tuple[SVector, ...]]:
-    """All fillings: the vector s plus a partition of the letters into
-    singletons and admissible signed pairs.  Deterministic order, letters
-    processed by index, partners proposed in increasing index order."""
-    m = p.num_letters
+def _matchings(
+    ground: InvolutiveAlphabet, proj: Sequence[str], first: int, prefix: tuple
+) -> Iterator[tuple[SVector, ...]]:
+    """``prefix`` followed by each partition of the letters ``first``,
+    ``first + 1``, ... (projecting to ``proj``) into singletons and
+    admissible signed pairs.  Deterministic order, letters processed by
+    index, partners proposed in increasing index order."""
 
     def rec(remaining: tuple[int, ...], acc: list[SVector]) -> Iterator[tuple[SVector, ...]]:
         if not remaining:
-            yield (S_VECTOR,) + tuple(acc)
+            yield prefix + tuple(acc)
             return
         head, rest = remaining[0], remaining[1:]
         acc.append(((head, 1),))
         yield from rec(rest, acc)
         acc.pop()
         for pos, other in enumerate(rest):
-            for sign in _admissible_signs(p.ground, p.proj[head - 1], p.proj[other - 1]):
-                acc.append(_vector({head: 1, other: sign}))
+            for sign in _admissible_signs(ground, proj[head - first], proj[other - first]):
+                acc.append(((head, 1), (other, sign)))
                 yield from rec(rest[:pos] + rest[pos + 1 :], acc)
                 acc.pop()
 
-    return rec(tuple(range(1, m + 1)), [])
+    return rec(tuple(range(first, first + len(proj))), [])
+
+
+def enumerate_fillings(p: AlphaPairing) -> Iterator[tuple[SVector, ...]]:
+    """All fillings: the vector s plus a partition of the letters into
+    singletons and admissible signed pairs."""
+    return _matchings(p.ground, p.proj, 1, (S_VECTOR,))
 
 
 def tautological_filling(p: AlphaPairing) -> tuple[SVector, ...]:
@@ -361,14 +363,7 @@ def _coord_matrix(p: AlphaPairing) -> tuple[list[list[tuple[int, ...]]], int, in
     coefficients, then fixed-orbit bits to be read modulo 2)."""
     nfree = len(p.ground.free_reps())
     dim = nfree + len(p.ground.fixed_reps())
-    rows = []
-    for row in p.matrix:
-        coords = []
-        for v in row:
-            f, t = v.coordinates()
-            coords.append(f + t)
-        rows.append(coords)
-    return rows, nfree, dim
+    return [[v.coordinates() for v in row] for row in p.matrix], nfree, dim
 
 
 def _coords_vanish(acc: Sequence[int], nfree: int) -> bool:
@@ -454,19 +449,17 @@ def _gram_rank(phi: PhiSpec, gram: list[list]) -> int:
     return rank_mod_p(gram, phi.prime)
 
 
+def _phi_scalar(phi: PhiSpec, v: PiElement):
+    """phi(v), as an exact integer whenever a rational value is integral."""
+    x = phi.apply(v)
+    if phi.target == RATIONALS and x.denominator == 1:
+        return int(x)
+    return x
+
+
 def _phi_matrix(p: AlphaPairing, phi: PhiSpec) -> list[list]:
-    """Scalar image of the pairing matrix, with exact integers whenever the
-    values happen to be integral."""
-    out = []
-    for row in p.matrix:
-        scalars = []
-        for v in row:
-            x = phi.apply(v)
-            if phi.target == RATIONALS and x.denominator == 1:
-                x = int(x)
-            scalars.append(x)
-        out.append(scalars)
-    return out
+    """Scalar image of the pairing matrix."""
+    return [[_phi_scalar(phi, v) for v in row] for row in p.matrix]
 
 
 def _scalar_gram(matrix: list[list], filling: Sequence[SVector]) -> list[list]:
@@ -573,11 +566,7 @@ class OrbitPoly:
 
     def degree(self) -> int:
         """Largest total degree of a monomial present; 0 for the zero value."""
-        best = 0
-        for g, _ in self.terms:
-            free, tors = g.coordinates()
-            best = max(best, sum(abs(c) for c in free) + sum(tors))
-        return best
+        return max((sum(map(abs, g.coordinates())) for g, _ in self.terms), default=0)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -659,29 +648,6 @@ def u_degree(u: UPoly, symbol: str) -> int:
 # surgery consistency
 
 
-def _phrase_of_factor(
-    w: Nanoword, letters: Iterable[int], segments: Sequence[tuple[int, int]]
-) -> tuple[Nanophrase, dict[int, int]]:
-    """The factor as a nanophrase with dense local letter ids; also returns
-    the local->global id map."""
-    letters = sorted(letters)
-    local = {g: i for i, g in enumerate(letters)}
-    words = []
-    for start, end in segments:
-        chunk = w.seq[start:end]
-        for x in chunk:
-            if x not in local:
-                raise WordError("segment contains a letter outside the factor")
-        words.append(tuple(local[x] for x in chunk))
-    phrase = Nanophrase(
-        w.ground,
-        tuple(words),
-        tuple(w.proj[g] for g in letters),
-        tuple(w.names[g] for g in letters),
-    )
-    return phrase, {i: g for g, i in local.items()}
-
-
 def verify_surgery_filling(w: Nanoword, factor) -> bool:
     """Check the orthogonality relations behind surgery invariance and that
     the associated filling annihilates the summed pairing.
@@ -689,7 +655,8 @@ def verify_surgery_filling(w: Nanoword, factor) -> bool:
     ``factor`` needs ``letters`` and ``segments`` attributes describing an
     even symmetric factor of ``w``.
     """
-    phrase, to_global = _phrase_of_factor(w, factor.letters, factor.segments)
+    to_global = sorted(factor.letters)
+    phrase = w.factor_phrase(to_global, factor.segments)
     if not phrase.is_even():
         raise WordError("factor is not even")
     witness = phrase.symmetry_witness()
@@ -763,7 +730,7 @@ class TupleSpace:
     def ground(self) -> InvolutiveAlphabet:
         return self.pairings[0].ground
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
         out = []
         total = 0
@@ -772,13 +739,14 @@ class TupleSpace:
             total += p.num_letters
         return tuple(out)
 
+    @cached_property
+    def proj(self) -> tuple[str, ...]:
+        """Projections of all letters, in global letter order."""
+        return tuple(a for p in self.pairings for a in p.proj)
+
     @property
     def num_letters(self) -> int:
-        return sum(p.num_letters for p in self.pairings)
-
-    def proj(self, letter: int) -> str:
-        block, local = self.locate(letter)
-        return self.pairings[block].proj[local - 1]
+        return len(self.proj)
 
     def locate(self, letter: int) -> tuple[int, int]:
         for block in reversed(range(len(self.pairings))):
@@ -810,29 +778,6 @@ class TupleSpace:
         return WeakVector((), (1,) * len(self.pairings))
 
 
-def _letter_matchings(space: TupleSpace) -> Iterator[tuple[tuple[tuple[int, int], ...], ...]]:
-    """Partitions of all letters into singletons and admissible signed
-    pairs, ignoring the distinguished coefficients."""
-    ground = space.ground
-    m = space.num_letters
-
-    def rec(remaining: tuple[int, ...], acc: list) -> Iterator:
-        if not remaining:
-            yield tuple(acc)
-            return
-        head, rest = remaining[0], remaining[1:]
-        acc.append(((head, 1),))
-        yield from rec(rest, acc)
-        acc.pop()
-        for pos, other in enumerate(rest):
-            for sign in _admissible_signs(ground, space.proj(head), space.proj(other)):
-                acc.append(tuple(sorted(((head, 1), (other, sign)))))
-                yield from rec(rest[:pos] + rest[pos + 1 :], acc)
-                acc.pop()
-
-    return rec(tuple(range(space.num_letters)), [])
-
-
 def enumerate_weak_fillings(
     pairings: Sequence[AlphaPairing], s_bound: int = 2
 ) -> Iterator[tuple[WeakVector, ...]]:
@@ -843,7 +788,7 @@ def enumerate_weak_fillings(
     space = TupleSpace(tuple(pairings))
     r = len(space.pairings)
     coeff_range = range(-s_bound, s_bound + 1)
-    for matching in _letter_matchings(space):
+    for matching in _matchings(space.ground, space.proj, 0, ()):
         pools = [itertools.product(coeff_range, repeat=r) for _ in matching]
         for combo in itertools.product(*pools):
             yield (space.distinguished(),) + tuple(
@@ -857,7 +802,8 @@ def enumerate_weak_fillings(
 # [-s_bound, s_bound]^r reduces to difference coefficients against the last
 # block, each ranging over [-2*s_bound, 2*s_bound], with the last component
 # pinned to 0.  The searches below enumerate those representatives; the
-# verdicts agree exactly with the literal box search.
+# verdicts agree exactly with the literal box search of
+# ``enumerate_weak_fillings`` (tests/test_pairings.py::TestWeakBoxOracle).
 
 
 def _weak_tables(space: TupleSpace, convert):
@@ -937,7 +883,7 @@ def _weak_search(space: TupleSpace, s_bound: int, convert, add, scale, handle):
         ]
     )
     ones = (1,) * r
-    for matching in _letter_matchings(space):
+    for matching in _matchings(space.ground, space.proj, 0, ()):
         Lb, Lr, Lc = _group_tables(matching, B, R, C, r, add, scale, zero)
         size = len(matching) + 1
         for combo in _c_combos(len(matching), r, s_bound, relevant):
@@ -978,10 +924,6 @@ def is_hyperbolic_tuple(
     r = len(space.pairings)
     nfree = len(space.ground.free_reps())
 
-    def convert(v: PiElement) -> tuple[int, ...]:
-        f, t = v.coordinates()
-        return f + t
-
     def add(a, b):
         return tuple(x + y for x, y in zip(a, b))
 
@@ -995,7 +937,7 @@ def is_hyperbolic_tuple(
                     return None
         return _weak_vectors(matching, combo, r)
 
-    return _weak_search(space, s_bound, convert, add, scale, handle)
+    return _weak_search(space, s_bound, PiElement.coordinates, add, scale, handle)
 
 
 def weakly_cobordant(p: AlphaPairing, q: AlphaPairing, s_bound: int = 2) -> bool:
@@ -1012,12 +954,6 @@ def tuple_genus(
     space = TupleSpace(tuple(pairings))
     best: list[Optional[int]] = [None]
 
-    def convert(v: PiElement):
-        x = phi.apply(v)
-        if phi.target == RATIONALS and x.denominator == 1:
-            return int(x)
-        return x
-
     def add(a, b):
         return a + b
 
@@ -1033,7 +969,7 @@ def tuple_genus(
             return 0
         return None
 
-    _weak_search(space, s_bound, convert, add, scale, handle)
+    _weak_search(space, s_bound, lambda v: _phi_scalar(phi, v), add, scale, handle)
     assert best[0] is not None
     return Genus(best[0])
 
@@ -1080,17 +1016,13 @@ def covering(w: Nanoword, subgroups: Mapping[str, Sequence[PiElement]]) -> Nanow
     fixed = ground.fixed_reps()
     dim = len(free) + len(fixed)
 
-    def lift(x: PiElement) -> tuple[int, ...]:
-        f, t = x.coordinates()
-        return f + t
-
     by_rep: dict[str, list[PiElement]] = {}
     for key, gens in subgroups.items():
         by_rep.setdefault(ground.orbit_rep(key), []).extend(gens)
 
     lattices: dict[str, IntegerLattice] = {}
     for rep, _ in ground.pairs:
-        gens = [lift(g) for g in by_rep.get(rep, ())]
+        gens = [g.coordinates() for g in by_rep.get(rep, ())]
         gens.extend(
             tuple(2 if i == len(free) + j else 0 for i in range(dim))
             for j in range(len(fixed))
@@ -1101,7 +1033,7 @@ def covering(w: Nanoword, subgroups: Mapping[str, Sequence[PiElement]]) -> Nanow
     doomed = [
         i
         for i in range(w.num_letters)
-        if not lattices[ground.orbit_rep(w.proj[i])].contains(lift(p.matrix[i + 1][0]))
+        if not lattices[ground.orbit_rep(w.proj[i])].contains(p.matrix[i + 1][0].coordinates())
     ]
     word, _ = w.delete_letters(doomed)
     return word

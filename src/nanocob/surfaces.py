@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import InvolutiveAlphabet, PhiSpec
-from .intlinalg import rational_rank
-from .pairings import pairing_of_nanoword, tautological_filling
+from .pairings import genus_of_filling, pairing_of_nanoword, tautological_filling
 from .words import Nanoword, WordError
 
 _ROT_PLUS = ("first_in", "second_in", "first_out", "second_out")
@@ -131,10 +130,7 @@ def phi_zero(ground: InvolutiveAlphabet) -> PhiSpec:
 def tautological_gram_rank(w: Nanoword) -> int:
     _require_signs(w)
     p = pairing_of_nanoword(w)
-    phi = phi_zero(w.ground)
-    filling = tautological_filling(p)
-    gram = [[phi.apply(p.evaluate(x, y)) for y in filling] for x in filling]
-    return rational_rank(gram)
+    return genus_of_filling(p, phi_zero(w.ground), tautological_filling(p)).twice
 
 
 def genus_rank_check(w: Nanoword) -> bool:

@@ -103,9 +103,6 @@ class Nanoword:
         pos = [i for i, x in enumerate(self.seq) if x == letter]
         return pos[0], pos[1]
 
-    def projection_of(self, letter: int) -> str:
-        return self.proj[letter]
-
     def __str__(self) -> str:
         if not self.seq:
             return "(empty)"
@@ -215,6 +212,26 @@ class Nanoword:
         )
         return word, relabel
 
+    def factor_phrase(
+        self, letters: Sequence[int], segments: Sequence[tuple[int, int]]
+    ) -> "Nanophrase":
+        """The factor cut out by ``segments`` as a nanophrase; its local
+        letter ``i`` is the letter ``letters[i]`` of this word."""
+        local = {g: i for i, g in enumerate(letters)}
+        words = []
+        for start, end in segments:
+            chunk = self.seq[start:end]
+            for x in chunk:
+                if x not in local:
+                    raise WordError("segment contains a letter outside the factor")
+            words.append(tuple(local[x] for x in chunk))
+        return Nanophrase(
+            self.ground,
+            tuple(words),
+            tuple(self.proj[g] for g in letters),
+            tuple(self.names[g] for g in letters),
+        )
+
     def to_phrase(self) -> "Nanophrase":
         return Nanophrase(self.ground, (self.seq,), self.proj, self.names)
 
@@ -246,14 +263,6 @@ class Nanophrase:
             raise WordError("projection/name tables misaligned")
         for a in self.proj:
             self.ground.check(a)
-
-    @property
-    def num_words(self) -> int:
-        return len(self.words)
-
-    def concatenated(self) -> Nanoword:
-        flat = tuple(x for w in self.words for x in w)
-        return Nanoword(self.ground, flat, self.proj, self.names)
 
     def is_even(self) -> bool:
         return all(len(w) % 2 == 0 for w in self.words)
@@ -301,44 +310,3 @@ class SymmetryWitness:
     iota: tuple[tuple[int, int], ...]
     epsilon: tuple[tuple[int, int], ...]
 
-    def iota_of(self, letter: int) -> int:
-        return dict(self.iota)[letter]
-
-    def epsilon_of(self, letter: int) -> int:
-        return dict(self.epsilon)[letter]
-
-
-def canonical_form(w: Nanoword) -> Nanoword:
-    return w.canonical_form()
-
-
-def opposite(w: Nanoword) -> Nanoword:
-    return w.opposite()
-
-
-def concatenate(w1: Nanoword, w2: Nanoword) -> Nanoword:
-    return w1.concatenate(w2)
-
-
-def circular_shift(w: Nanoword) -> Nanoword:
-    return w.circular_shift()
-
-
-def push_forward(w: Nanoword, f: Mapping[str, str], target: InvolutiveAlphabet) -> Nanoword:
-    return w.push_forward(f, target)
-
-
-def pull_back(w: Nanoword, beta: Iterable[str]) -> Nanoword:
-    return w.pull_back(beta)
-
-
-def symmetry_witness(v: Nanophrase) -> Optional[SymmetryWitness]:
-    return v.symmetry_witness()
-
-
-def is_even(v: Nanophrase) -> bool:
-    return v.is_even()
-
-
-def epsilon(v: Nanophrase, letter: int) -> int:
-    return v.epsilon(letter)

@@ -231,6 +231,47 @@ class TestCommands:
         assert lines[0].startswith("index,word")
         assert len(lines) == 3  # AA with projection a or x
 
+    def test_bad_phi_exit_code(self, capsys):
+        base = [
+            "invariants",
+            "--alphabet",
+            "alphabet: a x;tau: a<->x",
+            "--word",
+            "word: A B A B;proj: A=a B=x",
+            "--phi",
+        ]
+        for phi in ("q=1", "x=1", "a", "a=one"):
+            assert main(base + [phi]) == 2
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1
+            assert "Traceback" not in err
+
+    def test_jobs_other_than_one_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "alt-pairing", "--jobs", "2"])
+        assert exc.value.code == 2
+
+    def test_classify_rows_have_ten_fields(self, capsys):
+        import csv
+
+        tables = (
+            ["alphabet: a x b y;tau: a<->x b<->y", "2", "--allow-large"],
+            ["alphabet: a x;tau: a<->x", "2", "--caps", "letters=1,k=1,nodes=5,bfs=4"],
+        )
+        fields = []
+        for alphabet, half_length, *extra in tables:
+            argv = ["classify", "--alphabet", alphabet, "--half-length", half_length, *extra]
+            assert main(argv + ["--format", "csv"]) == 0
+            rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+            assert rows and all(len(row) == 10 for row in rows)
+            assert main(argv + ["--format", "text"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert [line.split("\t") for line in lines] == rows
+            fields.extend(rows[1:])
+        # the fields that hold commas: the sigma labels and Unknown verdicts
+        assert any("phi[Q](a=1,b=1)" in row[7] for row in fields)
+        assert any(row[8].startswith("Unknown(caps letters=1,k=1,") for row in fields)
+
     def test_parse_error_exit_code(self, capsys):
         code = main(
             [

@@ -45,6 +45,24 @@ class TestEnumeration:
         assert len(enumerate_nanowords(2, small)) == 3 * 4
         assert len(enumerate_nanowords(3, small)) == 15 * 8
 
+    def test_words_distinct_and_canonical(self):
+        """Each enumerated word is its own canonical form and the count is
+        (2n-1)!! * |alphabet|^n, so no deduplication is needed."""
+        alphabets = (
+            InvolutiveAlphabet.fixed_point_free(("a",), ("x",)),
+            InvolutiveAlphabet.fixed_point_free(("a", "b"), ("x", "y")),
+            InvolutiveAlphabet.build(("a",), {"a": "a"}),
+        )
+        for ground in alphabets:
+            for n in range(5):
+                words = enumerate_nanowords(n, ground, allow_large=True)
+                double_factorial = 1
+                for k in range(1, 2 * n, 2):
+                    double_factorial *= k
+                assert len(words) == double_factorial * len(ground.symbols) ** n
+                assert all(w == w.canonical_form() for w in words)
+                assert len({w.canonical_key() for w in words}) == len(words)
+
     def test_against_generate_and_dedupe_oracle(self):
         ground = InvolutiveAlphabet.fixed_point_free(("a",), ("A",))
         n = 3

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nanocob.algebra import InvolutiveAlphabet, PhiSpec, PiElement
+from nanocob.algebra import RATIONALS, InvolutiveAlphabet, PhiSpec, PiElement
 from nanocob.explorer import (
     random_nanoword,
     random_skew_pairing,
@@ -12,6 +12,7 @@ from nanocob.moves import apply_surgery
 from nanocob.pairings import (
     AlphaPairing,
     OrbitPoly,
+    TupleSpace,
     are_cobordant,
     are_isomorphic,
     covering,
@@ -25,7 +26,6 @@ from nanocob.pairings import (
     is_hyperbolic,
     is_hyperbolic_tuple,
     m_shift,
-    opposite_pairing,
     pairing_of_nanoword,
     pairing_of_nanoword_alt,
     phi_sign_battery,
@@ -39,6 +39,7 @@ from nanocob.pairings import (
     verify_surgery_filling,
     weakly_cobordant,
 )
+from nanocob.intlinalg import rank_mod_p, rational_rank
 from nanocob.words import Nanoword
 
 
@@ -98,7 +99,7 @@ class TestPairingOfNanoword:
             w = random_nanoword(rng, mixed, rng.randint(0, 5))
             assert (
                 pairing_of_nanoword(w.opposite()).matrix
-                == opposite_pairing(pairing_of_nanoword(w)).matrix
+                == pairing_of_nanoword(w).opposite().matrix
             )
 
     def test_concatenation_gives_sum(self, two_free):
@@ -146,7 +147,7 @@ class TestSumOpposite:
     def test_opposite_involution(self, two_free):
         rng = random.Random(24)
         p = random_skew_pairing(rng, two_free, 3)
-        assert opposite_pairing(opposite_pairing(p)).matrix == p.matrix
+        assert p.opposite().opposite().matrix == p.matrix
 
     def test_sum_commutative_up_to_isomorphism(self, two_free):
         rng = random.Random(25)
@@ -265,7 +266,7 @@ class TestUPolynomial:
         rng = random.Random(30)
         for _ in range(20):
             p = random_skew_pairing(rng, mixed, rng.randint(1, 3))
-            assert u_polynomial(opposite_pairing(p)) == -u_polynomial(p)
+            assert u_polynomial(p.opposite()) == -u_polynomial(p)
 
     def test_additive_over_sums(self, mixed):
         rng = random.Random(31)
@@ -350,16 +351,16 @@ class TestGenus:
         for _ in range(15):
             p = random_skew_pairing(rng, two_free, rng.randint(1, 3))
             phi = rng.choice(phi_sign_battery(two_free))
-            assert genus(p, phi).twice == genus(opposite_pairing(p), phi).twice
+            assert genus(p, phi).twice == genus(p.opposite(), phi).twice
 
     def test_triangle_inequality(self, two_free):
         rng = random.Random(34)
         for _ in range(25):
             phi = rng.choice(phi_sign_battery(two_free))
             ps = [random_skew_pairing(rng, two_free, rng.randint(1, 2)) for _ in range(3)]
-            s12 = genus(sum_pairings(ps[0], opposite_pairing(ps[1])), phi).twice
-            s23 = genus(sum_pairings(ps[1], opposite_pairing(ps[2])), phi).twice
-            s13 = genus(sum_pairings(ps[0], opposite_pairing(ps[2])), phi).twice
+            s12 = genus(sum_pairings(ps[0], ps[1].opposite()), phi).twice
+            s23 = genus(sum_pairings(ps[1], ps[2].opposite()), phi).twice
+            s13 = genus(sum_pairings(ps[0], ps[2].opposite()), phi).twice
             assert s12 + s23 >= s13
 
     def test_subadditivity(self, two_free):
@@ -471,7 +472,7 @@ class TestWeakFillings:
         for _ in range(20):
             p = random_skew_pairing(rng, two_free, rng.randint(1, 2))
             # p (+) p^- is hyperbolic, so the pair (p, p^-) must be too
-            witness = is_hyperbolic_tuple((p, opposite_pairing(p)), 2)
+            witness = is_hyperbolic_tuple((p, p.opposite()), 2)
             assert witness is not None
             found += 1
         assert found == 20
@@ -524,6 +525,53 @@ class TestWeakFillings:
                 is_hyperbolic_tuple((p,), 2) is not None
             )
 
+
+
+class TestWeakBoxOracle:
+    """The normalized weak-filling searches against the literal box search
+    of ``enumerate_weak_fillings`` with Gram matrices from
+    ``TupleSpace.evaluate``, at ``s_bound`` 1."""
+
+    @staticmethod
+    def _box(pairings, phis):
+        """(some box filling annihilates, least doubled genus per phi)."""
+        space = TupleSpace(tuple(pairings))
+        best = [None] * len(phis)
+        for filling in enumerate_weak_fillings(pairings, 1):
+            values = [[space.evaluate(x, y) for y in filling] for x in filling]
+            if all(v.is_zero() for row in values for v in row):
+                return True, [0] * len(phis)
+            for k, phi in enumerate(phis):
+                gram = [[phi.apply(v) for v in row] for row in values]
+                if phi.target == RATIONALS:
+                    rank = rational_rank(gram)
+                else:
+                    rank = rank_mod_p(gram, phi.prime)
+                best[k] = rank if best[k] is None else min(best[k], rank)
+        return False, best
+
+    def test_search_matches_box(self, two_free, mixed):
+        fixed = InvolutiveAlphabet.build(("c",), {"c": "c"})
+        rng = random.Random(50)
+        hyperbolic = 0
+        for ground in (two_free, mixed, fixed) * 6:
+            sizes = rng.choice(((1,), (2,), (3,), (1, 1), (1, 2), (2, 1)))
+            pairings = tuple(random_skew_pairing(rng, ground, m) for m in sizes)
+            if sizes[0] == 1 and rng.random() < 0.5:  # (p, p^-) always has a weak filling
+                pairings = (pairings[0], pairings[0].opposite())
+            phis = (
+                rng.choice(phi_sign_battery(ground)),
+                PhiSpec.prime_field(ground, 2, {rep: 1 for rep, _ in ground.pairs}),
+            )
+            box_hyperbolic, box_genera = self._box(pairings, phis)
+            witness = is_hyperbolic_tuple(pairings, 1)
+            assert (witness is not None) == box_hyperbolic
+            if witness is not None:
+                hyperbolic += 1
+                space = TupleSpace(pairings)
+                assert all(space.evaluate(x, y).is_zero() for x in witness for y in witness)
+            assert [tuple_genus(pairings, phi, 1).twice for phi in phis] == box_genera
+        assert hyperbolic >= 3
 
 class TestShiftOfPairings:
     def test_word_shift_matches_pairing_shift(self, mixed):

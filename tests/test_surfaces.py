@@ -5,7 +5,8 @@ import pytest
 
 from nanocob.algebra import InvolutiveAlphabet, PhiSpec
 from nanocob.explorer import enumerate_nanowords, random_nanoword
-from nanocob.pairings import genus, pairing_of_nanoword
+from nanocob.intlinalg import rational_rank
+from nanocob.pairings import genus, pairing_of_nanoword, tautological_filling
 from nanocob.surfaces import (
     genus_rank_check,
     phi_zero,
@@ -95,3 +96,14 @@ class TestGenusRankIdentity:
             w = random_nanoword(rng, pm, rng.randint(1, 5))
             sigma_twice = genus(pairing_of_nanoword(w), phi).twice
             assert sigma_twice // 2 <= surface_stats(ribbon_graph_of(w)).genus
+
+    def test_gram_rank_matches_evaluate_route(self, pm):
+        """The Gram rank through the scalar pairing matrix against the
+        route through ``AlphaPairing.evaluate`` and ``rational_rank``."""
+        phi = phi_zero(pm)
+        for n in range(5):
+            for w in enumerate_nanowords(n, pm):
+                p = pairing_of_nanoword(w)
+                filling = tautological_filling(p)
+                gram = [[phi.apply(p.evaluate(x, y)) for y in filling] for x in filling]
+                assert tautological_gram_rank(w) == rational_rank(gram)

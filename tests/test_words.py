@@ -8,15 +8,6 @@ from nanocob.words import (
     Nanophrase,
     Nanoword,
     WordError,
-    canonical_form,
-    circular_shift,
-    concatenate,
-    epsilon,
-    is_even,
-    opposite,
-    pull_back,
-    push_forward,
-    symmetry_witness,
 )
 
 
@@ -61,8 +52,8 @@ class TestCanonicalForm:
         rng = random.Random(1)
         for _ in range(20):
             w = random_word(rng, two_free, rng.randint(0, 5))
-            once = canonical_form(w)
-            assert canonical_form(once) == once
+            once = w.canonical_form()
+            assert once.canonical_form() == once
 
     def test_isomorphism_detected_by_exhaustive_bijections(self, two_free, word_factory):
         w1 = word_factory(two_free, "BAAB", A="a", B="a")
@@ -117,38 +108,38 @@ class TestCanonicalForm:
         for _ in range(10):
             w1 = random_word(rng, two_free, rng.randint(1, 3))
             w2 = random_word(rng, two_free, rng.randint(1, 3))
-            direct = concatenate(w1, w2).canonical_key()
-            via = concatenate(w1.canonical_form(), w2.canonical_form()).canonical_key()
+            direct = w1.concatenate(w2).canonical_key()
+            via = w1.canonical_form().concatenate(w2.canonical_form()).canonical_key()
             assert direct == via
 
 
 class TestOppositeConcatenate:
     def test_opposite_reverses(self, two_free, word_factory):
         w = word_factory(two_free, "ABAB", A="a", B="b")
-        assert opposite(w).letter_seq() == ("B", "A", "B", "A")
+        assert w.opposite().letter_seq() == ("B", "A", "B", "A")
 
     def test_opposite_involution(self, two_free):
         rng = random.Random(3)
         for _ in range(10):
             w = random_word(rng, two_free, rng.randint(0, 4))
-            assert opposite(opposite(w)) == w
+            assert w.opposite().opposite() == w
 
     def test_opposite_longer(self, three_free, word_factory):
         w = word_factory(three_free, "ABCBAC", A="a", B="b", C="c")
-        assert opposite(w).letter_seq() == tuple("CABCBA")
+        assert w.opposite().letter_seq() == tuple("CABCBA")
 
     def test_concatenate_simple(self, two_free, word_factory):
         w1 = word_factory(two_free, "AA", A="a")
         w2 = word_factory(two_free, "BB", B="b")
-        assert concatenate(w1, w2).letter_seq() == ("A", "A", "B", "B")
+        assert w1.concatenate(w2).letter_seq() == ("A", "A", "B", "B")
 
     def test_concatenate_unit(self, two_free, word_factory):
         w = word_factory(two_free, "ABAB", A="a", B="b")
-        assert concatenate(w, Nanoword.empty(two_free)).is_isomorphic(w)
+        assert w.concatenate(Nanoword.empty(two_free)).is_isomorphic(w)
 
     def test_concatenate_relabels_collisions(self, two_free, word_factory):
         w = word_factory(two_free, "ABAB", A="a", B="b")
-        both = concatenate(w, w)
+        both = w.concatenate(w)
         assert both.canonical_form().letter_seq() == (
             "L1", "L2", "L1", "L2", "L3", "L4", "L3", "L4",
         )
@@ -157,13 +148,13 @@ class TestOppositeConcatenate:
         rng = random.Random(4)
         w1 = random_word(rng, two_free, 2)
         w2 = random_word(rng, two_free, 3)
-        assert concatenate(w1, w2).length == w1.length + w2.length
+        assert w1.concatenate(w2).length == w1.length + w2.length
 
     def test_ground_mismatch(self, two_free, three_free, word_factory):
         w1 = word_factory(two_free, "AA", A="a")
         w2 = word_factory(three_free, "BB", B="b")
         with pytest.raises(AlphabetError):
-            concatenate(w1, w2)
+            w1.concatenate(w2)
 
 
 class TestSymmetry:
@@ -171,37 +162,38 @@ class TestSymmetry:
         for pa in ("a", "A", "b"):
             for pb in ("a", "b", "B"):
                 w = word_factory(two_free, "ABBA", A=pa, B=pb)
-                witness = symmetry_witness(w.to_phrase())
+                witness = w.to_phrase().symmetry_witness()
                 assert witness is not None
-                assert witness.iota_of(0) == 0 and witness.iota_of(1) == 1
+                iota = dict(witness.iota)
+                assert iota[0] == 0 and iota[1] == 1
 
     def test_abab_symmetric_iff_equal_projection(self, two_free, word_factory):
         same = word_factory(two_free, "ABAB", A="a", B="a")
         diff = word_factory(two_free, "ABAB", A="a", B="b")
-        assert symmetry_witness(same.to_phrase()) is not None
-        assert symmetry_witness(diff.to_phrase()) is None
+        assert same.to_phrase().symmetry_witness() is not None
+        assert diff.to_phrase().symmetry_witness() is None
 
     def test_two_word_phrase_symmetric_iff_tau_related(self, two_free):
         def phrase(pa, pb):
             return Nanophrase(two_free, ((0, 1), (1, 0)), (pa, pb), ("A", "B"))
 
-        assert symmetry_witness(phrase("a", "A")) is not None
-        assert symmetry_witness(phrase("a", "b")) is None
+        assert phrase("a", "A").symmetry_witness() is not None
+        assert phrase("a", "b").symmetry_witness() is None
 
     def test_even(self, two_free):
         even = Nanophrase(two_free, ((0, 1), (1, 0)), ("a", "b"), ("A", "B"))
         odd = Nanophrase(two_free, ((0,), (0,)), ("a",), ("A",))
-        assert is_even(even)
-        assert not is_even(odd)
-        assert is_even(random_word(random.Random(0), two_free, 3).to_phrase())
+        assert even.is_even()
+        assert not odd.is_even()
+        assert random_word(random.Random(0), two_free, 3).to_phrase().is_even()
 
     def test_epsilon(self, two_free):
         split = Nanophrase(two_free, ((0, 1), (1, 0)), ("a", "b"), ("A", "B"))
-        assert epsilon(split, 0) == 1
+        assert split.epsilon(0) == 1
         local = Nanophrase(two_free, ((0, 0), (1, 1)), ("a", "b"), ("A", "B"))
-        assert epsilon(local, 0) == 0
+        assert local.epsilon(0) == 0
         single = Nanophrase(two_free, ((0,), (0,)), ("a",), ("A",))
-        assert epsilon(single, 0) == 1
+        assert single.epsilon(0) == 1
 
     def test_witness_structure_invariants(self, mixed):
         """Any returned witness must be an involution whose twist values
@@ -214,7 +206,7 @@ class TestSymmetry:
             phrase = Nanophrase(
                 mixed, (flat.seq[:cut], flat.seq[cut:]), flat.proj, flat.names
             )
-            witness = symmetry_witness(phrase)
+            witness = phrase.symmetry_witness()
             if witness is None:
                 continue
             found += 1
@@ -243,9 +235,9 @@ class TestSymmetry:
                 flat.proj,
                 flat.names,
             )
-            if symmetry_witness(phrase) is not None:
+            if phrase.symmetry_witness() is not None:
                 seen_symmetric += 1
-                assert is_even(phrase)
+                assert phrase.is_even()
         assert seen_symmetric > 0
 
 
@@ -254,13 +246,13 @@ class TestShift:
         """Shifting the linked pair on (a, b) gives the linked pair on
         (b, tau(a))."""
         w = word_factory(two_free, "ABAB", A="a", B="b")
-        shifted = circular_shift(w)
+        shifted = w.circular_shift()
         target = word_factory(two_free, "XYXY", X="b", Y="A")
         assert shifted.is_isomorphic(target)
 
     def test_shift_doubled_letter(self, two_free, word_factory):
         w = word_factory(two_free, "AA", A="a")
-        shifted = circular_shift(w)
+        shifted = w.circular_shift()
         assert shifted.proj == ("A",)
         assert shifted.canonical_form().letter_seq() == ("L1", "L1")
 
@@ -270,24 +262,24 @@ class TestShift:
             w = random_word(rng, two_free, rng.randint(1, 5))
             rotated = w
             for _ in range(w.length):
-                rotated = circular_shift(rotated)
+                rotated = rotated.circular_shift()
             assert rotated.is_isomorphic(w)
 
     def test_empty_shift_rejected(self, two_free):
         with pytest.raises(WordError):
-            circular_shift(Nanoword.empty(two_free))
+            Nanoword.empty(two_free).circular_shift()
 
 
 class TestPushPull:
     def test_identity_map(self, two_free, word_factory):
         w = word_factory(two_free, "ABAB", A="a", B="b")
         ident = {s: s for s in two_free.symbols}
-        assert push_forward(w, ident, two_free) == w
+        assert w.push_forward(ident, two_free) == w
 
     def test_push_to_signs(self, two_free, pm, word_factory):
         w = word_factory(two_free, "ABAB", A="a", B="B")
         f = {"a": "+", "A": "-", "b": "+", "B": "-"}
-        out = push_forward(w, f, pm)
+        out = w.push_forward(f, pm)
         assert out.proj == ("+", "-")
         assert out.ground == pm
 
@@ -295,23 +287,23 @@ class TestPushPull:
         w = word_factory(two_free, "AA", A="a")
         f = {"a": "+", "A": "+", "b": "+", "B": "-"}
         with pytest.raises(AlphabetError):
-            push_forward(w, f, pm)
+            w.push_forward(f, pm)
 
     def test_pull_back_full_and_empty(self, two_free, word_factory):
         w = word_factory(two_free, "ABAB", A="a", B="b")
-        assert pull_back(w, two_free.symbols).seq == w.seq
-        assert pull_back(w, ()).length == 0
+        assert w.pull_back(two_free.symbols).seq == w.seq
+        assert w.pull_back(()).length == 0
 
     def test_pull_back_orbit(self, word_factory):
         ground = InvolutiveAlphabet.fixed_point_free(("a", "c"), ("A", "C"))
         w = word_factory(ground, "ABACDCDB", A="a", B="a", C="c", D="c")
-        out = pull_back(w, ("a", "A"))
+        out = w.pull_back(("a", "A"))
         assert out.canonical_form().letter_seq() == ("L1", "L2", "L1", "L2")
 
     def test_pull_back_requires_invariant_subset(self, two_free, word_factory):
         w = word_factory(two_free, "AA", A="a")
         with pytest.raises(AlphabetError):
-            pull_back(w, ("a",))  # partner A missing
+            w.pull_back(("a",))  # partner A missing
 
     def test_pull_after_push_along_inclusion(self, two_free):
         sub = two_free.restrict(("a", "A"))
@@ -319,8 +311,8 @@ class TestPushPull:
         rng = random.Random(7)
         for _ in range(10):
             w = random_word(rng, sub, rng.randint(0, 3))
-            pushed = push_forward(w, big_inclusion, two_free)
-            back = pull_back(pushed, ("a", "A"))
+            pushed = w.push_forward(big_inclusion, two_free)
+            back = pushed.pull_back(("a", "A"))
             assert back.canonical_key() == w.canonical_key()
             assert back.ground == sub
 
