@@ -125,11 +125,19 @@ class InvolutiveAlphabet:
             Orbit(rep, FIXED if rep == other else FREE) for rep, other in self.pairs
         )
 
-    def free_reps(self) -> tuple[str, ...]:
+    @cached_property
+    def _free_reps(self) -> tuple[str, ...]:
         return tuple(rep for rep, other in self.pairs if rep != other)
 
-    def fixed_reps(self) -> tuple[str, ...]:
+    @cached_property
+    def _fixed_reps(self) -> tuple[str, ...]:
         return tuple(rep for rep, other in self.pairs if rep == other)
+
+    def free_reps(self) -> tuple[str, ...]:
+        return self._free_reps
+
+    def fixed_reps(self) -> tuple[str, ...]:
+        return self._fixed_reps
 
     def restrict(self, keep: Iterable[str]) -> "InvolutiveAlphabet":
         """Sub-alphabet on a tau-invariant symbol set, declaration order kept."""
@@ -247,9 +255,21 @@ class PiElement:
         """Free-orbit integer coefficients, then fixed-orbit bits, each in
         orbit order."""
         free = dict(self.free)
-        tor = set(self.torsion)
+        tor = self.torsion
         return tuple(free.get(r, 0) for r in self.alphabet.free_reps()) + tuple(
             1 if r in tor else 0 for r in self.alphabet.fixed_reps()
+        )
+
+    @staticmethod
+    def from_coordinates(
+        alphabet: InvolutiveAlphabet, coords: Sequence[int]
+    ) -> "PiElement":
+        """Inverse of ``coordinates``; fixed-orbit entries are read mod 2."""
+        free = alphabet.free_reps()
+        return PiElement(
+            alphabet,
+            tuple((r, c) for r, c in zip(free, coords) if c),
+            tuple(r for r, c in zip(alphabet.fixed_reps(), coords[len(free):]) if c % 2),
         )
 
     def format(self, torsion_suffix: bool = False) -> str:
@@ -464,6 +484,22 @@ class PhiSpec:
 
     def value(self, rep: str) -> Union[Fraction, int]:
         return dict(self.values)[rep]
+
+    @cached_property
+    def integral(self) -> bool:
+        """Whether every value is an integer, so that images of integer
+        coordinates are plain ints."""
+        return all(v.denominator == 1 for _, v in self.values)
+
+    def weights(self, alphabet: InvolutiveAlphabet) -> tuple[Union[Fraction, int], ...]:
+        """The map as a weight vector over ``PiElement.coordinates()``:
+        phi(x) is the dot product of the weights with the coordinates of
+        x, reduced mod p over GF(p).  Integral values are given as ints."""
+        vals = dict(self.values)
+        return tuple(
+            int(v) if v.denominator == 1 else v
+            for v in map(vals.__getitem__, alphabet.free_reps() + alphabet.fixed_reps())
+        )
 
     def apply(self, x: PiElement) -> Union[Fraction, int]:
         vals = dict(self.values)

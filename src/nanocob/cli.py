@@ -8,6 +8,7 @@ classify, verify.  Exit codes: 0 success, 1 failed verification,
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 from dataclasses import replace
@@ -126,8 +127,14 @@ def _phis(args, ground: InvolutiveAlphabet) -> tuple[PhiSpec, ...]:
 
 
 def _emit(lines: Sequence[str], fmt: str) -> None:
-    for line in lines:
-        print(line if fmt == "text" else line.replace("\t", ","))
+    """Print tab-separated lines as they are, or their fields as CSV."""
+    if fmt == "text":
+        for line in lines:
+            print(line)
+    else:
+        csv.writer(sys.stdout, lineterminator="\n").writerows(
+            line.split("\t") for line in lines
+        )
 
 
 def cmd_invariants(args) -> int:

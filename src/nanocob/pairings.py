@@ -13,10 +13,11 @@ pairings, and coverings of words.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .algebra import (
     AlphabetError,
@@ -45,6 +46,9 @@ S_VECTOR: SVector = ((0, 1),)
 
 def _vector(entries: Mapping[int, int]) -> SVector:
     return tuple(sorted((i, c) for i, c in entries.items() if c != 0))
+
+
+Coords = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,15 @@ class AlphaPairing:
     @property
     def num_letters(self) -> int:
         return len(self.proj)
+
+    @cached_property
+    def coords(self) -> Coords:
+        """The matrix as one dense integer table: each entry is the flat
+        tuple of ``PiElement.coordinates()``, free-orbit coefficients and
+        then fixed-orbit bits reduced mod 2.  Hyperbolicity, genus, the
+        weak-filling searches and coverings all read this view; ``matrix``
+        stays for input, display and comparison."""
+        return tuple(tuple(v.coordinates() for v in row) for row in self.matrix)
 
     def entry(self, i: int, j: int) -> PiElement:
         return self.matrix[i][j]
@@ -215,45 +228,74 @@ def _interleaving_sign(occ_a: tuple[int, int], occ_b: tuple[int, int]) -> int:
     return 0
 
 
+def _pairing_from_coords(
+    ground: InvolutiveAlphabet, proj: tuple[str, ...], names: tuple[str, ...], coords: Coords
+) -> AlphaPairing:
+    """Pairing given by its coordinate table: each distinct value becomes
+    one ``PiElement``, and the table itself is kept as ``coords``."""
+    values = {c: PiElement.from_coordinates(ground, c) for c in {c for row in coords for c in row}}
+    p = AlphaPairing(ground, proj, names, tuple(tuple(values[c] for c in row) for row in coords))
+    vars(p)["coords"] = coords  # where cached_property keeps its value
+    return p
+
+
 def pairing_of_nanoword(w: Nanoword) -> AlphaPairing:
     """Skew-symmetric pairing whose entries record how the spans of two
     letters interleave, weighted by the projections of the letters that
-    cross them."""
+    cross them.
+
+    Computed in coordinates: the projection of a letter is one signed unit
+    coordinate, so each entry is a sum of integers per coordinate."""
     ground = w.ground
     m = w.num_letters
+    nfree = len(ground.free_reps())
+    dim = nfree + len(ground.fixed_reps())
+    unit: dict[str, tuple[int, int]] = {}
+    for k, rep in enumerate(ground.free_reps()):
+        unit[rep], unit[ground.tau(rep)] = (k, 1), (k, -1)
+    for k, rep in enumerate(ground.fixed_reps(), nfree):
+        unit[rep] = (k, 1)
+    units = [unit[a] for a in w.proj]
     occ = [w.occurrences(i) for i in range(m)]
-    zero = PiElement.zero(ground)
 
-    def letter_value(i: int) -> PiElement:
-        return PiElement.of_letter(ground, w.proj[i])
-
-    def circ(a: int, b: int) -> PiElement:
-        ia, ja = occ[a]
-        ib, jb = occ[b]
-        acc = zero
-        for d in range(m):
-            if ia < occ[d][0] < ja and ib < occ[d][1] < jb:
-                acc = acc + letter_value(d)
-        return acc
-
-    entries: dict[tuple[int, int], PiElement] = {}
+    size = m + 1
+    acc = [[[0] * dim for _ in range(size)] for _ in range(size)]
     for a in range(m):
-        es = zero
+        ia, ja = occ[a]
+        es = acc[a + 1][0]
         for d in range(m):
             n = _interleaving_sign(occ[a], occ[d])
             if n:
-                es = es + letter_value(d).scaled(n)
-        entries[(a + 1, 0)] = es
-        entries[(0, a + 1)] = -es
-        for b in range(m):
-            if a == b:
-                continue
+                k, sign = units[d]
+                es[k] += n * sign
+        for b in range(a + 1, m):
+            ib, jb = occ[b]
+            val = acc[a + 1][b + 1]
+            for d in range(m):
+                id_, jd = occ[d]
+                k, sign = units[d]
+                if ia < id_ < ja and ib < jd < jb:
+                    val[k] += 2 * sign
+                if ib < id_ < jb and ia < jd < ja:
+                    val[k] -= 2 * sign
             n = _interleaving_sign(occ[a], occ[b])
-            val = (circ(a, b) - circ(b, a)).scaled(2)
             if n:
-                val = val + (letter_value(a) + letter_value(b)).scaled(n)
-            entries[(a + 1, b + 1)] = val
-    return AlphaPairing.build(ground, w.proj, entries, w.names)
+                for k, sign in (units[a], units[b]):
+                    val[k] += n * sign
+
+    def reduced(v: list[int]) -> tuple[int, ...]:
+        return tuple(v[:nfree]) + tuple(x % 2 for x in v[nfree:])
+
+    def negated(v: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(-x for x in v[:nfree]) + v[nfree:]
+
+    # row 0 and the entries below the diagonal are skew images
+    rows = [[reduced(v) for v in row] for row in acc]
+    for a in range(1, size):
+        rows[0][a] = negated(rows[a][0])
+        for b in range(a + 1, size):
+            rows[b][a] = negated(rows[a][b])
+    return _pairing_from_coords(ground, w.proj, w.names, tuple(map(tuple, rows)))
 
 
 def pairing_of_nanoword_alt(w: Nanoword) -> AlphaPairing:
@@ -358,46 +400,27 @@ def tautological_filling(p: AlphaPairing) -> tuple[SVector, ...]:
     return (S_VECTOR,) + tuple(((i, 1),) for i in range(1, p.num_letters + 1))
 
 
-def _coord_matrix(p: AlphaPairing) -> tuple[list[list[tuple[int, ...]]], int, int]:
-    """Pairing values as flat integer coordinate vectors (free-orbit
-    coefficients, then fixed-orbit bits to be read modulo 2)."""
+def _vanishes(p: AlphaPairing, x: SVector, y: SVector) -> bool:
+    """Whether the bilinear value of x and y is zero, read off ``coords``
+    (free coordinates exactly, fixed ones mod 2)."""
+    coords = p.coords
     nfree = len(p.ground.free_reps())
-    dim = nfree + len(p.ground.fixed_reps())
-    return [[v.coordinates() for v in row] for row in p.matrix], nfree, dim
-
-
-def _coords_vanish(acc: Sequence[int], nfree: int) -> bool:
-    return all(x == 0 for x in acc[:nfree]) and all(
-        x % 2 == 0 for x in acc[nfree:]
-    )
-
-
-def _filling_annihilates(
-    matrix: list[list[tuple[int, ...]]], nfree: int, dim: int, filling: Sequence[SVector]
-) -> bool:
-    for x in filling:
-        for y in filling:
-            acc = [0] * dim
-            for i, c in x:
-                for j, d in y:
-                    k = c * d
-                    row = matrix[i][j]
-                    for t in range(dim):
-                        acc[t] += k * row[t]
-            if not _coords_vanish(acc, nfree):
-                return False
-    return True
+    acc = [0] * len(coords[0][0])
+    for i, c in x:
+        for j, d in y:
+            k = c * d
+            for t, v in enumerate(coords[i][j]):
+                acc[t] += k * v
+    return not any(acc[:nfree]) and not any(v % 2 for v in acc[nfree:])
 
 
 def filling_is_annihilating(p: AlphaPairing, filling: Sequence[SVector]) -> bool:
-    matrix, nfree, dim = _coord_matrix(p)
-    return _filling_annihilates(matrix, nfree, dim, filling)
+    return all(_vanishes(p, x, y) for x in filling for y in filling)
 
 
 def is_hyperbolic(p: AlphaPairing) -> Optional[tuple[SVector, ...]]:
-    matrix, nfree, dim = _coord_matrix(p)
     for filling in enumerate_fillings(p):
-        if _filling_annihilates(matrix, nfree, dim, filling):
+        if filling_is_annihilating(p, filling):
             return filling
     return None
 
@@ -440,26 +463,27 @@ class Genus:
 
 
 def _gram_rank(phi: PhiSpec, gram: list[list]) -> int:
-    if phi.target == RATIONALS:
-        if all(
-            isinstance(x, int) or x.denominator == 1 for row in gram for x in row
-        ):
-            return integer_rank([[int(x) for x in row] for row in gram])
-        return rational_rank(gram)
-    return rank_mod_p(gram, phi.prime)
+    """Rank of a Gram matrix of phi-values; with integral phi over Q the
+    entries are ints."""
+    if phi.target != RATIONALS:
+        return rank_mod_p(gram, phi.prime)
+    return integer_rank(gram) if phi.integral else rational_rank(gram)
 
 
-def _phi_scalar(phi: PhiSpec, v: PiElement):
-    """phi(v), as an exact integer whenever a rational value is integral."""
-    x = phi.apply(v)
-    if phi.target == RATIONALS and x.denominator == 1:
-        return int(x)
-    return x
+def _phi_scalar(phi: PhiSpec, ground: InvolutiveAlphabet) -> Callable[[Sequence[int]], object]:
+    """phi on coordinate tuples: the dot product with its weight vector,
+    reduced mod p over GF(p)."""
+    weights = phi.weights(ground)
+    prime = phi.prime
+    if prime:
+        return lambda c: sum(map(operator.mul, weights, c)) % prime
+    return lambda c: sum(map(operator.mul, weights, c))
 
 
 def _phi_matrix(p: AlphaPairing, phi: PhiSpec) -> list[list]:
     """Scalar image of the pairing matrix."""
-    return [[_phi_scalar(phi, v) for v in row] for row in p.matrix]
+    scalar = _phi_scalar(phi, p.ground)
+    return [[scalar(c) for c in row] for row in p.coords]
 
 
 def _scalar_gram(matrix: list[list], filling: Sequence[SVector]) -> list[list]:
@@ -679,15 +703,13 @@ def verify_surgery_filling(w: Nanoword, factor) -> bool:
         return _vector({b + 1: 1, iota[b] + 1: (-1) ** eps[b]})
 
     # orthogonality inside the pairing of w
-    for b1 in b_plus:
-        for b2 in b_plus:
-            if not p_w.evaluate(lam(b1), lam(b2)).is_zero():
-                return False
+    if not filling_is_annihilating(p_w, [lam(b) for b in b_plus]):
+        return False
     for b in b_plus:
-        if not p_w.evaluate(lam(b), S_VECTOR).is_zero():
+        if not _vanishes(p_w, lam(b), S_VECTOR):
             return False
         for c in c_letters:
-            if not p_w.evaluate(lam(b), ((c + 1, 1),)).is_zero():
+            if not _vanishes(p_w, lam(b), ((c + 1, 1),)):
                 return False
 
     # the induced filling of p(w) (+) p(x)^- must annihilate
@@ -806,111 +828,87 @@ def enumerate_weak_fillings(
 # ``enumerate_weak_fillings`` (tests/test_pairings.py::TestWeakBoxOracle).
 
 
-def _weak_tables(space: TupleSpace, convert):
-    """Per-letter tables of converted pairing values: within-block entries
-    B, rows against each distinguished element R, columns C, and the
-    distinguished self-values D."""
+def _weak_tables(space: TupleSpace, scalar):
+    """Per-letter tables of one scalar image of the pairing coordinates:
+    within-block entries B, rows against each distinguished element R,
+    columns C, and the distinguished self-values D."""
     m = space.num_letters
     r = len(space.pairings)
-    zero = convert(PiElement.zero(space.ground))
-    B = [[zero] * m for _ in range(m)]
-    R = [[zero] * r for _ in range(m)]
-    C = [[zero] * r for _ in range(m)]
-    D = [convert(p.matrix[0][0]) for p in space.pairings]
+    B = [[0] * m for _ in range(m)]
+    R = [[0] * r for _ in range(m)]
+    C = [[0] * r for _ in range(m)]
+    D = [scalar(p.coords[0][0]) for p in space.pairings]
     for t, p in enumerate(space.pairings):
         off = space.offsets[t]
+        coords = p.coords
         for li in range(1, p.num_letters + 1):
             gi = off + li - 1
-            R[gi][t] = convert(p.matrix[li][0])
-            C[gi][t] = convert(p.matrix[0][li])
+            R[gi][t] = scalar(coords[li][0])
+            C[gi][t] = scalar(coords[0][li])
             for lj in range(1, p.num_letters + 1):
-                B[gi][off + lj - 1] = convert(p.matrix[li][lj])
+                B[gi][off + lj - 1] = scalar(coords[li][lj])
     return B, R, C, D
 
 
-def _group_tables(groups, B, R, C, r, add, scale, zero):
-    """Bilinear tables aggregated over the letter groups of one matching;
-    slot 0 is the distinguished vector with no letter part."""
-    slots = [()] + list(groups)
-    size = len(slots)
-    Lb = [[zero] * size for _ in range(size)]
-    Lr = [[zero] * r for _ in range(size)]
-    Lc = [[zero] * r for _ in range(size)]
-    for x, gx in enumerate(slots):
-        for t in range(r):
-            acc_r = zero
-            acc_c = zero
-            for i, a in gx:
-                acc_r = add(acc_r, scale(R[i][t], a))
-                acc_c = add(acc_c, scale(C[i][t], a))
-            Lr[x][t] = acc_r
-            Lc[x][t] = acc_c
-        for y, gy in enumerate(slots):
-            acc = zero
-            for i, a in gx:
-                for j, b in gy:
-                    acc = add(acc, scale(B[i][j], a * b))
-            Lb[x][y] = acc
-    return Lb, Lr, Lc
+def _matching_terms(groups, tables, vectors):
+    """Gram terms of one matching in one scalar image.  Slot 0 is the
+    distinguished vector and slot x > 0 the letter group ``groups[x - 1]``;
+    ``Lb[x][y]`` pairs the letter parts of two slots, ``Rt[x][k]`` pairs
+    the letter part of slot x with the distinguished elements weighted by
+    coefficient vector k, and ``Ct[y][k]`` is the same in the other order."""
+    B, R, C, _ = tables
+    r = len(vectors[0])
+    slots = ((),) + tuple(groups)
+    Lb = [[sum(a * b * B[i][j] for i, a in gx for j, b in gy) for gy in slots] for gx in slots]
+    Lr = [[sum(a * R[i][t] for i, a in g) for t in range(r)] for g in slots]
+    Lc = [[sum(a * C[i][t] for i, a in g) for t in range(r)] for g in slots]
+    Rt = [[sum(map(operator.mul, v, row)) for v in vectors] for row in Lr]
+    Ct = [[sum(map(operator.mul, v, row)) for v in vectors] for row in Lc]
+    return Lb, Rt, Ct
 
 
-def _c_combos(num_groups: int, r: int, s_bound: int, relevant: bool):
-    """Coefficient choices for the non-distinguished vectors."""
-    if not relevant or r == 1:
-        yield ((0,) * r,) * num_groups
-        return
-    spread = tuple(
-        tuple(d) + (0,)
-        for d in itertools.product(
-            range(-2 * s_bound, 2 * s_bound + 1), repeat=r - 1
-        )
-    )
-    yield from itertools.product(spread, repeat=num_groups)
+def _gram(terms, keys: Sequence[int]) -> list[list]:
+    """Gram matrix of one candidate; ``keys`` gives the coefficient vector
+    of each slot as an index.  ``Dt[k][l]`` pairs the distinguished parts
+    of coefficient vectors k and l."""
+    Lb, Rt, Ct, Dt = terms
+    return [
+        [Lb[x][y] + Rt[x][ky] + Ct[y][kx] + Dt[kx][ky] for y, ky in enumerate(keys)]
+        for x, kx in enumerate(keys)
+    ]
 
 
-def _weak_search(space: TupleSpace, s_bound: int, convert, add, scale, handle):
-    """Drive the normalized weak-filling enumeration; ``handle`` receives
-    the Gram-entry closure and the vector family for each candidate and
-    may return a result to stop early."""
+def _weak_search(space: TupleSpace, s_bound: int, scalars: Sequence[Callable]):
+    """The normalized weak fillings in search order, with their Gram terms
+    in each of several scalar images of the pairing coordinates.  Yields
+    per candidate the terms of each image, the coefficient-vector index of
+    each slot (index 0 is s_1 + ... + s_r), the matching and the
+    coefficient vectors."""
     r = len(space.pairings)
-    B, R, C, D = _weak_tables(space, convert)
-    zero = convert(PiElement.zero(space.ground))
+    tables = [_weak_tables(space, scalar) for scalar in scalars]
     relevant = any(
-        v != zero
+        D[t] or any(row[t] for row in R) or any(row[t] for row in C)
+        for _, R, C, D in tables
         for t in range(r - 1)
-        for v in [D[t]] + [R[i][t] for i in range(space.num_letters)] + [
-            C[i][t] for i in range(space.num_letters)
-        ]
     )
-    ones = (1,) * r
+    spread = (
+        tuple(
+            d + (0,)
+            for d in itertools.product(range(-2 * s_bound, 2 * s_bound + 1), repeat=r - 1)
+        )
+        if relevant
+        else ((0,) * r,)
+    )
+    vectors = ((1,) * r,) + spread
+    d_terms = [
+        [[sum(u[t] * v[t] * D[t] for t in range(r)) for v in vectors] for u in vectors]
+        for _, _, _, D in tables
+    ]
+    choices = range(1, len(vectors))
     for matching in _matchings(space.ground, space.proj, 0, ()):
-        Lb, Lr, Lc = _group_tables(matching, B, R, C, r, add, scale, zero)
-        size = len(matching) + 1
-        for combo in _c_combos(len(matching), r, s_bound, relevant):
-            coeffs = (ones,) + combo
-
-            def entry(x: int, y: int):
-                acc = Lb[x][y]
-                cx, cy = coeffs[x], coeffs[y]
-                for t in range(r):
-                    if cy[t]:
-                        acc = add(acc, scale(Lr[x][t], cy[t]))
-                    if cx[t]:
-                        acc = add(acc, scale(Lc[y][t], cx[t]))
-                        if cy[t]:
-                            acc = add(acc, scale(D[t], cx[t] * cy[t]))
-                return acc
-
-            result = handle(entry, size, matching, combo)
-            if result is not None:
-                return result
-    return None
-
-
-def _weak_vectors(matching, combo, r: int) -> tuple[WeakVector, ...]:
-    return (WeakVector((), (1,) * r),) + tuple(
-        WeakVector(group, cs) for group, cs in zip(matching, combo)
-    )
+        terms = [_matching_terms(matching, t, vectors) + (dt,) for t, dt in zip(tables, d_terms)]
+        for combo in itertools.product(choices, repeat=len(matching)):
+            yield terms, (0,) + combo, matching, vectors
 
 
 def is_hyperbolic_tuple(
@@ -921,23 +919,19 @@ def is_hyperbolic_tuple(
     if s_bound < 1:
         raise PairingError("s_bound must be at least 1")
     space = TupleSpace(tuple(pairings))
-    r = len(space.pairings)
     nfree = len(space.ground.free_reps())
-
-    def add(a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def scale(a, k):
-        return tuple(k * x for x in a)
-
-    def handle(entry, size, matching, combo):
-        for x in range(size):
-            for y in range(size):
-                if not _coords_vanish(entry(x, y), nfree):
-                    return None
-        return _weak_vectors(matching, combo, r)
-
-    return _weak_search(space, s_bound, PiElement.coordinates, add, scale, handle)
+    dim = nfree + len(space.ground.fixed_reps())
+    # one scalar image per coordinate; fixed coordinates vanish mod 2
+    scalars = [operator.itemgetter(k) for k in range(dim)]
+    for terms, keys, matching, vectors in _weak_search(space, s_bound, scalars):
+        if all(
+            not any(x if k < nfree else x % 2 for row in _gram(t, keys) for x in row)
+            for k, t in enumerate(terms)
+        ):
+            return tuple(
+                WeakVector(group, vectors[k]) for group, k in zip(((),) + matching, keys)
+            )
+    return None
 
 
 def weakly_cobordant(p: AlphaPairing, q: AlphaPairing, s_bound: int = 2) -> bool:
@@ -952,26 +946,15 @@ def tuple_genus(
     if s_bound < 1:
         raise PairingError("s_bound must be at least 1")
     space = TupleSpace(tuple(pairings))
-    best: list[Optional[int]] = [None]
-
-    def add(a, b):
-        return a + b
-
-    def scale(a, k):
-        return a * k
-
-    def handle(entry, size, matching, combo):
-        gram = [[entry(x, y) for y in range(size)] for x in range(size)]
-        rank = _gram_rank(phi, gram)
-        if best[0] is None or rank < best[0]:
-            best[0] = rank
-        if best[0] == 0:
-            return 0
-        return None
-
-    _weak_search(space, s_bound, lambda v: _phi_scalar(phi, v), add, scale, handle)
-    assert best[0] is not None
-    return Genus(best[0])
+    best: Optional[int] = None
+    for terms, keys, _, _ in _weak_search(space, s_bound, [_phi_scalar(phi, space.ground)]):
+        rank = _gram_rank(phi, _gram(terms[0], keys))
+        if best is None or rank < best:
+            best = rank
+            if best == 0:
+                break
+    assert best is not None
+    return Genus(best)
 
 
 # ---------------------------------------------------------------------------
@@ -1033,7 +1016,7 @@ def covering(w: Nanoword, subgroups: Mapping[str, Sequence[PiElement]]) -> Nanow
     doomed = [
         i
         for i in range(w.num_letters)
-        if not lattices[ground.orbit_rep(w.proj[i])].contains(p.matrix[i + 1][0].coordinates())
+        if not lattices[ground.orbit_rep(w.proj[i])].contains(p.coords[i + 1][0])
     ]
     word, _ = w.delete_letters(doomed)
     return word

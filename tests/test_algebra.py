@@ -1,4 +1,6 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +16,7 @@ from nanocob.algebra import (
     PiWord,
     pi_word_is_conjugate,
 )
+from nanocob.explorer import random_pi_element
 
 
 class TestAlphabet:
@@ -86,6 +89,15 @@ class TestPiElement:
     def test_zero_not_stored(self, two_free):
         x = PiElement.of_letter(two_free, "a") - PiElement.of_letter(two_free, "a")
         assert x.free == () and x.torsion == ()
+
+    def test_coordinates_round_trip(self, mixed, three_free):
+        rng = random.Random(60)
+        for ground in (mixed, three_free):
+            for _ in range(30):
+                x = random_pi_element(rng, ground)
+                assert PiElement.from_coordinates(ground, x.coordinates()) == x
+        # fixed-orbit entries are read mod 2
+        assert PiElement.from_coordinates(mixed, (2, 3)) == PiElement.make(mixed, {"a": 2}, ("c",))
 
 
 class TestPiWord:
@@ -211,6 +223,24 @@ class TestPhiSpec:
     def test_sign_phi_requires_fixed_point_free(self, mixed):
         with pytest.raises(PhiSpecError):
             PhiSpec.signs(mixed, {"a": 1})
+
+    def test_weights_agree_with_apply(self, two_free, mixed):
+        rng = random.Random(61)
+        maps = (
+            (two_free, PhiSpec.rationals(two_free, {"a": Fraction(1, 2), "b": -3})),
+            (two_free, PhiSpec.prime_field(two_free, 3, {"a": 1, "b": 2})),
+            (mixed, PhiSpec.prime_field(mixed, 2, {"a": 1, "c": 1})),
+            (mixed, PhiSpec.rationals(mixed, {"a": 2})),
+        )
+        for ground, phi in maps:
+            weights = phi.weights(ground)
+            for _ in range(20):
+                x = random_pi_element(rng, ground)
+                value = sum(w * c for w, c in zip(weights, x.coordinates()))
+                assert (value % phi.prime if phi.prime else value) == phi.apply(x)
+        assert [phi.integral for _, phi in maps] == [False, True, True, True]
+        integral = PhiSpec.rationals(mixed, {"a": Fraction(2)}).weights(mixed)
+        assert integral == (2, 0) and all(type(w) is int for w in integral)
 
     def test_non_representative_keys_rejected(self, two_free, mixed):
         for key in ("A", "q"):

@@ -116,6 +116,30 @@ class TestCommands:
         assert code == 0
         assert "gamma" in out and "hyperbolic\tyes" in out
 
+    def test_csv_fields_match_text_fields(self, capsys):
+        import csv
+
+        commands = (
+            ["invariants", "--alphabet", "alphabet: a x b y;tau: a<->x b<->y",
+             "--word", "ABAB", "--proj", "A=a B=b"],
+            ["invariants", "--alphabet", "alphabet: a x;tau: a<->x",
+             "--word", "phrase: A B | B A;proj: A=a B=x"],
+            ["fillings", "--alphabet", "alphabet: a x c z;tau: a<->x c<->z",
+             "--word", "ABCADCBD", "--proj", "A=a B=x C=c D=c"],
+        )
+        fields = []
+        for argv in commands:
+            assert main(argv + ["--format", "text"]) == 0
+            text = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+            assert main(argv + ["--format", "csv"]) == 0
+            rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+            assert rows == text
+            fields.extend(field for row in rows for field in row)
+        # the u line, the sigma labels and the filling lines hold commas
+        assert "u(a)=[b], u(b)=-[a]" in fields
+        assert "phi[Q](a=1,b=1)" in fields
+        assert "* {s, A-B, C+D}" in fields
+
     def test_check_slice_not_slice(self, capsys):
         code = main(
             [

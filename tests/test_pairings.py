@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from nanocob.algebra import RATIONALS, InvolutiveAlphabet, PhiSpec, PiElement
 from nanocob.explorer import (
     random_nanoword,
+    random_pi_element,
     random_skew_pairing,
     random_surgery_instance,
 )
@@ -92,6 +94,22 @@ class TestPairingOfNanoword:
                     pairing_of_nanoword(w).matrix
                     == pairing_of_nanoword_alt(w).matrix
                 )
+
+    def test_coords_view_matches_matrix(self, two_free, mixed):
+        fixed = InvolutiveAlphabet.build(("c", "d"), {"c": "c", "d": "d"})
+        rng = random.Random(62)
+        pairings = []
+        for ground in (two_free, fixed, mixed):
+            for _ in range(40):
+                w = random_nanoword(rng, ground, rng.randint(0, 6))
+                p = pairing_of_nanoword(w)
+                assert p.matrix == pairing_of_nanoword_alt(w).matrix
+                pairings.append(p)
+            for _ in range(10):
+                q = random_skew_pairing(rng, ground, rng.randint(0, 3))
+                pairings += [q, q.opposite(), sum_pairings(q, p)]
+        for p in pairings:
+            assert p.coords == tuple(tuple(v.coordinates() for v in row) for row in p.matrix)
 
     def test_opposite_word_gives_opposite_pairing(self, mixed):
         rng = random.Random(22)
@@ -379,6 +397,18 @@ class TestGenus:
         phi = PhiSpec.prime_field(two_free, 2, {"a": 1, "b": 1})
         assert genus(pairing_of_nanoword(w), phi).twice in (0, 2, 4)
 
+    def test_fractional_phi_scales_out(self, two_free):
+        """A rational map with fractional values gives the same genera as
+        its integral multiple."""
+        rng = random.Random(63)
+        half = PhiSpec.rationals(two_free, {"a": Fraction(1, 2), "b": Fraction(-3, 2)})
+        whole = PhiSpec.rationals(two_free, {"a": 1, "b": -3})
+        for _ in range(10):
+            p = random_skew_pairing(rng, two_free, rng.randint(1, 3))
+            q = random_skew_pairing(rng, two_free, 1)
+            assert genus(p, half) == genus(p, whole)
+            assert tuple_genus((p, q), half, 1) == tuple_genus((p, q), whole, 1)
+
     def test_skew_pairings_have_integer_genus(self, mixed, two_free):
         rng = random.Random(48)
         for ground in (two_free, mixed):
@@ -495,6 +525,54 @@ class TestWeakFillings:
             whole = genus(sum_pairings(p1, p2), phi).twice
             weak = tuple_genus((p1, p2), phi, 2).twice
             assert whole >= weak >= whole - 2
+
+    def test_tuple_genus_pinned_values(self):
+        """Doubled tuple genera of the first 30 pairs of the sandwich
+        suite's seed-0 stream under its sign maps, and of the first 10
+        pairs also under a GF(2) and a GF(3) map, as the weak search with
+        sparse PiElement arithmetic computed them."""
+        from nanocob.explorer import _random_alphabet
+
+        expected = [
+            (2, 0, 2), (2, 0, 2), (0, 0, 0), (2, 0, 2), (2, 2, 2),
+            (2, 2, 2), (2, 0, 2), (2, 2, 2), (2, 0, 2), (2, 2, 0),
+        ] + [(2,), (2,), (0,), (2,), (2,), (2,), (2,), (2,), (2,), (2,),
+             (2,), (2,), (0,), (2,), (2,), (2,), (2,), (2,), (0,), (2,)]
+        rng = random.Random(0)
+        got = []
+        for trial in range(30):
+            ground = _random_alphabet(rng)
+            phis = [rng.choice(phi_sign_battery(ground))]
+            p1 = random_skew_pairing(rng, ground, rng.randint(1, 2))
+            p2 = random_skew_pairing(rng, ground, rng.randint(1, 2))
+            if trial < 10:
+                phis.append(PhiSpec.prime_field(ground, 2, {rep: 1 for rep, _ in ground.pairs}))
+                phis.append(PhiSpec.prime_field(
+                    ground, 3, {rep: k + 1 for k, rep in enumerate(ground.free_reps())}
+                ))
+            got.append(tuple(tuple_genus((p1, p2), phi, 2).twice for phi in phis))
+        assert got == expected
+
+    def test_distinguished_values_match_box(self, two_free, mixed):
+        """Tuples with nonzero distinguished self-values r, which the sign
+        and word pairings of the other tests never have, against the box
+        search of TestWeakBoxOracle."""
+        rng = random.Random(64)
+        for ground in (two_free, mixed) * 3:
+            pairings = tuple(
+                sum_pairings(
+                    random_skew_pairing(rng, ground, m),
+                    AlphaPairing.distinguished_only(ground, random_pi_element(rng, ground)),
+                )
+                for m in rng.choice(((1,), (2,), (1, 1), (2, 1)))
+            )
+            phis = (
+                rng.choice(phi_sign_battery(ground)),
+                PhiSpec.prime_field(ground, 2, {rep: 1 for rep, _ in ground.pairs}),
+            )
+            box_hyperbolic, box_genera = TestWeakBoxOracle._box(pairings, phis)
+            assert (is_hyperbolic_tuple(pairings, 1) is not None) == box_hyperbolic
+            assert [tuple_genus(pairings, phi, 1).twice for phi in phis] == box_genera
 
     def test_box_iterator_vectors_are_bounded(self, two_free):
         p1 = AlphaPairing.build(two_free, ("a",), {})
