@@ -23,7 +23,7 @@ from .pairings import (
     u_degree,
     u_polynomial_of_nanoword,
 )
-from .words import Nanophrase, Nanoword, WordError
+from .words import Nanoword, WordError, mirror_witness
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,6 @@ class Factor:
     @property
     def num_segments(self) -> int:
         return len(self.segments)
-
-    def phrase(self, w: Nanoword) -> Nanophrase:
-        return w.factor_phrase(self.letters, self.segments)
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,10 @@ class Move:
             return Move("SHIFT", (), inverse)
         if "@" in text:
             kind, rest = text.split("@", 1)
-            return Move(kind, tuple(int(x) for x in rest.split(",")), inverse)
+            positions = tuple(int(x) for x in rest.split(","))
+            if len(positions) != _POSITIONS.get(kind):
+                raise ValueError(f"wrong number of positions for {kind!r}")
+            return Move(kind, positions, inverse)
         fields = dict(
             part.split("=", 1) for part in text.split(" ")[1:] if "=" in part
         )
@@ -183,6 +183,9 @@ class Move:
             positions = tuple(int(x) for x in fields["at"].split(","))
             return Move("INS", (words, proj, positions), inverse)
         raise ValueError(f"unknown move kind {kind!r}")
+
+
+_POSITIONS = {"H1": 1, "H2": 2, "H3": 3}
 
 
 def _parse_segments(text: str) -> tuple[tuple[int, int], ...]:
@@ -474,15 +477,18 @@ def enumerate_even_symmetric_factors(
     return [
         factor
         for factor in enumerate_factors(w, max_letters, max_k, even=True)
-        if factor.phrase(w).is_symmetric()
+        if mirror_witness(w.ground, w.seq, w.proj, factor.segments) is not None
     ]
 
 
 def apply_surgery(w: Nanoword, factor: Factor) -> Nanoword:
-    phrase = factor.phrase(w)
-    if not phrase.is_even():
+    """Delete an even symmetric factor: a bridge whose ``kappa`` is the
+    identity."""
+    if not factor_is_well_formed(w, factor):
+        raise WordError("surgery segments do not cut out the factor's letters")
+    if any((end - start) % 2 for start, end in factor.segments):
         raise WordError("surgery factor must be even")
-    if not phrase.is_symmetric():
+    if mirror_witness(w.ground, w.seq, w.proj, factor.segments) is None:
         raise WordError("surgery factor must be symmetric")
     word, _ = w.delete_letters(factor.letters)
     return word
@@ -518,8 +524,13 @@ def insert_phrase(
 
 
 def factor_is_well_formed(w: Nanoword, factor: Factor) -> bool:
-    """Segments disjoint, ascending, in range, covering exactly the entries
-    of the factor's letters."""
+    """Letters distinct ids of letters of ``w``; segments disjoint,
+    ascending, in range, covering exactly the entries of those letters."""
+    chosen = set(factor.letters)
+    if len(chosen) != len(factor.letters):
+        return False
+    if any(not 0 <= x < w.num_letters for x in chosen):
+        return False
     last = 0
     covered = []
     for start, end in factor.segments:
@@ -527,7 +538,6 @@ def factor_is_well_formed(w: Nanoword, factor: Factor) -> bool:
             return False
         last = end
         covered.extend(range(start, end))
-    chosen = set(factor.letters)
     expected = [i for i, x in enumerate(w.seq) if x in chosen]
     return covered == expected
 
@@ -536,8 +546,10 @@ def validate_bridge(
     w: Nanoword, factor: Factor, kappa: Sequence[int]
 ) -> Optional[Bridge]:
     """Check the bridge conditions for a factor and a segment involution:
-    matching segment lengths, even length on fixed segments, a consistent
-    mirrored letter involution, and the projection twist rule."""
+    ``kappa`` an involution, matching segment lengths, even length on fixed
+    segments, then the mirror rule (``mirror_witness``) with ``kappa``.
+    With the identity ``kappa`` these are the conditions on a surgery
+    factor."""
     if not factor_is_well_formed(w, factor):
         return None
     k = factor.num_segments
@@ -552,45 +564,10 @@ def validate_bridge(
             return None
         if kappa[r] == r and lengths[r] % 2:
             return None
-
-    iota: dict[int, int] = {}
-    for r, (start, end) in enumerate(factor.segments):
-        ts, te = factor.segments[kappa[r]]
-        n = end - start
-        for offset in range(n):
-            x = w.seq[start + offset]
-            y = w.seq[ts + (n - 1 - offset)]
-            if iota.setdefault(x, y) != y:
-                return None
-
-    segment_of = {}
-    for r, (start, end) in enumerate(factor.segments):
-        for pos in range(start, end):
-            segment_of[pos] = r
-
-    def symmetric_position(pos: int) -> int:
-        r = segment_of[pos]
-        start, end = factor.segments[r]
-        ts, _ = factor.segments[kappa[r]]
-        return ts + (end - 1 - pos)
-
-    epsilon: dict[int, int] = {}
-    for b in factor.letters:
-        first, second = w.occurrences(b)
-        partner = iota[b]
-        epsilon[b] = 1 if symmetric_position(first) == w.occurrences(partner)[0] else 0
-    for b in factor.letters:
-        expected = w.proj[b]
-        if epsilon[b]:
-            expected = w.ground.tau(expected)
-        if w.proj[iota[b]] != expected:
-            return None
-    return Bridge(
-        factor,
-        kappa,
-        tuple(sorted(iota.items())),
-        tuple(sorted(epsilon.items())),
-    )
+    witness = mirror_witness(w.ground, w.seq, w.proj, factor.segments, kappa)
+    if witness is None:
+        return None
+    return Bridge(factor, kappa, witness.iota, witness.epsilon)
 
 
 def apply_bridge(w: Nanoword, bridge: Bridge) -> Nanoword:

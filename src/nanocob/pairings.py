@@ -27,7 +27,7 @@ from .algebra import (
     RATIONALS,
 )
 from .intlinalg import IntegerLattice, integer_rank, rank_mod_p, rational_rank
-from .words import Nanoword, WordError
+from .words import Nanoword, WordError, mirror_witness
 
 
 class PairingError(ValueError):
@@ -679,16 +679,16 @@ def verify_surgery_filling(w: Nanoword, factor) -> bool:
     ``factor`` needs ``letters`` and ``segments`` attributes describing an
     even symmetric factor of ``w``.
     """
-    to_global = sorted(factor.letters)
-    phrase = w.factor_phrase(to_global, factor.segments)
-    if not phrase.is_even():
+    if any((end - start) % 2 for start, end in factor.segments):
         raise WordError("factor is not even")
-    witness = phrase.symmetry_witness()
+    witness = mirror_witness(w.ground, w.seq, w.proj, factor.segments)
     if witness is None:
         raise WordError("factor is not symmetric")
+    if [b for b, _ in witness.iota] != sorted(factor.letters):
+        raise WordError("segments do not cut out the factor's letters")
 
-    iota = {to_global[a]: to_global[b] for a, b in witness.iota}
-    eps = {to_global[a]: e for a, e in witness.epsilon}
+    iota = dict(witness.iota)
+    eps = dict(witness.epsilon)
     b_letters = sorted(iota)
     b_plus = [b for b in b_letters if b <= iota[b]]
     c_letters = [i for i in range(w.num_letters) if i not in iota]

@@ -195,10 +195,13 @@ def parse_caps_option(text: str) -> dict[str, int]:
         if not chunk.strip():
             continue
         if "=" not in chunk:
-            raise ValueError(f"expected key=value in caps, got {chunk!r}")
+            raise ParseError(0, f"expected key=value in caps, got {chunk!r}")
         key, value = chunk.split("=", 1)
         key = key.strip()
         if key not in mapping:
-            raise ValueError(f"unknown caps key {key!r}")
-        out[mapping[key]] = int(value)
+            raise ParseError(0, f"unknown caps key {key!r}")
+        try:
+            out[mapping[key]] = int(value)
+        except ValueError:
+            raise ParseError(0, f"caps key {key!r} expects an integer, got {value!r}") from None
     return out

@@ -212,26 +212,6 @@ class Nanoword:
         )
         return word, relabel
 
-    def factor_phrase(
-        self, letters: Sequence[int], segments: Sequence[tuple[int, int]]
-    ) -> "Nanophrase":
-        """The factor cut out by ``segments`` as a nanophrase; its local
-        letter ``i`` is the letter ``letters[i]`` of this word."""
-        local = {g: i for i, g in enumerate(letters)}
-        words = []
-        for start, end in segments:
-            chunk = self.seq[start:end]
-            for x in chunk:
-                if x not in local:
-                    raise WordError("segment contains a letter outside the factor")
-            words.append(tuple(local[x] for x in chunk))
-        return Nanophrase(
-            self.ground,
-            tuple(words),
-            tuple(self.proj[g] for g in letters),
-            tuple(self.names[g] for g in letters),
-        )
-
     def to_phrase(self) -> "Nanophrase":
         return Nanophrase(self.ground, (self.seq,), self.proj, self.names)
 
@@ -275,23 +255,15 @@ class Nanophrase:
         return 0 if homes[0] == homes[1] else 1
 
     def symmetry_witness(self) -> Optional["SymmetryWitness"]:
-        """The unique candidate pairing of mirrored positions, if it is a
-        well-defined involution compatible with the projections."""
-        iota: dict[int, int] = {}
+        """``mirror_witness`` with the constituent words as the segments,
+        each read backwards onto itself.  Its positional epsilon is then
+        the word-crossing indicator ``epsilon``."""
+        seq: list[int] = []
+        segments = []
         for w in self.words:
-            n = len(w)
-            for i, x in enumerate(w):
-                y = w[n - 1 - i]
-                if iota.setdefault(x, y) != y:
-                    return None
-        epsilon = {x: self.epsilon(x) for x in range(len(self.proj))}
-        for x, y in iota.items():
-            expected = self.proj[x]
-            if epsilon[x]:
-                expected = self.ground.tau(expected)
-            if self.proj[y] != expected:
-                return None
-        return SymmetryWitness(tuple(sorted(iota.items())), tuple(sorted(epsilon.items())))
+            segments.append((len(seq), len(seq) + len(w)))
+            seq.extend(w)
+        return mirror_witness(self.ground, seq, self.proj, segments)
 
     def is_symmetric(self) -> bool:
         return self.symmetry_witness() is not None
@@ -304,9 +276,53 @@ class Nanophrase:
 
 @dataclass(frozen=True)
 class SymmetryWitness:
-    """Involution on letters realizing the phrase as its own reverse,
-    with the per-letter word-crossing indicator."""
+    """The letter involution of the mirror rule and the per-letter twist
+    indicator ``epsilon``, as sorted ``(letter, value)`` pairs."""
 
     iota: tuple[tuple[int, int], ...]
     epsilon: tuple[tuple[int, int], ...]
 
+
+def mirror_witness(
+    ground: InvolutiveAlphabet,
+    seq: Sequence[int],
+    proj: Sequence[str],
+    segments: Sequence[tuple[int, int]],
+    kappa: Optional[Sequence[int]] = None,
+) -> Optional[SymmetryWitness]:
+    """The mirror rule behind surgeries, bridges and symmetric phrases.
+
+    Each segment ``r`` of ``seq`` (half-open position ranges, ascending and
+    disjoint) is read backwards onto segment ``kappa[r]``, the identity
+    when ``kappa`` is None; ``kappa`` must be an involution between
+    segments of equal length.  The entries read against each other define
+    the letter involution ``iota``.  A letter's ``epsilon`` is 1 when the
+    mirror of its first entry is the first entry of its partner, else 0;
+    with the identity ``kappa`` this is 1 exactly when its entries lie in
+    different segments.  The projection rule asks ``proj[iota(x)]`` to be
+    ``proj[x]``, or ``tau(proj[x])`` when ``epsilon`` is 1.
+
+    Returns the witness in the ids of ``seq``, or None when the mirrored
+    letters are not a well-defined map, a letter has only one entry in the
+    segments, or the projection rule fails."""
+    tau = ground.tau
+    iota: dict[int, int] = {}
+    first_image: dict[int, int] = {}
+    epsilon: dict[int, int] = {}
+    for r, (start, end) in enumerate(segments):
+        top = segments[r if kappa is None else kappa[r]][0] + end - 1
+        for p in range(start, end):
+            x, image = seq[p], top - p
+            y = seq[image]
+            if iota.setdefault(x, y) != y:
+                return None
+            if x not in first_image:
+                first_image[x] = image
+                continue
+            twisted = first_image[x] < image
+            if proj[y] != (tau(proj[x]) if twisted else proj[x]):
+                return None
+            epsilon[x] = int(twisted)
+    if len(epsilon) != len(iota):
+        return None
+    return SymmetryWitness(tuple(sorted(iota.items())), tuple(sorted(epsilon.items())))

@@ -77,6 +77,8 @@ class TestParseInput:
         }
         with pytest.raises(ValueError):
             parse_caps_option("mystery=1")
+        with pytest.raises(ParseError):
+            parse_caps_option("nodes=x")
 
 
 class TestCommands:
@@ -191,7 +193,9 @@ class TestCommands:
         assert code == 0
         assert "result\t(empty)" in out
 
-    @pytest.mark.parametrize("log", ["SURG foo\n", "SURG letters=0 segs=1\n", "H1@x\n"])
+    @pytest.mark.parametrize(
+        "log", ["SURG foo\n", "SURG letters=0 segs=1\n", "H1@x\n", "H3@0,2\n"]
+    )
     def test_replay_rejects_malformed_log(self, capsys, tmp_path, log):
         log_file = tmp_path / "moves.log"
         log_file.write_text(log)
@@ -202,6 +206,40 @@ class TestCommands:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: cannot parse move line")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "log",
+        [
+            "SURG letters=0,9 segs=0-2\n",
+            "BRIDGE letters=0,9 segs=0-1,1-2 kappa=1,0\n",
+            "SURG letters=0 segs=0-2,5-3\n",
+        ],
+    )
+    def test_replay_rejects_move_not_of_word(self, capsys, tmp_path, log):
+        """A well-formed line naming letters or positions the word does not
+        have is bad input, not a crash and not a silent deletion."""
+        log_file = tmp_path / "moves.log"
+        log_file.write_text(log)
+        code = main(
+            ["moves", "--alphabet", "alphabet: a x;tau: a<->x", "--word", "AA",
+             "--proj", "A=a", "--replay", str(log_file)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_bad_caps_value_exit_code(self, capsys):
+        code = main(
+            ["check-slice", "--alphabet", "alphabet: a x;tau: a<->x", "--word", "AA",
+             "--proj", "A=a", "--caps", "nodes=x"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("parse error:")
+        assert "'nodes'" in err and "'x'" in err
         assert len(err.splitlines()) == 1
 
     def test_replay_missing_log_file(self, capsys, tmp_path):

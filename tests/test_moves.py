@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nanocob.algebra import InvolutiveAlphabet
 from nanocob.moves import (
+    DEFAULT_REPERTOIRE,
+    SHIFT,
     Caps,
     Factor,
     Metamorphosis,
@@ -22,10 +25,19 @@ from nanocob.moves import (
     find_h2_sites,
     find_h3_sites,
     length_norm_bounds,
+    neighbors,
     validate_bridge,
 )
 from nanocob.explorer import random_nanoword
-from nanocob.words import Nanoword, WordError
+from nanocob.words import Nanoword, SymmetryWitness, WordError, mirror_witness
+
+from _phrase_route import bridge_witness, factor_phrase, phrase_witness
+
+ALPHABETS = (
+    InvolutiveAlphabet.fixed_point_free(("a", "b"), ("A", "B")),
+    InvolutiveAlphabet.build(("c",), {"c": "c"}),
+    InvolutiveAlphabet.build(("a", "A", "c"), {"a": "A", "A": "a", "c": "c"}),
+)
 
 
 def seqs(w):
@@ -153,12 +165,6 @@ class TestEvenFactorGeneration:
     """Generating only even factors must match the route it replaces:
     filtering every factor by segment parity, in the same order."""
 
-    ALPHABETS = (
-        InvolutiveAlphabet.fixed_point_free(("a", "b"), ("A", "B")),
-        InvolutiveAlphabet.build(("c",), {"c": "c"}),
-        InvolutiveAlphabet.build(("a", "A", "c"), {"a": "A", "A": "a", "c": "c"}),
-    )
-
     @staticmethod
     def filtered(w, max_letters, max_k):
         return [
@@ -170,15 +176,58 @@ class TestEvenFactorGeneration:
     def test_matches_parity_filter_in_order(self):
         rng = random.Random(21)
         for trial in range(400):
-            ground = self.ALPHABETS[trial % 3]
+            ground = ALPHABETS[trial % 3]
             w = random_nanoword(rng, ground, rng.randint(0, 6))
             max_k = 1 + trial % 4
             max_letters = rng.randint(1, 4)
             expected = self.filtered(w, max_letters, max_k)
             assert list(enumerate_factors(w, max_letters, max_k, even=True)) == expected
             assert enumerate_even_symmetric_factors(w, max_letters, max_k) == [
-                f for f in expected if f.phrase(w).is_symmetric()
+                f
+                for f in expected
+                if phrase_witness(factor_phrase(w, f.letters, f.segments)) is not None
             ]
+
+
+class TestMirrorRule:
+    """``mirror_witness`` against the routes it replaced: a factor's phrase
+    with ``Nanophrase.epsilon``, and the positional bridge computation.
+    The counts were taken with those routes at the commit before it."""
+
+    def test_factors_match_phrase_route(self):
+        rng = random.Random(41)
+        symmetric = 0
+        for trial in range(150):
+            ground = ALPHABETS[trial % 3]
+            w = random_nanoword(rng, ground, rng.randint(1, 4))
+            for f in enumerate_factors(w, 3, 3):
+                witness = mirror_witness(w.ground, w.seq, w.proj, f.segments)
+                phrase = factor_phrase(w, f.letters, f.segments)
+                local = phrase_witness(phrase)
+                if local is None:
+                    assert witness is None
+                    continue
+                symmetric += 1
+                glob = f.letters
+                assert witness == SymmetryWitness(
+                    tuple((glob[a], glob[b]) for a, b in local.iota),
+                    tuple((glob[a], e) for a, e in local.epsilon),
+                )
+                eps = dict(witness.epsilon)
+                for i, g in enumerate(glob):
+                    assert eps[g] == phrase.epsilon(i)
+        assert symmetric == 668
+
+    def test_bridges_match_positional_route(self):
+        rng = random.Random(42)
+        total = 0
+        for trial in range(60):
+            ground = ALPHABETS[trial % 3]
+            w = random_nanoword(rng, ground, rng.randint(1, 4))
+            for b in enumerate_bridges(w, 3, 4):
+                total += 1
+                assert (b.iota, b.epsilon) == bridge_witness(w, b.factor, b.kappa)
+        assert total == 1069
 
 
 class TestBridges:
@@ -299,6 +348,11 @@ class TestSearch:
         assert recovered == meta
         assert recovered.replay(w).length == 0
 
+    def test_position_count_checked(self):
+        for line in ("H3@0,2", "H1@0,1", "H2@4", "H3@0,1,2,3", "H4@1"):
+            with pytest.raises(WordError, match="cannot parse move line"):
+                Move.from_line(line)
+
     def test_bridge_move_log_round_trip(self, two_free, word_factory):
         w = word_factory(two_free, "ABCBCA", A="a", B="b", C="b")
         factor = Factor((0,), ((0, 1), (5, 6)))
@@ -348,6 +402,25 @@ class TestSearch:
             w = random_nanoword(rng, two_free, rng.randint(1, 3)).canonical_form()
             for move, result in neighbors(w, Caps(bfs_length=w.length + 2)):
                 assert result.length == 2 * result.num_letters  # constructor ran
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2), st.integers(0, 4), st.integers(0, 10 ** 6))
+def test_move_lines_round_trip(alphabet, letters, seed):
+    """Every move the search yields, and every bridge move with its arches,
+    reads back from its log line; so does the log of all of them."""
+    w = random_nanoword(random.Random(seed), ALPHABETS[alphabet], letters)
+    w = w.canonical_form()
+    caps = Caps(max_letters=3, max_k=3)
+    moves = [m for m, _ in neighbors(w, caps, DEFAULT_REPERTOIRE + (SHIFT,))]
+    moves += [
+        Move("BRIDGE", (b.factor.letters, b.factor.segments, b.kappa), arches=b.arches)
+        for b in enumerate_bridges(w, caps.max_letters, caps.max_k)
+    ]
+    for move in moves:
+        assert Move.from_line(move.to_line()) == move
+    meta = Metamorphosis(tuple(moves))
+    assert Metamorphosis.from_log(meta.to_log()) == meta
 
 
 class TestShiftRepertoire:

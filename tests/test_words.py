@@ -10,6 +10,8 @@ from nanocob.words import (
     WordError,
 )
 
+from _phrase_route import phrase_witness
+
 
 def random_word(rng, ground, letters):
     positions = list(range(2 * letters))
@@ -220,6 +222,31 @@ class TestSymmetry:
                     expected = mixed.tau(expected)
                 assert phrase.proj[b] == expected
         assert found > 0
+
+    def test_matches_phrase_route(self, two_free, mixed):
+        """The mirror rule on phrases agrees with the phrase route it
+        replaced; the count was taken with that route at the commit
+        before it."""
+        two_fixed = InvolutiveAlphabet.build(("c", "d"), {"c": "c", "d": "d"})
+        grounds = (two_free, two_fixed, mixed)
+        rng = random.Random(43)
+        symmetric = 0
+        for trial in range(900):
+            ground = grounds[trial % 3]
+            flat = random_word(rng, ground, rng.randint(1, 3))
+            cut = rng.randint(0, flat.length)
+            phrase = Nanophrase(
+                ground, (flat.seq[:cut], flat.seq[cut:]), flat.proj, flat.names
+            )
+            witness = phrase.symmetry_witness()
+            assert witness == phrase_witness(phrase)
+            if witness is None:
+                continue
+            symmetric += 1
+            eps = dict(witness.epsilon)
+            for x in range(flat.num_letters):
+                assert eps[x] == phrase.epsilon(x)
+        assert symmetric == 413
 
     def test_symmetric_implies_even_when_fixed_point_free(self, two_free):
         rng = random.Random(5)
