@@ -32,7 +32,6 @@ from .moves import (
     find_h1_sites,
     find_h2_sites,
     find_h3_sites,
-    length_norm_bounds,
     validate_bridge,
 )
 from .pairings import (
@@ -43,7 +42,6 @@ from .pairings import (
     are_isomorphic,
     covering,
     enumerate_fillings,
-    enumerate_weak_fillings,
     full_subgroups,
     genus,
     genus_of_filling,
@@ -73,6 +71,7 @@ from .explorer import (
     classify_words,
     enumerate_nanowords,
     invariant_record,
+    length_norm_bounds,
     slice_status,
 )
 

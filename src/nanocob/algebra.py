@@ -245,12 +245,6 @@ class PiElement:
             self.torsion if k % 2 else (),
         )
 
-    def coefficient(self, rep: str) -> int:
-        """Coefficient on a free orbit rep, or torsion bit on a fixed one."""
-        if self.alphabet.is_fixed(rep):
-            return 1 if rep in self.torsion else 0
-        return dict(self.free).get(rep, 0)
-
     def coordinates(self) -> tuple[int, ...]:
         """Free-orbit integer coefficients, then fixed-orbit bits, each in
         orbit order."""
@@ -514,9 +508,6 @@ class PhiSpec:
         for rep in x.torsion:
             acc = (acc + vals[rep]) % self.prime
         return acc
-
-    def zero(self) -> Union[Fraction, int]:
-        return Fraction(0) if self.target == RATIONALS else 0
 
     def label(self) -> str:
         inside = ",".join(f"{r}={v}" for r, v in self.values)

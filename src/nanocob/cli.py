@@ -14,23 +14,24 @@ import sys
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from .algebra import InvolutiveAlphabet, PhiSpec
+from .algebra import InvolutiveAlphabet, PhiSpec, PhiSpecError
 from .explorer import (
     ALL_SUITES,
     classify,
     invariant_record,
+    length_norm_bounds,
     slice_status,
 )
 from .moves import (
     Caps,
     DEFAULT_CAPS,
     Metamorphosis,
+    Move,
     enumerate_bridges,
     enumerate_even_symmetric_factors,
     find_h1_sites,
     find_h2_sites,
     find_h3_sites,
-    length_norm_bounds,
 )
 from .pairings import (
     enumerate_fillings,
@@ -65,7 +66,7 @@ def _load_item(args):
     if args.alphabet:
         chunks.append(_read_source(args.alphabet))
     if not args.word:
-        raise ParseError(0, "no word given (--word)")
+        raise ParseError(None, "no word given (--word)")
     word_text = _read_source(args.word)
     if "word:" not in word_text and "phrase:" not in word_text:
         proj = args.proj or ""
@@ -73,14 +74,14 @@ def _load_item(args):
     chunks.append(word_text)
     parsed = parse_input("\n".join(chunks), strict=args.strict)
     if not parsed.items:
-        raise ParseError(0, "input contains no word or phrase")
+        raise ParseError(None, "--word holds no word or phrase")
     return parsed.items[0]
 
 
 def _load_word(args) -> Nanoword:
     item = _load_item(args)
     if not isinstance(item, Nanoword):
-        raise ParseError(0, "this command needs a word, not a phrase")
+        raise ParseError(None, "--word must be a word for this command, not a phrase")
     return item
 
 
@@ -94,14 +95,14 @@ def _load_templates(args) -> tuple:
     for item in parsed.items:
         phrase = item.to_phrase() if isinstance(item, Nanoword) else item
         if not (phrase.is_even() and phrase.is_symmetric()):
-            raise ParseError(0, "insertion templates must be even and symmetric")
+            raise ParseError(None, "--templates must hold even symmetric phrases only")
         out.append((phrase.words, phrase.proj))
     return tuple(out)
 
 
 def _load_alphabet(args) -> InvolutiveAlphabet:
     if not args.alphabet:
-        raise ParseError(0, "no alphabet given (--alphabet)")
+        raise ParseError(None, "no alphabet given (--alphabet)")
     parsed = parse_input(_read_source(args.alphabet), strict=args.strict)
     return parsed.alphabet
 
@@ -122,8 +123,11 @@ def _phis(args, ground: InvolutiveAlphabet) -> tuple[PhiSpec, ...]:
         try:
             values[rep] = int(value)
         except ValueError:
-            raise ParseError(0, f"--phi expects SYMBOL=INTEGER, got {chunk!r}") from None
-    return (PhiSpec.rationals(ground, values),)
+            raise ParseError(None, f"--phi expects SYMBOL=INTEGER, got {chunk!r}") from None
+    try:
+        return (PhiSpec.rationals(ground, values),)
+    except PhiSpecError as exc:
+        raise ParseError(None, f"--phi: {exc}") from None
 
 
 def _emit(lines: Sequence[str], fmt: str) -> None:
@@ -227,19 +231,21 @@ def cmd_moves(args) -> int:
         print(f"proj\t{' '.join(f'{n}={a}' for n, a in zip(result.names, result.proj))}")
         print(f"arches\t{meta.total_arches}")
         return 0
-    lines = []
-    for move in find_h1_sites(w):
-        lines.append(move.to_line())
-    for move in find_h2_sites(w):
-        lines.append(move.to_line())
-    for move in find_h3_sites(w):
-        lines.append(move.to_line())
-    for factor in enumerate_even_symmetric_factors(w, caps.max_letters, caps.max_k):
-        segs = ",".join(f"{a}-{b}" for a, b in factor.segments)
-        names = ",".join(w.names[i] for i in factor.letters)
-        lines.append(f"SURG letters={names} segs={segs}")
-    bridges = enumerate_bridges(w, caps.max_letters, caps.max_k)
+    # moves of the canonical form, the word a replay starts from, so that
+    # every listed line replays as a one-line log
+    start = w.canonical_form()
+    moves = find_h1_sites(start) + find_h2_sites(start) + find_h3_sites(start)
+    moves += [
+        Move("SURG", (f.letters, f.segments))
+        for f in enumerate_even_symmetric_factors(start, caps.max_letters, caps.max_k)
+    ]
+    lines = [move.to_line() for move in moves]
+    bridges = enumerate_bridges(start, caps.max_letters, caps.max_k)
     lines.append(f"bridges\t{len(bridges)}")
+    lines += [
+        Move("BRIDGE", (b.factor.letters, b.factor.segments, b.kappa), arches=b.arches).to_line()
+        for b in bridges
+    ]
     lower, upper = length_norm_bounds(w, caps)
     lines.append(f"length-norm\t[{lower}, {upper}]")
     _emit(lines, args.format)

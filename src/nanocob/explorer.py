@@ -1,5 +1,5 @@
-"""Enumeration of nanowords, invariant tables, slice adjudication, and
-randomized verification suites.
+"""Enumeration of nanowords, invariant tables, slice adjudication,
+length-norm bounds, and randomized verification suites.
 
 Everything that needs randomness takes an explicit seed; enumeration
 orders are deterministic so tables are reproducible run to run.
@@ -18,6 +18,7 @@ from .algebra import InvolutiveAlphabet, PhiSpec, PiElement, PiWord
 from .moves import (
     Caps,
     DEFAULT_CAPS,
+    DEFAULT_REPERTOIRE,
     Factor,
     Metamorphosis,
     apply_bridge,
@@ -38,6 +39,7 @@ from .pairings import (
     r_of,
     sum_pairings,
     tuple_genus,
+    u_degree,
     u_polynomial,
     verify_surgery_filling,
 )
@@ -169,6 +171,20 @@ class SliceVerdict:
         return f"Unknown(caps {self.caps.describe()})"
 
 
+def obstruction(record: InvariantRecord) -> Optional[str]:
+    """The first invariant of the record that rules out sliceness, by name,
+    or None when all of them vanish."""
+    if not record.gamma.is_identity():
+        return "gamma"
+    if not record.u.is_zero():
+        return "u"
+    if any(twice > 0 for _, twice in record.genera):
+        return "genus"
+    if not record.hyperbolic:
+        return "pairing"
+    return None
+
+
 def slice_status(
     w: Nanoword,
     caps: Caps = DEFAULT_CAPS,
@@ -185,14 +201,9 @@ def slice_verdict(
 ) -> SliceVerdict:
     """The verdict for the word of an already computed record: the first
     nonzero obstruction, else a bounded search for the empty word."""
-    if not record.gamma.is_identity():
-        return SliceVerdict(NOT_SLICE, "gamma", caps=caps)
-    if not record.u.is_zero():
-        return SliceVerdict(NOT_SLICE, "u", caps=caps)
-    if any(twice > 0 for _, twice in record.genera):
-        return SliceVerdict(NOT_SLICE, "genus", caps=caps)
-    if not record.hyperbolic:
-        return SliceVerdict(NOT_SLICE, "pairing", caps=caps)
+    named = obstruction(record)
+    if named is not None:
+        return SliceVerdict(NOT_SLICE, named, caps=caps)
     w = record.word
     search = bounded_bfs(
         w, Nanoword.empty(w.ground), caps, extra_templates=extra_templates
@@ -200,6 +211,34 @@ def slice_verdict(
     if search.equivalent:
         return SliceVerdict(SLICE, witness=search.metamorphosis, caps=caps)
     return SliceVerdict(UNKNOWN, caps=caps)
+
+
+def length_norm_bounds(
+    w: Nanoword,
+    caps: Caps = DEFAULT_CAPS,
+    repertoire: Sequence[str] = DEFAULT_REPERTOIRE,
+) -> tuple[int, int]:
+    """Certified lower bound and search upper bound for half the minimal
+    length in the equivalence class of ``w``.
+
+    The lower bound combines: sliceness (bound 0), the no-value-1 gap,
+    the degree of the polynomial invariant plus one, and half the genus
+    plus one.  The upper bound is half the shortest length reached."""
+    search = bounded_bfs(w, Nanoword.empty(w.ground), caps, repertoire)
+    if search.equivalent:
+        return 0, 0
+    upper = search.min_length // 2
+    record = invariant_record(w)
+    if obstruction(record) is None:
+        return 0, upper
+    lower = 2  # non-slice rules out 0, and the norm never takes value 1
+    if not w.ground.fixed_reps():
+        for rep in w.ground.free_reps():
+            lower = max(lower, u_degree(record.u, rep) + 1)
+    for _, twice in record.genera:
+        sigma = twice // 2
+        lower = max(lower, (sigma + 1) // 2 + 1)
+    return lower, upper
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +813,7 @@ def suite_alt_pairing(seed: int = 0, count: int = 500, max_letters: int = 6) -> 
         w = random_nanoword(rng, ground, rng.randint(0, max_letters))
         p1 = pairing_of_nanoword(w)
         p2 = pairing_of_nanoword_alt(w)
-        if p1.matrix != p2.matrix:
+        if p1.coords != p2.coords:
             return SuiteResult(
                 "alt-pairing", False, trial + 1, f"routes disagree on {w}"
             )

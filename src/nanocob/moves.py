@@ -15,14 +15,6 @@ from dataclasses import dataclass, replace
 from typing import AbstractSet, Iterator, Optional, Sequence
 
 from .algebra import InvolutiveAlphabet
-from .pairings import (
-    genus,
-    is_hyperbolic,
-    pairing_of_nanoword,
-    phi_sign_battery,
-    u_degree,
-    u_polynomial_of_nanoword,
-)
 from .words import Nanoword, WordError, mirror_witness
 
 
@@ -731,44 +723,3 @@ def bounded_bfs(
                 )
             queue.append(ckey)
     return SearchOutcome("unknown", None, explored, min_length, parents.keys())
-
-
-def length_norm_bounds(
-    w: Nanoword,
-    caps: Caps = DEFAULT_CAPS,
-    repertoire: Sequence[str] = DEFAULT_REPERTOIRE,
-) -> tuple[int, int]:
-    """Certified lower bound and search upper bound for half the minimal
-    length in the equivalence class of ``w``.
-
-    The lower bound combines: sliceness (bound 0), the no-value-1 gap,
-    the degree of the polynomial invariant plus one, and half the genus
-    plus one.  The upper bound is half the shortest length reached."""
-    ground = w.ground
-    empty = Nanoword.empty(ground)
-    search = bounded_bfs(w, empty, caps, repertoire)
-    if search.equivalent:
-        return 0, 0
-    upper = search.min_length // 2
-
-    gamma = w.gamma()
-    u = u_polynomial_of_nanoword(w)
-    p = pairing_of_nanoword(w)
-    battery = phi_sign_battery(ground)
-    genera = [genus(p, phi).twice for phi in battery]
-    non_slice = (
-        not gamma.is_identity()
-        or not u.is_zero()
-        or any(g > 0 for g in genera)
-        or is_hyperbolic(p) is None
-    )
-    if not non_slice:
-        return 0, upper
-    lower = 2  # non-slice rules out 0, and the norm never takes value 1
-    if not ground.fixed_reps():
-        for rep in ground.free_reps():
-            lower = max(lower, u_degree(u, rep) + 1)
-    for twice in genera:
-        sigma = twice // 2
-        lower = max(lower, (sigma + 1) // 2 + 1)
-    return lower, upper

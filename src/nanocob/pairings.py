@@ -51,19 +51,42 @@ def _vector(entries: Mapping[int, int]) -> SVector:
 Coords = tuple[tuple[tuple[int, ...], ...], ...]
 
 
+def _negate(v: tuple[int, ...], nfree: int) -> tuple[int, ...]:
+    """Negative of a coordinate tuple; fixed bits are their own negatives."""
+    return tuple(map(operator.neg, v[:nfree])) + v[nfree:]
+
+
+def _reduce(v: Sequence[int], nfree: int) -> tuple[int, ...]:
+    """Integer coordinates as a value: fixed entries reduced mod 2."""
+    return tuple(v[:nfree]) + tuple(x % 2 for x in v[nfree:])
+
+
 @dataclass(frozen=True)
 class AlphaPairing:
+    """A pairing stored as its dense coordinate table: ``coords[i][j]`` is
+    the value on (i, j) as ``PiElement.coordinates()`` lays it out,
+    free-orbit coefficients and then fixed-orbit bits mod 2; index 0 is s.
+    Every kernel reads ``coords``; ``matrix`` is for display."""
+
     ground: InvolutiveAlphabet
     proj: tuple[str, ...]
     names: tuple[str, ...]
-    matrix: tuple[tuple[PiElement, ...], ...]  # index 0 is s
+    coords: Coords
 
     def __post_init__(self):
         size = len(self.proj) + 1
         if len(self.names) != len(self.proj):
             raise PairingError("projection/name tables misaligned")
-        if len(self.matrix) != size or any(len(r) != size for r in self.matrix):
+        if len(self.coords) != size or any(len(r) != size for r in self.coords):
             raise PairingError("matrix shape must cover letters plus s")
+        nfree = len(self.ground.free_reps())
+        dim = nfree + len(self.ground.fixed_reps())
+        for row in self.coords:
+            for v in row:
+                if len(v) != dim:
+                    raise PairingError(f"values must have {dim} coordinates")
+                if any(b not in (0, 1) for b in v[nfree:]):
+                    raise PairingError("fixed-orbit coordinates must be 0 or 1")
         for a in self.proj:
             self.ground.check(a)
 
@@ -75,10 +98,10 @@ class AlphaPairing:
         names: Optional[Sequence[str]] = None,
     ) -> "AlphaPairing":
         size = len(proj) + 1
-        zero = PiElement.zero(ground)
+        zero = PiElement.zero(ground).coordinates()
         rows = [[zero] * size for _ in range(size)]
         for (i, j), v in entries.items():
-            rows[i][j] = v
+            rows[i][j] = v.coordinates()
         if names is None:
             names = tuple(f"S{i + 1}" for i in range(len(proj)))
         return AlphaPairing(ground, tuple(proj), tuple(names), tuple(map(tuple, rows)))
@@ -96,40 +119,34 @@ class AlphaPairing:
         return len(self.proj)
 
     @cached_property
-    def coords(self) -> Coords:
-        """The matrix as one dense integer table: each entry is the flat
-        tuple of ``PiElement.coordinates()``, free-orbit coefficients and
-        then fixed-orbit bits reduced mod 2.  Hyperbolicity, genus, the
-        weak-filling searches and coverings all read this view; ``matrix``
-        stays for input, display and comparison."""
-        return tuple(tuple(v.coordinates() for v in row) for row in self.matrix)
+    def matrix(self) -> tuple[tuple[PiElement, ...], ...]:
+        """The table as ``PiElement``s, each distinct value built once."""
+        values = {
+            c: PiElement.from_coordinates(self.ground, c)
+            for c in {c for row in self.coords for c in row}
+        }
+        return tuple(tuple(values[c] for c in row) for row in self.coords)
 
     def entry(self, i: int, j: int) -> PiElement:
         return self.matrix[i][j]
 
-    def evaluate(self, x: SVector, y: SVector) -> PiElement:
-        """Bilinear extension of the matrix to integer combinations."""
-        acc = PiElement.zero(self.ground)
-        for i, c in x:
-            for j, d in y:
-                acc = acc + self.matrix[i][j].scaled(c * d)
-        return acc
-
     def is_skew_symmetric(self) -> bool:
+        coords, nfree = self.coords, len(self.ground.free_reps())
         size = self.num_letters + 1
         for i in range(size):
-            if not self.matrix[i][i].is_zero():
+            if any(coords[i][i]):
                 return False
             for j in range(i + 1, size):
-                if not (self.matrix[i][j] + self.matrix[j][i]).is_zero():
+                if coords[i][j] != _negate(coords[j][i], nfree):
                     return False
         return True
 
     def is_normal(self) -> bool:
-        return self.matrix[0][0].is_zero()
+        return not any(self.coords[0][0])
 
     def opposite(self) -> "AlphaPairing":
-        rows = tuple(tuple(-v for v in row) for row in self.matrix)
+        nfree = len(self.ground.free_reps())
+        rows = tuple(tuple(_negate(v, nfree) for v in row) for row in self.coords)
         return AlphaPairing(self.ground, self.proj, self.names, rows)
 
     def format_matrix(self, sep: str = "\t") -> str:
@@ -144,21 +161,14 @@ def sum_pairings(p1: AlphaPairing, p2: AlphaPairing) -> AlphaPairing:
     """Block sum: letters are kept orthogonal, the distinguished rows add."""
     if p1.ground != p2.ground:
         raise PairingError("ground alphabet mismatch")
-    m1, m2 = p1.num_letters, p2.num_letters
-    zero = PiElement.zero(p1.ground)
-    size = m1 + m2 + 1
-    rows = [[zero] * size for _ in range(size)]
-    rows[0][0] = p1.matrix[0][0] + p2.matrix[0][0]
-    for i in range(1, m1 + 1):
-        rows[i][0] = p1.matrix[i][0]
-        rows[0][i] = p1.matrix[0][i]
-        for j in range(1, m1 + 1):
-            rows[i][j] = p1.matrix[i][j]
-    for i in range(1, m2 + 1):
-        rows[m1 + i][0] = p2.matrix[i][0]
-        rows[0][m1 + i] = p2.matrix[0][i]
-        for j in range(1, m2 + 1):
-            rows[m1 + i][m1 + j] = p2.matrix[i][j]
+    m1 = p1.num_letters
+    zero = (0,) * len(p1.coords[0][0])
+    pad = (zero,) * p2.num_letters
+    r = list(map(operator.add, p1.coords[0][0], p2.coords[0][0]))
+    head = (_reduce(r, len(p1.ground.free_reps())),)
+    rows = [head + p1.coords[0][1:] + p2.coords[0][1:]]
+    rows += [row + pad for row in p1.coords[1:]]
+    rows += [row[:1] + (zero,) * m1 + row[1:] for row in p2.coords[1:]]
     names = list(p1.names)
     used = set(names)
     for n in p2.names:
@@ -167,21 +177,20 @@ def sum_pairings(p1: AlphaPairing, p2: AlphaPairing) -> AlphaPairing:
             fresh += "'"
         names.append(fresh)
         used.add(fresh)
-    return AlphaPairing(
-        p1.ground, p1.proj + p2.proj, tuple(names), tuple(map(tuple, rows))
-    )
+    return AlphaPairing(p1.ground, p1.proj + p2.proj, tuple(names), tuple(rows))
 
 
 def r_of(p: AlphaPairing) -> PiElement:
-    return p.matrix[0][0]
+    return PiElement.from_coordinates(p.ground, p.coords[0][0])
 
 
 def are_isomorphic(p1: AlphaPairing, p2: AlphaPairing) -> bool:
     """Search for a projection-preserving bijection of letters carrying one
-    matrix to the other.  Intended for small pairings."""
+    table to the other.  Intended for small pairings."""
     if p1.ground != p2.ground or sorted(p1.proj) != sorted(p2.proj):
         return False
-    if not (p1.matrix[0][0] + (-p2.matrix[0][0])).is_zero():
+    e1, e2 = p1.coords, p2.coords
+    if e1[0][0] != e2[0][0]:
         return False
     m = p1.num_letters
     candidates = [
@@ -196,15 +205,11 @@ def are_isomorphic(p1: AlphaPairing, p2: AlphaPairing) -> bool:
         for j in candidates[i - 1]:
             if j in assignment.values():
                 continue
-            ok = True
-            for k, kk in assignment.items():
-                if not (p1.matrix[i][k] - p2.matrix[j][kk]).is_zero():
-                    ok = False
-                    break
-                if not (p1.matrix[k][i] - p2.matrix[kk][j]).is_zero():
-                    ok = False
-                    break
-            if ok and (p1.matrix[i][i] - p2.matrix[j][j]).is_zero():
+            ok = all(
+                e1[i][k] == e2[j][kk] and e1[k][i] == e2[kk][j]
+                for k, kk in assignment.items()
+            )
+            if ok and e1[i][i] == e2[j][j]:
                 assignment[i] = j
                 if extend(i + 1):
                     return True
@@ -226,17 +231,6 @@ def _interleaving_sign(occ_a: tuple[int, int], occ_b: tuple[int, int]) -> int:
     if ib < ia < jb < ja:
         return -1
     return 0
-
-
-def _pairing_from_coords(
-    ground: InvolutiveAlphabet, proj: tuple[str, ...], names: tuple[str, ...], coords: Coords
-) -> AlphaPairing:
-    """Pairing given by its coordinate table: each distinct value becomes
-    one ``PiElement``, and the table itself is kept as ``coords``."""
-    values = {c: PiElement.from_coordinates(ground, c) for c in {c for row in coords for c in row}}
-    p = AlphaPairing(ground, proj, names, tuple(tuple(values[c] for c in row) for row in coords))
-    vars(p)["coords"] = coords  # where cached_property keeps its value
-    return p
 
 
 def pairing_of_nanoword(w: Nanoword) -> AlphaPairing:
@@ -283,19 +277,15 @@ def pairing_of_nanoword(w: Nanoword) -> AlphaPairing:
                 for k, sign in (units[a], units[b]):
                     val[k] += n * sign
 
-    def reduced(v: list[int]) -> tuple[int, ...]:
-        return tuple(v[:nfree]) + tuple(x % 2 for x in v[nfree:])
-
-    def negated(v: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(-x for x in v[:nfree]) + v[nfree:]
-
     # row 0 and the entries below the diagonal are skew images
-    rows = [[reduced(v) for v in row] for row in acc]
+    rows = [[(0,) * dim] * size for _ in range(size)]
     for a in range(1, size):
-        rows[0][a] = negated(rows[a][0])
+        rows[a][0] = _reduce(acc[a][0], nfree)
+        rows[0][a] = _negate(rows[a][0], nfree)
         for b in range(a + 1, size):
-            rows[b][a] = negated(rows[a][b])
-    return _pairing_from_coords(ground, w.proj, w.names, tuple(map(tuple, rows)))
+            rows[a][b] = _reduce(acc[a][b], nfree)
+            rows[b][a] = _negate(rows[a][b], nfree)
+    return AlphaPairing(ground, w.proj, w.names, tuple(map(tuple, rows)))
 
 
 def pairing_of_nanoword_alt(w: Nanoword) -> AlphaPairing:
@@ -644,10 +634,9 @@ class UPoly:
 def u_polynomial(p: AlphaPairing) -> UPoly:
     ground = p.ground
     by_symbol: dict[str, list[PiElement]] = {}
-    for i in range(1, p.num_letters + 1):
-        es = p.matrix[i][0]
-        if not es.is_zero():
-            by_symbol.setdefault(p.proj[i - 1], []).append(es)
+    for a, row in zip(p.proj, p.coords[1:]):
+        if any(row[0]):
+            by_symbol.setdefault(a, []).append(PiElement.from_coordinates(ground, row[0]))
     entries = []
     for orbit in ground.orbits():
         rep = orbit.representative
@@ -770,53 +759,6 @@ class TupleSpace:
     def num_letters(self) -> int:
         return len(self.proj)
 
-    def locate(self, letter: int) -> tuple[int, int]:
-        for block in reversed(range(len(self.pairings))):
-            if letter >= self.offsets[block]:
-                return block, letter - self.offsets[block] + 1
-        raise PairingError("letter index out of range")
-
-    def evaluate(self, x: WeakVector, y: WeakVector) -> PiElement:
-        acc = PiElement.zero(self.ground)
-        # letter-letter terms within blocks
-        for i, c in x.letters:
-            bi, li = self.locate(i)
-            for j, d in y.letters:
-                bj, lj = self.locate(j)
-                if bi == bj:
-                    acc = acc + self.pairings[bi].matrix[li][lj].scaled(c * d)
-        # letter-s and s-letter terms
-        for i, c in x.letters:
-            b, l = self.locate(i)
-            acc = acc + self.pairings[b].matrix[l][0].scaled(c * y.s_coeffs[b])
-        for j, d in y.letters:
-            b, l = self.locate(j)
-            acc = acc + self.pairings[b].matrix[0][l].scaled(x.s_coeffs[b] * d)
-        for b, p in enumerate(self.pairings):
-            acc = acc + p.matrix[0][0].scaled(x.s_coeffs[b] * y.s_coeffs[b])
-        return acc
-
-    def distinguished(self) -> WeakVector:
-        return WeakVector((), (1,) * len(self.pairings))
-
-
-def enumerate_weak_fillings(
-    pairings: Sequence[AlphaPairing], s_bound: int = 2
-) -> Iterator[tuple[WeakVector, ...]]:
-    """Weak fillings with every distinguished coefficient in
-    [-s_bound, s_bound].  The first vector is always s_1 + ... + s_r."""
-    if s_bound < 1:
-        raise PairingError("s_bound must be at least 1")
-    space = TupleSpace(tuple(pairings))
-    r = len(space.pairings)
-    coeff_range = range(-s_bound, s_bound + 1)
-    for matching in _matchings(space.ground, space.proj, 0, ()):
-        pools = [itertools.product(coeff_range, repeat=r) for _ in matching]
-        for combo in itertools.product(*pools):
-            yield (space.distinguished(),) + tuple(
-                WeakVector(group, tuple(cs)) for group, cs in zip(matching, combo)
-            )
-
 
 # Adding a multiple of the distinguished vector s_1+...+s_r to any other
 # vector of a weak filling changes neither its span nor, consequently, the
@@ -824,8 +766,8 @@ def enumerate_weak_fillings(
 # [-s_bound, s_bound]^r reduces to difference coefficients against the last
 # block, each ranging over [-2*s_bound, 2*s_bound], with the last component
 # pinned to 0.  The searches below enumerate those representatives; the
-# verdicts agree exactly with the literal box search of
-# ``enumerate_weak_fillings`` (tests/test_pairings.py::TestWeakBoxOracle).
+# verdicts agree exactly with the literal box search kept as a test oracle
+# (tests/_pairing_oracle.py, checked in TestWeakBoxOracle).
 
 
 def _weak_tables(space: TupleSpace, scalar):
@@ -968,15 +910,16 @@ def m_shift(p: AlphaPairing, letter: int, m: int) -> AlphaPairing:
         raise PairingError("shift is defined for skew-symmetric pairings")
     if not 1 <= letter <= p.num_letters:
         raise PairingError("letter index out of range")
-    size = p.num_letters + 1
-    rows = [list(r) for r in p.matrix]
-    for j in range(size):
+    nfree = len(p.ground.free_reps())
+    coords = p.coords
+    rows = [list(r) for r in coords]
+    for j in range(p.num_letters + 1):
         if j == letter:
             continue
-        val = p.matrix[0][j].scaled(m) - p.matrix[letter][j]
+        val = _reduce([m * a - b for a, b in zip(coords[0][j], coords[letter][j])], nfree)
         rows[letter][j] = val
-        rows[j][letter] = -val
-    rows[letter][letter] = PiElement.zero(p.ground)
+        rows[j][letter] = _negate(val, nfree)
+    rows[letter][letter] = (0,) * len(coords[0][0])
     proj = list(p.proj)
     proj[letter - 1] = p.ground.tau(proj[letter - 1])
     names = list(p.names)

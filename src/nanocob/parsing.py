@@ -23,8 +23,11 @@ from .words import Nanophrase, Nanoword
 
 
 class ParseError(ValueError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    """Bad input text, at a 1-based ``line`` of it, or a bad command-line
+    option (``line`` None, the message names the option)."""
+
+    def __init__(self, line: Optional[int], message: str):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -195,13 +198,15 @@ def parse_caps_option(text: str) -> dict[str, int]:
         if not chunk.strip():
             continue
         if "=" not in chunk:
-            raise ParseError(0, f"expected key=value in caps, got {chunk!r}")
+            raise ParseError(None, f"--caps expects key=value, got {chunk!r}")
         key, value = chunk.split("=", 1)
         key = key.strip()
         if key not in mapping:
-            raise ParseError(0, f"unknown caps key {key!r}")
+            raise ParseError(None, f"unknown --caps key {key!r}")
         try:
             out[mapping[key]] = int(value)
         except ValueError:
-            raise ParseError(0, f"caps key {key!r} expects an integer, got {value!r}") from None
+            raise ParseError(None, f"--caps key {key!r} expects an integer, got {value!r}") from None
+        if out[mapping[key]] < 1:
+            raise ParseError(None, f"--caps key {key!r} must be at least 1, got {value!r}")
     return out

@@ -16,6 +16,7 @@ from nanocob.cli import main as cli_main
 from nanocob.explorer import (
     SLICE,
     classify,
+    length_norm_bounds,
     suite_bridge_inequality,
     suite_genus_rank,
     suite_inequalities,
@@ -23,7 +24,7 @@ from nanocob.explorer import (
     suite_sandwich,
     suite_surgery_filling,
 )
-from nanocob.moves import Caps, Factor, length_norm_bounds
+from nanocob.moves import Caps, Factor
 from nanocob.pairings import (
     filling_is_annihilating,
     format_vector,

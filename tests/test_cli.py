@@ -79,6 +79,9 @@ class TestParseInput:
             parse_caps_option("mystery=1")
         with pytest.raises(ParseError):
             parse_caps_option("nodes=x")
+        for below_one in ("nodes=-5", "nodes=0", "k=0", "sbound=0"):
+            with pytest.raises(ParseError):
+                parse_caps_option(below_one)
 
 
 class TestCommands:
@@ -103,6 +106,35 @@ class TestCommands:
         assert table["A"] == ["c", "0", "0", "a+2b+c"]
         assert table["B"] == ["c", "0", "0", "b+c"]
         assert table["C"] == ["-a-b", "-a-2b-c", "-b-c", "0"]
+
+    @pytest.mark.parametrize(
+        "alphabet, word, proj, expected",
+        [
+            (
+                "alphabet: a x c;tau: a<->x c<->c", "ABCACDBD", "A=a B=c C=x D=c",
+                [" \ts\tA\tB\tC\tD",
+                 "s\t0\ta+c\ta+c\ta\tc",
+                 "A\t-a+c\t0\t-a+c\t0\t0",
+                 "B\t-a+c\ta+c\t0\t0\t0",
+                 "C\t-a\t0\t0\t0\t0",
+                 "D\tc\t0\t0\t0\t0"],
+            ),
+            (
+                "alphabet: a x c d;tau: a<->x c<->c d<->d", "ABCDBADC", "A=c B=a C=d D=x",
+                [" \ts\tA\tB\tC\tD",
+                 "s\t0\ta+d\ta+d\ta+c\ta+c",
+                 "A\t-a+d\t0\t0\tc+d\ta+c",
+                 "B\t-a+d\t0\t0\t-a+d\t0",
+                 "C\t-a+c\tc+d\ta+d\t0\t0",
+                 "D\t-a+c\t-a+c\t0\t0\t0"],
+            ),
+        ],
+    )
+    def test_pairing_matrix_with_fixed_points(self, capsys, alphabet, word, proj, expected):
+        """Pinned output, produced by the PiElement-matrix pairing, for
+        words with letters projecting to fixed points."""
+        assert main(["pairing", "--alphabet", alphabet, "--word", word, "--proj", proj]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
 
     def test_invariants_output(self, capsys):
         code = main(
@@ -240,7 +272,57 @@ class TestCommands:
         assert code == 2
         assert err.startswith("parse error:")
         assert "'nodes'" in err and "'x'" in err
+        assert "line 0" not in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("caps", ["nodes=-5", "nodes=0", "k=0", "sbound=0"])
+    def test_caps_below_one_exit_code(self, capsys, caps):
+        for command in ("moves", "check-slice"):
+            code = main(
+                [command, "--alphabet", "alphabet: a x;tau: a<->x", "--word", "ABBA",
+                 "--proj", "A=a B=x", "--caps", caps]
+            )
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.startswith("parse error: --caps key")
+            assert len(captured.err.splitlines()) == 1
+
+    def test_option_errors_name_the_option(self, capsys, tmp_path):
+        templates = tmp_path / "templates.txt"
+        templates.write_text("alphabet: a b\ntau: a<->b\nword: A B A B\nproj: A=a B=b\n")
+        one_orbit = ["--alphabet", "alphabet: a x;tau: a<->x"]
+        cases = [
+            (["pairing", *one_orbit], "--word"),
+            (["pairing", *one_orbit, "--word", "phrase: A B | B A;proj: A=a B=x"], "--word"),
+            (["classify", "--half-length", "1"], "--alphabet"),
+            (["check-slice", "--alphabet", "alphabet: a b;tau: a<->b", "--word", "AA",
+              "--proj", "A=a", "--templates", str(templates)], "--templates"),
+            (["invariants", *one_orbit, "--word", "AA", "--proj", "A=a", "--phi", "x=1"], "--phi"),
+            (["moves", *one_orbit, "--word", "AA", "--proj", "A=a", "--caps", "mystery=1"], "--caps"),
+        ]
+        for argv, option in cases:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("parse error: ") and option in err, err
+            assert "line 0" not in err
+            assert len(err.splitlines()) == 1
+
+    def test_moves_listing_replays(self, capsys, tmp_path):
+        """Every SURG and BRIDGE line the listing prints replays on its own."""
+        base = ["moves", "--alphabet", "alphabet: a x;tau: a<->x", "--word", "ABBA",
+                "--proj", "A=a B=x"]
+        assert main(base) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "SURG letters=1 segs=1-3" in lines
+        bridges = [line for line in lines if line.startswith("BRIDGE ")]
+        assert f"bridges\t{len(bridges)}" in lines and bridges
+        log = tmp_path / "move.log"
+        for line in lines:
+            if line.startswith(("SURG ", "BRIDGE ")):
+                log.write_text(line + "\n")
+                assert main(base + ["--replay", str(log)]) == 0, line
+                assert capsys.readouterr().err == ""
 
     def test_replay_missing_log_file(self, capsys, tmp_path):
         code = main(
@@ -307,6 +389,7 @@ class TestCommands:
             err = capsys.readouterr().err
             assert len(err.strip().splitlines()) == 1
             assert "Traceback" not in err
+            assert "line 0" not in err
 
     def test_jobs_other_than_one_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -24,11 +24,10 @@ from nanocob.moves import (
     find_h1_sites,
     find_h2_sites,
     find_h3_sites,
-    length_norm_bounds,
     neighbors,
     validate_bridge,
 )
-from nanocob.explorer import random_nanoword
+from nanocob.explorer import length_norm_bounds, random_nanoword
 from nanocob.words import Nanoword, SymmetryWitness, WordError, mirror_witness
 
 from _phrase_route import bridge_witness, factor_phrase, phrase_witness

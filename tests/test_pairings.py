@@ -14,12 +14,12 @@ from nanocob.moves import apply_surgery
 from nanocob.pairings import (
     AlphaPairing,
     OrbitPoly,
+    PairingError,
     TupleSpace,
     are_cobordant,
     are_isomorphic,
     covering,
     enumerate_fillings,
-    enumerate_weak_fillings,
     filling_is_annihilating,
     format_vector,
     full_subgroups,
@@ -43,6 +43,8 @@ from nanocob.pairings import (
 )
 from nanocob.intlinalg import rank_mod_p, rational_rank
 from nanocob.words import Nanoword
+
+from _pairing_oracle import enumerate_weak_fillings, evaluate, tuple_evaluate
 
 
 def pi(ground, text_free=(), torsion=()):
@@ -108,8 +110,45 @@ class TestPairingOfNanoword:
             for _ in range(10):
                 q = random_skew_pairing(rng, ground, rng.randint(0, 3))
                 pairings += [q, q.opposite(), sum_pairings(q, p)]
+        # shifts of all of them, and tables built from PiElement entries
+        extra = random.Random(63)
+        for p in list(pairings):
+            if p.num_letters:
+                letter = extra.randint(1, p.num_letters)
+                pairings.append(m_shift(p, letter, extra.randint(-2, 2)))
+        for ground in (fixed, mixed):
+            prev = AlphaPairing.trivial(ground)
+            for _ in range(20):
+                m = extra.randint(0, 3)
+                entries = {
+                    (i, j): random_pi_element(extra, ground)
+                    for i in range(m + 1)
+                    for j in range(m + 1)
+                }
+                p = AlphaPairing.build(ground, [extra.choice(ground.symbols) for _ in range(m)], entries)
+                assert all(p.entry(i, j) == v for (i, j), v in entries.items())
+                total = sum_pairings(prev, p)
+                assert r_of(total) == r_of(prev) + r_of(p)
+                pairings += [p, total]
+                prev = p
         for p in pairings:
             assert p.coords == tuple(tuple(v.coordinates() for v in row) for row in p.matrix)
+            nfree = len(p.ground.free_reps())
+            assert all(bit in (0, 1) for row in p.coords for v in row for bit in v[nfree:])
+
+    def test_malformed_tables_rejected(self, mixed):
+        zero = (0, 0)  # one free orbit, then one fixed point
+        AlphaPairing(mixed, ("a",), ("A",), ((zero, zero), (zero, zero)))
+        for coords in (
+            ((zero, zero),),  # a row short
+            ((zero,), (zero, zero)),  # a column short
+            (((0,), zero), (zero, zero)),  # a coordinate short
+            ((zero, (0, 0, 0)), (zero, zero)),  # a coordinate too many
+            ((zero, (1, 2)), (zero, zero)),  # fixed bit 2
+            ((zero, zero), ((3, -1), zero)),  # fixed bit -1
+        ):
+            with pytest.raises(PairingError):
+                AlphaPairing(mixed, ("a",), ("A",), coords)
 
     def test_opposite_word_gives_opposite_pairing(self, mixed):
         rng = random.Random(22)
@@ -481,7 +520,7 @@ class TestGenusOracle:
             best = None
             for filling in self._oracle_fillings(p):
                 gram = [
-                    [Fraction(phi.apply(p.evaluate(x, y))) for y in filling]
+                    [Fraction(phi.apply(evaluate(p, x, y))) for y in filling]
                     for x in filling
                 ]
                 rank = gauss_rank_oracle(gram)
@@ -608,7 +647,7 @@ class TestWeakFillings:
 class TestWeakBoxOracle:
     """The normalized weak-filling searches against the literal box search
     of ``enumerate_weak_fillings`` with Gram matrices from
-    ``TupleSpace.evaluate``, at ``s_bound`` 1."""
+    ``tuple_evaluate``, at ``s_bound`` 1."""
 
     @staticmethod
     def _box(pairings, phis):
@@ -616,7 +655,7 @@ class TestWeakBoxOracle:
         space = TupleSpace(tuple(pairings))
         best = [None] * len(phis)
         for filling in enumerate_weak_fillings(pairings, 1):
-            values = [[space.evaluate(x, y) for y in filling] for x in filling]
+            values = [[tuple_evaluate(space, x, y) for y in filling] for x in filling]
             if all(v.is_zero() for row in values for v in row):
                 return True, [0] * len(phis)
             for k, phi in enumerate(phis):
@@ -647,7 +686,7 @@ class TestWeakBoxOracle:
             if witness is not None:
                 hyperbolic += 1
                 space = TupleSpace(pairings)
-                assert all(space.evaluate(x, y).is_zero() for x in witness for y in witness)
+                assert all(tuple_evaluate(space, x, y).is_zero() for x in witness for y in witness)
             assert [tuple_genus(pairings, phi, 1).twice for phi in phis] == box_genera
         assert hyperbolic >= 3
 

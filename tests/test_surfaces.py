@@ -16,6 +16,8 @@ from nanocob.surfaces import (
 )
 from nanocob.words import Nanoword, WordError
 
+from _pairing_oracle import evaluate
+
 
 class TestRibbonGraph:
     def test_empty_word_is_annulus(self, pm):
@@ -99,11 +101,11 @@ class TestGenusRankIdentity:
 
     def test_gram_rank_matches_evaluate_route(self, pm):
         """The Gram rank through the scalar pairing matrix against the
-        route through ``AlphaPairing.evaluate`` and ``rational_rank``."""
+        route through the sparse ``evaluate`` oracle and ``rational_rank``."""
         phi = phi_zero(pm)
         for n in range(5):
             for w in enumerate_nanowords(n, pm):
                 p = pairing_of_nanoword(w)
                 filling = tautological_filling(p)
-                gram = [[phi.apply(p.evaluate(x, y)) for y in filling] for x in filling]
+                gram = [[phi.apply(evaluate(p, x, y)) for y in filling] for x in filling]
                 assert tautological_gram_rank(w) == rational_rank(gram)
