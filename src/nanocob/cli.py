@@ -282,12 +282,16 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    wanted = args.suite.split(",") if args.suite and args.suite != "all" else list(ALL_SUITES)
-    failed = False
+    wanted = list(ALL_SUITES) if args.suite == "all" else args.suite.split(",")
     for name in wanted:
         if name not in ALL_SUITES:
-            print(f"unknown suite {name!r}", file=sys.stderr)
-            return PARSE_EXIT
+            raise ParseError(
+                None, f"--suite: unknown suite {name!r}; choose 'all' or from {', '.join(ALL_SUITES)}"
+            )
+    if args.max_half_length < 0:
+        raise ParseError(None, f"--max-half-length must be at least 0, got {args.max_half_length}")
+    failed = False
+    for name in wanted:
         suite = ALL_SUITES[name]
         if name == "genus-rank":
             result = suite(max_half_length=args.max_half_length)

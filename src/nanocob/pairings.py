@@ -768,6 +768,19 @@ class TupleSpace:
 # pinned to 0.  The searches below enumerate those representatives; the
 # verdicts agree exactly with the literal box search kept as a test oracle
 # (tests/_pairing_oracle.py, checked in TestWeakBoxOracle).
+#
+# Per matching the search is a branch and bound (Land and Doig, 1960) over
+# the coefficient vector of one slot at a time.  The Gram matrix of the
+# slots chosen so far is the leading principal submatrix of the Gram matrix
+# of every completion, so its rank bounds theirs from below and each of its
+# nonzero entries stays nonzero in all of them.  A subtree whose prefix has
+# rank at least the best so far (tuple_genus), or a nonzero entry in some
+# coordinate image (is_hyperbolic_tuple), holds no better candidate and is
+# skipped.  Leaves are still reached in the lexicographic order of the full
+# product of coefficient vectors: is_hyperbolic_tuple returns the first
+# annihilating filling and tuple_genus stops at the first of rank 0, so any
+# other order could change the witness or the work done.  The product
+# search is kept as a test oracle too (TestWeakProductOracle).
 
 
 def _weak_tables(space: TupleSpace, scalar):
@@ -820,12 +833,19 @@ def _gram(terms, keys: Sequence[int]) -> list[list]:
     ]
 
 
-def _weak_search(space: TupleSpace, s_bound: int, scalars: Sequence[Callable]):
-    """The normalized weak fillings in search order, with their Gram terms
-    in each of several scalar images of the pairing coordinates.  Yields
-    per candidate the terms of each image, the coefficient-vector index of
-    each slot (index 0 is s_1 + ... + s_r), the matching and the
-    coefficient vectors."""
+def _weak_search(
+    space: TupleSpace,
+    s_bound: int,
+    scalars: Sequence[Callable],
+    admit: Callable[[list, tuple[int, ...]], bool],
+):
+    """The normalized weak fillings that ``admit`` accepts, in search order.
+    ``admit(terms, keys)`` is asked of every prefix of slots: ``terms`` are
+    the matching's Gram terms in each of several scalar images of the
+    pairing coordinates, ``keys`` the coefficient-vector index of each slot
+    (index 0 is s_1 + ... + s_r).  It must reject a prefix only when it
+    rejects every completion.  Yields per accepted candidate its keys, the
+    matching and the coefficient vectors."""
     r = len(space.pairings)
     tables = [_weak_tables(space, scalar) for scalar in scalars]
     relevant = any(
@@ -849,8 +869,18 @@ def _weak_search(space: TupleSpace, s_bound: int, scalars: Sequence[Callable]):
     choices = range(1, len(vectors))
     for matching in _matchings(space.ground, space.proj, 0, ()):
         terms = [_matching_terms(matching, t, vectors) + (dt,) for t, dt in zip(tables, d_terms)]
-        for combo in itertools.product(choices, repeat=len(matching)):
-            yield terms, (0,) + combo, matching, vectors
+        size = len(matching) + 1
+
+        def walk(keys):
+            if not admit(terms, keys):
+                return
+            if len(keys) == size:
+                yield keys, matching, vectors
+                return
+            for k in choices:
+                yield from walk(keys + (k,))
+
+        yield from walk((0,))
 
 
 def is_hyperbolic_tuple(
@@ -865,14 +895,15 @@ def is_hyperbolic_tuple(
     dim = nfree + len(space.ground.fixed_reps())
     # one scalar image per coordinate; fixed coordinates vanish mod 2
     scalars = [operator.itemgetter(k) for k in range(dim)]
-    for terms, keys, matching, vectors in _weak_search(space, s_bound, scalars):
-        if all(
+
+    def vanishes(terms, keys):
+        return all(
             not any(x if k < nfree else x % 2 for row in _gram(t, keys) for x in row)
             for k, t in enumerate(terms)
-        ):
-            return tuple(
-                WeakVector(group, vectors[k]) for group, k in zip(((),) + matching, keys)
-            )
+        )
+
+    for keys, matching, vectors in _weak_search(space, s_bound, scalars, vanishes):
+        return tuple(WeakVector(group, vectors[k]) for group, k in zip(((),) + matching, keys))
     return None
 
 
@@ -889,12 +920,19 @@ def tuple_genus(
         raise PairingError("s_bound must be at least 1")
     space = TupleSpace(tuple(pairings))
     best: Optional[int] = None
-    for terms, keys, _, _ in _weak_search(space, s_bound, [_phi_scalar(phi, space.ground)]):
+    rank = 0
+
+    def below_best(terms, keys):
+        nonlocal rank
         rank = _gram_rank(phi, _gram(terms[0], keys))
-        if best is None or rank < best:
-            best = rank
-            if best == 0:
-                break
+        return best is None or rank < best
+
+    # an accepted candidate beats the best so far; ``rank`` is still its
+    # rank, as below_best ran on it last
+    for _ in _weak_search(space, s_bound, [_phi_scalar(phi, space.ground)], below_best):
+        best = rank
+        if best == 0:
+            break
     assert best is not None
     return Genus(best)
 

@@ -4,20 +4,28 @@ oracles.
 Values are ``PiElement``s read from ``AlphaPairing.matrix`` and combined
 with sparse group arithmetic; the weak fillings are the literal box of
 coefficient vectors, not the normalized representatives the searches in
-``nanocob.pairings`` walk.
+``nanocob.pairings`` walk.  The product search below walks those
+representatives without pruning: the full product of coefficient vectors
+per matching, ranked or checked leaf by leaf.
 """
 
 import itertools
-from typing import Iterator, Sequence
+import operator
+from typing import Callable, Iterator, Optional, Sequence
 
-from nanocob.algebra import PiElement
+from nanocob.algebra import PhiSpec, PiElement
 from nanocob.pairings import (
     AlphaPairing,
     PairingError,
     SVector,
     TupleSpace,
     WeakVector,
+    _gram,
+    _gram_rank,
+    _matching_terms,
     _matchings,
+    _phi_scalar,
+    _weak_tables,
 )
 
 
@@ -78,3 +86,69 @@ def enumerate_weak_fillings(
             yield (distinguished(space),) + tuple(
                 WeakVector(group, tuple(cs)) for group, cs in zip(matching, combo)
             )
+
+
+def product_weak_search(space: TupleSpace, s_bound: int, scalars: Sequence[Callable]):
+    """The normalized weak fillings in product order, with their Gram terms
+    in each scalar image: per matching, every tuple of coefficient-vector
+    indices from ``itertools.product``."""
+    r = len(space.pairings)
+    tables = [_weak_tables(space, scalar) for scalar in scalars]
+    relevant = any(
+        D[t] or any(row[t] for row in R) or any(row[t] for row in C)
+        for _, R, C, D in tables
+        for t in range(r - 1)
+    )
+    spread = (
+        tuple(
+            d + (0,)
+            for d in itertools.product(range(-2 * s_bound, 2 * s_bound + 1), repeat=r - 1)
+        )
+        if relevant
+        else ((0,) * r,)
+    )
+    vectors = ((1,) * r,) + spread
+    d_terms = [
+        [[sum(u[t] * v[t] * D[t] for t in range(r)) for v in vectors] for u in vectors]
+        for _, _, _, D in tables
+    ]
+    choices = range(1, len(vectors))
+    for matching in _matchings(space.ground, space.proj, 0, ()):
+        terms = [_matching_terms(matching, t, vectors) + (dt,) for t, dt in zip(tables, d_terms)]
+        for combo in itertools.product(choices, repeat=len(matching)):
+            yield terms, (0,) + combo, matching, vectors
+
+
+def product_is_hyperbolic_tuple(
+    pairings: Sequence[AlphaPairing], s_bound: int = 2
+) -> Optional[tuple[WeakVector, ...]]:
+    """The first product-order weak filling whose Gram matrix vanishes in
+    every coordinate (fixed coordinates mod 2)."""
+    space = TupleSpace(tuple(pairings))
+    nfree = len(space.ground.free_reps())
+    dim = nfree + len(space.ground.fixed_reps())
+    scalars = [operator.itemgetter(k) for k in range(dim)]
+    for terms, keys, matching, vectors in product_weak_search(space, s_bound, scalars):
+        if all(
+            not any(x if k < nfree else x % 2 for row in _gram(t, keys) for x in row)
+            for k, t in enumerate(terms)
+        ):
+            return tuple(
+                WeakVector(group, vectors[k]) for group, k in zip(((),) + matching, keys)
+            )
+    return None
+
+
+def product_tuple_genus(pairings: Sequence[AlphaPairing], phi: PhiSpec, s_bound: int = 2) -> int:
+    """Least doubled genus over the product-order weak fillings, every
+    candidate ranked until one has rank 0."""
+    space = TupleSpace(tuple(pairings))
+    best: Optional[int] = None
+    for terms, keys, _, _ in product_weak_search(space, s_bound, [_phi_scalar(phi, space.ground)]):
+        rank = _gram_rank(phi, _gram(terms[0], keys))
+        if best is None or rank < best:
+            best = rank
+            if best == 0:
+                break
+    assert best is not None
+    return best

@@ -446,6 +446,25 @@ class TestCommands:
     def test_verify_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "nonsense"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["--suite", ""], "--suite"),
+            (["--suite", "sandwich,"], "--suite"),
+            (["--suite", ",shift-consistency"], "--suite"),
+            (["--suite", "shift-consistency,nonsense"], "--suite"),
+            (["--suite", "genus-rank", "--max-half-length", "-1"], "--max-half-length"),
+            (["--suite", "shift-consistency", "--max-half-length", "-3"], "--max-half-length"),
+        ],
+    )
+    def test_verify_bad_selection_runs_nothing(self, capsys, argv, option):
+        code = main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: ") and option in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     def test_word_from_file(self, capsys, tmp_path):
         f = tmp_path / "input.txt"
         f.write_text(ALPHABET + "word: A A\nproj: A=a\n")

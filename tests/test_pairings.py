@@ -44,7 +44,13 @@ from nanocob.pairings import (
 from nanocob.intlinalg import rank_mod_p, rational_rank
 from nanocob.words import Nanoword
 
-from _pairing_oracle import enumerate_weak_fillings, evaluate, tuple_evaluate
+from _pairing_oracle import (
+    enumerate_weak_fillings,
+    evaluate,
+    product_is_hyperbolic_tuple,
+    product_tuple_genus,
+    tuple_evaluate,
+)
 
 
 def pi(ground, text_free=(), torsion=()):
@@ -689,6 +695,55 @@ class TestWeakBoxOracle:
                 assert all(tuple_evaluate(space, x, y).is_zero() for x in witness for y in witness)
             assert [tuple_genus(pairings, phi, 1).twice for phi in phis] == box_genera
         assert hyperbolic >= 3
+
+
+class TestWeakProductOracle:
+    """The pruned weak-filling searches against the unpruned product-order
+    search they replaced (``product_tuple_genus`` and
+    ``product_is_hyperbolic_tuple``), at ``s_bound`` 1 and 2."""
+
+    # (letters per pairing, s_bound): every product stays a few thousand
+    # leaves per matching
+    SHAPES = (
+        ((1,), 1), ((2,), 2), ((3,), 2), ((1, 1), 1), ((1, 1), 2), ((1, 2), 2),
+        ((2, 1), 2), ((2, 2), 1), ((1, 1, 0), 1), ((1, 0, 1), 1), ((0, 1, 1), 1),
+        ((0, 1, 0), 2),
+    )
+
+    def test_search_matches_product(self, two_free, mixed):
+        fixed = InvolutiveAlphabet.build(("c",), {"c": "c"})
+        rng = random.Random(70)
+        hyperbolic = odd = 0
+        for ground in (two_free, mixed, fixed) * 30:
+            sizes, s_bound = rng.choice(self.SHAPES)
+            pairings = tuple(random_skew_pairing(rng, ground, m) for m in sizes)
+            kind = rng.randrange(3)
+            if kind == 1:
+                # nonzero distinguished self-values: Gram matrices of odd rank
+                pairings = tuple(
+                    sum_pairings(
+                        p, AlphaPairing.distinguished_only(ground, random_pi_element(rng, ground))
+                    )
+                    for p in pairings
+                )
+            elif kind == 2 and sizes in ((1,), (2,)):  # (p, p^-) always has a weak filling
+                pairings = (pairings[0], pairings[0].opposite())
+            phis = (
+                rng.choice(phi_sign_battery(ground)),
+                PhiSpec.prime_field(ground, 2, {rep: 1 for rep, _ in ground.pairs}),
+                PhiSpec.prime_field(
+                    ground, 3, {rep: k + 1 for k, rep in enumerate(ground.free_reps())}
+                ),
+            )
+            for phi in phis:
+                expected = product_tuple_genus(pairings, phi, s_bound)
+                assert tuple_genus(pairings, phi, s_bound).twice == expected
+                odd += expected % 2
+            witness = product_is_hyperbolic_tuple(pairings, s_bound)
+            assert is_hyperbolic_tuple(pairings, s_bound) == witness
+            hyperbolic += witness is not None
+        assert hyperbolic >= 10 and odd >= 10
+
 
 class TestShiftOfPairings:
     def test_word_shift_matches_pairing_shift(self, mixed):
