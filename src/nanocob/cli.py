@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -302,7 +303,10 @@ def cmd_verify(args) -> int:
     return FAIL_EXIT if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared: parsing
+    does not change it."""
     parser = argparse.ArgumentParser(
         prog="nanocob",
         description="nanoword cobordism toolkit: invariants, pairings, "

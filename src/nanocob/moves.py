@@ -293,6 +293,16 @@ def _invert_move(move: Move, w: Nanoword) -> list[Move]:
 # homotopy moves
 
 
+def _partners(seq: Sequence[int]) -> list[int]:
+    """The position of each entry's other entry."""
+    first: dict[int, int] = {}
+    partner = [0] * len(seq)
+    for p, x in enumerate(seq):
+        q = first.setdefault(x, p)
+        partner[p], partner[q] = q, p
+    return partner
+
+
 def find_h1_sites(w: Nanoword) -> list[Move]:
     return [
         Move("H1", (i,))
@@ -309,14 +319,17 @@ def apply_h1(w: Nanoword, i: int) -> Nanoword:
 
 
 def find_h2_sites(w: Nanoword) -> list[Move]:
+    """Sites ``ab ... ba``: for each ``i`` the only candidate ``j`` is the
+    other entry of ``b``, so there is at most one site per ``i``."""
+    partner = _partners(w.seq)
     sites = []
     for i in range(w.length - 1):
         a, b = w.seq[i], w.seq[i + 1]
-        if a == b or w.proj[b] != w.ground.tau(w.proj[a]):
+        j = partner[i + 1]
+        if a == b or j < i + 2 or partner[i] != j + 1:
             continue
-        for j in range(i + 2, w.length - 1):
-            if w.seq[j] == b and w.seq[j + 1] == a:
-                sites.append(Move("H2", (i, j)))
+        if w.proj[b] == w.ground.tau(w.proj[a]):
+            sites.append(Move("H2", (i, j)))
     return sites
 
 
@@ -356,12 +369,18 @@ def _h3_positions(w: Nanoword, i: int, j: int, k: int, forward: bool) -> Optiona
 
 
 def find_h3_sites(w: Nanoword, inverse: bool = False) -> list[Move]:
+    """Sites ``ab ac bc`` (inverse: ``ba ca cb``).  The letters at ``i``
+    and ``i + 1`` force ``j`` and ``k`` through their other entries, so
+    there is at most one site per ``i``."""
+    partner = _partners(w.seq)
     sites = []
-    for i in range(w.length):
-        for j in range(i + 2, w.length):
-            for k in range(j + 2, w.length - 1):
-                if _h3_positions(w, i, j, k, forward=not inverse):
-                    sites.append(Move("H3", (i, j, k), inverse=inverse))
+    for i in range(w.length - 1):
+        if inverse:
+            j, k = partner[i + 1] - 1, partner[i] - 1
+        else:
+            j, k = partner[i], partner[i + 1]
+        if _h3_positions(w, i, j, k, forward=not inverse):
+            sites.append(Move("H3", (i, j, k), inverse=inverse))
     return sites
 
 
@@ -409,17 +428,15 @@ def _runs(positions: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def _segmentations(
-    runs: Sequence[tuple[int, int]], max_k: int, step: int = 1
+    runs: Sequence[tuple[int, int]], max_k: int
 ) -> Iterator[tuple[tuple[int, int], ...]]:
     """Split each maximal run into nonempty consecutive segments; adjacent
-    segments model empty context between them.  Runs are cut only at
-    multiples of ``step``, so with step 2 and even runs every segment is
-    even; the splits come in the same order as with step 1."""
+    segments model empty context between them."""
 
     def split_run(start: int, end: int) -> Iterator[tuple[tuple[int, int], ...]]:
         length = end - start
-        for parts in range(1, length // step + 1):
-            for cuts in itertools.combinations(range(step, length, step), parts - 1):
+        for parts in range(1, length + 1):
+            for cuts in itertools.combinations(range(1, length), parts - 1):
                 bounds = (0,) + cuts + (length,)
                 yield tuple(
                     (start + bounds[t], start + bounds[t + 1]) for t in range(parts)
@@ -442,14 +459,11 @@ def _segmentations(
     return rec(0, [], max_k)
 
 
-def enumerate_factors(
-    w: Nanoword, max_letters: int, max_k: int, even: bool = False
-) -> Iterator[Factor]:
-    """Every factor within the caps, in deterministic order.  With ``even``
-    only the factors whose segments all have even length, in the same
-    relative order."""
+def enumerate_factors(w: Nanoword, max_letters: int, max_k: int) -> Iterator[Factor]:
+    """Every factor within the caps, in deterministic order: by size, then
+    letter tuple, then per maximal run of positions by (piece count, cut
+    offsets)."""
     m = w.num_letters
-    step = 2 if even else 1
     for size in range(1, min(m, max_letters) + 1):
         for subset in itertools.combinations(range(m), size):
             chosen = set(subset)
@@ -457,20 +471,115 @@ def enumerate_factors(
             runs = _runs(positions)
             if len(runs) > max_k:
                 continue
-            if even and any((end - start) % 2 for start, end in runs):
-                continue
-            for segments in _segmentations(runs, max_k, step):
+            for segments in _segmentations(runs, max_k):
                 yield Factor(tuple(subset), segments)
+
+
+def _mirrored_segments(w: Nanoword, partner: Sequence[int], max_letters: int) -> list[list]:
+    """Per start position, the even segments that agree with their own
+    mirror, as ``(end, left, right, fresh)``.
+
+    Each segment grows from its centre one mirrored pair at a time.  A
+    letter with both entries inside must mirror onto one letter of its own
+    projection; once that fails it fails for every larger segment around
+    the centre.  A letter with one entry inside is twisted (its other entry
+    lies in another segment), so its mirror image must carry ``tau`` of its
+    projection.  ``left`` pairs each entry whose other entry lies before
+    the segment with the letter its mirror must hold; ``right`` does the
+    same for the other entries that lie after it.  ``fresh`` counts the
+    letters the segment adds to a factor."""
+    seq, proj = w.seq, w.proj
+    twisted = [w.ground.tau(a) for a in proj]  # the projection of a twisted image
+    n = len(seq)
+    by_start: list[list] = [[] for _ in range(n)]
+    for centre in range(1, n):
+        top = 2 * centre - 1  # position p mirrors onto top - p
+        for radius in range(1, min(centre, n - centre, max_letters) + 1):
+            start, end = centre - radius, centre + radius
+            # The letters at start and end - 1 mirror onto each other.  If
+            # either has both entries inside, so does the other, and their
+            # other entries must mirror onto each other as well.
+            a, b = partner[start], partner[end - 1]
+            if (start <= a < end or start <= b < end) and (
+                a + b != top or proj[seq[start]] != proj[seq[end - 1]]
+            ):
+                break
+            left, right = [], []
+            for p in range(start, end):
+                q = partner[p]
+                if start <= q < end:
+                    continue
+                image = seq[top - p]
+                if proj[image] != twisted[seq[p]]:
+                    break
+                if q < start:
+                    left.append((p, image))
+                else:
+                    right.append((q, image))
+            else:
+                fresh = (end - start - len(left) + len(right)) // 2
+                by_start[start].append((end, tuple(left), tuple(right), fresh))
+    return by_start
+
+
+def _enumeration_order(factor: Factor) -> tuple:
+    """The sort key that puts factors in the order of ``enumerate_factors``."""
+    pieces: list[tuple[int, tuple[int, ...]]] = []  # per run: piece count, cut offsets
+    run_start = run_end = -1
+    for start, end in factor.segments:
+        if start == run_end:
+            parts, cuts = pieces[-1]
+            pieces[-1] = (parts + 1, cuts + (start - run_start,))
+        else:
+            run_start = start
+            pieces.append((1, ()))
+        run_end = end
+    return (len(factor.letters), factor.letters, tuple(pieces))
 
 
 def enumerate_even_symmetric_factors(
     w: Nanoword, max_letters: int = DEFAULT_CAPS.max_letters, max_k: int = DEFAULT_CAPS.max_k
 ) -> list[Factor]:
-    return [
-        factor
-        for factor in enumerate_factors(w, max_letters, max_k, even=True)
-        if mirror_witness(w.ground, w.seq, w.proj, factor.segments) is not None
+    """The surgery factors within the caps: every segment even and
+    accepted by ``mirror_witness`` with the identity ``kappa``, in the
+    order of ``enumerate_factors``.
+
+    They are built, not filtered.  Segments are chosen left to right from
+    ``_mirrored_segments``; an entry whose other entry is not yet covered
+    is pending, with the letter the mirror of that other entry must hold.
+    The next segment may not start past the first pending entry, since no
+    later segment could cover it.  A factor is complete when nothing is
+    pending."""
+    partner = _partners(w.seq)
+    by_start = _mirrored_segments(w, partner, max_letters)
+    found: list[tuple[tuple[int, int], ...]] = []
+    chosen: list[tuple[int, int]] = []
+
+    def extend(after: int, pending: dict[int, int], letters: int) -> None:
+        if chosen and not pending:
+            found.append(tuple(chosen))
+        if len(chosen) >= max_k:
+            return
+        last = min(pending) if pending else w.length - 1
+        for start in range(after, last + 1):
+            for end, left, right, fresh in by_start[start]:
+                if letters + fresh > max_letters:
+                    continue
+                if any(pending.get(p) != image for p, image in left):
+                    continue
+                rest = {q: image for q, image in pending.items() if q >= end}
+                rest.update(right)
+                chosen.append((start, end))
+                extend(end, rest, letters + fresh)
+                chosen.pop()
+
+    extend(0, {}, 0)
+    factors = [
+        Factor(tuple(sorted({w.seq[p] for s, e in segments for p in range(s, e)})), segments)
+        for segments in found
     ]
+    factors.sort(key=_enumeration_order)
+    return factors
 
 
 def apply_surgery(w: Nanoword, factor: Factor) -> Nanoword:
@@ -710,10 +819,10 @@ def bounded_bfs(
         for move, result in neighbors(current, scoped, repertoire, extra_templates):
             if result.length > max_len:
                 continue
-            child = result.canonical_form()
-            ckey = child.canonical_key()
+            ckey = result.canonical_key()
             if ckey in parents:
                 continue
+            child = result.canonical_form()
             parents[ckey] = (key, move)
             state_words[ckey] = child
             min_length = min(min_length, child.length)

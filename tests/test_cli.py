@@ -1,8 +1,9 @@
+import hashlib
 import os
 
 import pytest
 
-from nanocob.cli import main
+from nanocob.cli import build_parser, main
 from nanocob.parsing import ParseError, parse_caps_option, parse_input
 from nanocob.words import Nanophrase, Nanoword
 
@@ -417,6 +418,27 @@ class TestCommands:
         assert any("phi[Q](a=1,b=1)" in row[7] for row in fields)
         assert any(row[8].startswith("Unknown(caps letters=1,k=1,") for row in fields)
 
+    def test_parser_state_does_not_leak_between_commands(self, capsys):
+        """The parser is built once per process; a command after another
+        prints what it prints on its own."""
+        check = [
+            "check-slice",
+            "--alphabet",
+            "alphabet: a x c z;tau: a<->x c<->z",
+            "--word",
+            "ABACDCDB",
+            "--proj",
+            "A=a B=a C=c D=c",
+        ]
+        classify = ["classify", "--alphabet", "alphabet: a x;tau: a<->x", "--half-length", "2"]
+        outputs = []
+        for argv in (check, classify, check):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[2]
+        assert outputs[0].startswith("Slice(")
+        assert build_parser() is build_parser()
+
     def test_parse_error_exit_code(self, capsys):
         code = main(
             [
@@ -527,3 +549,30 @@ class TestCommands:
             ]
         )
         assert code == 2
+
+
+# sha256 of `classify --format csv` for the README tables.  Speeding up the
+# move search must keep neighbour order and witnesses, and so these bytes; a
+# change that means to alter a table replaces its digest and says why.
+README_TABLES = {
+    "one-orbit": ("alphabet: a x;tau: a<->x", ()),
+    "two-orbits": ("alphabet: a x b y;tau: a<->x b<->y", ("--allow-large",)),
+    "fixed-point": ("alphabet: a;tau: a<->a", ()),
+}
+README_TABLE_SHA256 = {
+    ("one-orbit", 3): "58b721f43d297ce5f5a8216e4335a17669665a253a257f370f81bdb3648c69af",
+    ("two-orbits", 2): "7ed9b0ab7658062caf4abffce8dafb537b05ac1e2832cce211cc05b8c22fe8ac",
+    ("fixed-point", 0): "550f16f248146fdf3a322e085bc4d27ef6f49eab4b70c4e8cf08fb365c28edc5",
+    ("fixed-point", 1): "0c1c0bdfd3b6bb2220c574b09d51c85a1f402b92f2ef8ac50e639bb4a913a090",
+    ("fixed-point", 2): "2b838f132d4c30bbfcb6178c42fd27d27b5640112812d15f499854bab66ac75d",
+    ("fixed-point", 3): "ade6f6a638bfee58dfc7e712029f0ae8fd58ab2718c271e48e7232e6985cb7a0",
+}
+
+
+@pytest.mark.parametrize("label,half_length", sorted(README_TABLE_SHA256))
+def test_readme_table_bytes(capsys, label, half_length):
+    alphabet, extra = README_TABLES[label]
+    argv = ["classify", "--alphabet", alphabet, "--half-length", str(half_length)]
+    assert main(argv + ["--format", "csv", *extra]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == README_TABLE_SHA256[label, half_length]

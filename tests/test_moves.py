@@ -30,6 +30,11 @@ from nanocob.moves import (
 from nanocob.explorer import length_norm_bounds, random_nanoword
 from nanocob.words import Nanoword, SymmetryWitness, WordError, mirror_witness
 
+from _move_oracle import (
+    even_symmetric_factors_by_filter,
+    h2_sites_by_scan,
+    h3_sites_by_scan,
+)
 from _phrase_route import bridge_witness, factor_phrase, phrase_witness
 
 ALPHABETS = (
@@ -161,8 +166,9 @@ class TestSurgeryFactors:
 
 
 class TestEvenFactorGeneration:
-    """Generating only even factors must match the route it replaces:
-    filtering every factor by segment parity, in the same order."""
+    """Generating the surgery factors must match the routes it replaces:
+    filtering every factor by segment parity and then by symmetry, in the
+    same order."""
 
     @staticmethod
     def filtered(w, max_letters, max_k):
@@ -180,12 +186,70 @@ class TestEvenFactorGeneration:
             max_k = 1 + trial % 4
             max_letters = rng.randint(1, 4)
             expected = self.filtered(w, max_letters, max_k)
-            assert list(enumerate_factors(w, max_letters, max_k, even=True)) == expected
             assert enumerate_even_symmetric_factors(w, max_letters, max_k) == [
                 f
                 for f in expected
                 if phrase_witness(factor_phrase(w, f.letters, f.segments)) is not None
             ]
+
+    def test_matches_filter_oracle_on_random_words(self):
+        rng = random.Random(23)
+        kept = 0
+        for trial in range(1200):
+            ground = ALPHABETS[trial % 3]
+            w = random_nanoword(rng, ground, rng.randint(0, 7))
+            max_letters, max_k = rng.randint(1, 6), rng.randint(1, 4)
+            expected = even_symmetric_factors_by_filter(w, max_letters, max_k)
+            assert enumerate_even_symmetric_factors(w, max_letters, max_k) == expected
+            kept += len(expected)
+        assert kept > 1000
+
+    def test_matches_filter_oracle_on_search_states(self, two_free):
+        """Every state one search reaches, under the caps the search uses."""
+        caps = Caps(max_letters=4, max_k=3, bfs_nodes=60)
+        checked = 0
+        for text, proj in (("ABACBC", "aaa"), ("ABCABC", "aAb"), ("ABBCAC", "abA")):
+            w = Nanoword.from_names(two_free, text, dict(zip("ABC", proj)))
+            for seq, ks in bounded_bfs(w, None, caps).reached:
+                state = Nanoword(two_free, seq, ks, tuple(f"L{i}" for i in range(len(ks))))
+                assert enumerate_even_symmetric_factors(
+                    state, caps.max_letters, caps.max_k
+                ) == even_symmetric_factors_by_filter(state, caps.max_letters, caps.max_k)
+                checked += 1
+        assert checked > 300
+
+
+class TestSiteOracle:
+    """The site finders against the scans over every pair and triple of
+    positions that they replaced."""
+
+    @staticmethod
+    def assert_sites_match(w):
+        assert find_h2_sites(w) == h2_sites_by_scan(w)
+        for inverse in (False, True):
+            assert find_h3_sites(w, inverse) == h3_sites_by_scan(w, inverse)
+
+    def test_random_words(self):
+        rng = random.Random(24)
+        for trial in range(1200):
+            w = random_nanoword(rng, ALPHABETS[trial % 3], rng.randint(0, 7))
+            self.assert_sites_match(w)
+
+    def test_several_sites_and_repeated_projections(self, two_free, word_factory):
+        cases = [
+            ("ABACBCDEDFEF", "aaaaaa", (0, 2, 0)),
+            ("ABACBCDEDFEF", "aaabbA", (0, 1, 0)),  # F breaks the second site
+            ("BACACBEDFDFE", "aaabbb", (0, 0, 2)),
+            ("ABACDBCD", "aaaa", (0, 1, 0)),
+            ("ABCBDCAD", "aaaa", (0, 0, 1)),
+            ("ABBADCCD", "aAaA", (2, 0, 0)),
+            ("ABBACDDC", "aAbB", (2, 0, 0)),
+        ]
+        for text, proj, counts in cases:
+            w = word_factory(two_free, text, **dict(zip("ABCDEF", proj)))
+            self.assert_sites_match(w)
+            found = (len(find_h2_sites(w)), len(find_h3_sites(w)), len(find_h3_sites(w, True)))
+            assert found == counts, text
 
 
 class TestMirrorRule:
