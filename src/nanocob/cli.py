@@ -89,7 +89,7 @@ def _load_word(args) -> Nanoword:
 def _load_templates(args) -> tuple:
     """Extra insertion factors for the search: each phrase in the file
     becomes a template, checked to be even and symmetric."""
-    if not getattr(args, "templates", None):
+    if not args.templates:
         return ()
     parsed = parse_input(_read_source(args.templates), strict=args.strict)
     out = []
@@ -273,12 +273,7 @@ def cmd_classify(args) -> int:
         _phis(args, ground),
         allow_large=args.allow_large,
     )
-    if args.format == "csv":
-        lines = table.csv_lines()
-    else:
-        lines = ["\t".join(fields) for fields in table.fields()]
-    for line in lines:
-        print(line)
+    _emit(["\t".join(fields) for fields in table.fields()], args.format)
     return 0
 
 
@@ -303,59 +298,67 @@ def cmd_verify(args) -> int:
     return FAIL_EXIT if failed else 0
 
 
+# Every option, declared once: flag name -> add_argument keywords.
+OPTIONS = {
+    "alphabet": dict(help="alphabet file or inline text (';'-separated lines)"),
+    "word": dict(help="word file, inline text, or compact letters"),
+    "proj": dict(help="projection for compact words: 'A=a B=b'"),
+    "caps": dict(help="caps: k=4,letters=6,bfs=12,nodes=4000"),
+    "phi": dict(help="'all' (default battery) or 'a=1,b=-1'"),
+    "format": dict(choices=("text", "csv"), default="text"),
+    "strict": dict(action="store_true", help="reject tau redeclarations"),
+    "limit": dict(type=int, default=20),
+    "replay": dict(help="metamorphosis log file to replay"),
+    "templates": dict(help="file of even symmetric phrases to use as insertion templates"),
+    "half-length": dict(type=int, required=True),
+    "allow-large": dict(action="store_true"),
+    "seed": dict(type=int, default=0),
+    "suite": dict(default="all"),
+    "max-half-length": dict(type=int, default=5),
+    "jobs": dict(
+        type=int, choices=(1,), default=1,
+        help="accepted for compatibility; all work runs in one thread",
+    ),
+}
+
+_WORD = ("alphabet", "word", "proj")
+
+# Each subcommand with the options it reads.
+COMMANDS = (
+    ("invariants", cmd_invariants, (*_WORD, "phi", "format", "strict")),
+    ("pairing", cmd_pairing, (*_WORD, "format", "strict")),
+    ("fillings", cmd_fillings, (*_WORD, "format", "strict", "limit")),
+    ("surface", cmd_surface, (*_WORD, "format", "strict")),
+    ("moves", cmd_moves, (*_WORD, "caps", "format", "strict", "replay")),
+    ("check-slice", cmd_check_slice, (*_WORD, "caps", "phi", "strict", "templates", "jobs")),
+    ("classify", cmd_classify,
+     ("alphabet", "caps", "phi", "format", "strict", "half-length", "allow-large", "jobs")),
+    ("verify", cmd_verify, ("seed", "suite", "max-half-length", "jobs")),
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line in one line, like every other bad input."""
+
+    def error(self, message: str):
+        self.exit(PARSE_EXIT, f"parse error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and then shared: parsing
     does not change it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nanocob",
         description="nanoword cobordism toolkit: invariants, pairings, "
         "surfaces, moves, classification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--alphabet", help="alphabet file or inline text (';'-separated lines)")
-        p.add_argument("--word", help="word file, inline text, or compact letters")
-        p.add_argument("--proj", help="projection for compact words: 'A=a B=b'")
-        p.add_argument("--caps", help="caps: k=4,letters=6,bfs=12,nodes=4000,sbound=2")
-        p.add_argument("--phi", help="'all' (default battery) or 'a=1,b=-1'")
-        p.add_argument("--format", choices=("text", "csv"), default="text")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--jobs", type=int, choices=(1,), default=1,
-            help="accepted for compatibility; all work runs in one thread",
-        )
-        p.add_argument("--strict", action="store_true", help="reject tau redeclarations")
-
-    for name, fn in (
-        ("invariants", cmd_invariants),
-        ("pairing", cmd_pairing),
-        ("fillings", cmd_fillings),
-        ("surface", cmd_surface),
-        ("moves", cmd_moves),
-        ("check-slice", cmd_check_slice),
-        ("classify", cmd_classify),
-        ("verify", cmd_verify),
-    ):
+    for name, fn, options in COMMANDS:
         p = sub.add_parser(name)
-        common(p)
+        for option in options:
+            p.add_argument(f"--{option}", **OPTIONS[option])
         p.set_defaults(fn=fn)
-        if name == "fillings":
-            p.add_argument("--limit", type=int, default=20)
-        if name in ("check-slice", "moves"):
-            p.add_argument(
-                "--templates",
-                help="file of even symmetric phrases to use as insertion templates",
-            )
-        if name == "moves":
-            p.add_argument("--replay", help="metamorphosis log file to replay")
-        if name == "classify":
-            p.add_argument("--half-length", type=int, required=True)
-            p.add_argument("--allow-large", action="store_true")
-        if name == "verify":
-            p.add_argument("--suite", default="all")
-            p.add_argument("--max-half-length", type=int, default=5)
     return parser
 
 

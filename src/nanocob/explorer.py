@@ -7,8 +7,6 @@ orders are deterministic so tables are reproducible run to run.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import random
 from dataclasses import dataclass, replace
@@ -18,7 +16,6 @@ from .algebra import InvolutiveAlphabet, PhiSpec, PiElement, PiWord
 from .moves import (
     Caps,
     DEFAULT_CAPS,
-    DEFAULT_REPERTOIRE,
     Factor,
     Metamorphosis,
     apply_bridge,
@@ -213,18 +210,14 @@ def slice_verdict(
     return SliceVerdict(UNKNOWN, caps=caps)
 
 
-def length_norm_bounds(
-    w: Nanoword,
-    caps: Caps = DEFAULT_CAPS,
-    repertoire: Sequence[str] = DEFAULT_REPERTOIRE,
-) -> tuple[int, int]:
+def length_norm_bounds(w: Nanoword, caps: Caps = DEFAULT_CAPS) -> tuple[int, int]:
     """Certified lower bound and search upper bound for half the minimal
     length in the equivalence class of ``w``.
 
     The lower bound combines: sliceness (bound 0), the no-value-1 gap,
     the degree of the polynomial invariant plus one, and half the genus
     plus one.  The upper bound is half the shortest length reached."""
-    search = bounded_bfs(w, Nanoword.empty(w.ground), caps, repertoire)
+    search = bounded_bfs(w, Nanoword.empty(w.ground), caps)
     if search.equivalent:
         return 0, 0
     upper = search.min_length // 2
@@ -294,12 +287,6 @@ class ClassificationTable:
                 ]
             )
         return out
-
-    def csv_lines(self) -> list[str]:
-        """The table as CSV lines, fields quoted where they hold commas."""
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(self.fields())
-        return buf.getvalue().splitlines()
 
 
 def classify_words(

@@ -26,12 +26,11 @@ class Caps:
     max_k: int = 4
     bfs_length: Optional[int] = None  # default: start length + 4
     bfs_nodes: int = 4000
-    s_bound: int = 2
 
     def describe(self) -> str:
         return (
             f"letters={self.max_letters},k={self.max_k},"
-            f"bfs={self.bfs_length},nodes={self.bfs_nodes},sbound={self.s_bound}"
+            f"bfs={self.bfs_length},nodes={self.bfs_nodes}"
         )
 
 
@@ -226,14 +225,6 @@ class Metamorphosis:
         return Metamorphosis(tuple(reversed(backward)))
 
 
-def _canonical_ids(w: Nanoword) -> dict[int, int]:
-    relabel: dict[int, int] = {}
-    for x in w.seq:
-        if x not in relabel:
-            relabel[x] = len(relabel)
-    return relabel
-
-
 def _segments_to_phrase_payload(
     w: Nanoword, letters: Sequence[int], segments: Sequence[tuple[int, int]]
 ) -> tuple[tuple, tuple[str, ...], tuple[int, ...]]:
@@ -273,7 +264,7 @@ def _invert_move(move: Move, w: Nanoword) -> list[Move]:
     if move.kind == "INS":
         words, proj, positions = move.data
         result = move.apply(w)
-        relabel = _canonical_ids(result)
+        canonical_seq = result.canonical_key()[0]
         segments = []
         grown = 0
         for word, pos in zip(words, positions):
@@ -281,7 +272,7 @@ def _invert_move(move: Move, w: Nanoword) -> list[Move]:
             segments.append((at, at + len(word)))
             grown += len(word)
         inserted = sorted(
-            {relabel[result.seq[p]] for s, e in segments for p in range(s, e)}
+            {canonical_seq[p] for s, e in segments for p in range(s, e)}
         )
         return [Move("SURG", (tuple(inserted), tuple(segments)), arches=move.arches)]
     if move.kind == "SHIFT":
@@ -291,16 +282,6 @@ def _invert_move(move: Move, w: Nanoword) -> list[Move]:
 
 # ---------------------------------------------------------------------------
 # homotopy moves
-
-
-def _partners(seq: Sequence[int]) -> list[int]:
-    """The position of each entry's other entry."""
-    first: dict[int, int] = {}
-    partner = [0] * len(seq)
-    for p, x in enumerate(seq):
-        q = first.setdefault(x, p)
-        partner[p], partner[q] = q, p
-    return partner
 
 
 def find_h1_sites(w: Nanoword) -> list[Move]:
@@ -321,7 +302,7 @@ def apply_h1(w: Nanoword, i: int) -> Nanoword:
 def find_h2_sites(w: Nanoword) -> list[Move]:
     """Sites ``ab ... ba``: for each ``i`` the only candidate ``j`` is the
     other entry of ``b``, so there is at most one site per ``i``."""
-    partner = _partners(w.seq)
+    partner = w.partner
     sites = []
     for i in range(w.length - 1):
         a, b = w.seq[i], w.seq[i + 1]
@@ -372,7 +353,7 @@ def find_h3_sites(w: Nanoword, inverse: bool = False) -> list[Move]:
     """Sites ``ab ac bc`` (inverse: ``ba ca cb``).  The letters at ``i``
     and ``i + 1`` force ``j`` and ``k`` through their other entries, so
     there is at most one site per ``i``."""
-    partner = _partners(w.seq)
+    partner = w.partner
     sites = []
     for i in range(w.length - 1):
         if inverse:
@@ -475,7 +456,7 @@ def enumerate_factors(w: Nanoword, max_letters: int, max_k: int) -> Iterator[Fac
                 yield Factor(tuple(subset), segments)
 
 
-def _mirrored_segments(w: Nanoword, partner: Sequence[int], max_letters: int) -> list[list]:
+def _mirrored_segments(w: Nanoword, max_letters: int) -> list[list]:
     """Per start position, the even segments that agree with their own
     mirror, as ``(end, left, right, fresh)``.
 
@@ -488,7 +469,7 @@ def _mirrored_segments(w: Nanoword, partner: Sequence[int], max_letters: int) ->
     the segment with the letter its mirror must hold; ``right`` does the
     same for the other entries that lie after it.  ``fresh`` counts the
     letters the segment adds to a factor."""
-    seq, proj = w.seq, w.proj
+    seq, proj, partner = w.seq, w.proj, w.partner
     twisted = [w.ground.tau(a) for a in proj]  # the projection of a twisted image
     n = len(seq)
     by_start: list[list] = [[] for _ in range(n)]
@@ -550,8 +531,7 @@ def enumerate_even_symmetric_factors(
     The next segment may not start past the first pending entry, since no
     later segment could cover it.  A factor is complete when nothing is
     pending."""
-    partner = _partners(w.seq)
-    by_start = _mirrored_segments(w, partner, max_letters)
+    by_start = _mirrored_segments(w, max_letters)
     found: list[tuple[tuple[int, int], ...]] = []
     chosen: list[tuple[int, int]] = []
 

@@ -192,7 +192,6 @@ def parse_caps_option(text: str) -> dict[str, int]:
         "letters": "max_letters",
         "bfs": "bfs_length",
         "nodes": "bfs_nodes",
-        "sbound": "s_bound",
     }
     for chunk in text.split(","):
         if not chunk.strip():

@@ -9,6 +9,7 @@ forms and hashing stay cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import AlphabetError, InvolutiveAlphabet, PiWord
@@ -95,6 +96,16 @@ class Nanoword:
     @property
     def num_letters(self) -> int:
         return len(self.proj)
+
+    @cached_property
+    def partner(self) -> tuple[int, ...]:
+        """The position of each entry's other entry, built once per word."""
+        first: dict[int, int] = {}
+        partner = [0] * len(self.seq)
+        for p, x in enumerate(self.seq):
+            q = first.setdefault(x, p)
+            partner[p], partner[q] = q, p
+        return tuple(partner)
 
     def letter_seq(self) -> tuple[str, ...]:
         return tuple(self.names[i] for i in self.seq)

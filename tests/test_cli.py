@@ -1,5 +1,8 @@
+import argparse
 import hashlib
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -68,19 +71,20 @@ class TestParseInput:
         assert err.value.line == 4  # alphabet and tau occupy lines 1-2
 
     def test_caps_option(self):
-        caps = parse_caps_option("k=3,letters=5,bfs=12,nodes=100,sbound=1")
+        caps = parse_caps_option("k=3,letters=5,bfs=12,nodes=100")
         assert caps == {
             "max_k": 3,
             "max_letters": 5,
             "bfs_length": 12,
             "bfs_nodes": 100,
-            "s_bound": 1,
         }
         with pytest.raises(ValueError):
             parse_caps_option("mystery=1")
         with pytest.raises(ParseError):
+            parse_caps_option("sbound=2")  # no search reads it
+        with pytest.raises(ParseError):
             parse_caps_option("nodes=x")
-        for below_one in ("nodes=-5", "nodes=0", "k=0", "sbound=0"):
+        for below_one in ("nodes=-5", "nodes=0", "k=0", "letters=0", "bfs=0"):
             with pytest.raises(ParseError):
                 parse_caps_option(below_one)
 
@@ -276,7 +280,7 @@ class TestCommands:
         assert "line 0" not in err
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("caps", ["nodes=-5", "nodes=0", "k=0", "sbound=0"])
+    @pytest.mark.parametrize("caps", ["nodes=-5", "nodes=0", "k=0", "letters=0"])
     def test_caps_below_one_exit_code(self, capsys, caps):
         for command in ("moves", "check-slice"):
             code = main(
@@ -396,6 +400,9 @@ class TestCommands:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "alt-pairing", "--jobs", "2"])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: argument --jobs")
+        assert len(err.splitlines()) == 1
 
     def test_classify_rows_have_ten_fields(self, capsys):
         import csv
@@ -576,3 +583,129 @@ def test_readme_table_bytes(capsys, label, half_length):
     assert main(argv + ["--format", "csv", *extra]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == README_TABLE_SHA256[label, half_length]
+
+
+# The options each subcommand reads; the parser declares these and no others.
+OPTION_SETS = {
+    "invariants": {"alphabet", "word", "proj", "phi", "format", "strict"},
+    "pairing": {"alphabet", "word", "proj", "format", "strict"},
+    "surface": {"alphabet", "word", "proj", "format", "strict"},
+    "fillings": {"alphabet", "word", "proj", "format", "strict", "limit"},
+    "moves": {"alphabet", "word", "proj", "caps", "format", "strict", "replay"},
+    "check-slice": {"alphabet", "word", "proj", "caps", "phi", "strict", "templates", "jobs"},
+    "classify": {"alphabet", "caps", "phi", "format", "strict", "half-length", "allow-large",
+                 "jobs"},
+    "verify": {"seed", "suite", "max-half-length", "jobs"},
+}
+
+# Options every subcommand used to accept, read or not.
+FORMER_COMMON = ("alphabet", "word", "proj", "caps", "phi", "format", "seed", "jobs", "strict")
+FORMER_EXTRA = {
+    "fillings": ("limit",),
+    "moves": ("templates", "replay"),
+    "check-slice": ("templates",),
+    "classify": ("half-length", "allow-large"),
+    "verify": ("suite", "max-half-length"),
+}
+REMOVED_OPTIONS = sorted(
+    (command, option)
+    for command, kept in OPTION_SETS.items()
+    for option in FORMER_COMMON + FORMER_EXTRA.get(command, ())
+    if option not in kept
+)
+
+ONE_ORBIT_WORD = ["--alphabet", "alphabet: a x;tau: a<->x", "--word", "AA", "--proj", "A=a"]
+VALID_ARGV = {
+    **{command: [command, *ONE_ORBIT_WORD] for command in OPTION_SETS},
+    "classify": ["classify", "--alphabet", "alphabet: a x;tau: a<->x", "--half-length", "1"],
+    "verify": ["verify", "--suite", "alt-pairing"],
+}
+OPTION_VALUES = {
+    "alphabet": "alphabet: a x;tau: a<->x",
+    "word": "AA",
+    "proj": "A=a",
+    "caps": "nodes=10",
+    "phi": "a=1",
+    "format": "csv",
+    "seed": "1",
+    "jobs": "1",
+    "templates": "templates.txt",
+}
+
+
+def subcommand_options(parser: argparse.ArgumentParser) -> dict[str, set[str]]:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {a.option_strings[0][2:] for a in p._actions if a.dest != "help"}
+        for name, p in sub.choices.items()
+    }
+
+
+def test_each_subcommand_declares_the_options_it_reads():
+    options = subcommand_options(build_parser())
+    assert options == OPTION_SETS
+    assert sum(len(kept) for kept in options.values()) == 49
+    assert len(REMOVED_OPTIONS) == 31
+
+
+@pytest.mark.parametrize("command,option", REMOVED_OPTIONS)
+def test_removed_option_exits_2_in_one_line(capsys, command, option):
+    flag = [f"--{option}"] + ([OPTION_VALUES[option]] if option in OPTION_VALUES else [])
+    with pytest.raises(SystemExit) as exc:
+        main(VALID_ARGV[command] + flag)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"parse error: unrecognized arguments: --{option}")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_option_table_matches_parser():
+    rows = [line.split("|") for line in README.read_text(encoding="utf-8").splitlines()]
+    table = {
+        cells[1].strip().strip("`"): {o.strip() for o in cells[2].split(",")}
+        for cells in rows
+        if len(cells) == 4 and cells[1].strip().strip("`") in OPTION_SETS
+    }
+    assert table == subcommand_options(build_parser())
+
+
+def readme_commands(*sections: str) -> list[list[str]]:
+    """The ``nanocob`` command lines in the shell blocks of the named README
+    sections, continuation lines joined, without the program name."""
+    text = README.read_text(encoding="utf-8")
+    commands = []
+    for section in text.split("\n## ")[1:]:
+        title, _, body = section.partition("\n")
+        if title not in sections:
+            continue
+        for block in body.split("```sh\n")[1:]:
+            code = block.split("```")[0].replace("\\\n", " ")
+            for line in code.splitlines():
+                words = shlex.split(line, comments=True)
+                if words and words[0] == "nanocob":
+                    commands.append(words[1:])
+    return commands
+
+
+README_COMMANDS = readme_commands("Tests and the acceptance suite", "CLI")
+
+
+def test_readme_commands_found():
+    assert {argv[0] for argv in README_COMMANDS} == set(OPTION_SETS)
+
+
+@pytest.mark.parametrize(
+    "argv", README_COMMANDS, ids=[f"{i}-{argv[0]}" for i, argv in enumerate(README_COMMANDS)]
+)
+def test_readme_command_runs(capsys, argv):
+    """Every README example parses; each one that needs no file of its own
+    and is not a verification run exits 0."""
+    build_parser().parse_args(argv)
+    if argv[0] == "verify" or "--replay" in argv:
+        return
+    assert main(argv) == 0

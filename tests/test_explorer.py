@@ -209,12 +209,14 @@ class TestClassification:
     def test_buckets_reproducible(self, two_free):
         t1 = classify(2, two_free, allow_large=True)
         t2 = classify(2, two_free, allow_large=True)
-        assert t1.csv_lines() == t2.csv_lines()
+        assert t1.fields() == t2.fields()
 
     def test_csv_shape(self, two_free):
-        lines = classify(1, two_free, allow_large=True).csv_lines()
-        assert lines[0].startswith("index,word,proj,length")
-        assert len(lines) == 1 + len(classify(1, two_free, allow_large=True).rows)
+        table = classify(1, two_free, allow_large=True)
+        rows = table.fields()
+        assert rows[0][:4] == ["index", "word", "proj", "length"]
+        assert len(rows) == 1 + len(table.rows)
+        assert all(len(row) == len(rows[0]) for row in rows)
 
     def test_unknown_pair_under_starved_caps(self, two_free, word_factory):
         # w1 is slice through a 2-letter factor; with factors capped at one

@@ -444,6 +444,7 @@ class TestSearch:
     def test_inverse_replay_returns_start(self, two_free):
         rng = random.Random(13)
         checked = 0
+        kinds = set()
         for _ in range(40):
             w = random_nanoword(rng, two_free, rng.randint(1, 4))
             out = bounded_bfs(
@@ -451,11 +452,18 @@ class TestSearch:
             )
             if not out.equivalent or not out.metamorphosis.moves:
                 continue
-            checked += 1
             end = out.metamorphosis.replay(w)
-            back = out.metamorphosis.inverted(w).replay(end)
+            inverse = out.metamorphosis.inverted(w)
+            back = inverse.replay(end)
             assert back.is_isomorphic(w)
-        assert checked >= 3
+            # the inverse is a witness from the end back to w; inverting
+            # it turns its insertions back into surgeries
+            assert inverse.inverted(end).replay(w).is_isomorphic(end)
+            for witness in (out.metamorphosis, inverse):
+                checked += 1
+                kinds.update(move.kind for move in witness.moves)
+        assert checked >= 6
+        assert "INS" in kinds
 
     def test_moves_preserve_word_invariant(self, two_free):
         rng = random.Random(14)

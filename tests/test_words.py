@@ -41,6 +41,18 @@ class TestConstruction:
         w = word_factory(two_free, "ABAB", A="a", B="b")
         assert w.length == 4 and w.num_letters == 2
 
+    def test_partner_is_the_other_entry(self, two_free):
+        rng = random.Random(3)
+        for _ in range(20):
+            w = random_word(rng, two_free, rng.randint(0, 5))
+            fresh = Nanoword(w.ground, w.seq, w.proj, w.names)
+            for letter in range(w.num_letters):
+                i, j = w.occurrences(letter)
+                assert (w.partner[i], w.partner[j]) == (j, i)
+            # the cached table is no field: equality and hash ignore it
+            assert w == fresh and hash(w) == hash(fresh)
+            assert w.partner is w.partner
+
 
 class TestCanonicalForm:
     def test_relabeling(self, two_free, word_factory):
