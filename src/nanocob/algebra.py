@@ -10,10 +10,11 @@ implemented with exact integer arithmetic and eager reduction.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 
 class AlphabetError(ValueError):
@@ -139,6 +140,44 @@ class InvolutiveAlphabet:
     def fixed_reps(self) -> tuple[str, ...]:
         return self._fixed_reps
 
+    # The value layout.  A value of the abelianized group is a coordinate
+    # tuple: one integer per free orbit, then one bit per fixed point, each
+    # in orbit order.  Coordinate k is free exactly when k < nfree.
+
+    @cached_property
+    def nfree(self) -> int:
+        """The number of free coordinates, which come first."""
+        return len(self._free_reps)
+
+    @cached_property
+    def dimension(self) -> int:
+        """The length of a coordinate tuple: one entry per orbit."""
+        return len(self.pairs)
+
+    @cached_property
+    def _units(self) -> dict[str, tuple[int, int]]:
+        units: dict[str, tuple[int, int]] = {}
+        for k, rep in enumerate(self._free_reps + self._fixed_reps):
+            units[self._tau[rep]] = (k, -1)
+            units[rep] = (k, 1)
+        return units
+
+    def unit(self, symbol: str) -> tuple[int, int]:
+        """The coordinate and sign of a symbol's value: +1 on orbit
+        representatives, -1 on the partner of a free one."""
+        return self._units[self.check(symbol)]
+
+    def reduce(self, v: Iterable[int]) -> tuple[int, ...]:
+        """Integer coordinates as a value: fixed entries reduced mod 2."""
+        v = tuple(v)
+        n = self.nfree
+        return v if n == len(v) else v[:n] + tuple(x % 2 for x in v[n:])
+
+    def negate(self, v: tuple[int, ...]) -> tuple[int, ...]:
+        """The negative of a value; fixed bits are their own negatives."""
+        n = self.nfree
+        return tuple(map(operator.neg, v[:n])) + v[n:]
+
     def restrict(self, keep: Iterable[str]) -> "InvolutiveAlphabet":
         """Sub-alphabet on a tau-invariant symbol set, declaration order kept."""
         keep_set = set(keep)
@@ -170,14 +209,13 @@ class Orbit:
 class PiElement:
     """Element of the abelian group on the alphabet with a + tau(a) = 0.
 
-    Stored sparsely on orbit representatives: integer coefficients on
-    free orbits, bits on fixed orbits.  Zero entries are never stored,
-    so equality and hashing are structural.
+    Stored as its coordinate tuple in the alphabet's layout (free-orbit
+    integers, then fixed-orbit bits), so equality and hashing are
+    structural.  ``free`` and ``torsion`` are sparse views of it.
     """
 
     alphabet: InvolutiveAlphabet
-    free: tuple[tuple[str, int], ...]
-    torsion: tuple[str, ...]
+    coords: tuple[int, ...]
 
     @staticmethod
     def make(
@@ -185,100 +223,89 @@ class PiElement:
         free: Mapping[str, int] = (),
         torsion: Iterable[str] = (),
     ) -> "PiElement":
-        idx = alphabet.index
-        fr = {r: c for r, c in dict(free).items() if c != 0}
-        for r in fr:
+        coords = [0] * alphabet.dimension
+        for r, c in dict(free).items():
+            if c == 0:
+                continue
             if alphabet.orbit_rep(r) != r or alphabet.is_fixed(r):
                 raise AlphabetError(f"{r!r} is not a free orbit representative")
-        tor = set()
+            coords[alphabet.unit(r)[0]] = c
         for r in torsion:
             if not alphabet.is_fixed(r):
                 raise AlphabetError(f"{r!r} is not a fixed point")
-            tor.symmetric_difference_update({r})
-        return PiElement(
-            alphabet,
-            tuple(sorted(fr.items(), key=lambda kv: idx(kv[0]))),
-            tuple(sorted(tor, key=idx)),
-        )
+            coords[alphabet.unit(r)[0]] ^= 1
+        return PiElement(alphabet, tuple(coords))
 
     @staticmethod
     def zero(alphabet: InvolutiveAlphabet) -> "PiElement":
-        return PiElement(alphabet, (), ())
+        return PiElement(alphabet, (0,) * alphabet.dimension)
 
     @staticmethod
     def of_letter(alphabet: InvolutiveAlphabet, symbol: str) -> "PiElement":
-        symbol = alphabet.check(symbol)
-        if alphabet.is_fixed(symbol):
-            return PiElement.make(alphabet, {}, (symbol,))
-        rep = alphabet.orbit_rep(symbol)
-        coeff = 1 if symbol == rep else -1
-        return PiElement.make(alphabet, {rep: coeff})
+        k, sign = alphabet.unit(symbol)
+        return PiElement(alphabet, tuple(sign if t == k else 0 for t in range(alphabet.dimension)))
 
     def _require_same(self, other: "PiElement") -> None:
         if self.alphabet != other.alphabet:
             raise AlphabetError("ground alphabet mismatch")
 
+    @property
+    def free(self) -> tuple[tuple[str, int], ...]:
+        """The nonzero free-orbit coefficients, by orbit representative."""
+        return tuple((r, c) for r, c in zip(self.alphabet.free_reps(), self.coords) if c)
+
+    @property
+    def torsion(self) -> tuple[str, ...]:
+        """The fixed points whose bit is set."""
+        bits = self.coords[self.alphabet.nfree:]
+        return tuple(r for r, b in zip(self.alphabet.fixed_reps(), bits) if b)
+
     def is_zero(self) -> bool:
-        return not self.free and not self.torsion
+        return not any(self.coords)
 
     def __add__(self, other: "PiElement") -> "PiElement":
         self._require_same(other)
-        acc = dict(self.free)
-        for r, c in other.free:
-            acc[r] = acc.get(r, 0) + c
-        tor = set(self.torsion)
-        tor.symmetric_difference_update(other.torsion)
-        return PiElement.make(self.alphabet, acc, tor)
+        coords = map(operator.add, self.coords, other.coords)
+        return PiElement(self.alphabet, self.alphabet.reduce(coords))
 
     def __neg__(self) -> "PiElement":
-        return PiElement.make(
-            self.alphabet, {r: -c for r, c in self.free}, self.torsion
-        )
+        return PiElement(self.alphabet, self.alphabet.negate(self.coords))
 
     def __sub__(self, other: "PiElement") -> "PiElement":
-        return self + (-other)
+        self._require_same(other)
+        coords = map(operator.sub, self.coords, other.coords)
+        return PiElement(self.alphabet, self.alphabet.reduce(coords))
 
     def scaled(self, k: int) -> "PiElement":
-        return PiElement.make(
-            self.alphabet,
-            {r: k * c for r, c in self.free},
-            self.torsion if k % 2 else (),
-        )
+        return PiElement(self.alphabet, self.alphabet.reduce(k * c for c in self.coords))
 
     def coordinates(self) -> tuple[int, ...]:
         """Free-orbit integer coefficients, then fixed-orbit bits, each in
         orbit order."""
-        free = dict(self.free)
-        tor = self.torsion
-        return tuple(free.get(r, 0) for r in self.alphabet.free_reps()) + tuple(
-            1 if r in tor else 0 for r in self.alphabet.fixed_reps()
-        )
+        return self.coords
 
     @staticmethod
     def from_coordinates(
         alphabet: InvolutiveAlphabet, coords: Sequence[int]
     ) -> "PiElement":
         """Inverse of ``coordinates``; fixed-orbit entries are read mod 2."""
-        free = alphabet.free_reps()
-        return PiElement(
-            alphabet,
-            tuple((r, c) for r, c in zip(free, coords) if c),
-            tuple(r for r, c in zip(alphabet.fixed_reps(), coords[len(free):]) if c % 2),
-        )
+        if len(coords) != alphabet.dimension:
+            raise AlphabetError(f"values have {alphabet.dimension} coordinates, got {len(coords)}")
+        return PiElement(alphabet, alphabet.reduce(coords))
 
     def format(self, torsion_suffix: bool = False) -> str:
         if self.is_zero():
             return "0"
         terms = []
-        free = dict(self.free)
-        tor = set(self.torsion)
-        for a in self.alphabet.symbols:
-            if a in free:
-                c = free[a]
+        for rep, other in self.alphabet.pairs:
+            c = self.coords[self.alphabet.unit(rep)[0]]
+            if not c:
+                continue
+            if rep == other:
+                terms.append("+" + rep + ("(2)" if torsion_suffix else ""))
+            else:
                 mag = "" if abs(c) == 1 else str(abs(c))
-                terms.append(("-" if c < 0 else "+") + mag + a)
-            elif a in tor:
-                terms.append("+" + a + ("(2)" if torsion_suffix else ""))
+                terms.append(("-" if c < 0 else "+") + mag + rep)
         out = "".join(terms)
         return out[1:] if out.startswith("+") else out
 
@@ -367,13 +394,10 @@ class PiWord:
         return PiWord(self.alphabet, tuple(syl))
 
     def abelianized(self) -> PiElement:
-        out = PiElement.zero(self.alphabet)
+        coords = [0] * self.alphabet.dimension
         for rep, exp in self.syllables:
-            if self.alphabet.is_fixed(rep):
-                out = out + PiElement.make(self.alphabet, {}, (rep,) * (exp % 2))
-            else:
-                out = out + PiElement.make(self.alphabet, {rep: exp})
-        return out
+            coords[self.alphabet.unit(rep)[0]] += exp
+        return PiElement.from_coordinates(self.alphabet, coords)
 
     def cyclic_key(self) -> tuple[tuple[str, int], ...]:
         """Canonical representative of the conjugacy class: the least
@@ -495,19 +519,19 @@ class PhiSpec:
             for v in map(vals.__getitem__, alphabet.free_reps() + alphabet.fixed_reps())
         )
 
+    def scalar(
+        self, alphabet: InvolutiveAlphabet
+    ) -> Callable[[Sequence[int]], Union[Fraction, int]]:
+        """The map on coordinate tuples of ``alphabet``: the dot product
+        with the weights, reduced mod p over GF(p)."""
+        weights = self.weights(alphabet)
+        prime = self.prime
+        if prime:
+            return lambda c: sum(map(operator.mul, weights, c)) % prime
+        return lambda c: sum(map(operator.mul, weights, c))
+
     def apply(self, x: PiElement) -> Union[Fraction, int]:
-        vals = dict(self.values)
-        if self.target == RATIONALS:
-            acc = Fraction(0)
-            for rep, c in x.free:
-                acc += c * vals[rep]
-            return acc  # torsion bits map to 0 over the rationals
-        acc = 0
-        for rep, c in x.free:
-            acc = (acc + c * vals[rep]) % self.prime
-        for rep in x.torsion:
-            acc = (acc + vals[rep]) % self.prime
-        return acc
+        return self.scalar(x.alphabet)(x.coords)
 
     def label(self) -> str:
         inside = ",".join(f"{r}={v}" for r, v in self.values)

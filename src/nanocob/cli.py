@@ -55,8 +55,11 @@ PARSE_EXIT = 2
 FAIL_EXIT = 1
 
 
-def _read_source(value: str) -> str:
-    if os.path.exists(value):
+def _read_source(value: str, inline: bool = False) -> str:
+    """The text an option value stands for.  A value holding ':' or ';' is
+    inline text, with ';' separating lines, and so is one the caller marks
+    ``inline``; any other value names a file when one exists."""
+    if not inline and ":" not in value and ";" not in value and os.path.exists(value):
         with open(value, "r", encoding="utf-8") as handle:
             return handle.read()
     return value.replace(";", "\n")
@@ -68,7 +71,8 @@ def _load_item(args):
         chunks.append(_read_source(args.alphabet))
     if not args.word:
         raise ParseError(None, "no word given (--word)")
-    word_text = _read_source(args.word)
+    # with --proj, --word is compact inline letters, never a file
+    word_text = _read_source(args.word, inline=args.proj is not None)
     if "word:" not in word_text and "phrase:" not in word_text:
         proj = args.proj or ""
         word_text = f"word: {word_text}\nproj: {proj}"

@@ -127,7 +127,7 @@ class InvariantRecord:
             tuple((rep, poly.terms) for rep, poly in self.u.entries),
             self.genera,
             self.hyperbolic,
-            (self.r.free, self.r.torsion),
+            self.r.coords,
         )
 
 

@@ -28,10 +28,15 @@ class Caps:
     bfs_nodes: int = 4000
 
     def describe(self) -> str:
-        return (
-            f"letters={self.max_letters},k={self.max_k},"
-            f"bfs={self.bfs_length},nodes={self.bfs_nodes}"
-        )
+        return ",".join(f"{key}={getattr(self, field)}" for key, field in CAP_KEYS.items())
+
+    def length_cap(self, length: int) -> int:
+        """The longest word a search from a word of ``length`` may visit."""
+        return self.bfs_length if self.bfs_length is not None else length + 4
+
+
+# Each ``--caps`` key with the ``Caps`` field it sets, in ``describe`` order.
+CAP_KEYS = {"letters": "max_letters", "k": "max_k", "bfs": "bfs_length", "nodes": "bfs_nodes"}
 
 
 DEFAULT_CAPS = Caps()
@@ -717,7 +722,7 @@ def neighbors(
     repertoire: Sequence[str] = DEFAULT_REPERTOIRE,
     extra_templates: Sequence[tuple[tuple, tuple[str, ...]]] = (),
 ) -> Iterator[tuple[Move, Nanoword]]:
-    max_len = caps.bfs_length if caps.bfs_length is not None else w.length + 4
+    max_len = caps.length_cap(w.length)
     if HOMOTOPY in repertoire:
         for move in find_h1_sites(w):
             yield move, move.apply(w)
@@ -790,7 +795,7 @@ def bounded_bfs(
 
     queue = deque([start.canonical_key()])
     explored = 0
-    max_len = caps.bfs_length if caps.bfs_length is not None else start.length + 4
+    max_len = caps.length_cap(start.length)
     scoped = replace(caps, bfs_length=max_len)
     while queue and explored < caps.bfs_nodes:
         key = queue.popleft()

@@ -51,22 +51,12 @@ def _vector(entries: Mapping[int, int]) -> SVector:
 Coords = tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def _negate(v: tuple[int, ...], nfree: int) -> tuple[int, ...]:
-    """Negative of a coordinate tuple; fixed bits are their own negatives."""
-    return tuple(map(operator.neg, v[:nfree])) + v[nfree:]
-
-
-def _reduce(v: Sequence[int], nfree: int) -> tuple[int, ...]:
-    """Integer coordinates as a value: fixed entries reduced mod 2."""
-    return tuple(v[:nfree]) + tuple(x % 2 for x in v[nfree:])
-
-
 @dataclass(frozen=True)
 class AlphaPairing:
     """A pairing stored as its dense coordinate table: ``coords[i][j]`` is
-    the value on (i, j) as ``PiElement.coordinates()`` lays it out,
-    free-orbit coefficients and then fixed-orbit bits mod 2; index 0 is s.
-    Every kernel reads ``coords``; ``matrix`` is for display."""
+    the value on (i, j) as a ``PiElement`` stores it, in the ground
+    alphabet's layout; index 0 is s.  Every kernel reads ``coords``;
+    ``matrix`` is for display."""
 
     ground: InvolutiveAlphabet
     proj: tuple[str, ...]
@@ -79,8 +69,7 @@ class AlphaPairing:
             raise PairingError("projection/name tables misaligned")
         if len(self.coords) != size or any(len(r) != size for r in self.coords):
             raise PairingError("matrix shape must cover letters plus s")
-        nfree = len(self.ground.free_reps())
-        dim = nfree + len(self.ground.fixed_reps())
+        nfree, dim = self.ground.nfree, self.ground.dimension
         for row in self.coords:
             for v in row:
                 if len(v) != dim:
@@ -98,10 +87,9 @@ class AlphaPairing:
         names: Optional[Sequence[str]] = None,
     ) -> "AlphaPairing":
         size = len(proj) + 1
-        zero = PiElement.zero(ground).coordinates()
-        rows = [[zero] * size for _ in range(size)]
+        rows = [[(0,) * ground.dimension] * size for _ in range(size)]
         for (i, j), v in entries.items():
-            rows[i][j] = v.coordinates()
+            rows[i][j] = v.coords
         if names is None:
             names = tuple(f"S{i + 1}" for i in range(len(proj)))
         return AlphaPairing(ground, tuple(proj), tuple(names), tuple(map(tuple, rows)))
@@ -120,24 +108,20 @@ class AlphaPairing:
 
     @cached_property
     def matrix(self) -> tuple[tuple[PiElement, ...], ...]:
-        """The table as ``PiElement``s, each distinct value built once."""
-        values = {
-            c: PiElement.from_coordinates(self.ground, c)
-            for c in {c for row in self.coords for c in row}
-        }
-        return tuple(tuple(values[c] for c in row) for row in self.coords)
+        """The table as ``PiElement``s."""
+        return tuple(tuple(PiElement(self.ground, c) for c in row) for row in self.coords)
 
     def entry(self, i: int, j: int) -> PiElement:
         return self.matrix[i][j]
 
     def is_skew_symmetric(self) -> bool:
-        coords, nfree = self.coords, len(self.ground.free_reps())
+        coords, negate = self.coords, self.ground.negate
         size = self.num_letters + 1
         for i in range(size):
             if any(coords[i][i]):
                 return False
             for j in range(i + 1, size):
-                if coords[i][j] != _negate(coords[j][i], nfree):
+                if coords[i][j] != negate(coords[j][i]):
                     return False
         return True
 
@@ -145,8 +129,7 @@ class AlphaPairing:
         return not any(self.coords[0][0])
 
     def opposite(self) -> "AlphaPairing":
-        nfree = len(self.ground.free_reps())
-        rows = tuple(tuple(_negate(v, nfree) for v in row) for row in self.coords)
+        rows = tuple(tuple(map(self.ground.negate, row)) for row in self.coords)
         return AlphaPairing(self.ground, self.proj, self.names, rows)
 
     def format_matrix(self, sep: str = "\t") -> str:
@@ -164,8 +147,7 @@ def sum_pairings(p1: AlphaPairing, p2: AlphaPairing) -> AlphaPairing:
     m1 = p1.num_letters
     zero = (0,) * len(p1.coords[0][0])
     pad = (zero,) * p2.num_letters
-    r = list(map(operator.add, p1.coords[0][0], p2.coords[0][0]))
-    head = (_reduce(r, len(p1.ground.free_reps())),)
+    head = (p1.ground.reduce(map(operator.add, p1.coords[0][0], p2.coords[0][0])),)
     rows = [head + p1.coords[0][1:] + p2.coords[0][1:]]
     rows += [row + pad for row in p1.coords[1:]]
     rows += [row[:1] + (zero,) * m1 + row[1:] for row in p2.coords[1:]]
@@ -181,7 +163,7 @@ def sum_pairings(p1: AlphaPairing, p2: AlphaPairing) -> AlphaPairing:
 
 
 def r_of(p: AlphaPairing) -> PiElement:
-    return PiElement.from_coordinates(p.ground, p.coords[0][0])
+    return PiElement(p.ground, p.coords[0][0])
 
 
 def are_isomorphic(p1: AlphaPairing, p2: AlphaPairing) -> bool:
@@ -242,14 +224,8 @@ def pairing_of_nanoword(w: Nanoword) -> AlphaPairing:
     coordinate, so each entry is a sum of integers per coordinate."""
     ground = w.ground
     m = w.num_letters
-    nfree = len(ground.free_reps())
-    dim = nfree + len(ground.fixed_reps())
-    unit: dict[str, tuple[int, int]] = {}
-    for k, rep in enumerate(ground.free_reps()):
-        unit[rep], unit[ground.tau(rep)] = (k, 1), (k, -1)
-    for k, rep in enumerate(ground.fixed_reps(), nfree):
-        unit[rep] = (k, 1)
-    units = [unit[a] for a in w.proj]
+    dim = ground.dimension
+    units = [ground.unit(a) for a in w.proj]
     occ = [w.occurrences(i) for i in range(m)]
 
     size = m + 1
@@ -278,13 +254,14 @@ def pairing_of_nanoword(w: Nanoword) -> AlphaPairing:
                     val[k] += n * sign
 
     # row 0 and the entries below the diagonal are skew images
+    reduce, negate = ground.reduce, ground.negate
     rows = [[(0,) * dim] * size for _ in range(size)]
     for a in range(1, size):
-        rows[a][0] = _reduce(acc[a][0], nfree)
-        rows[0][a] = _negate(rows[a][0], nfree)
+        rows[a][0] = reduce(acc[a][0])
+        rows[0][a] = negate(rows[a][0])
         for b in range(a + 1, size):
-            rows[a][b] = _reduce(acc[a][b], nfree)
-            rows[b][a] = _negate(rows[a][b], nfree)
+            rows[a][b] = reduce(acc[a][b])
+            rows[b][a] = negate(rows[a][b])
     return AlphaPairing(ground, w.proj, w.names, tuple(map(tuple, rows)))
 
 
@@ -394,14 +371,13 @@ def _vanishes(p: AlphaPairing, x: SVector, y: SVector) -> bool:
     """Whether the bilinear value of x and y is zero, read off ``coords``
     (free coordinates exactly, fixed ones mod 2)."""
     coords = p.coords
-    nfree = len(p.ground.free_reps())
-    acc = [0] * len(coords[0][0])
+    acc = [0] * p.ground.dimension
     for i, c in x:
         for j, d in y:
             k = c * d
             for t, v in enumerate(coords[i][j]):
                 acc[t] += k * v
-    return not any(acc[:nfree]) and not any(v % 2 for v in acc[nfree:])
+    return not any(p.ground.reduce(acc))
 
 
 def filling_is_annihilating(p: AlphaPairing, filling: Sequence[SVector]) -> bool:
@@ -460,19 +436,9 @@ def _gram_rank(phi: PhiSpec, gram: list[list]) -> int:
     return integer_rank(gram) if phi.integral else rational_rank(gram)
 
 
-def _phi_scalar(phi: PhiSpec, ground: InvolutiveAlphabet) -> Callable[[Sequence[int]], object]:
-    """phi on coordinate tuples: the dot product with its weight vector,
-    reduced mod p over GF(p)."""
-    weights = phi.weights(ground)
-    prime = phi.prime
-    if prime:
-        return lambda c: sum(map(operator.mul, weights, c)) % prime
-    return lambda c: sum(map(operator.mul, weights, c))
-
-
 def _phi_matrix(p: AlphaPairing, phi: PhiSpec) -> list[list]:
     """Scalar image of the pairing matrix."""
-    scalar = _phi_scalar(phi, p.ground)
+    scalar = phi.scalar(p.ground)
     return [[scalar(c) for c in row] for row in p.coords]
 
 
@@ -530,10 +496,9 @@ def _normalize_monomial(g: PiElement) -> tuple[PiElement, int, bool]:
     """Sign-normalized representative of {g, -g}: the first nonzero
     free-orbit coefficient is made positive.  Returns (key, sign,
     self_negative); a monomial without free part equals its own negative."""
-    for rep, coeff in g.free:
-        if coeff < 0:
-            return -g, -1, False
-        return g, 1, False
+    for coeff in g.coords[: g.alphabet.nfree]:
+        if coeff:
+            return (-g, -1, False) if coeff < 0 else (g, 1, False)
     return g, 1, True
 
 
@@ -580,7 +545,7 @@ class OrbitPoly:
 
     def degree(self) -> int:
         """Largest total degree of a monomial present; 0 for the zero value."""
-        return max((sum(map(abs, g.coordinates())) for g, _ in self.terms), default=0)
+        return max((sum(map(abs, g.coords)) for g, _ in self.terms), default=0)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -636,7 +601,7 @@ def u_polynomial(p: AlphaPairing) -> UPoly:
     by_symbol: dict[str, list[PiElement]] = {}
     for a, row in zip(p.proj, p.coords[1:]):
         if any(row[0]):
-            by_symbol.setdefault(a, []).append(PiElement.from_coordinates(ground, row[0]))
+            by_symbol.setdefault(a, []).append(PiElement(ground, row[0]))
     entries = []
     for orbit in ground.orbits():
         rep = orbit.representative
@@ -891,16 +856,14 @@ def is_hyperbolic_tuple(
     if s_bound < 1:
         raise PairingError("s_bound must be at least 1")
     space = TupleSpace(tuple(pairings))
-    nfree = len(space.ground.free_reps())
-    dim = nfree + len(space.ground.fixed_reps())
-    # one scalar image per coordinate; fixed coordinates vanish mod 2
-    scalars = [operator.itemgetter(k) for k in range(dim)]
+    reduce = space.ground.reduce
+    # one scalar image per coordinate; a Gram entry, read across the images,
+    # is a value and vanishes when it reduces to zero
+    scalars = [operator.itemgetter(k) for k in range(space.ground.dimension)]
 
     def vanishes(terms, keys):
-        return all(
-            not any(x if k < nfree else x % 2 for row in _gram(t, keys) for x in row)
-            for k, t in enumerate(terms)
-        )
+        grams = [itertools.chain.from_iterable(_gram(t, keys)) for t in terms]
+        return not any(any(reduce(entry)) for entry in zip(*grams))
 
     for keys, matching, vectors in _weak_search(space, s_bound, scalars, vanishes):
         return tuple(WeakVector(group, vectors[k]) for group, k in zip(((),) + matching, keys))
@@ -929,7 +892,7 @@ def tuple_genus(
 
     # an accepted candidate beats the best so far; ``rank`` is still its
     # rank, as below_best ran on it last
-    for _ in _weak_search(space, s_bound, [_phi_scalar(phi, space.ground)], below_best):
+    for _ in _weak_search(space, s_bound, [phi.scalar(space.ground)], below_best):
         best = rank
         if best == 0:
             break
@@ -948,24 +911,24 @@ def m_shift(p: AlphaPairing, letter: int, m: int) -> AlphaPairing:
         raise PairingError("shift is defined for skew-symmetric pairings")
     if not 1 <= letter <= p.num_letters:
         raise PairingError("letter index out of range")
-    nfree = len(p.ground.free_reps())
+    ground = p.ground
     coords = p.coords
     rows = [list(r) for r in coords]
     for j in range(p.num_letters + 1):
         if j == letter:
             continue
-        val = _reduce([m * a - b for a, b in zip(coords[0][j], coords[letter][j])], nfree)
+        val = ground.reduce(m * a - b for a, b in zip(coords[0][j], coords[letter][j]))
         rows[letter][j] = val
-        rows[j][letter] = _negate(val, nfree)
+        rows[j][letter] = ground.negate(val)
     rows[letter][letter] = (0,) * len(coords[0][0])
     proj = list(p.proj)
-    proj[letter - 1] = p.ground.tau(proj[letter - 1])
+    proj[letter - 1] = ground.tau(proj[letter - 1])
     names = list(p.names)
     fresh = names[letter - 1] + "~"
     while fresh in names:
         fresh += "~"
     names[letter - 1] = fresh
-    return AlphaPairing(p.ground, tuple(proj), tuple(names), tuple(map(tuple, rows)))
+    return AlphaPairing(ground, tuple(proj), tuple(names), tuple(map(tuple, rows)))
 
 
 def covering(w: Nanoword, subgroups: Mapping[str, Sequence[PiElement]]) -> Nanoword:
@@ -976,9 +939,7 @@ def covering(w: Nanoword, subgroups: Mapping[str, Sequence[PiElement]]) -> Nanow
     mentioned default to the zero subgroup.
     """
     ground = w.ground
-    free = ground.free_reps()
-    fixed = ground.fixed_reps()
-    dim = len(free) + len(fixed)
+    dim = ground.dimension
 
     by_rep: dict[str, list[PiElement]] = {}
     for key, gens in subgroups.items():
@@ -986,10 +947,10 @@ def covering(w: Nanoword, subgroups: Mapping[str, Sequence[PiElement]]) -> Nanow
 
     lattices: dict[str, IntegerLattice] = {}
     for rep, _ in ground.pairs:
-        gens = [g.coordinates() for g in by_rep.get(rep, ())]
+        gens = [g.coords for g in by_rep.get(rep, ())]
+        # fixed coordinates are read mod 2
         gens.extend(
-            tuple(2 if i == len(free) + j else 0 for i in range(dim))
-            for j in range(len(fixed))
+            tuple(2 if i == k else 0 for i in range(dim)) for k in range(ground.nfree, dim)
         )
         lattices[rep] = IntegerLattice(dim, gens)
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .algebra import InvolutiveAlphabet
+from .moves import CAP_KEYS
 from .words import Nanophrase, Nanoword
 
 
@@ -187,12 +188,6 @@ def _split_bars(token: str) -> list[str]:
 
 def parse_caps_option(text: str) -> dict[str, int]:
     out = {}
-    mapping = {
-        "k": "max_k",
-        "letters": "max_letters",
-        "bfs": "bfs_length",
-        "nodes": "bfs_nodes",
-    }
     for chunk in text.split(","):
         if not chunk.strip():
             continue
@@ -200,12 +195,12 @@ def parse_caps_option(text: str) -> dict[str, int]:
             raise ParseError(None, f"--caps expects key=value, got {chunk!r}")
         key, value = chunk.split("=", 1)
         key = key.strip()
-        if key not in mapping:
+        if key not in CAP_KEYS:
             raise ParseError(None, f"unknown --caps key {key!r}")
         try:
-            out[mapping[key]] = int(value)
+            out[CAP_KEYS[key]] = int(value)
         except ValueError:
             raise ParseError(None, f"--caps key {key!r} expects an integer, got {value!r}") from None
-        if out[mapping[key]] < 1:
+        if out[CAP_KEYS[key]] < 1:
             raise ParseError(None, f"--caps key {key!r} must be at least 1, got {value!r}")
     return out

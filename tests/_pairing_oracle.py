@@ -11,9 +11,10 @@ per matching, ranked or checked leaf by leaf.
 
 import itertools
 import operator
+from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from nanocob.algebra import PhiSpec, PiElement
+from nanocob.algebra import RATIONALS, AlphabetError, PhiSpec, PiElement
 from nanocob.pairings import (
     AlphaPairing,
     PairingError,
@@ -24,7 +25,6 @@ from nanocob.pairings import (
     _gram_rank,
     _matching_terms,
     _matchings,
-    _phi_scalar,
     _weak_tables,
 )
 
@@ -144,7 +144,7 @@ def product_tuple_genus(pairings: Sequence[AlphaPairing], phi: PhiSpec, s_bound:
     candidate ranked until one has rank 0."""
     space = TupleSpace(tuple(pairings))
     best: Optional[int] = None
-    for terms, keys, _, _ in product_weak_search(space, s_bound, [_phi_scalar(phi, space.ground)]):
+    for terms, keys, _, _ in product_weak_search(space, s_bound, [phi.scalar(space.ground)]):
         rank = _gram_rank(phi, _gram(terms[0], keys))
         if best is None or rank < best:
             best = rank
@@ -152,3 +152,92 @@ def product_tuple_genus(pairings: Sequence[AlphaPairing], phi: PhiSpec, s_bound:
                 break
     assert best is not None
     return best
+
+
+# ---------------------------------------------------------------------------
+# sparse value arithmetic
+#
+# The arithmetic ``PiElement`` used before it stored its coordinate tuple:
+# a value is the pair ``(free, torsion)`` of its nonzero free-orbit
+# coefficients and its set fixed points, each sorted by declaration index,
+# and every operation goes back through ``sparse_make``.
+
+SparseValue = tuple[tuple[tuple[str, int], ...], tuple[str, ...]]
+
+
+def sparse_make(alphabet, free=(), torsion=()) -> SparseValue:
+    idx = alphabet.index
+    fr = {r: c for r, c in dict(free).items() if c != 0}
+    for r in fr:
+        if alphabet.orbit_rep(r) != r or alphabet.is_fixed(r):
+            raise AlphabetError(f"{r!r} is not a free orbit representative")
+    tor = set()
+    for r in torsion:
+        if not alphabet.is_fixed(r):
+            raise AlphabetError(f"{r!r} is not a fixed point")
+        tor.symmetric_difference_update({r})
+    return (
+        tuple(sorted(fr.items(), key=lambda kv: idx(kv[0]))),
+        tuple(sorted(tor, key=idx)),
+    )
+
+
+def sparse_of_letter(alphabet, symbol: str) -> SparseValue:
+    symbol = alphabet.check(symbol)
+    if alphabet.is_fixed(symbol):
+        return sparse_make(alphabet, {}, (symbol,))
+    rep = alphabet.orbit_rep(symbol)
+    return sparse_make(alphabet, {rep: 1 if symbol == rep else -1})
+
+
+def sparse_add(alphabet, x: SparseValue, y: SparseValue) -> SparseValue:
+    acc = dict(x[0])
+    for r, c in y[0]:
+        acc[r] = acc.get(r, 0) + c
+    tor = set(x[1])
+    tor.symmetric_difference_update(y[1])
+    return sparse_make(alphabet, acc, tor)
+
+
+def sparse_neg(alphabet, x: SparseValue) -> SparseValue:
+    return sparse_make(alphabet, {r: -c for r, c in x[0]}, x[1])
+
+
+def sparse_sub(alphabet, x: SparseValue, y: SparseValue) -> SparseValue:
+    return sparse_add(alphabet, x, sparse_neg(alphabet, y))
+
+
+def sparse_scaled(alphabet, x: SparseValue, k: int) -> SparseValue:
+    return sparse_make(alphabet, {r: k * c for r, c in x[0]}, x[1] if k % 2 else ())
+
+
+def sparse_format(alphabet, x: SparseValue, torsion_suffix: bool = False) -> str:
+    if not x[0] and not x[1]:
+        return "0"
+    terms = []
+    free = dict(x[0])
+    tor = set(x[1])
+    for a in alphabet.symbols:
+        if a in free:
+            c = free[a]
+            mag = "" if abs(c) == 1 else str(abs(c))
+            terms.append(("-" if c < 0 else "+") + mag + a)
+        elif a in tor:
+            terms.append("+" + a + ("(2)" if torsion_suffix else ""))
+    out = "".join(terms)
+    return out[1:] if out.startswith("+") else out
+
+
+def sparse_apply(phi: PhiSpec, x: SparseValue):
+    vals = dict(phi.values)
+    if phi.target == RATIONALS:
+        acc = Fraction(0)
+        for rep, c in x[0]:
+            acc += c * vals[rep]
+        return acc  # torsion bits map to 0 over the rationals
+    acc = 0
+    for rep, c in x[0]:
+        acc = (acc + c * vals[rep]) % phi.prime
+    for rep in x[1]:
+        acc = (acc + vals[rep]) % phi.prime
+    return acc

@@ -18,6 +18,8 @@ from nanocob.algebra import (
 )
 from nanocob.explorer import random_pi_element
 
+import _pairing_oracle as oracle
+
 
 class TestAlphabet:
     def test_involution_must_square_to_identity(self):
@@ -248,3 +250,73 @@ class TestPhiSpec:
                 PhiSpec.rationals(two_free, {key: 1})
             with pytest.raises(PhiSpecError):
                 PhiSpec.prime_field(mixed, 3, {key: 1})
+
+
+class TestSparseOracle:
+    """``PiElement`` against the sparse ``(free, torsion)`` arithmetic it
+    replaced (tests/_pairing_oracle.py)."""
+
+    @staticmethod
+    def grounds(two_free, mixed):
+        fixed = InvolutiveAlphabet.build(("c", "d"), {"c": "c", "d": "d"})
+        # fixed points declared before and after the free orbit
+        interleaved = InvolutiveAlphabet.build(
+            ("c", "a", "A", "d"), {"a": "A", "A": "a", "c": "c", "d": "d"}
+        )
+        return (two_free, fixed, mixed, interleaved)
+
+    @staticmethod
+    def random_args(rng, ground):
+        free = {rep: rng.randint(-3, 3) for rep in ground.free_reps() if rng.random() < 0.7}
+        fixed = ground.fixed_reps()
+        torsion = [rng.choice(fixed) for _ in range(rng.randint(0, 3))] if fixed else []
+        return free, torsion
+
+    def test_operations_agree(self, two_free, mixed):
+        rng = random.Random(62)
+        for ground in self.grounds(two_free, mixed):
+            values = {}
+            for _ in range(60):
+                args_x, args_y = self.random_args(rng, ground), self.random_args(rng, ground)
+                x, y = PiElement.make(ground, *args_x), PiElement.make(ground, *args_y)
+                sx, sy = oracle.sparse_make(ground, *args_x), oracle.sparse_make(ground, *args_y)
+                k = rng.randint(-3, 3)
+                pairs = (
+                    (x, sx),
+                    (x + y, oracle.sparse_add(ground, sx, sy)),
+                    (-x, oracle.sparse_neg(ground, sx)),
+                    (x - y, oracle.sparse_sub(ground, sx, sy)),
+                    (x.scaled(k), oracle.sparse_scaled(ground, sx, k)),
+                )
+                for value, sparse in pairs:
+                    assert (value.free, value.torsion) == sparse
+                    assert value.is_zero() == (sparse == ((), ()))
+                    for suffix in (False, True):
+                        assert value.format(torsion_suffix=suffix) == oracle.sparse_format(
+                            ground, sparse, suffix
+                        )
+                    values[value] = sparse
+                assert (x == y) == (sx == sy)
+            for symbol in ground.symbols:
+                value = PiElement.of_letter(ground, symbol)
+                assert (value.free, value.torsion) == oracle.sparse_of_letter(ground, symbol)
+            # equal values hash alike and unequal ones stay apart
+            assert len(set(values.values())) == len(values)
+            assert all(PiElement.make(ground, dict(s[0]), s[1]) in values for s in values.values())
+
+    def test_apply_agrees(self, two_free, mixed):
+        rng = random.Random(63)
+        for ground in self.grounds(two_free, mixed):
+            free, fixed = ground.free_reps(), ground.fixed_reps()
+            phis = (
+                PhiSpec.rationals(
+                    ground, {r: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for r in free}
+                ),
+                PhiSpec.prime_field(ground, 2, {r: rng.randint(0, 1) for r in free + fixed}),
+                PhiSpec.prime_field(ground, 3, {r: rng.randint(0, 2) for r in free}),
+            )
+            for _ in range(40):
+                args = self.random_args(rng, ground)
+                x, sx = PiElement.make(ground, *args), oracle.sparse_make(ground, *args)
+                for phi in phis:
+                    assert phi.apply(x) == oracle.sparse_apply(phi, sx)

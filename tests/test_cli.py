@@ -1,10 +1,13 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import os
 import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nanocob.cli import build_parser, main
 from nanocob.parsing import ParseError, parse_caps_option, parse_input
@@ -501,6 +504,21 @@ class TestCommands:
         assert code == 0
         assert "hyperbolic\tyes" in capsys.readouterr().out
 
+    def test_inline_values_are_never_opened(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        alphabet = "alphabet: a x;tau: a<->x"
+        for name in ("ABAB", alphabet):
+            (tmp_path / name).write_text("not a word\n")
+        # text with ':' or ';', and --word next to --proj, are inline
+        code = main(["invariants", "--alphabet", alphabet, "--word", "ABAB", "--proj", "A=a B=x"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert captured.out.startswith("word\tA B A B\n")
+        # any other value names a file when one exists
+        (tmp_path / "AA").write_text(ALPHABET + "word: A A\nproj: A=a\n")
+        assert main(["invariants", "--word", "AA"]) == 0
+        assert "hyperbolic\tyes" in capsys.readouterr().out
+
     def test_phrase_invariants(self, capsys):
         code = main(
             [
@@ -583,6 +601,92 @@ def test_readme_table_bytes(capsys, label, half_length):
     assert main(argv + ["--format", "csv", *extra]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == README_TABLE_SHA256[label, half_length]
+
+
+# `invariants` on one free orbit plus a fixed point, whose u-polynomials
+# hold torsion monomials such as [a+c]; text and CSV, byte for byte.
+MIXED_ALPHABET = "alphabet: a x c;tau: a<->x c<->c"
+MIXED_INVARIANTS = {
+    ("ABACBC", "A=a B=a C=c", "text"): (
+        "word\tA B A C B C\n"
+        "gamma\ta c a^-1 c\n"
+        "gamma-class\ta^-1 c a c\n"
+        "u\tu(a)=[a]-[a+c], u(c)=[a]\n"
+        "sigma\tphi[Q](a=1,c=0)\t1\n"
+        "hyperbolic\tno\n"
+        "r\t0\n"
+    ),
+    ("ABACBC", "A=a B=a C=c", "csv"): (
+        "word,A B A C B C\n"
+        "gamma,a c a^-1 c\n"
+        "gamma-class,a^-1 c a c\n"
+        'u,"u(a)=[a]-[a+c], u(c)=[a]"\n'
+        'sigma,"phi[Q](a=1,c=0)",1\n'
+        "hyperbolic,no\n"
+        "r,0\n"
+    ),
+    ("ABCADBCD", "A=a B=a C=c D=c", "text"): (
+        "word\tA B C A D B C D\n"
+        "gamma\ta^2 c a^-1 c a^-1\n"
+        "gamma-class\ta^-1 c a c\n"
+        "u\tu(a)=-[a]+[a+c], u(c)=[a+c]+[2a+c]\n"
+        "sigma\tphi[Q](a=1,c=0)\t1\n"
+        "hyperbolic\tno\n"
+        "r\t0\n"
+    ),
+    ("ABCADBCD", "A=a B=a C=c D=c", "csv"): (
+        "word,A B C A D B C D\n"
+        "gamma,a^2 c a^-1 c a^-1\n"
+        "gamma-class,a^-1 c a c\n"
+        'u,"u(a)=-[a]+[a+c], u(c)=[a+c]+[2a+c]"\n'
+        'sigma,"phi[Q](a=1,c=0)",1\n'
+        "hyperbolic,no\n"
+        "r,0\n"
+    ),
+    ("ABACDBCD", "A=a B=x C=x D=c", "text"): (
+        "word\tA B A C D B C D\n"
+        "gamma\ta^-2 c a^2 c\n"
+        "gamma-class\ta^-2 c a^2 c\n"
+        "u\tu(a)=-[a]-[a+c]+[2a+c], u(c)=[2a]\n"
+        "sigma\tphi[Q](a=1,c=0)\t1\n"
+        "hyperbolic\tno\n"
+        "r\t0\n"
+    ),
+    ("ABACDBCD", "A=a B=x C=x D=c", "csv"): (
+        "word,A B A C D B C D\n"
+        "gamma,a^-2 c a^2 c\n"
+        "gamma-class,a^-2 c a^2 c\n"
+        'u,"u(a)=-[a]-[a+c]+[2a+c], u(c)=[2a]"\n'
+        'sigma,"phi[Q](a=1,c=0)",1\n'
+        "hyperbolic,no\n"
+        "r,0\n"
+    ),
+    ("ABCADCBD", "A=a B=x C=c D=c", "text"): (
+        "word\tA B C A D C B D\n"
+        "gamma\t1\n"
+        "gamma-class\t1\n"
+        "u\tu(a)=0, u(c)=0\n"
+        "sigma\tphi[Q](a=1,c=0)\t0\n"
+        "hyperbolic\tyes\n"
+        "r\t0\n"
+    ),
+    ("ABCADCBD", "A=a B=x C=c D=c", "csv"): (
+        "word,A B C A D C B D\n"
+        "gamma,1\n"
+        "gamma-class,1\n"
+        'u,"u(a)=0, u(c)=0"\n'
+        'sigma,"phi[Q](a=1,c=0)",0\n'
+        "hyperbolic,yes\n"
+        "r,0\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("word,proj,fmt", sorted(MIXED_INVARIANTS))
+def test_mixed_alphabet_invariants_pinned(capsys, word, proj, fmt):
+    argv = ["invariants", "--alphabet", MIXED_ALPHABET, "--word", word, "--proj", proj]
+    assert main(argv + ["--format", fmt]) == 0
+    assert capsys.readouterr().out == MIXED_INVARIANTS[word, proj, fmt]
 
 
 # The options each subcommand reads; the parser declares these and no others.
@@ -709,3 +813,77 @@ def test_readme_command_runs(capsys, argv):
     if argv[0] == "verify" or "--replay" in argv:
         return
     assert main(argv) == 0
+
+
+# Fuzzing the command line: valid inputs with random text in some of their
+# options, and fragments of valid input mixed into the random text, so that
+# the parsers get past their first line.
+FUZZ_BASES = (
+    {"alphabet": "alphabet: a x;tau: a<->x", "word": "ABAB", "proj": "A=a B=x"},
+    {"alphabet": "alphabet: a x c;tau: a<->x c<->c", "word": "ABACBC", "proj": "A=a B=a C=c"},
+    {"alphabet": "alphabet: a b;tau: a<->b b<->a", "word": "phrase: A B | B A;proj: A=a B=b"},
+)
+FUZZ_FRAGMENTS = {
+    "alphabet": ("alphabet: a x;tau: a<->x", "alphabet: a x c;tau: a<->x c<->c", "alphabet: a"),
+    "word": ("ABAB", "AABB", "ABCACB", "word: A B A B;proj: A=a B=x"),
+    "proj": ("A=a B=x", "A=a B=a C=c", "A=x"),
+    "caps": ("k=2", "letters=3,bfs=6", "nodes=0", "bfs"),
+    "phi": ("all", "a=1", "a=1,c=1", "a=x"),
+}
+
+
+def fuzz_text(option: str):
+    fragments = st.sampled_from(FUZZ_FRAGMENTS[option])
+    noise = st.text(max_size=16)
+    return st.one_of(noise, fragments, st.builds(str.__add__, fragments, noise))
+
+
+FUZZ_PHRASE = st.builds(
+    "phrase: {};proj: {}".format,
+    st.one_of(st.text(max_size=12), st.sampled_from(("A B | B A", "A | A", "A A |"))),
+    fuzz_text("proj"),
+)
+# each command with the options it gets; every search stops at 20 nodes
+FUZZ_COMMANDS = {
+    "invariants": ("alphabet", "word", "proj", "phi"),
+    "pairing": ("alphabet", "word", "proj"),
+    "moves": ("alphabet", "word", "proj", "caps"),
+    "check-slice": ("alphabet", "word", "proj", "phi"),
+}
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    command=st.sampled_from(sorted(FUZZ_COMMANDS)),
+    base=st.sampled_from(FUZZ_BASES),
+    fuzzed=st.fixed_dictionaries(
+        {},
+        optional={
+            **{option: fuzz_text(option) for option in FUZZ_FRAGMENTS},
+            "phrase": FUZZ_PHRASE,
+        },
+    ),
+)
+def test_fuzzed_command_line_exits_cleanly(tmp_path, monkeypatch, command, base, fuzzed):
+    """Random option text exits 0 or 2, with at most one line on stderr
+    and no exception out of ``main``."""
+    monkeypatch.chdir(tmp_path)
+    values = {**base, **fuzzed}
+    if "phrase" in values:
+        values["word"] = values.pop("phrase")
+    argv = [command] + [f"--{option}={values[option]}" for option in FUZZ_COMMANDS[command]
+                        if option in values]
+    if command == "moves":
+        argv.append(f"--caps=nodes=20,{values.get('caps', '')}")
+    if command == "check-slice":
+        argv.append("--caps=nodes=20")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse reports a bad command line this way
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
