@@ -29,17 +29,12 @@ from .moves import (
     Metamorphosis,
     Move,
     enumerate_bridges,
-    enumerate_even_symmetric_factors,
-    find_h1_sites,
-    find_h2_sites,
-    find_h3_sites,
+    site_moves,
 )
 from .pairings import (
     enumerate_fillings,
     filling_is_annihilating,
     format_vector,
-    genus,
-    is_hyperbolic,
     pairing_of_nanoword,
     phi_sign_battery,
 )
@@ -239,12 +234,7 @@ def cmd_moves(args) -> int:
     # moves of the canonical form, the word a replay starts from, so that
     # every listed line replays as a one-line log
     start = w.canonical_form()
-    moves = find_h1_sites(start) + find_h2_sites(start) + find_h3_sites(start)
-    moves += [
-        Move("SURG", (f.letters, f.segments))
-        for f in enumerate_even_symmetric_factors(start, caps.max_letters, caps.max_k)
-    ]
-    lines = [move.to_line() for move in moves]
+    lines = [move.to_line() for move in site_moves(start, caps)]
     bridges = enumerate_bridges(start, caps.max_letters, caps.max_k)
     lines.append(f"bridges\t{len(bridges)}")
     lines += [

@@ -2,7 +2,7 @@
 
 Three homotopy rewrites, deletion of even symmetric factors (surgery),
 deletion of bridges (factors with a segment involution), circular
-shifts, and a breadth-first explorer that works on canonical forms.
+shifts, and a breadth-first explorer whose states are canonical keys.
 The inverse-surgery side of the search inserts factors from a small
 template list, since arbitrary insertions are an infinite move space.
 """
@@ -709,111 +709,97 @@ def _insertion_templates(ground: InvolutiveAlphabet) -> list[tuple[tuple, tuple[
     return out
 
 
-HOMOTOPY = "homotopy"
-SURGERY = "surgery"
-INSERTION = "insertion"
-SHIFT = "shift"
-DEFAULT_REPERTOIRE = (HOMOTOPY, SURGERY, INSERTION)
+def site_moves(w: Nanoword, caps: Caps = DEFAULT_CAPS) -> Iterator[Move]:
+    """The moves at the sites of ``w``, in search order: H1, H2, H3,
+    inverse H3, then one surgery per even symmetric factor within the
+    caps."""
+    yield from find_h1_sites(w)
+    yield from find_h2_sites(w)
+    yield from find_h3_sites(w)
+    yield from find_h3_sites(w, inverse=True)
+    for factor in enumerate_even_symmetric_factors(w, caps.max_letters, caps.max_k):
+        yield Move("SURG", (factor.letters, factor.segments))
 
 
 def neighbors(
     w: Nanoword,
     caps: Caps = DEFAULT_CAPS,
-    repertoire: Sequence[str] = DEFAULT_REPERTOIRE,
     extra_templates: Sequence[tuple[tuple, tuple[str, ...]]] = (),
 ) -> Iterator[tuple[Move, Nanoword]]:
+    """Each move the search takes from ``w`` with its result: the site
+    moves, then the template insertions that stay within the length cap."""
+    for move in site_moves(w, caps):
+        yield move, move.apply(w)
     max_len = caps.length_cap(w.length)
-    if HOMOTOPY in repertoire:
-        for move in find_h1_sites(w):
-            yield move, move.apply(w)
-        for move in find_h2_sites(w):
-            yield move, move.apply(w)
-        for move in find_h3_sites(w):
-            yield move, move.apply(w)
-        for move in find_h3_sites(w, inverse=True):
-            yield move, move.apply(w)
-    if SURGERY in repertoire:
-        for factor in enumerate_even_symmetric_factors(w, caps.max_letters, caps.max_k):
-            move = Move("SURG", (factor.letters, factor.segments))
-            yield move, apply_surgery(w, factor)
-    if INSERTION in repertoire:
-        templates = list(_insertion_templates(w.ground)) + list(extra_templates)
-        for words, proj in templates:
-            total = sum(len(word) for word in words)
-            if w.length + total > max_len:
-                continue
-            slots = itertools.combinations_with_replacement(
-                range(w.length + 1), len(words)
-            )
-            for positions in slots:
-                move = Move("INS", (words, proj, positions), inverse=True)
-                yield move, insert_phrase(w, words, proj, positions)
-    if SHIFT in repertoire and w.length:
-        yield Move("SHIFT", ()), w.circular_shift()
+    for words, proj in _insertion_templates(w.ground) + list(extra_templates):
+        total = sum(len(word) for word in words)
+        if w.length + total > max_len:
+            continue
+        slots = itertools.combinations_with_replacement(
+            range(w.length + 1), len(words)
+        )
+        for positions in slots:
+            move = Move("INS", (words, proj, positions), inverse=True)
+            yield move, insert_phrase(w, words, proj, positions)
 
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    status: str  # "equivalent" or "unknown"
-    metamorphosis: Optional[Metamorphosis]
+    metamorphosis: Optional[Metamorphosis]  # None when the caps ran out first
     explored: int
     min_length: int
     reached: AbstractSet[tuple]  # canonical keys of every state discovered
 
     @property
     def equivalent(self) -> bool:
-        return self.status == "equivalent"
+        return self.metamorphosis is not None
 
 
 def bounded_bfs(
     w: Nanoword,
     v: Optional[Nanoword],
     caps: Caps = DEFAULT_CAPS,
-    repertoire: Sequence[str] = DEFAULT_REPERTOIRE,
     extra_templates: Sequence[tuple[tuple, tuple[str, ...]]] = (),
 ) -> SearchOutcome:
     """Search move sequences from ``w``; with a target ``v`` stop when its
-    isomorphism class is reached, otherwise exhaust the caps.  An
-    "unknown" outcome is never a proof of inequivalence."""
-    start = w.canonical_form()
-    target_key = v.canonical_key() if v is not None else None
-    parents: dict[tuple, Optional[tuple[tuple, Move]]] = {start.canonical_key(): None}
-    state_words = {start.canonical_key(): start}
-    min_length = start.length
+    isomorphism class is reached, otherwise exhaust the caps.  An outcome
+    without a metamorphosis is never a proof of inequivalence.
 
-    def witness(key: tuple) -> Metamorphosis:
-        moves = []
-        while parents[key] is not None:
-            key, move = parents[key]
-            moves.append(move)
-        return Metamorphosis(tuple(reversed(moves)))
+    A state is a canonical key; its word is built only when it is
+    expanded."""
+    start = w.canonical_key()
+    target = v.canonical_key() if v is not None else None
+    parents: dict[tuple, Optional[tuple[tuple, Move]]] = {start: None}
 
-    if target_key is not None and start.canonical_key() == target_key:
-        return SearchOutcome(
-            "equivalent", Metamorphosis(()), 1, min_length, parents.keys()
-        )
+    def outcome(found: Optional[tuple], explored: int) -> SearchOutcome:
+        meta = None
+        if found is not None:
+            moves = []
+            while parents[found] is not None:
+                found, move = parents[found]
+                moves.append(move)
+            meta = Metamorphosis(tuple(reversed(moves)))
+        min_length = min(len(seq) for seq, _ in parents)
+        return SearchOutcome(meta, explored, min_length, parents.keys())
 
-    queue = deque([start.canonical_key()])
+    if start == target:
+        return outcome(start, 1)
+    queue = deque([start])
     explored = 0
-    max_len = caps.length_cap(start.length)
+    max_len = caps.length_cap(w.length)
     scoped = replace(caps, bfs_length=max_len)
     while queue and explored < caps.bfs_nodes:
         key = queue.popleft()
         explored += 1
-        current = state_words[key]
-        for move, result in neighbors(current, scoped, repertoire, extra_templates):
+        current = Nanoword.from_key(w.ground, key)
+        for move, result in neighbors(current, scoped, extra_templates):
             if result.length > max_len:
                 continue
-            ckey = result.canonical_key()
-            if ckey in parents:
+            child = result.canonical_key()
+            if child in parents:
                 continue
-            child = result.canonical_form()
-            parents[ckey] = (key, move)
-            state_words[ckey] = child
-            min_length = min(min_length, child.length)
-            if target_key is not None and ckey == target_key:
-                return SearchOutcome(
-                    "equivalent", witness(ckey), explored, min_length, parents.keys()
-                )
-            queue.append(ckey)
-    return SearchOutcome("unknown", None, explored, min_length, parents.keys())
+            parents[child] = (key, move)
+            if child == target:
+                return outcome(child, explored)
+            queue.append(child)
+    return outcome(None, explored)

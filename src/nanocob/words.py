@@ -138,9 +138,14 @@ class Nanoword:
             proj[new] = self.proj[old]
         return (tuple(seq), tuple(proj))
 
+    @staticmethod
+    def from_key(ground: InvolutiveAlphabet, key: tuple) -> "Nanoword":
+        """The canonical form whose ``canonical_key`` is ``key``."""
+        seq, proj = key
+        return Nanoword(ground, seq, proj, _default_names(len(proj)))
+
     def canonical_form(self) -> "Nanoword":
-        seq, proj = self.canonical_key()
-        return Nanoword(self.ground, seq, proj, _default_names(len(proj)))
+        return Nanoword.from_key(self.ground, self.canonical_key())
 
     def is_isomorphic(self, other: "Nanoword") -> bool:
         return self.ground == other.ground and self.canonical_key() == other.canonical_key()

@@ -4,10 +4,22 @@ as test oracles.
 Surgery factors used to be every factor within the caps with even
 segments, kept when ``mirror_witness`` accepts it.  The second and third
 homotopy moves used to be found by scanning every pair and triple of
-positions.
+positions.  The bounded search used to store a canonical word beside the
+key of every state it discovered.
 """
 
-from nanocob.moves import Move, _h3_positions, enumerate_factors
+from collections import deque
+from dataclasses import replace
+
+from nanocob.moves import (
+    DEFAULT_CAPS,
+    Metamorphosis,
+    Move,
+    SearchOutcome,
+    _h3_positions,
+    enumerate_factors,
+    neighbors,
+)
 from nanocob.words import mirror_witness
 
 
@@ -40,3 +52,44 @@ def h3_sites_by_scan(w, inverse=False):
                 if _h3_positions(w, i, j, k, forward=not inverse):
                     sites.append(Move("H3", (i, j, k), inverse=inverse))
     return sites
+
+
+def bfs_storing_words(w, v, caps=DEFAULT_CAPS, extra_templates=()):
+    start = w.canonical_form()
+    target_key = v.canonical_key() if v is not None else None
+    parents = {start.canonical_key(): None}
+    state_words = {start.canonical_key(): start}
+    min_length = start.length
+
+    def witness(key):
+        moves = []
+        while parents[key] is not None:
+            key, move = parents[key]
+            moves.append(move)
+        return Metamorphosis(tuple(reversed(moves)))
+
+    if target_key is not None and start.canonical_key() == target_key:
+        return SearchOutcome(Metamorphosis(()), 1, min_length, parents.keys())
+
+    queue = deque([start.canonical_key()])
+    explored = 0
+    max_len = caps.length_cap(start.length)
+    scoped = replace(caps, bfs_length=max_len)
+    while queue and explored < caps.bfs_nodes:
+        key = queue.popleft()
+        explored += 1
+        current = state_words[key]
+        for move, result in neighbors(current, scoped, extra_templates):
+            if result.length > max_len:
+                continue
+            ckey = result.canonical_key()
+            if ckey in parents:
+                continue
+            child = result.canonical_form()
+            parents[ckey] = (key, move)
+            state_words[ckey] = child
+            min_length = min(min_length, child.length)
+            if target_key is not None and ckey == target_key:
+                return SearchOutcome(witness(ckey), explored, min_length, parents.keys())
+            queue.append(ckey)
+    return SearchOutcome(None, explored, min_length, parents.keys())

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nanocob.cli import build_parser, main
+from nanocob.cli import _load_word, build_parser, main
+from nanocob.moves import neighbors
 from nanocob.parsing import ParseError, parse_caps_option, parse_input
 from nanocob.words import Nanophrase, Nanoword
 
@@ -331,6 +332,32 @@ class TestCommands:
                 log.write_text(line + "\n")
                 assert main(base + ["--replay", str(log)]) == 0, line
                 assert capsys.readouterr().err == ""
+
+    INV_H3_WORD = ["moves", "--alphabet", "alphabet: a x;tau: a<->x", "--word", "BACACB",
+                   "--proj", "A=a B=a C=a"]
+
+    def test_moves_lists_inverse_third_moves(self, capsys):
+        assert main(self.INV_H3_WORD) == 0
+        assert "INV H3@0,2,4" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("word", ["BACACB", "ABBA"])
+    def test_every_listed_move_replays(self, capsys, tmp_path, word):
+        """The listing holds every move the search takes at a site of the
+        word, then the bridges; each of its move lines replays as a
+        one-line log."""
+        proj = {"BACACB": "A=a B=a C=a", "ABBA": "A=a B=x"}[word]
+        base = ["moves", "--alphabet", "alphabet: a x;tau: a<->x", "--word", word,
+                "--proj", proj]
+        assert main(base) == 0
+        moves = [line for line in capsys.readouterr().out.splitlines() if "\t" not in line]
+        start = _load_word(build_parser().parse_args(base)).canonical_form()
+        searched = [m.to_line() for m, _ in neighbors(start) if m.kind != "INS"]
+        assert searched and moves[: len(searched)] == searched
+        log = tmp_path / "move.log"
+        for line in moves:
+            log.write_text(line + "\n")
+            assert main(base + ["--replay", str(log)]) == 0, line
+            assert capsys.readouterr().err == ""
 
     def test_replay_missing_log_file(self, capsys, tmp_path):
         code = main(

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from nanocob.algebra import InvolutiveAlphabet
 from nanocob.moves import (
-    DEFAULT_REPERTOIRE,
-    SHIFT,
+    DEFAULT_CAPS,
     Caps,
     Factor,
     Metamorphosis,
@@ -31,6 +30,7 @@ from nanocob.explorer import length_norm_bounds, random_nanoword
 from nanocob.words import Nanoword, SymmetryWitness, WordError, mirror_witness
 
 from _move_oracle import (
+    bfs_storing_words,
     even_symmetric_factors_by_filter,
     h2_sites_by_scan,
     h3_sites_by_scan,
@@ -483,7 +483,7 @@ def test_move_lines_round_trip(alphabet, letters, seed):
     w = random_nanoword(random.Random(seed), ALPHABETS[alphabet], letters)
     w = w.canonical_form()
     caps = Caps(max_letters=3, max_k=3)
-    moves = [m for m, _ in neighbors(w, caps, DEFAULT_REPERTOIRE + (SHIFT,))]
+    moves = [m for m, _ in neighbors(w, caps)] + [Move("SHIFT", ())]
     moves += [
         Move("BRIDGE", (b.factor.letters, b.factor.segments, b.kappa), arches=b.arches)
         for b in enumerate_bridges(w, caps.max_letters, caps.max_k)
@@ -494,22 +494,53 @@ def test_move_lines_round_trip(alphabet, letters, seed):
     assert Metamorphosis.from_log(meta.to_log()) == meta
 
 
+# The alphabets of the check-slice benchmark: one free orbit, two free
+# orbits, one free orbit plus a fixed point.
+BENCHMARK_ALPHABETS = (
+    InvolutiveAlphabet.fixed_point_free(("a",), ("x",)),
+    InvolutiveAlphabet.fixed_point_free(("a", "b"), ("x", "y")),
+    InvolutiveAlphabet.build(("a", "x", "c"), {"a": "x", "x": "a", "c": "c"}),
+)
+
+
+class TestSearchOracle:
+    """The key-only search against the loop it replaced, which stored a
+    canonical word for every state it discovered."""
+
+    @pytest.mark.parametrize(
+        "caps, max_letters",
+        [(DEFAULT_CAPS, 2), (Caps(bfs_nodes=60), 4), (Caps(bfs_nodes=5, bfs_length=4), 6)],
+        ids=["default", "nodes-60", "starved"],
+    )
+    def test_matches_word_storing_search(self, caps, max_letters):
+        rng = random.Random(31)
+        found = 0
+        for trial in range(18):
+            ground = BENCHMARK_ALPHABETS[trial % 3]
+            w = random_nanoword(rng, ground, rng.randint(0, max_letters))
+            for v in (Nanoword.empty(ground), None):
+                ours = bounded_bfs(w, v, caps)
+                theirs = bfs_storing_words(w, v, caps)
+                assert ours.equivalent == theirs.equivalent
+                assert ours.explored == theirs.explored
+                assert ours.min_length == theirs.min_length
+                assert set(ours.reached) == set(theirs.reached)
+                if ours.equivalent:
+                    found += 1
+                    assert ours.metamorphosis.to_log() == theirs.metamorphosis.to_log()
+        assert found >= 3
+
+
 class TestShiftRepertoire:
     def test_shift_connects_rotations(self, two_free, word_factory):
-        from nanocob.moves import SHIFT, HOMOTOPY, SURGERY, INSERTION
-
+        """A one-line SHIFT log connects a word with its rotation; the
+        search takes no shifts, so it does not."""
         w = word_factory(two_free, "ABAB", A="a", B="b")
         target = word_factory(two_free, "XYXY", X="b", Y="A")  # the shift image
-        no_shift = bounded_bfs(
-            w, target, Caps(bfs_nodes=200, bfs_length=6), (HOMOTOPY, SURGERY)
-        )
-        assert not no_shift.equivalent  # distinct cobordism classes
-        with_shift = bounded_bfs(
-            w, target, Caps(bfs_nodes=200, bfs_length=6), (HOMOTOPY, SURGERY, SHIFT)
-        )
-        assert with_shift.equivalent
-        assert [m.kind for m in with_shift.metamorphosis.moves] == ["SHIFT"]
-        assert with_shift.metamorphosis.replay(w).is_isomorphic(target)
+        out = bounded_bfs(w, target, Caps(bfs_nodes=200, bfs_length=6))
+        assert not out.equivalent  # distinct cobordism classes
+        shift = Metamorphosis.from_log("SHIFT")
+        assert shift.replay(w).is_isomorphic(target)
 
 
 class TestInsertValidation:
