@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 from .algebra import InvolutiveAlphabet, PhiSpec, PhiSpecError
 from .explorer import (
     ALL_SUITES,
+    MAX_HALF_LENGTH,
     classify,
     invariant_record,
     length_norm_bounds,
@@ -278,8 +279,11 @@ def cmd_verify(args) -> int:
             raise ParseError(
                 None, f"--suite: unknown suite {name!r}; choose 'all' or from {', '.join(ALL_SUITES)}"
             )
-    if args.max_half_length < 0:
-        raise ParseError(None, f"--max-half-length must be at least 0, got {args.max_half_length}")
+    if not 0 <= args.max_half_length <= MAX_HALF_LENGTH:
+        raise ParseError(
+            None,
+            f"--max-half-length must be between 0 and {MAX_HALF_LENGTH}, got {args.max_half_length}",
+        )
     failed = False
     for name in wanted:
         suite = ALL_SUITES[name]

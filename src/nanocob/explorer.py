@@ -85,6 +85,10 @@ def matching_to_word(
     )
 
 
+# Largest half-length enumerated without ``allow_large``.
+MAX_HALF_LENGTH = 6
+
+
 def enumerate_nanowords(
     half_length: int, ground: InvolutiveAlphabet, allow_large: bool = False
 ) -> list[Nanoword]:
@@ -94,7 +98,7 @@ def enumerate_nanowords(
     already its own canonical form and no two coincide."""
     if half_length < 0:
         raise EnumerationGuard("half-length must be nonnegative")
-    if not allow_large and (len(ground.symbols) > 3 or half_length > 6):
+    if not allow_large and (len(ground.symbols) > 3 or half_length > MAX_HALF_LENGTH):
         raise EnumerationGuard(
             "enumeration grows as (2n-1)!! * |alphabet|^n; pass allow_large=True"
         )

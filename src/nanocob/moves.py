@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import AbstractSet, Iterator, Optional, Sequence
 
 from .algebra import InvolutiveAlphabet
-from .words import Nanoword, WordError, mirror_witness
+from .words import Nanoword, WordError, fresh_names, mirror_witness
 
 
 @dataclass(frozen=True)
@@ -598,15 +598,8 @@ def insert_phrase(
     seq = list(w.seq)
     for word, pos in zip(reversed(words), reversed(positions)):
         seq[pos:pos] = [base + x for x in word]
-    names = list(w.names)
-    used = set(names)
-    for i in range(len(proj)):
-        fresh = f"N{base + i + 1}"
-        while fresh in used:
-            fresh += "'"
-        names.append(fresh)
-        used.add(fresh)
-    return Nanoword(w.ground, tuple(seq), w.proj + tuple(proj), tuple(names))
+    names = fresh_names((f"N{base + i + 1}" for i in range(len(proj))), w.names)
+    return Nanoword(w.ground, tuple(seq), w.proj + tuple(proj), w.names + names)
 
 
 def factor_is_well_formed(w: Nanoword, factor: Factor) -> bool:

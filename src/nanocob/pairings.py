@@ -27,7 +27,7 @@ from .algebra import (
     RATIONALS,
 )
 from .intlinalg import IntegerLattice, integer_rank, rank_mod_p, rational_rank
-from .words import Nanoword, WordError, mirror_witness
+from .words import Nanoword, WordError, fresh_names, mirror_witness
 
 
 class PairingError(ValueError):
@@ -151,15 +151,8 @@ def sum_pairings(p1: AlphaPairing, p2: AlphaPairing) -> AlphaPairing:
     rows = [head + p1.coords[0][1:] + p2.coords[0][1:]]
     rows += [row + pad for row in p1.coords[1:]]
     rows += [row[:1] + (zero,) * m1 + row[1:] for row in p2.coords[1:]]
-    names = list(p1.names)
-    used = set(names)
-    for n in p2.names:
-        fresh = n
-        while fresh in used:
-            fresh += "'"
-        names.append(fresh)
-        used.add(fresh)
-    return AlphaPairing(p1.ground, p1.proj + p2.proj, tuple(names), tuple(rows))
+    names = p1.names + fresh_names(p2.names, p1.names)
+    return AlphaPairing(p1.ground, p1.proj + p2.proj, names, tuple(rows))
 
 
 def r_of(p: AlphaPairing) -> PiElement:
@@ -924,10 +917,7 @@ def m_shift(p: AlphaPairing, letter: int, m: int) -> AlphaPairing:
     proj = list(p.proj)
     proj[letter - 1] = ground.tau(proj[letter - 1])
     names = list(p.names)
-    fresh = names[letter - 1] + "~"
-    while fresh in names:
-        fresh += "~"
-    names[letter - 1] = fresh
+    (names[letter - 1],) = fresh_names([names[letter - 1] + "~"], names, "~")
     return AlphaPairing(ground, tuple(proj), tuple(names), tuple(map(tuple, rows)))
 
 

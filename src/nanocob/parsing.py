@@ -37,9 +37,6 @@ class ParsedInput:
     alphabet: InvolutiveAlphabet
     items: tuple[Union[Nanoword, Nanophrase], ...]
 
-    def words(self) -> tuple[Nanoword, ...]:
-        return tuple(x for x in self.items if isinstance(x, Nanoword))
-
 
 def _tokens(value: str) -> list[str]:
     parts = value.split()
@@ -150,12 +147,7 @@ def parse_input(text: str, strict: bool = False) -> ParsedInput:
             if pending is not None:
                 raise ParseError(line_no, "previous word/phrase is missing its proj line")
             finish_alphabet(line_no)
-            tokens = value.split() if key == "phrase" else _tokens(value)
-            if key == "phrase":
-                expanded: list[str] = []
-                for t in tokens:
-                    expanded.extend(_split_bars(t))
-                tokens = expanded
+            tokens = value.replace("|", " | ").split() if key == "phrase" else _tokens(value)
             pending = (key, tokens, line_no)
         elif key == "proj":
             attach_projection(_parse_proj(value, line_no), line_no)
@@ -166,24 +158,6 @@ def parse_input(text: str, strict: bool = False) -> ParsedInput:
     if alphabet is None:
         finish_alphabet(len(text.splitlines()) or 1)
     return ParsedInput(alphabet, tuple(items))
-
-
-def _split_bars(token: str) -> list[str]:
-    if token == "|":
-        return ["|"]
-    out = []
-    buff = ""
-    for ch in token:
-        if ch == "|":
-            if buff:
-                out.append(buff)
-                buff = ""
-            out.append("|")
-        else:
-            buff += ch
-    if buff:
-        out.append(buff)
-    return out
 
 
 def parse_caps_option(text: str) -> dict[str, int]:

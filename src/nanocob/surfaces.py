@@ -3,10 +3,11 @@
 A nanoword over {+,-} determines a 4-valent graph (one vertex per
 letter, one edge per cyclically-consecutive pair of entries) with a
 rotation system read off the letter signs.  Thickening gives a compact
-oriented surface; its boundary circles are traced combinatorially and
-the genus follows from the Euler count.  The doubled-genus equals the
-rank of the tautological Gram matrix of the word's pairing, which is
-the module's cross-check.
+oriented surface.  The graph is stored as one permutation of its
+half-edges, and the boundary circles are the cycles of that
+permutation; the genus follows from the Euler count.  The doubled-genus
+equals the rank of the tautological Gram matrix of the word's pairing,
+which is the module's cross-check.
 """
 
 from __future__ import annotations
@@ -14,63 +15,47 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import InvolutiveAlphabet, PhiSpec
-from .pairings import genus_of_filling, pairing_of_nanoword, tautological_filling
+from .intlinalg import integer_rank
+from .pairings import pairing_of_nanoword
 from .words import Nanoword, WordError
 
-_ROT_PLUS = ("first_in", "second_in", "first_out", "second_out")
-_ROT_MINUS = ("first_in", "second_out", "first_out", "second_in")
+_SIGNS = InvolutiveAlphabet.plus_minus()
 
 
 def _require_signs(w: Nanoword) -> None:
-    pm = InvolutiveAlphabet.plus_minus()
-    if w.ground != pm:
+    if w.ground != _SIGNS:
         raise WordError("ribbon graphs need the {+,-} ground alphabet")
 
 
 @dataclass(frozen=True)
 class RibbonGraph:
-    """Rotation-system presentation of the thickened diagram.
+    """The thickened diagram as a permutation of half-edges.
 
-    ``attach`` maps (edge, end) to its vertex and slot; ends are 0 for
-    the tail (outgoing entry) and 1 for the head (incoming entry).
-    ``empty`` marks the annulus of the empty word.
+    Half-edge ``2t`` enters the vertex at word position ``t`` and
+    ``2t + 1`` leaves it; edge ``t`` joins ``2t + 1`` to
+    ``2((t + 1) % n)``.  ``faces`` crosses a half-edge's edge and turns
+    once in the rotation at the far end, so its cycles are the boundary
+    circles.
     """
 
     num_vertices: int
     num_edges: int
-    signs: tuple[str, ...]
-    attach: tuple[tuple[tuple[int, str], tuple[int, str]], ...]
-    empty: bool = False
-
-    def rotation_next(self, vertex: int, slot: str) -> str:
-        order = _ROT_PLUS if self.signs[vertex] == "+" else _ROT_MINUS
-        return order[(order.index(slot) + 1) % 4]
+    faces: tuple[int, ...]
 
     def boundary_components(self) -> int:
-        if self.empty:
-            return 2
-        at_slot = {}
-        for e, (tail, head) in enumerate(self.attach):
-            at_slot[tail] = (e, 0)
-            at_slot[head] = (e, 1)
-        location = {}
-        for e, (tail, head) in enumerate(self.attach):
-            location[(e, 0)] = tail
-            location[(e, 1)] = head
-        seen = set()
-        faces = 0
-        for start in location:
-            if start in seen:
+        if not self.faces:
+            return 2  # the empty word thickens to an annulus
+        seen = [False] * len(self.faces)
+        cycles = 0
+        for start in range(len(self.faces)):
+            if seen[start]:
                 continue
-            faces += 1
-            current = start
-            while current not in seen:
-                seen.add(current)
-                e, end = current
-                far = (e, 1 - end)
-                vertex, slot = location[far]
-                current = at_slot[(vertex, self.rotation_next(vertex, slot))]
-        return faces
+            cycles += 1
+            h = start
+            while not seen[h]:
+                seen[h] = True
+                h = self.faces[h]
+        return cycles
 
 
 @dataclass(frozen=True)
@@ -86,34 +71,27 @@ class SurfaceStats:
 
 def ribbon_graph_of(w: Nanoword) -> RibbonGraph:
     _require_signs(w)
-    n = w.length
-    if n == 0:
-        return RibbonGraph(0, 0, (), (), empty=True)
-    first_seen: dict[int, int] = {}
-    passage = []  # per position: is this the first or second entry
-    for t, x in enumerate(w.seq):
-        if x not in first_seen:
-            first_seen[x] = t
-            passage.append("first")
+    size = 2 * w.length
+    rotation = [0] * size
+    first: dict[int, int] = {}
+    for q, x in enumerate(w.seq):
+        p = first.setdefault(x, q)
+        if p == q:
+            continue
+        if w.proj[x] == "+":
+            cycle = (2 * p, 2 * q, 2 * p + 1, 2 * q + 1)
         else:
-            passage.append("second")
-    attach = []
-    for t in range(n):
-        u = (t + 1) % n
-        tail = (w.seq[t], f"{passage[t]}_out")
-        head = (w.seq[u], f"{passage[u]}_in")
-        attach.append((tail, head))
-    return RibbonGraph(
-        w.num_letters,
-        n,
-        tuple(w.proj),
-        tuple(attach),
+            cycle = (2 * p, 2 * q + 1, 2 * p + 1, 2 * q)
+        for i in range(4):
+            rotation[cycle[i - 1]] = cycle[i]
+    # the other end of h's edge is h + 1 when h leaves, h - 1 when it enters
+    faces = tuple(
+        rotation[(h + 1 if h % 2 else h - 1) % size] for h in range(size)
     )
+    return RibbonGraph(w.num_letters, w.length, faces)
 
 
 def surface_stats(graph: RibbonGraph) -> SurfaceStats:
-    if graph.empty:
-        return SurfaceStats(0, 2, 0)
     euler = graph.num_vertices - graph.num_edges
     boundary = graph.boundary_components()
     genus2 = 2 - boundary - euler
@@ -129,8 +107,11 @@ def phi_zero(ground: InvolutiveAlphabet) -> PhiSpec:
 
 def tautological_gram_rank(w: Nanoword) -> int:
     _require_signs(w)
+    # The tautological filling is the basis s, A, B, ..., so its Gram
+    # matrix is the pairing table itself; over {+,-} a value is one
+    # integer coordinate, and that integer is its image under phi_zero.
     p = pairing_of_nanoword(w)
-    return genus_of_filling(p, phi_zero(w.ground), tautological_filling(p)).twice
+    return integer_rank([[v for (v,) in row] for row in p.coords])
 
 
 def genus_rank_check(w: Nanoword) -> bool:

@@ -23,6 +23,21 @@ def _default_names(count: int) -> tuple[str, ...]:
     return tuple(f"L{i + 1}" for i in range(count))
 
 
+def fresh_names(
+    wanted: Iterable[str], used: Iterable[str], mark: str = "'"
+) -> tuple[str, ...]:
+    """Each wanted name, extended by ``mark`` until it clashes neither with
+    ``used`` nor with an earlier result."""
+    taken = set(used)
+    out = []
+    for name in wanted:
+        while name in taken:
+            name += mark
+        out.append(name)
+        taken.add(name)
+    return tuple(out)
+
+
 def _validate_letters(seq: Sequence[int], num_letters: int) -> None:
     counts = [0] * num_letters
     for x in seq:
@@ -159,19 +174,11 @@ class Nanoword:
         if self.ground != other.ground:
             raise AlphabetError("ground alphabet mismatch")
         shift = self.num_letters
-        names = list(self.names)
-        used = set(names)
-        for n in other.names:
-            fresh = n
-            while fresh in used:
-                fresh += "'"
-            names.append(fresh)
-            used.add(fresh)
         return Nanoword(
             self.ground,
             self.seq + tuple(x + shift for x in other.seq),
             self.proj + other.proj,
-            tuple(names),
+            self.names + fresh_names(other.names, self.names),
         )
 
     def circular_shift(self) -> "Nanoword":
@@ -185,10 +192,7 @@ class Nanoword:
         proj = list(self.proj)
         proj[head] = self.ground.tau(proj[head])
         names = list(self.names)
-        fresh = names[head] + "~"
-        while fresh in names:
-            fresh += "~"
-        names[head] = fresh
+        (names[head],) = fresh_names([names[head] + "~"], names, "~")
         return Nanoword(self.ground, body, tuple(proj), tuple(names))
 
     def push_forward(

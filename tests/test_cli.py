@@ -37,10 +37,11 @@ class TestParseInput:
         assert parsed.items[0].letter_seq() == ("L1", "L2", "L1", "L2")
 
     def test_phrase_block(self):
-        parsed = parse_input(ALPHABET + "phrase: A B | B A\nproj: A=a B=b\n")
-        (p,) = parsed.items
-        assert isinstance(p, Nanophrase)
-        assert p.words == ((0, 1), (1, 0))
+        for phrase in ("A B | B A", "A B|B A"):
+            parsed = parse_input(ALPHABET + f"phrase: {phrase}\nproj: A=a B=b\n")
+            (p,) = parsed.items
+            assert isinstance(p, Nanophrase)
+            assert p.words == ((0, 1), (1, 0))
 
     def test_occurrence_error_message(self):
         with pytest.raises(ParseError) as err:
@@ -514,6 +515,8 @@ class TestCommands:
             (["--suite", "shift-consistency,nonsense"], "--suite"),
             (["--suite", "genus-rank", "--max-half-length", "-1"], "--max-half-length"),
             (["--suite", "shift-consistency", "--max-half-length", "-3"], "--max-half-length"),
+            (["--suite", "genus-rank", "--max-half-length", "7"], "--max-half-length"),
+            (["--suite", "shift-consistency", "--max-half-length", "7"], "--max-half-length"),
         ],
     )
     def test_verify_bad_selection_runs_nothing(self, capsys, argv, option):

@@ -17,6 +17,7 @@ from nanocob.surfaces import (
 from nanocob.words import Nanoword, WordError
 
 from _pairing_oracle import evaluate
+from _surface_oracle import ribbon_graph_of as slot_ribbon_graph_of
 
 
 class TestRibbonGraph:
@@ -109,3 +110,19 @@ class TestGenusRankIdentity:
                 filling = tautological_filling(p)
                 gram = [[phi.apply(evaluate(p, x, y)) for y in filling] for x in filling]
                 assert tautological_gram_rank(w) == rational_rank(gram)
+
+
+class TestSurfaceOracle:
+    def test_permutation_matches_string_slot_route(self, pm):
+        """The half-edge permutation against the string-slot trace, on
+        every word of half-length at most 4 and on seeded longer words."""
+        rng = random.Random(53)
+        words = [w for n in range(5) for w in enumerate_nanowords(n, pm)]
+        words += [random_nanoword(rng, pm, rng.randint(5, 7)) for _ in range(60)]
+        for w in words:
+            graph, oracle = ribbon_graph_of(w), slot_ribbon_graph_of(w)
+            assert (graph.num_vertices, graph.num_edges) == (
+                oracle.num_vertices,
+                oracle.num_edges,
+            ), str(w)
+            assert surface_stats(graph) == surface_stats(oracle), str(w)
