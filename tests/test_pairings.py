@@ -43,12 +43,15 @@ from nanocob.pairings import (
 )
 from nanocob.intlinalg import rank_mod_p, rational_rank
 from nanocob.words import Nanoword
+from nanocob import pairings as pairings_module
 
 from _pairing_oracle import (
     enumerate_weak_fillings,
     evaluate,
     product_is_hyperbolic_tuple,
     product_tuple_genus,
+    term_is_hyperbolic_tuple,
+    term_tuple_genus,
     tuple_evaluate,
 )
 
@@ -743,6 +746,88 @@ class TestWeakProductOracle:
             assert is_hyperbolic_tuple(pairings, s_bound) == witness
             hyperbolic += witness is not None
         assert hyperbolic >= 10 and odd >= 10
+
+
+class TestWeakWalkOracle:
+    """The one-table walk asks its admit of the same prefix Gram matrices,
+    in the same order, as the term-table walk it replaced
+    (``term_tuple_genus`` and ``term_is_hyperbolic_tuple``), under the
+    genus admit and the vanishing admit, on the shapes of
+    TestWeakProductOracle: skew tuples, tuples with nonzero distinguished
+    values and tuples of tables that are not skew."""
+
+    @staticmethod
+    def _record(monkeypatch, seen, spreads):
+        """Route the weak searches through a copy of ``_weak_search`` that
+        appends each prefix Gram matrix to ``seen`` and the number of
+        coefficient vectors of each leaf to ``spreads``."""
+        search = pairings_module._weak_search
+
+        def recording(space, s_bound, pair, admit):
+            def record(gram):
+                seen.append([list(row) for row in gram])
+                return admit(gram)
+
+            for leaf in search(space, s_bound, pair, record):
+                spreads.append(len(leaf[2]))
+                yield leaf
+
+        monkeypatch.setattr(pairings_module, "_weak_search", recording)
+
+    def test_walks_ask_the_same_grams(self, monkeypatch, two_free, mixed):
+        fixed = InvolutiveAlphabet.build(("c",), {"c": "c"})
+        new, old, spreads = [], [], []
+        self._record(monkeypatch, new, spreads)
+        rng = random.Random(71)
+        short = long = asked = 0
+        for ground in (two_free, mixed, fixed):
+            phis = (
+                rng.choice(phi_sign_battery(ground)),
+                PhiSpec.prime_field(ground, 2, {rep: 1 for rep, _ in ground.pairs}),
+            )
+            for sizes, s_bound in TestWeakProductOracle.SHAPES:
+                for kind in ("skew", "distinguished", "asymmetric"):
+                    pairings = tuple(random_skew_pairing(rng, ground, m) for m in sizes)
+                    if kind == "distinguished":
+                        pairings = tuple(
+                            sum_pairings(p, AlphaPairing.distinguished_only(ground, r))
+                            for p, r in zip(pairings, self._nonzero(rng, ground, len(sizes)))
+                        )
+                    elif kind == "asymmetric":
+                        # an entry may vanish while its transpose does not
+                        pairings = tuple(self._asymmetric(rng, ground, m) for m in sizes)
+                    for phi in phis:
+                        del new[:], old[:], spreads[:]
+                        twice = tuple_genus(pairings, phi, s_bound).twice
+                        assert twice == term_tuple_genus(pairings, phi, s_bound, old)
+                        assert new == old
+                        asked += len(new)
+                        if len(sizes) > 1:
+                            short += spreads[0] == 2
+                            long += spreads[0] > 2
+                    del new[:], old[:]
+                    witness = is_hyperbolic_tuple(pairings, s_bound)
+                    assert witness == term_is_hyperbolic_tuple(pairings, s_bound, old)
+                    assert new == old
+                    asked += len(new)
+        # both spreads of the distinguished coefficients occur
+        assert short >= 20 and long >= 20 and asked > 10000
+
+    @staticmethod
+    def _asymmetric(rng, ground, m):
+        entries = {
+            (i, j): random_pi_element(rng, ground) for i in range(m + 1) for j in range(m + 1)
+        }
+        return AlphaPairing.build(ground, [rng.choice(ground.symbols) for _ in range(m)], entries)
+
+    @staticmethod
+    def _nonzero(rng, ground, count):
+        out = []
+        while len(out) < count:
+            r = random_pi_element(rng, ground)
+            if not r.is_zero():
+                out.append(r)
+        return out
 
 
 class TestShiftOfPairings:
