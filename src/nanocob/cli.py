@@ -45,7 +45,7 @@ from .surfaces import (
     surface_stats,
     tautological_gram_rank,
 )
-from .words import Nanoword
+from .words import EMPTY_WORD, Nanoword
 
 PARSE_EXIT = 2
 FAIL_EXIT = 1
@@ -161,7 +161,7 @@ def cmd_invariants(args) -> int:
     w = item
     record = invariant_record(w, _phis(args, w.ground))
     lines = [
-        f"word\t{' '.join(w.letter_seq()) or '(empty)'}",
+        f"word\t{' '.join(w.letter_seq()) or EMPTY_WORD}",
         f"gamma\t{record.gamma}",
         f"gamma-class\t{' '.join(f'{r}^{e}' if e != 1 else r for r, e in record.gamma_cyclic) or '1'}",
         f"u\t{record.u}",
@@ -228,7 +228,7 @@ def cmd_moves(args) -> int:
         with open(args.replay, "r", encoding="utf-8") as handle:
             meta = Metamorphosis.from_log(handle.read())
         result = meta.replay(w)
-        print(f"result\t{' '.join(result.letter_seq()) or '(empty)'}")
+        print(f"result\t{' '.join(result.letter_seq()) or EMPTY_WORD}")
         print(f"proj\t{' '.join(f'{n}={a}' for n, a in zip(result.names, result.proj))}")
         print(f"arches\t{meta.total_arches}")
         return 0

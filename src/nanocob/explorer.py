@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 from .algebra import InvolutiveAlphabet, PhiSpec, PiElement, PiWord
@@ -44,7 +45,7 @@ from .pairings import (
     verify_surgery_filling,
 )
 from .surfaces import genus_rank_check
-from .words import Nanoword
+from .words import EMPTY_WORD, Nanoword
 
 
 class EnumerationGuard(ValueError):
@@ -120,13 +121,50 @@ def enumerate_nanowords(
 
 @dataclass(frozen=True)
 class InvariantRecord:
+    """The invariants of one word, each computed on first read and then
+    kept.  ``word`` is the canonical form; the invariants are read off
+    ``source``, the word as given, under the coefficient maps ``phis``.
+
+    A verdict reads the invariants cheapest first (gamma, then u, then the
+    genera, then hyperbolicity) and stops at the first that is nonzero, so
+    a word obstructed by gamma never builds its pairing.  The genera read
+    hyperbolicity first: an annihilating filling has a zero Gram matrix
+    under every coefficient map, so a hyperbolic pairing has genus 0 under
+    all of them."""
+
     word: Nanoword
-    gamma: PiWord
-    gamma_cyclic: tuple
-    u: UPoly
-    genera: tuple[tuple[str, int], ...]
-    hyperbolic: bool
-    r: PiElement
+    source: Nanoword
+    phis: tuple[PhiSpec, ...]
+
+    @cached_property
+    def pairing(self) -> AlphaPairing:
+        return pairing_of_nanoword(self.source)
+
+    @cached_property
+    def gamma(self) -> PiWord:
+        return self.source.gamma()
+
+    @cached_property
+    def gamma_cyclic(self) -> tuple:
+        return self.gamma.cyclic_key()
+
+    @cached_property
+    def u(self) -> UPoly:
+        return u_polynomial(self.pairing)
+
+    @cached_property
+    def hyperbolic(self) -> bool:
+        return is_hyperbolic(self.pairing) is not None
+
+    @cached_property
+    def genera(self) -> tuple[tuple[str, int], ...]:
+        if self.hyperbolic:
+            return tuple((phi.label(), 0) for phi in self.phis)
+        return tuple((phi.label(), genus(self.pairing, phi).twice) for phi in self.phis)
+
+    @cached_property
+    def r(self) -> PiElement:
+        return r_of(self.pairing)
 
     def cobordism_key(self) -> tuple:
         return (
@@ -142,17 +180,7 @@ def invariant_record(
     w: Nanoword, phis: Optional[Sequence[PhiSpec]] = None
 ) -> InvariantRecord:
     phis = phi_sign_battery(w.ground) if phis is None else tuple(phis)
-    p = pairing_of_nanoword(w)
-    gamma = w.gamma()
-    return InvariantRecord(
-        word=w.canonical_form(),
-        gamma=gamma,
-        gamma_cyclic=gamma.cyclic_key(),
-        u=u_polynomial(p),
-        genera=tuple((phi.label(), genus(p, phi).twice) for phi in phis),
-        hyperbolic=is_hyperbolic(p) is not None,
-        r=r_of(p),
-    )
+    return InvariantRecord(w.canonical_form(), w, phis)
 
 
 SLICE = "slice"
@@ -282,7 +310,7 @@ class ClassificationTable:
             out.append(
                 [
                     str(row.index),
-                    " ".join(w.letter_seq()) or "(empty)",
+                    " ".join(w.letter_seq()) or EMPTY_WORD,
                     " ".join(f"{n}={a}" for n, a in zip(w.names, w.proj)),
                     str(w.length),
                     str(row.record.gamma),

@@ -8,7 +8,8 @@
     proj: A=a B=b
 
 Blank lines and ``#`` comments are skipped.  A ``word:`` value with a
-single multi-character token is split into characters.  In strict mode
+single multi-character token is split into characters, except
+``(empty)``, the empty word as the command line prints it.  In strict mode
 a symbol may appear in only one tau pair; otherwise consistent
 redeclarations (``a<->b b<->a``) are accepted.
 """
@@ -20,7 +21,7 @@ from typing import Optional, Union
 
 from .algebra import InvolutiveAlphabet
 from .moves import CAP_KEYS
-from .words import Nanophrase, Nanoword
+from .words import EMPTY_WORD, Nanophrase, Nanoword
 
 
 class ParseError(ValueError):
@@ -39,6 +40,8 @@ class ParsedInput:
 
 
 def _tokens(value: str) -> list[str]:
+    if value == EMPTY_WORD:
+        return []
     parts = value.split()
     if len(parts) == 1 and len(parts[0]) > 1 and "|" not in parts[0]:
         return list(parts[0])

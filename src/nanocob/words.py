@@ -15,6 +15,10 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .algebra import AlphabetError, InvolutiveAlphabet, PiWord
 
 
+# How the empty word is printed; the parser reads it back.
+EMPTY_WORD = "(empty)"
+
+
 class WordError(ValueError):
     """Raised for sequences violating the twice-occurrence invariant."""
 
@@ -131,7 +135,7 @@ class Nanoword:
 
     def __str__(self) -> str:
         if not self.seq:
-            return "(empty)"
+            return EMPTY_WORD
         word = " ".join(self.letter_seq())
         proj = " ".join(f"{n}={a}" for n, a in zip(self.names, self.proj))
         return f"{word} [{proj}]"

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import os
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nanocob.cli import _load_word, build_parser, main
+from nanocob.explorer import enumerate_nanowords
 from nanocob.moves import neighbors
 from nanocob.parsing import ParseError, parse_caps_option, parse_input
 from nanocob.words import Nanophrase, Nanoword
@@ -917,3 +919,71 @@ def test_fuzzed_command_line_exits_cleanly(tmp_path, monkeypatch, command, base,
             code = exc.code
     assert code in (0, 2), (argv, err.getvalue())
     assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+
+
+# Round trip: every word and projection the CLI prints parses back to the
+# word it stands for, over free, fixed and mixed alphabets with generated
+# symbol and letter names.
+SYMBOL = st.from_regex(r"[a-z][a-z0-9]{0,2}", fullmatch=True)
+LETTER = st.from_regex(r"[A-Za-z][A-Za-z0-9_']{0,2}", fullmatch=True)
+
+
+@st.composite
+def cli_alphabets(draw) -> str:
+    """Alphabet text with 0-2 free orbits and 0-1 fixed points, at least
+    one orbit in all."""
+    free, fixed = draw(st.sampled_from(((1, 0), (2, 0), (0, 1), (1, 1))))
+    symbols = draw(st.lists(SYMBOL, min_size=2 * free + fixed, max_size=2 * free + fixed,
+                            unique=True))
+    pairs = [f"{symbols[2 * i]}<->{symbols[2 * i + 1]}" for i in range(free)]
+    pairs += [f"{s}<->{s}" for s in symbols[2 * free:]]
+    return f"alphabet: {' '.join(symbols)};tau: {' '.join(pairs)}"
+
+
+def read_back(alphabet: str, word: str, proj: str) -> Nanoword:
+    (item,) = parse_input(f"{alphabet};word: {word};proj: {proj}".replace(";", "\n")).items
+    return item
+
+
+def printed_rows(out: str, fmt: str) -> list[list[str]]:
+    if fmt == "csv":
+        return list(csv.reader(out.splitlines()))
+    return [line.split("\t") for line in out.splitlines()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(alphabet=cli_alphabets(), data=st.data(), fmt=st.sampled_from(("text", "csv")))
+def test_invariants_word_line_reads_back(alphabet, data, fmt):
+    symbols = alphabet.split(";")[0].split()[1:]
+    names = data.draw(st.lists(LETTER, max_size=4, unique=True))
+    letters = data.draw(st.permutations(names + names))
+    proj = " ".join(f"{name}={data.draw(st.sampled_from(symbols))}" for name in names)
+    typed = " ".join(letters) or "(empty)"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["invariants", "--alphabet", alphabet, "--word", typed, "--proj", proj,
+                     "--format", fmt])
+    assert code == 0
+    (word_line,) = [row for row in printed_rows(out.getvalue(), fmt) if row[0] == "word"]
+    assert read_back(alphabet, word_line[1], proj) == read_back(alphabet, typed, proj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alphabet=cli_alphabets(),
+    half_length=st.integers(0, 2),
+    fmt=st.sampled_from(("text", "csv")),
+)
+def test_classify_word_and_proj_fields_read_back(alphabet, half_length, fmt):
+    argv = ["classify", "--alphabet", alphabet, "--half-length", str(half_length),
+            "--allow-large", "--caps", "nodes=20", "--format", fmt]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    header, *rows = printed_rows(out.getvalue(), fmt)
+    ground = parse_input(alphabet.replace(";", "\n")).alphabet
+    words = enumerate_nanowords(half_length, ground, allow_large=True)
+    assert len(rows) == len(words)
+    for row in rows:
+        fields = dict(zip(header, row))
+        assert read_back(alphabet, fields["word"], fields["proj"]) == words[int(fields["index"])]

@@ -1,10 +1,11 @@
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from nanocob.algebra import InvolutiveAlphabet
+from nanocob.algebra import InvolutiveAlphabet, PhiSpec
 from nanocob.explorer import (
     COBORDANT,
     DISTINCT,
@@ -19,13 +20,26 @@ from nanocob.explorer import (
     enumerate_matchings,
     enumerate_nanowords,
     invariant_record,
+    obstruction,
+    random_nanoword,
+    random_skew_pairing,
     random_surgery_instance,
     slice_status,
+    slice_verdict,
     suite_bridge_inequality,
 )
 from nanocob import explorer
 from nanocob.moves import Caps, bounded_bfs
+from nanocob.pairings import (
+    genus,
+    is_hyperbolic,
+    pairing_of_nanoword,
+    phi_sign_battery,
+    sum_pairings,
+)
 from nanocob.words import Nanoword
+
+import _record_oracle as record_oracle
 
 
 class TestEnumeration:
@@ -116,6 +130,127 @@ class TestInvariantRecord:
         assert rec.u.is_zero()
         assert rec.hyperbolic
         assert all(twice == 0 for _, twice in rec.genera)
+
+
+# The three alphabets of the check-slice benchmark, with the coefficient
+# maps the record tests use on each: the sign battery, a rational map as
+# ``--phi`` gives it, and on the mixed alphabet GF(2) and GF(3) maps.
+ONE_ORBIT = InvolutiveAlphabet.fixed_point_free(("a",), ("x",))
+TWO_ORBITS = InvolutiveAlphabet.fixed_point_free(("a", "b"), ("x", "y"))
+ORBIT_AND_FIXED = InvolutiveAlphabet.build(("a", "x", "c"), {"a": "x", "x": "a", "c": "c"})
+RECORD_MAPS = {
+    ONE_ORBIT: (
+        phi_sign_battery(ONE_ORBIT),
+        (PhiSpec.rationals(ONE_ORBIT, {"a": 2}),),
+    ),
+    TWO_ORBITS: (
+        phi_sign_battery(TWO_ORBITS),
+        (PhiSpec.rationals(TWO_ORBITS, {"a": 2, "b": -3}),),
+    ),
+    ORBIT_AND_FIXED: (
+        phi_sign_battery(ORBIT_AND_FIXED),
+        (PhiSpec.rationals(ORBIT_AND_FIXED, {"a": 2}),),
+        (
+            PhiSpec.prime_field(ORBIT_AND_FIXED, 2, {"a": 1, "c": 1}),
+            PhiSpec.prime_field(ORBIT_AND_FIXED, 3, {"a": 1}),
+        ),
+    ),
+}
+# Gamma, u and every genus vanish, and the pairing is not hyperbolic: the
+# one such word among 6,000 random 5-6 letter words.
+PAIRING_OBSTRUCTED = Nanoword.from_names(
+    ORBIT_AND_FIXED,
+    "ABCDEBDFACFE",
+    {"A": "c", "B": "c", "C": "c", "D": "a", "E": "c", "F": "x"},
+)
+GENUS_OBSTRUCTED = Nanoword.from_names(ONE_ORBIT, "ABACDCBD", {"A": "a", "B": "a", "C": "x", "D": "a"})
+
+
+class TestLazyRecord:
+    def test_matches_eager_record(self):
+        """On seeded random words the lazy record and the eager one it
+        replaced give the same key, obstruction, verdict and witness."""
+        rng = random.Random(15)
+        caps = Caps(bfs_nodes=30)
+        named = Counter()
+        cases = [(PAIRING_OBSTRUCTED, phi_sign_battery(ORBIT_AND_FIXED))]
+        cases += [(GENUS_OBSTRUCTED, maps) for maps in RECORD_MAPS[ONE_ORBIT]]
+        for _ in range(300):
+            ground = rng.choice(list(RECORD_MAPS))
+            w = random_nanoword(rng, ground, rng.randint(0, 6))
+            cases.append((w, rng.choice(RECORD_MAPS[ground])))
+        for w, phis in cases:
+            lazy, eager = invariant_record(w, phis), record_oracle.invariant_record(w, phis)
+            assert lazy.cobordism_key() == eager.cobordism_key(), w
+            assert obstruction(lazy) == obstruction(eager), w
+            lazy_verdict, eager_verdict = slice_verdict(lazy, caps), slice_verdict(eager, caps)
+            assert str(lazy_verdict) == str(eager_verdict), w
+            logs = [v.witness.to_log() if v.witness else None for v in (lazy_verdict, eager_verdict)]
+            assert logs[0] == logs[1], w
+            named[obstruction(eager)] += 1
+        # every verdict path is taken
+        assert set(named) == {"gamma", "u", "genus", "pairing", None}, named
+
+    def test_hyperbolic_pairings_have_genus_zero(self):
+        """The shortcut the genera take: an annihilating filling has a zero
+        Gram matrix under every map, so the genus is 0 under every map."""
+        rng = random.Random(15)
+        checked = Counter()
+        for _ in range(1500):
+            ground = rng.choice(list(RECORD_MAPS))
+            kind = rng.choice(("skew", "word", "skew plus opposite"))
+            if kind == "word":
+                p = pairing_of_nanoword(random_nanoword(rng, ground, rng.randint(0, 5)))
+            else:
+                p = random_skew_pairing(rng, ground, rng.randint(1, 3))
+                if kind == "skew plus opposite":
+                    p = sum_pairings(p, p.opposite())
+            if is_hyperbolic(p) is None:
+                continue
+            for phi in itertools.chain.from_iterable(RECORD_MAPS[ground]):
+                assert genus(p, phi).twice == 0, (p.coords, phi.label())
+                checked[kind] += 1
+        assert min(checked.values()) >= 100, checked
+
+    @staticmethod
+    def count_kernel_calls(monkeypatch) -> Counter:
+        calls = Counter()
+        for name in ("pairing_of_nanoword", "genus", "is_hyperbolic"):
+            real = getattr(explorer, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(explorer, name, counted)
+        return calls
+
+    def test_gamma_verdict_builds_no_pairing(self, monkeypatch):
+        w = Nanoword.from_names(TWO_ORBITS, "ABAB", {"A": "a", "B": "b"})
+        calls = self.count_kernel_calls(monkeypatch)
+        assert str(slice_status(w)) == "NotSlice(gamma)"
+        assert calls == Counter()
+
+    def test_u_verdict_skips_genera_and_hyperbolicity(self, monkeypatch):
+        letters = ["L1", "L2", "L1", "L3", "L2", "L3"]
+        w = Nanoword.from_names(ONE_ORBIT, letters, {"L1": "a", "L2": "a", "L3": "x"})
+        calls = self.count_kernel_calls(monkeypatch)
+        assert str(slice_status(w)) == "NotSlice(u)"
+        assert calls == Counter(pairing_of_nanoword=1)
+
+    def test_hyperbolic_word_skips_genera(self, monkeypatch):
+        w = Nanoword.from_names(ONE_ORBIT, "ABBA", {"A": "a", "B": "x"})
+        calls = self.count_kernel_calls(monkeypatch)
+        assert slice_status(w).status == SLICE
+        assert calls == Counter(pairing_of_nanoword=1, is_hyperbolic=1)
+
+    def test_fields_are_computed_once(self, monkeypatch):
+        calls = self.count_kernel_calls(monkeypatch)
+        record = invariant_record(PAIRING_OBSTRUCTED)
+        assert calls == Counter()
+        for _ in range(2):
+            record.cobordism_key()
+        assert calls == Counter(pairing_of_nanoword=1, is_hyperbolic=1, genus=1)
 
 
 class TestSliceStatus:
