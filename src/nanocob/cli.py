@@ -19,6 +19,7 @@ from .algebra import InvolutiveAlphabet, PhiSpec, PhiSpecError
 from .explorer import (
     ALL_SUITES,
     MAX_HALF_LENGTH,
+    EnumerationGuard,
     classify,
     invariant_record,
     length_norm_bounds,
@@ -122,9 +123,11 @@ def _phis(args, ground: InvolutiveAlphabet) -> tuple[PhiSpec, ...]:
     for chunk in args.phi.replace(",", " ").split():
         rep, _, value = chunk.partition("=")
         try:
-            values[rep] = int(value)
+            number = int(value)
         except ValueError:
             raise ParseError(None, f"--phi expects SYMBOL=INTEGER, got {chunk!r}") from None
+        if values.setdefault(rep, number) != number:
+            raise ParseError(None, f"--phi: conflicting values for {rep!r}")
     try:
         return (PhiSpec.rationals(ground, values),)
     except PhiSpecError as exc:
@@ -261,13 +264,17 @@ def cmd_check_slice(args) -> int:
 
 def cmd_classify(args) -> int:
     ground = _load_alphabet(args)
-    table = classify(
-        args.half_length,
-        ground,
-        _caps(args),
-        _phis(args, ground),
-        allow_large=args.allow_large,
-    )
+    try:
+        table = classify(
+            args.half_length,
+            ground,
+            _caps(args),
+            _phis(args, ground),
+            allow_large=args.allow_large,
+        )
+    except EnumerationGuard as exc:
+        # name the flag, not the keyword argument it sets
+        raise EnumerationGuard(str(exc).replace("allow_large=True", "--allow-large")) from None
     _emit(["\t".join(fields) for fields in table.fields()], args.format)
     return 0
 

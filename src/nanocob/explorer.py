@@ -19,13 +19,13 @@ from .moves import (
     DEFAULT_CAPS,
     Factor,
     Metamorphosis,
+    Move,
     apply_bridge,
-    apply_h1,
-    apply_h2,
-    apply_h3,
     apply_surgery,
     bounded_bfs,
     enumerate_bridges,
+    insert_phrase,
+    inserted_segments,
 )
 from .pairings import (
     AlphaPairing,
@@ -494,19 +494,10 @@ def random_surgery_instance(
     phrase_length = sum(len(word) for word in words)
     budget = max(0, (max_total_length - phrase_length) // 2)
     context = random_nanoword(rng, ground, rng.randint(0, budget))
-    base = context.num_letters
     points = sorted(rng.randint(0, context.length) for _ in words)
-    seq = list(context.seq)
-    segments = []
-    grown = 0
-    for word, pos in zip(words, points):
-        at = pos + grown
-        seq[at:at] = [base + x for x in word]
-        segments.append((at, at + len(word)))
-        grown += len(word)
-    names = list(context.names) + [f"F{i + 1}" for i in range(len(proj))]
-    w = Nanoword(ground, tuple(seq), context.proj + proj, tuple(names))
-    factor = Factor(tuple(range(base, base + len(proj))), tuple(segments))
+    w = insert_phrase(context, words, proj, points)
+    base = context.num_letters
+    factor = Factor(tuple(range(base, base + len(proj))), inserted_segments(words, points))
     return w, factor
 
 
@@ -591,44 +582,29 @@ def _record_for_move_check(w: Nanoword, phis) -> tuple:
     )
 
 
+# The phrase each homotopy move acts on, in local letter ids.
+_MOVE_PHRASES = {"H1": ((0, 0),), "H2": ((0, 1), (1, 0)), "H3": ((0, 1), (0, 2), (1, 2))}
+
+
 def _random_move_instance(rng: random.Random, ground: InvolutiveAlphabet):
     """A (word, moved word) pair for a random move type, built by planting
-    the move pattern inside a random context."""
+    the move's phrase inside a random context."""
     kind = rng.choice(("H1", "H2", "H3", "SURG"))
     if kind == "SURG":
         w, factor = random_surgery_instance(rng, ground, max_total_length=12)
         return kind, w, apply_surgery(w, factor)
     context = random_nanoword(rng, ground, rng.randint(0, 3))
-    n = context.length
-    base = context.num_letters
-    seq = list(context.seq)
+    words = _MOVE_PHRASES[kind]
     if kind == "H1":
-        at = rng.randint(0, n)
-        seq[at:at] = [base, base]
-        proj = context.proj + (rng.choice(ground.symbols),)
-        w = Nanoword(ground, tuple(seq), proj, context.names + (f"P{base}",))
-        return kind, w, apply_h1(w, at)
-    if kind == "H2":
+        points = [rng.randint(0, context.length)]
+        proj = (rng.choice(ground.symbols),)
+    else:
         a = rng.choice(ground.symbols)
-        i, j = sorted(rng.randint(0, n) for _ in range(2))
-        seq[j:j] = [base + 1, base]
-        seq[i:i] = [base, base + 1]
-        proj = context.proj + (a, ground.tau(a))
-        w = Nanoword(
-            ground, tuple(seq), proj, context.names + (f"P{base}", f"P{base + 1}")
-        )
-        return kind, w, apply_h2(w, (i, j + 2))
-    # H3: plant the pattern xAByACzBCt and rewrite it to xBAyCAzCBt
-    a = rng.choice(ground.symbols)
-    i, j, k = sorted(rng.randint(0, n) for _ in range(3))
-    A, B, C = base, base + 1, base + 2
-    seq[k:k] = [B, C]
-    seq[j:j] = [A, C]
-    seq[i:i] = [A, B]
-    proj = context.proj + (a, a, a)
-    names = context.names + (f"P{A}", f"P{B}", f"P{C}")
-    w = Nanoword(ground, tuple(seq), proj, names)
-    return kind, w, apply_h3(w, (i, j + 2, k + 4))
+        points = sorted(rng.randint(0, context.length) for _ in words)
+        proj = (a, ground.tau(a)) if kind == "H2" else (a, a, a)
+    w = insert_phrase(context, words, proj, points)
+    starts = tuple(start for start, _ in inserted_segments(words, points))
+    return kind, w, Move(kind, starts).apply(w)
 
 
 def suite_move_invariance(seed: int = 0, count: int = 1000) -> SuiteResult:
@@ -728,18 +704,23 @@ class BridgeReport:
         return self.violations == 0
 
 
+# The bridge suite's sample: words of 1 to 3 letters, their bridges of at
+# most 3 letters in at most 4 segments, and the tuple-genus variant of the
+# bound on every fourth bridge.
+_BRIDGE_WORD_LETTERS = 3
+_BRIDGE_LETTERS, _BRIDGE_SEGMENTS = 3, 4
+_WEAK_EVERY = 4
+
+
 def bridge_inequality_suite(
     sample_size: int,
     ground: Optional[InvolutiveAlphabet] = None,
     seed: int = 0,
-    max_letters_word: int = 3,
-    caps: Caps = Caps(max_letters=3, max_k=4),
-    weak_every: int = 4,
 ) -> BridgeReport:
     """Sample words over a fixed-point-free alphabet, enumerate their
     bridges, and check the arch count against half the genus of the
     before/after pairing sum, for every sign-valued coefficient map.
-    Every ``weak_every``-th bridge also gets the weaker tuple-genus
+    Every ``_WEAK_EVERY``-th bridge also gets the weaker tuple-genus
     variant of the bound."""
     rng = random.Random(seed)
     checked = 0
@@ -750,11 +731,11 @@ def bridge_inequality_suite(
         if g.fixed_reps():
             raise ValueError("bridge suite needs a fixed-point-free involution")
         phis = phi_sign_battery(g)
-        w = random_nanoword(rng, g, rng.randint(1, max_letters_word))
+        w = random_nanoword(rng, g, rng.randint(1, _BRIDGE_WORD_LETTERS))
         p_w = pairing_of_nanoword(w)
         sigma_cache: dict[tuple, list[int]] = {}
         for count, bridge in enumerate(
-            enumerate_bridges(w, caps.max_letters, caps.max_k)
+            enumerate_bridges(w, _BRIDGE_LETTERS, _BRIDGE_SEGMENTS)
         ):
             x = apply_bridge(w, bridge)
             p_x = pairing_of_nanoword(x)
@@ -769,7 +750,7 @@ def bridge_inequality_suite(
                     return BridgeReport(checked, weak_checked, 1, slack)
                 min_slack = slack if min_slack is None else min(min_slack, slack)
             small = p_w.num_letters + p_x.num_letters <= 3
-            if count % weak_every == 0 and small:
+            if count % _WEAK_EVERY == 0 and small:
                 for phi in phis:
                     weak_checked += 1
                     weak_twice = tuple_genus((p_w, p_x.opposite()), phi).twice
@@ -778,15 +759,8 @@ def bridge_inequality_suite(
     return BridgeReport(checked, weak_checked, 0, min_slack)
 
 
-def suite_bridge_inequality(
-    seed: int = 0,
-    words: int = 200,
-    max_letters_word: int = 3,
-    caps: Caps = Caps(max_letters=3, max_k=4),
-) -> SuiteResult:
-    report = bridge_inequality_suite(
-        words, None, seed, max_letters_word, caps
-    )
+def suite_bridge_inequality(seed: int = 0, words: int = 200) -> SuiteResult:
+    report = bridge_inequality_suite(words, None, seed)
     total = report.checked + report.weak_checked
     if not report.passed:
         return SuiteResult(

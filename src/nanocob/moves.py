@@ -90,10 +90,9 @@ class Move:
         if self.kind == "H2":
             return apply_h2(w, self.data)
         if self.kind == "H3":
-            return apply_h3_inverse(w, self.data) if self.inverse else apply_h3(w, self.data)
+            return apply_h3(w, self.data, self.inverse)
         if self.kind == "SURG":
-            letters, segments = self.data
-            return apply_surgery(w, Factor(letters, segments))
+            return apply_surgery(w, Factor(*self.data))
         if self.kind == "BRIDGE":
             letters, segments, kappa = self.data
             bridge = validate_bridge(w, Factor(letters, segments), kappa)
@@ -135,9 +134,12 @@ class Move:
     @staticmethod
     def from_line(line: str) -> "Move":
         try:
-            return Move._parse_line(line.strip())
+            move = Move._parse_line(line.strip())
         except (KeyError, ValueError) as exc:
             raise WordError(f"cannot parse move line {line.strip()!r}") from exc
+        if move.inverse and move.kind not in ("H3", "INS"):  # no other kind has an inverse form
+            raise WordError(f"cannot parse move line {line.strip()!r}: only H3 and INS take INV")
+        return move
 
     @staticmethod
     def _parse_line(text: str) -> "Move":
@@ -251,38 +253,31 @@ def _segments_to_phrase_payload(
 def _invert_move(move: Move, w: Nanoword) -> list[Move]:
     """Inverse of one move applied to (canonical) ``w``, as replayable
     moves against the canonical form of the move's result."""
-    if move.kind == "H1":
-        i = move.data[0]
-        payload = (((0, 0),), (w.proj[w.seq[i]],), (i,))
-        return [Move("INS", payload, inverse=True)]
-    if move.kind == "H2":
-        i, j = move.data
-        a = w.proj[w.seq[i]]
-        payload = (((0, 1), (1, 0)), (a, w.ground.tau(a)), (i, j - 2))
-        return [Move("INS", payload, inverse=True)]
     if move.kind == "H3":
         return [Move("H3", move.data, inverse=not move.inverse)]
-    if move.kind in ("SURG", "BRIDGE"):
-        letters, segments = move.data[0], move.data[1]
-        payload = _segments_to_phrase_payload(w, letters, segments)
-        return [Move("INS", payload, inverse=True, arches=move.arches)]
     if move.kind == "INS":
         words, proj, positions = move.data
-        result = move.apply(w)
-        canonical_seq = result.canonical_key()[0]
-        segments = []
-        grown = 0
-        for word, pos in zip(words, positions):
-            at = pos + grown
-            segments.append((at, at + len(word)))
-            grown += len(word)
+        canonical_seq = move.apply(w).canonical_key()[0]
+        segments = inserted_segments(words, positions)
         inserted = sorted(
             {canonical_seq[p] for s, e in segments for p in range(s, e)}
         )
-        return [Move("SURG", (tuple(inserted), tuple(segments)), arches=move.arches)]
+        return [Move("SURG", (tuple(inserted), segments), arches=move.arches)]
     if move.kind == "SHIFT":
         return [Move("SHIFT", ())] * (w.length - 1)
-    raise WordError(f"cannot invert move {move.kind!r}")
+    # the rest delete letters; the inverse inserts them back
+    if move.kind == "H1":
+        (i,) = move.data
+        letters, segments = (w.seq[i],), ((i, i + 2),)
+    elif move.kind == "H2":
+        i, j = move.data
+        letters, segments = (w.seq[i], w.seq[i + 1]), ((i, i + 2), (j, j + 2))
+    elif move.kind in ("SURG", "BRIDGE"):
+        letters, segments = move.data[0], move.data[1]
+    else:
+        raise WordError(f"cannot invert move {move.kind!r}")
+    payload = _segments_to_phrase_payload(w, letters, segments)
+    return [Move("INS", payload, inverse=True, arches=move.arches)]
 
 
 # ---------------------------------------------------------------------------
@@ -370,29 +365,18 @@ def find_h3_sites(w: Nanoword, inverse: bool = False) -> list[Move]:
     return sites
 
 
-def apply_h3(w: Nanoword, site: tuple[int, int, int]) -> Nanoword:
-    i, j, k = site
-    letters = _h3_positions(w, i, j, k, forward=True)
+def apply_h3(w: Nanoword, site: tuple[int, int, int], inverse: bool = False) -> Nanoword:
+    """Rewrite ``ab ac bc`` at ``site`` to ``ba ca cb``; with ``inverse``,
+    rewrite ``ba ca cb`` back to ``ab ac bc``."""
+    letters = _h3_positions(w, *site, forward=not inverse)
     if letters is None:
-        raise WordError(f"no third-move pattern at positions {site}")
+        pattern = "inverse third-move" if inverse else "third-move"
+        raise WordError(f"no {pattern} pattern at positions {site}")
     a, b, c = letters
+    pairs = ((a, b), (a, c), (b, c)) if inverse else ((b, a), (c, a), (c, b))
     seq = list(w.seq)
-    seq[i], seq[i + 1] = b, a
-    seq[j], seq[j + 1] = c, a
-    seq[k], seq[k + 1] = c, b
-    return Nanoword(w.ground, tuple(seq), w.proj, w.names)
-
-
-def apply_h3_inverse(w: Nanoword, site: tuple[int, int, int]) -> Nanoword:
-    i, j, k = site
-    letters = _h3_positions(w, i, j, k, forward=False)
-    if letters is None:
-        raise WordError(f"no inverse third-move pattern at positions {site}")
-    a, b, c = letters
-    seq = list(w.seq)
-    seq[i], seq[i + 1] = a, b
-    seq[j], seq[j + 1] = a, c
-    seq[k], seq[k + 1] = b, c
+    for p, pair in zip(site, pairs):
+        seq[p:p + 2] = pair
     return Nanoword(w.ground, tuple(seq), w.proj, w.names)
 
 
@@ -570,14 +554,17 @@ def enumerate_even_symmetric_factors(
 def apply_surgery(w: Nanoword, factor: Factor) -> Nanoword:
     """Delete an even symmetric factor: a bridge whose ``kappa`` is the
     identity."""
-    if not factor_is_well_formed(w, factor):
-        raise WordError("surgery segments do not cut out the factor's letters")
-    if any((end - start) % 2 for start, end in factor.segments):
-        raise WordError("surgery factor must be even")
-    if mirror_witness(w.ground, w.seq, w.proj, factor.segments) is None:
-        raise WordError("surgery factor must be symmetric")
-    word, _ = w.delete_letters(factor.letters)
-    return word
+    return apply_bridge(w, surgery_bridge(w, factor))
+
+
+def surgery_bridge(w: Nanoword, factor: Factor) -> Bridge:
+    """``factor`` as the bridge a surgery deletes, with the identity
+    ``kappa``; raises WordError unless it is an even symmetric factor of
+    ``w``."""
+    bridge = validate_bridge(w, factor, range(factor.num_segments))
+    if bridge is None:
+        raise WordError(f"segments {factor.segments} are not an even symmetric factor")
+    return bridge
 
 
 def insert_phrase(
@@ -602,23 +589,36 @@ def insert_phrase(
     return Nanoword(w.ground, tuple(seq), w.proj + tuple(proj), w.names + names)
 
 
+def inserted_segments(
+    words: Sequence[Sequence[int]], positions: Sequence[int]
+) -> tuple[tuple[int, int], ...]:
+    """Where ``insert_phrase`` puts each segment: half-open position ranges
+    of the result.  Every earlier segment shifts a later one right by its
+    length."""
+    segments = []
+    grown = 0
+    for word, pos in zip(words, positions):
+        segments.append((pos + grown, pos + grown + len(word)))
+        grown += len(word)
+    return tuple(segments)
+
+
 def factor_is_well_formed(w: Nanoword, factor: Factor) -> bool:
     """Letters distinct ids of letters of ``w``; segments disjoint,
     ascending, in range, covering exactly the entries of those letters."""
     chosen = set(factor.letters)
     if len(chosen) != len(factor.letters):
         return False
-    if any(not 0 <= x < w.num_letters for x in chosen):
-        return False
-    last = 0
-    covered = []
+    seq = w.seq
+    last = covered = 0
     for start, end in factor.segments:
-        if not (0 <= start < end <= w.length) or start < last:
+        if not last <= start < end <= len(seq) or not chosen.issuperset(seq[start:end]):
             return False
         last = end
-        covered.extend(range(start, end))
-    expected = [i for i, x in enumerate(w.seq) if x in chosen]
-    return covered == expected
+        covered += end - start
+    # a letter of ``w`` has two entries, so 2 * |chosen| positions holding
+    # only chosen letters hold both entries of each, and each is a letter
+    return covered == 2 * len(chosen)
 
 
 def validate_bridge(
@@ -631,19 +631,19 @@ def validate_bridge(
     factor."""
     if not factor_is_well_formed(w, factor):
         return None
-    k = factor.num_segments
+    segments = factor.segments
     kappa = tuple(kappa)
-    if sorted(kappa) != list(range(k)):
+    k = len(kappa)
+    if k != len(segments):
         return None
-    if any(kappa[kappa[r]] != r for r in range(k)):
-        return None
-    lengths = [end - start for start, end in factor.segments]
-    for r in range(k):
-        if lengths[r] != lengths[kappa[r]]:
+    for r, image in enumerate(kappa):
+        # kappa(kappa(r)) = r for every r makes kappa a permutation too
+        if not 0 <= image < k or kappa[image] != r:
             return None
-        if kappa[r] == r and lengths[r] % 2:
+        (start, end), (image_start, image_end) = segments[r], segments[image]
+        if end - start != image_end - image_start or (image == r and (end - start) % 2):
             return None
-    witness = mirror_witness(w.ground, w.seq, w.proj, factor.segments, kappa)
+    witness = mirror_witness(w.ground, w.seq, w.proj, segments, kappa)
     if witness is None:
         return None
     return Bridge(factor, kappa, witness.iota, witness.epsilon)

@@ -28,7 +28,8 @@ from .algebra import (
     RATIONALS,
 )
 from .intlinalg import IntegerLattice, integer_rank, rank_mod_p, rational_rank
-from .words import Nanoword, WordError, fresh_names, mirror_witness
+from .moves import Factor, surgery_bridge
+from .words import Nanoword, fresh_names
 
 
 class PairingError(ValueError):
@@ -636,23 +637,13 @@ def u_degree(u: UPoly, symbol: str) -> int:
 # surgery consistency
 
 
-def verify_surgery_filling(w: Nanoword, factor) -> bool:
+def verify_surgery_filling(w: Nanoword, factor: Factor) -> bool:
     """Check the orthogonality relations behind surgery invariance and that
-    the associated filling annihilates the summed pairing.
-
-    ``factor`` needs ``letters`` and ``segments`` attributes describing an
-    even symmetric factor of ``w``.
-    """
-    if any((end - start) % 2 for start, end in factor.segments):
-        raise WordError("factor is not even")
-    witness = mirror_witness(w.ground, w.seq, w.proj, factor.segments)
-    if witness is None:
-        raise WordError("factor is not symmetric")
-    if [b for b, _ in witness.iota] != sorted(factor.letters):
-        raise WordError("segments do not cut out the factor's letters")
-
-    iota = dict(witness.iota)
-    eps = dict(witness.epsilon)
+    the associated filling annihilates the summed pairing.  Raises
+    WordError unless ``factor`` is an even symmetric factor of ``w``."""
+    bridge = surgery_bridge(w, factor)
+    iota = dict(bridge.iota)
+    eps = dict(bridge.epsilon)
     b_letters = sorted(iota)
     b_plus = [b for b in b_letters if b <= iota[b]]
     c_letters = [i for i in range(w.num_letters) if i not in iota]

@@ -2,7 +2,10 @@
 as test oracles.
 
 Surgery factors used to be every factor within the caps with even
-segments, kept when ``mirror_witness`` accepts it.  The second and third
+segments, kept when ``mirror_witness`` accepts it.  A surgery factor used
+to be checked on three paths of its own: ``apply_surgery``,
+``validate_bridge`` with the identity ``kappa``, and the checks that
+opened ``verify_surgery_filling``.  The second and third
 homotopy moves used to be found by scanning every pair and triple of
 positions.  The bounded search used to store a canonical word beside the
 key of every state it discovered.
@@ -30,6 +33,59 @@ def even_symmetric_factors_by_filter(w, max_letters, max_k):
         if not any((end - start) % 2 for start, end in f.segments)
         and mirror_witness(w.ground, w.seq, w.proj, f.segments) is not None
     ]
+
+
+def factor_is_well_formed_by_scan(w, factor):
+    """Letters distinct ids of letters of ``w``; segments disjoint,
+    ascending, in range, covering exactly the positions a scan of the whole
+    word finds for those letters."""
+    chosen = set(factor.letters)
+    if len(chosen) != len(factor.letters):
+        return False
+    if any(not 0 <= x < w.num_letters for x in chosen):
+        return False
+    last = 0
+    covered = []
+    for start, end in factor.segments:
+        if not (0 <= start < end <= w.length) or start < last:
+            return False
+        last = end
+        covered.extend(range(start, end))
+    expected = [i for i, x in enumerate(w.seq) if x in chosen]
+    return covered == expected
+
+
+def surgery_accepted_by_apply(w, factor):
+    """The checks ``apply_surgery`` made: well formed, even, symmetric."""
+    return (
+        factor_is_well_formed_by_scan(w, factor)
+        and not any((end - start) % 2 for start, end in factor.segments)
+        and mirror_witness(w.ground, w.seq, w.proj, factor.segments) is not None
+    )
+
+
+def surgery_accepted_by_bridge(w, factor):
+    """The bridge checks with the identity ``kappa``: well formed, every
+    fixed segment even, then the mirror rule read with ``kappa``."""
+    if not factor_is_well_formed_by_scan(w, factor):
+        return False
+    if any((end - start) % 2 for start, end in factor.segments):
+        return False
+    kappa = tuple(range(len(factor.segments)))
+    return mirror_witness(w.ground, w.seq, w.proj, factor.segments, kappa) is not None
+
+
+def surgery_witness_by_filling_checks(w, factor):
+    """The witness ``verify_surgery_filling`` read, or None where its
+    opening checks (even, symmetric, the letters cut out) refused.  These
+    checks assumed ascending in-range segments, so the oracle is only
+    meaningful on such factors."""
+    if any((end - start) % 2 for start, end in factor.segments):
+        return None
+    witness = mirror_witness(w.ground, w.seq, w.proj, factor.segments)
+    if witness is None or [b for b, _ in witness.iota] != sorted(factor.letters):
+        return None
+    return witness
 
 
 def h2_sites_by_scan(w):

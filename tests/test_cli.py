@@ -238,7 +238,14 @@ class TestCommands:
         assert "result\t(empty)" in out
 
     @pytest.mark.parametrize(
-        "log", ["SURG foo\n", "SURG letters=0 segs=1\n", "H1@x\n", "H3@0,2\n"]
+        "log",
+        [
+            "SURG foo\n", "SURG letters=0 segs=1\n", "H1@x\n", "H3@0,2\n",
+            # only H3 and INS are written with INV; on another kind it is
+            # bad input, not the forward move
+            "INV H1@0\n", "INV H2@0,2\n", "INV SURG letters=0 segs=0-2\n",
+            "INV BRIDGE letters=0 segs=0-1,1-2 kappa=1,0 arches=1\n", "INV SHIFT\n",
+        ],
     )
     def test_replay_rejects_malformed_log(self, capsys, tmp_path, log):
         log_file = tmp_path / "moves.log"
@@ -422,12 +429,27 @@ class TestCommands:
             "word: A B A B;proj: A=a B=x",
             "--phi",
         ]
-        for phi in ("q=1", "x=1", "a", "a=one"):
+        for phi in ("q=1", "x=1", "a", "a=one", "a=1,a=2"):
             assert main(base + [phi]) == 2
             err = capsys.readouterr().err
+            assert err.startswith("parse error: --phi")
             assert len(err.strip().splitlines()) == 1
             assert "Traceback" not in err
             assert "line 0" not in err
+
+    @pytest.mark.parametrize(
+        "alphabet, half_length",
+        [("alphabet: a x;tau: a<->x", "7"), ("alphabet: a x b y;tau: a<->x b<->y", "1")],
+    )
+    def test_enumeration_guard_names_the_flag(self, capsys, alphabet, half_length):
+        code = main(["classify", "--alphabet", alphabet, "--half-length", half_length])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "--allow-large" in captured.err
+        assert "allow_large" not in captured.err
+        assert len(captured.err.splitlines()) == 1
 
     def test_jobs_other_than_one_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

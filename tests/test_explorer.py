@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -29,7 +30,7 @@ from nanocob.explorer import (
     suite_bridge_inequality,
 )
 from nanocob import explorer
-from nanocob.moves import Caps, bounded_bfs
+from nanocob.moves import Caps, apply_surgery, bounded_bfs
 from nanocob.pairings import (
     genus,
     is_hyperbolic,
@@ -485,6 +486,48 @@ class TestRecordInvariance:
                 current = move.apply(current).canonical_form()
                 assert invariant_record(current).cobordism_key() == reference
             assert current.length == 0
+
+
+class TestPlantedInstances:
+    """The move and surgery instances are planted through ``insert_phrase``.
+    Each digest covers 200 draws per seed and was taken with the planting
+    code they replaced; only letter names may differ from it."""
+
+    MOVE_DIGESTS = (
+        "b0250b894014247d8d9572a48fea9deb21968f9bc06787c354bd93d3ade60c1e",
+        "6ad28b48f6bc13c4c7850f64202473921a81785f8e1bcb833824f58c1168ffb4",
+        "77399a0f18df43b8573221ce0f3c7089ba07361c345a101a16ca171de742ef1e",
+    )
+    SURGERY_DIGESTS = (
+        "2004f59ca3397c487a4fec1cbba8ee4a70fdf61a1f8ce93cba0b2ca557a3452e",
+        "2f9172600022611ba3abf3e0ebc8f5ebdea17430e79a29fc4607a025325c7eea",
+        "68824331654ee51a1b1728869175db5bd8ea2b67fd74c31d71bd43e9769dd123",
+    )
+
+    @staticmethod
+    def digest(rows) -> str:
+        return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_move_instances_pinned(self, seed):
+        rng = random.Random(seed)
+        rows = []
+        for _ in range(200):
+            ground = explorer._random_alphabet(rng)
+            kind, w, moved = explorer._random_move_instance(rng, ground)
+            rows.append((kind, w.seq, w.proj, moved.seq, moved.proj))
+        assert self.digest(rows) == self.MOVE_DIGESTS[seed]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_surgery_instances_pinned(self, seed):
+        rng = random.Random(seed)
+        rows = []
+        for _ in range(200):
+            ground = explorer._random_alphabet(rng)
+            w, factor = random_surgery_instance(rng, ground)
+            x = apply_surgery(w, factor)
+            rows.append((w.seq, w.proj, factor.letters, factor.segments, x.seq, x.proj))
+        assert self.digest(rows) == self.SURGERY_DIGESTS[seed]
 
 
 class TestGrowingFamilies:

@@ -14,7 +14,6 @@ from nanocob.moves import (
     apply_h1,
     apply_h2,
     apply_h3,
-    apply_h3_inverse,
     apply_surgery,
     bounded_bfs,
     enumerate_bridges,
@@ -23,10 +22,13 @@ from nanocob.moves import (
     find_h1_sites,
     find_h2_sites,
     find_h3_sites,
+    insert_phrase,
+    inserted_segments,
     neighbors,
     validate_bridge,
 )
 from nanocob.explorer import length_norm_bounds, random_nanoword
+from nanocob.pairings import verify_surgery_filling
 from nanocob.words import Nanoword, SymmetryWitness, WordError, mirror_witness
 
 from _move_oracle import (
@@ -34,6 +36,9 @@ from _move_oracle import (
     even_symmetric_factors_by_filter,
     h2_sites_by_scan,
     h3_sites_by_scan,
+    surgery_accepted_by_apply,
+    surgery_accepted_by_bridge,
+    surgery_witness_by_filling_checks,
 )
 from _phrase_route import bridge_witness, factor_phrase, phrase_witness
 
@@ -95,7 +100,7 @@ class TestH3:
 
     def test_inverse_round_trip(self, two_free, word_factory):
         w = word_factory(two_free, "ABACBC", A="a", B="a", C="a")
-        assert apply_h3_inverse(apply_h3(w, (0, 2, 4)), (0, 2, 4)) == w
+        assert apply_h3(apply_h3(w, (0, 2, 4)), (0, 2, 4), inverse=True) == w
 
     def test_length_preserved(self, two_free, word_factory):
         w = word_factory(two_free, "ABACBC", A="a", B="a", C="a")
@@ -163,6 +168,107 @@ class TestSurgeryFactors:
         assert apply_h2(w2, (0, 2)) == apply_surgery(
             w2, Factor((0, 1), ((0, 2), (2, 4)))
         )
+
+
+def _malformed(rng, w, factor):
+    """``factor`` broken in one way a log line or a caller could break it."""
+    letters, segments = list(factor.letters), list(factor.segments)
+    how = rng.randrange(7)
+    if how == 0 and len(letters) > 1:
+        letters.pop(rng.randrange(len(letters)))  # a letter left out
+    elif how == 1:
+        letters.append(letters[0])  # a letter twice
+    elif how == 5:
+        letters.append(rng.choice((-1, w.num_letters)))  # a letter the word does not have
+    elif how == 2 and len(segments) > 1:
+        segments.reverse()  # segments out of order
+    elif how == 3:
+        start, end = segments[-1]
+        segments[-1] = (start, end + rng.choice((-1, 1)))  # one entry too few or many
+    elif how == 4:
+        segments.append((w.length, w.length + 2))  # past the end of the word
+    else:
+        start, end = segments[0]
+        segments[0] = (end, start)  # reversed range
+    return Factor(tuple(letters), tuple(segments))
+
+
+class TestSurgeryIsIdentityBridge:
+    """A surgery factor is checked only through ``validate_bridge`` with
+    the identity ``kappa``; it must accept exactly what the three separate
+    checks it replaced accepted (``_move_oracle``)."""
+
+    def test_matches_parent_checks_on_every_factor(self):
+        rng = random.Random(61)
+        accepted = filled = malformed = 0
+        for trial in range(150):
+            ground = ALPHABETS[trial % 3]
+            w = random_nanoword(rng, ground, rng.randint(1, 4))
+            for factor in enumerate_factors(w, 4, 4):
+                ok = surgery_accepted_by_apply(w, factor)
+                assert ok == surgery_accepted_by_bridge(w, factor)
+                witness = surgery_witness_by_filling_checks(w, factor)
+                assert ok == (witness is not None)
+                if not ok:
+                    with pytest.raises(WordError):
+                        apply_surgery(w, factor)
+                    continue
+                accepted += 1
+                assert apply_surgery(w, factor) == w.delete_letters(factor.letters)[0]
+                bridge = validate_bridge(w, factor, range(factor.num_segments))
+                assert (bridge.iota, bridge.epsilon) == (witness.iota, witness.epsilon)
+                if accepted % 10 == 0:
+                    filled += 1
+                    assert verify_surgery_filling(w, factor)
+            for factor in rng.choices(list(enumerate_factors(w, 4, 4)), k=3):
+                bad = _malformed(rng, w, factor)
+                ok = surgery_accepted_by_apply(w, bad)
+                assert ok == surgery_accepted_by_bridge(w, bad)
+                if ok:
+                    assert apply_surgery(w, bad) == w.delete_letters(bad.letters)[0]
+                    continue
+                malformed += 1
+                with pytest.raises(WordError):
+                    apply_surgery(w, bad)
+                with pytest.raises(WordError):
+                    verify_surgery_filling(w, bad)
+                with pytest.raises(WordError):
+                    Move("SURG", (bad.letters, bad.segments)).apply(w)
+        assert (accepted, filled, malformed) == (433, 43, 450)
+
+    def test_out_of_order_segments_rejected_everywhere(self, two_free, word_factory):
+        """The filling check used to accept segments given out of order."""
+        w = word_factory(two_free, "AABB", A="a", B="b")
+        backwards = Factor((0, 1), ((2, 4), (0, 2)))
+        assert surgery_witness_by_filling_checks(w, backwards) is not None
+        for check in (apply_surgery, verify_surgery_filling):
+            with pytest.raises(WordError):
+                check(w, backwards)
+
+
+class TestInsertedSegments:
+    def test_matches_insert_phrase(self):
+        rng = random.Random(62)
+        for trial in range(400):
+            ground = ALPHABETS[trial % 3]
+            w = random_nanoword(rng, ground, rng.randint(0, 4))
+            letters = rng.randint(1, 3)
+            flat = [x for x in range(letters) for _ in range(2)]
+            rng.shuffle(flat)
+            cuts = sorted(rng.sample(range(1, len(flat)), rng.randint(0, len(flat) - 1)))
+            bounds = [0, *cuts, len(flat)]
+            words = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+            proj = tuple(rng.choice(ground.symbols) for _ in range(letters))
+            positions = sorted(rng.randint(0, w.length) for _ in words)
+            grown = insert_phrase(w, words, proj, positions)
+            segments = inserted_segments(words, positions)
+            base = w.num_letters
+            assert [grown.seq[s:e] for s, e in segments] == [
+                tuple(base + x for x in word) for word in words
+            ]
+            inside = {p for s, e in segments for p in range(s, e)}
+            assert inside == {p for p, x in enumerate(grown.seq) if x >= base}
+            assert tuple(x for p, x in enumerate(grown.seq) if p not in inside) == w.seq
 
 
 class TestEvenFactorGeneration:
