@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from .algebra import InvolutiveAlphabet, PhiSpec, PhiSpecError
+from .algebra import AlphabetError, InvolutiveAlphabet, PhiSpec, PhiSpecError
 from .explorer import (
     ALL_SUITES,
     MAX_HALF_LENGTH,
@@ -46,7 +46,7 @@ from .surfaces import (
     surface_stats,
     tautological_gram_rank,
 )
-from .words import EMPTY_WORD, Nanoword
+from .words import EMPTY_WORD, Nanophrase, Nanoword
 
 PARSE_EXIT = 2
 FAIL_EXIT = 1
@@ -87,15 +87,20 @@ def _load_word(args) -> Nanoword:
     return item
 
 
-def _load_templates(args) -> tuple:
+def _load_templates(args, ground: InvolutiveAlphabet) -> tuple:
     """Extra insertion factors for the search: each phrase in the file
-    becomes a template, checked to be even and symmetric."""
+    becomes a template, checked to be an even symmetric phrase over the
+    word's alphabet ``ground``."""
     if not args.templates:
         return ()
     parsed = parse_input(_read_source(args.templates), strict=args.strict)
     out = []
     for item in parsed.items:
         phrase = item.to_phrase() if isinstance(item, Nanoword) else item
+        try:
+            phrase = Nanophrase(ground, phrase.words, phrase.proj, phrase.names)
+        except AlphabetError as exc:
+            raise ParseError(None, f"--templates: {exc} for the word's alphabet") from None
         if not (phrase.is_even() and phrase.is_symmetric()):
             raise ParseError(None, "--templates must hold even symmetric phrases only")
         out.append((phrase.words, phrase.proj))
@@ -254,7 +259,7 @@ def cmd_moves(args) -> int:
 def cmd_check_slice(args) -> int:
     w = _load_word(args)
     verdict = slice_status(
-        w, _caps(args), _phis(args, w.ground), _load_templates(args)
+        w, _caps(args), _phis(args, w.ground), _load_templates(args, w.ground)
     )
     print(str(verdict))
     if verdict.witness is not None and verdict.witness.moves:
@@ -314,7 +319,10 @@ OPTIONS = {
     "strict": dict(action="store_true", help="reject tau redeclarations"),
     "limit": dict(type=int, default=20),
     "replay": dict(help="metamorphosis log file to replay"),
-    "templates": dict(help="file of even symmetric phrases to use as insertion templates"),
+    "templates": dict(
+        help="file of even symmetric phrases over the word's alphabet, "
+        "used as insertion templates"
+    ),
     "half-length": dict(type=int, required=True),
     "allow-large": dict(action="store_true"),
     "seed": dict(type=int, default=0),

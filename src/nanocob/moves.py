@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import AbstractSet, Iterator, Optional, Sequence
 
 from .algebra import InvolutiveAlphabet
-from .words import Nanoword, WordError, fresh_names, mirror_witness
+from .words import Nanophrase, Nanoword, WordError, fresh_names, key_of, mirror_witness
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,12 @@ class Bridge:
 
     @property
     def arches(self) -> int:
-        return sum(1 for r, image in enumerate(self.kappa) if r < image)
+        return arch_count(self.kappa)
+
+
+def arch_count(kappa: Sequence[int]) -> int:
+    """The arches of a segment involution: its pairs of swapped segments."""
+    return sum(1 for r, image in enumerate(kappa) if r < image)
 
 
 @dataclass(frozen=True)
@@ -139,6 +144,11 @@ class Move:
             raise WordError(f"cannot parse move line {line.strip()!r}") from exc
         if move.inverse and move.kind not in ("H3", "INS"):  # no other kind has an inverse form
             raise WordError(f"cannot parse move line {line.strip()!r}: only H3 and INS take INV")
+        if move.kind == "BRIDGE" and move.arches != arch_count(move.data[2]):
+            raise WordError(
+                f"cannot parse move line {line.strip()!r}: kappa has "
+                f"{arch_count(move.data[2])} arches, not {move.arches}"
+            )
         return move
 
     @staticmethod
@@ -170,7 +180,7 @@ class Move:
             kappa = tuple(int(x) for x in fields["kappa"].split(","))
             return Move(
                 "BRIDGE", (letters, segments, kappa), inverse,
-                arches=int(fields.get("arches", 0)),
+                arches=int(fields.get("arches", arch_count(kappa))),
             )
         if kind == "INS":
             words = tuple(
@@ -204,6 +214,9 @@ class Metamorphosis:
 
     @property
     def total_arches(self) -> int:
+        """The arches of the bridges deleted, and of their inverses.  A
+        parsed ``BRIDGE`` line's count is ``arch_count`` of its ``kappa``,
+        the count of the bridge its replay validates."""
         return sum(m.arches for m in self.moves)
 
     def replay(self, start: Nanoword) -> Nanoword:
@@ -718,22 +731,31 @@ def neighbors(
     w: Nanoword,
     caps: Caps = DEFAULT_CAPS,
     extra_templates: Sequence[tuple[tuple, tuple[str, ...]]] = (),
-) -> Iterator[tuple[Move, Nanoword]]:
-    """Each move the search takes from ``w`` with its result: the site
-    moves, then the template insertions that stay within the length cap."""
+) -> Iterator[tuple[Move, tuple]]:
+    """Each move the search takes from ``w`` with the canonical key of its
+    result: the site moves, then the template insertions that stay within
+    the length cap.  An insertion's key is read straight off the grown
+    sequence, without building its word; the templates are trusted to be
+    phrases over ``w.ground`` (``bounded_bfs`` checks them)."""
     for move in site_moves(w, caps):
-        yield move, move.apply(w)
+        yield move, move.apply(w).canonical_key()
     max_len = caps.length_cap(w.length)
+    base = w.num_letters
     for words, proj in _insertion_templates(w.ground) + list(extra_templates):
         total = sum(len(word) for word in words)
         if w.length + total > max_len:
             continue
+        shifted = [[base + x for x in word] for word in words]
+        grown_proj = w.proj + tuple(proj)
         slots = itertools.combinations_with_replacement(
             range(w.length + 1), len(words)
         )
         for positions in slots:
+            seq = list(w.seq)
+            for word, pos in zip(reversed(shifted), reversed(positions)):
+                seq[pos:pos] = word
             move = Move("INS", (words, proj, positions), inverse=True)
-            yield move, insert_phrase(w, words, proj, positions)
+            yield move, key_of(seq, grown_proj)
 
 
 @dataclass(frozen=True)
@@ -759,7 +781,12 @@ def bounded_bfs(
     without a metamorphosis is never a proof of inequivalence.
 
     A state is a canonical key; its word is built only when it is
-    expanded."""
+    expanded.  Each extra template is checked once, as a phrase over the
+    word's ground alphabet, since ``neighbors`` builds no word that would
+    check it (WordError or AlphabetError)."""
+    for words, proj in extra_templates:
+        names = tuple(f"N{i + 1}" for i in range(len(proj)))
+        Nanophrase(w.ground, tuple(map(tuple, words)), tuple(proj), names)
     start = w.canonical_key()
     target = v.canonical_key() if v is not None else None
     parents: dict[tuple, Optional[tuple[tuple, Move]]] = {start: None}
@@ -785,11 +812,8 @@ def bounded_bfs(
         key = queue.popleft()
         explored += 1
         current = Nanoword.from_key(w.ground, key)
-        for move, result in neighbors(current, scoped, extra_templates):
-            if result.length > max_len:
-                continue
-            child = result.canonical_key()
-            if child in parents:
+        for move, child in neighbors(current, scoped, extra_templates):
+            if len(child[0]) > max_len or child in parents:
                 continue
             parents[child] = (key, move)
             if child == target:

@@ -42,6 +42,15 @@ def fresh_names(
     return tuple(out)
 
 
+def key_of(seq: Sequence[int], proj: Sequence[str]) -> tuple:
+    """The canonical key of a letter sequence with its projection table:
+    ids renumbered by first occurrence, plus the projections in that order.
+    Nothing is validated; ``seq`` must hold each letter it names twice."""
+    relabel: dict[int, int] = {}
+    renumbered = tuple([relabel.setdefault(x, len(relabel)) for x in seq])
+    return (renumbered, tuple([proj[old] for old in relabel]))
+
+
 def _validate_letters(seq: Sequence[int], num_letters: int) -> None:
     counts = [0] * num_letters
     for x in seq:
@@ -143,19 +152,10 @@ class Nanoword:
     # -- canonical form ------------------------------------------------
 
     def canonical_key(self) -> tuple:
-        """Isomorphism invariant: ids renumbered by first occurrence plus
-        the projections in that order.  Two nanowords over the same ground
-        alphabet are isomorphic iff their keys coincide."""
-        relabel: dict[int, int] = {}
-        seq = []
-        for x in self.seq:
-            if x not in relabel:
-                relabel[x] = len(relabel)
-            seq.append(relabel[x])
-        proj = [""] * len(relabel)
-        for old, new in relabel.items():
-            proj[new] = self.proj[old]
-        return (tuple(seq), tuple(proj))
+        """Isomorphism invariant: ``key_of`` the word's sequence and
+        projections.  Two nanowords over the same ground alphabet are
+        isomorphic iff their keys coincide."""
+        return key_of(self.seq, self.proj)
 
     @staticmethod
     def from_key(ground: InvolutiveAlphabet, key: tuple) -> "Nanoword":

@@ -8,7 +8,8 @@ to be checked on three paths of its own: ``apply_surgery``,
 opened ``verify_surgery_filling``.  The second and third
 homotopy moves used to be found by scanning every pair and triple of
 positions.  The bounded search used to store a canonical word beside the
-key of every state it discovered.
+key of every state it discovered, and to build every child's word by
+applying its move.
 """
 
 from collections import deque
@@ -135,7 +136,8 @@ def bfs_storing_words(w, v, caps=DEFAULT_CAPS, extra_templates=()):
         key = queue.popleft()
         explored += 1
         current = state_words[key]
-        for move, result in neighbors(current, scoped, extra_templates):
+        for move, _ in neighbors(current, scoped, extra_templates):
+            result = move.apply(current)
             if result.length > max_len:
                 continue
             ckey = result.canonical_key()

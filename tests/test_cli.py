@@ -245,6 +245,8 @@ class TestCommands:
             # bad input, not the forward move
             "INV H1@0\n", "INV H2@0,2\n", "INV SURG letters=0 segs=0-2\n",
             "INV BRIDGE letters=0 segs=0-1,1-2 kappa=1,0 arches=1\n", "INV SHIFT\n",
+            # the stated arch count disagrees with kappa, which has one arch
+            "BRIDGE letters=0 segs=0-1,1-2 kappa=1,0 arches=5\n",
         ],
     )
     def test_replay_rejects_malformed_log(self, capsys, tmp_path, log):
@@ -628,6 +630,29 @@ class TestCommands:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "alphabet, word, proj",
+        [
+            # no insertion child is ever built here: the search ends at once
+            ("alphabet: a x;tau: a<->x", "ABAB", "A=a B=a"),
+            ("alphabet: a A c C;tau: a<->A c<->C", "ABACDCDB", "A=a B=a C=c D=c"),
+        ],
+    )
+    def test_rejects_template_over_foreign_symbol(self, tmp_path, capsys, alphabet, word, proj):
+        """A template is checked against the word's alphabet before any
+        search, whether or not the search would insert it."""
+        templates = tmp_path / "templates.txt"
+        templates.write_text("alphabet: b y\ntau: b<->y\nword: A A\nproj: A=b\n")
+        code = main(
+            ["check-slice", "--alphabet", alphabet, "--word", word, "--proj", proj,
+             "--templates", str(templates)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: --templates:") and "'b'" in captured.err
+        assert len(captured.err.splitlines()) == 1
 
 
 # sha256 of `classify --format csv` for the README tables.  Speeding up the

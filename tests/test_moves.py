@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nanocob.algebra import InvolutiveAlphabet
+from nanocob.algebra import AlphabetError, InvolutiveAlphabet
 from nanocob.moves import (
     DEFAULT_CAPS,
     Caps,
@@ -577,7 +577,8 @@ class TestSearch:
 
         for _ in range(15):
             w = random_nanoword(rng, two_free, rng.randint(1, 3)).canonical_form()
-            for move, result in neighbors(w, Caps(bfs_length=w.length + 2)):
+            for move, _ in neighbors(w, Caps(bfs_length=w.length + 2)):
+                result = move.apply(w)
                 assert result.length == 2 * result.num_letters  # constructor ran
 
 
@@ -607,6 +608,51 @@ BENCHMARK_ALPHABETS = (
     InvolutiveAlphabet.fixed_point_free(("a", "b"), ("x", "y")),
     InvolutiveAlphabet.build(("a", "x", "c"), {"a": "x", "x": "a", "c": "c"}),
 )
+
+
+# The alphabets the benchmark and the roadmap search over: one free orbit,
+# two free orbits, one free orbit plus a fixed point, one fixed point.
+SEARCH_ALPHABETS = BENCHMARK_ALPHABETS + (InvolutiveAlphabet.build(("a",), {"a": "a"}),)
+
+
+def _extra_templates(ground):
+    """Two even symmetric phrases past the built-in ones: ``ABBA`` in one
+    segment and ``AB | CC | BA`` in three."""
+    a = ground.symbols[0]
+    c = ground.symbols[-1]
+    return (
+        (((0, 1, 1, 0),), (a, c)),
+        (((0, 1), (2, 2), (1, 0)), (a, ground.tau(a), c)),
+    )
+
+
+@pytest.mark.parametrize("extra", [False, True], ids=["builtin", "extra-templates"])
+@pytest.mark.parametrize("ground", SEARCH_ALPHABETS, ids=["ax", "ax-by", "ax-cc", "aa"])
+def test_neighbor_keys_match_applied_moves(ground, extra):
+    """Every child key ``neighbors`` yields, insertions built without a
+    word included, is the canonical key of the word its move builds."""
+    rng = random.Random(17)
+    templates = _extra_templates(ground) if extra else ()
+    kinds = set()
+    for _ in range(12):
+        w = random_nanoword(rng, ground, rng.randint(0, 3)).canonical_form()
+        caps = Caps(bfs_length=w.length + 6)
+        for move, key in neighbors(w, caps, templates):
+            assert key == move.apply(w).canonical_key(), move.to_line()
+            kinds.add(move.kind)
+    assert "INS" in kinds
+
+
+def test_foreign_template_rejected_once_per_search():
+    """A template over a symbol outside the word's alphabet is refused
+    before the search starts, also when no insertion would fit."""
+    one_orbit = BENCHMARK_ALPHABETS[0]
+    w = Nanoword.from_names(one_orbit, "ABAB", {"A": "a", "B": "a"})
+    for caps in (DEFAULT_CAPS, Caps(bfs_length=4)):
+        with pytest.raises(AlphabetError):
+            bounded_bfs(w, None, caps, ((((0, 0),), ("b",)),))
+    with pytest.raises(WordError):
+        bounded_bfs(w, None, DEFAULT_CAPS, ((((0, 1),), ("a", "a")),))
 
 
 class TestSearchOracle:

@@ -8,6 +8,7 @@ from nanocob.words import (
     Nanophrase,
     Nanoword,
     WordError,
+    key_of,
 )
 
 from _phrase_route import phrase_witness
@@ -367,3 +368,27 @@ def test_gamma_lands_in_commutator(data):
     rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
     w = random_word(rng, ground, letters)
     assert w.gamma().abelianized().is_zero()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 10 ** 6))
+def test_key_of_is_the_canonical_key(letters, seed):
+    """``key_of`` a word's tables is its canonical key, also after its
+    letter ids are permuted, and ``from_key`` builds a word with that key."""
+    ground = InvolutiveAlphabet.build(
+        ("a", "A", "c"), {"a": "A", "A": "a", "c": "c"}
+    )
+    rng = random.Random(seed)
+    w = random_word(rng, ground, letters)
+    key = w.canonical_key()
+    assert key_of(w.seq, w.proj) == key
+    ids = list(range(letters))
+    rng.shuffle(ids)
+    proj = [""] * letters
+    for old, new in enumerate(ids):
+        proj[new] = w.proj[old]
+    assert key_of([ids[x] for x in w.seq], proj) == key
+    rebuilt = Nanoword.from_key(ground, key)
+    assert rebuilt.canonical_key() == key
+    assert rebuilt == rebuilt.canonical_form()
+    assert rebuilt.is_isomorphic(w)
