@@ -34,6 +34,7 @@ from .moves import (
     site_moves,
 )
 from .pairings import (
+    Genus,
     enumerate_fillings,
     filling_is_annihilating,
     format_vector,
@@ -175,7 +176,7 @@ def cmd_invariants(args) -> int:
         f"u\t{record.u}",
     ]
     for label, twice in record.genera:
-        lines.append(f"sigma\t{label}\t{twice // 2 if twice % 2 == 0 else f'{twice}/2'}")
+        lines.append(f"sigma\t{label}\t{Genus(twice)}")
     lines.append(f"hyperbolic\t{'yes' if record.hyperbolic else 'no'}")
     lines.append(f"r\t{record.r.format(torsion_suffix=True)}")
     _emit(lines, args.format)
@@ -191,6 +192,8 @@ def cmd_pairing(args) -> int:
 
 
 def cmd_fillings(args) -> int:
+    if args.limit < 0:
+        raise ParseError(None, f"--limit must be at least 0, got {args.limit}")
     w = _load_word(args)
     p = pairing_of_nanoword(w)
     shown = 0

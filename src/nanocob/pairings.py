@@ -2,12 +2,13 @@
 
 A pairing is a finite set with one distinguished element ``s`` and a
 matrix of values in the abelianized orbit group; the non-distinguished
-elements project to the ground alphabet.  Hyperbolicity is decided by
-complete enumeration of fillings (partitions of the letters into
-admissible signed singletons and pairs, plus the vector ``s``).  On top
-of this sit the per-orbit polynomial invariant, the half-rank genus
-under a coefficient homomorphism, weak (tuple) fillings, shifts of
-pairings, and coverings of words.
+elements project to the ground alphabet.  A filling is the vector ``s``
+plus a partition of the letters into admissible signed singletons and
+pairs.  One walk grows fillings a group at a time and prunes every
+filling that starts with a rejected prefix; it decides hyperbolicity,
+the half-rank genus under a coefficient homomorphism, and their weak
+(tuple) versions.  Alongside sit the per-orbit polynomial invariant,
+shifts of pairings, and coverings of words.
 """
 
 from __future__ import annotations
@@ -331,35 +332,115 @@ def _admissible_signs(ground: InvolutiveAlphabet, a: str, b: str) -> tuple[int, 
     return tuple(signs)
 
 
-def _matchings(
-    ground: InvolutiveAlphabet, proj: Sequence[str], first: int, prefix: tuple
-) -> Iterator[tuple[SVector, ...]]:
-    """``prefix`` followed by each partition of the letters ``first``,
-    ``first + 1``, ... (projecting to ``proj``) into singletons and
-    admissible signed pairs.  Deterministic order, letters processed by
-    index, partners proposed in increasing index order."""
+# ---------------------------------------------------------------------------
+# the filling walk
+#
+# One walk grows the fillings of a pairing, and the normalized weak fillings
+# of a tuple of pairings (below), a slot at a time.  A slot is an SVector
+# over a table laid out like a pairing's: index t < r is the distinguished
+# element of pairing t and index r + g is letter g (r = 1 on a pairing's own
+# table).  Slot 0 is s_1 + ... + s_r.  Each further slot takes a group, the
+# lowest unplaced letter alone or with a later admissible partner and sign,
+# and then that group's coefficient vector for s_1..s_r (zero when r = 1).
+# The walk grows the Gram matrix of the slots chosen so far by one row and
+# one column per slot and asks the caller's admit of every prefix.  That
+# matrix is the leading principal submatrix of the Gram matrix of every
+# completion, so its rank bounds theirs from below and its nonzero entries
+# stay nonzero: a prefix of rank at least the best so far (genus) or with a
+# nonvanishing entry (hyperbolicity) is rejected, and that prunes every
+# filling starting with it, whatever partition of the other letters follows.
+#
+# Leaves come in group-then-coefficient order: singleton before pairs,
+# partners by increasing index, +1 before -1.  The order matters because
+# the hyperbolicity searches return the first vanishing filling reached and
+# the genus searches stop at the first of rank 0: another order could
+# change the witness, the ``nanocob fillings`` listing or the work done,
+# though never the verdict or the genus.
 
-    def rec(remaining: tuple[int, ...], acc: list[SVector]) -> Iterator[tuple[SVector, ...]]:
+
+def _walk_fillings(
+    table: AlphaPairing | TupleSpace,
+    pair: Callable[[SVector, SVector], object],
+    admit: Callable[[list[list]], bool],
+    s_bound: int = 1,
+) -> Iterator[tuple[SVector, ...]]:
+    """The fillings of ``table`` whose every prefix ``admit`` accepts, as
+    tuples of slots.  ``pair(x, y)`` is the Gram entry of two slots;
+    ``admit(gram)`` must reject a prefix only when it rejects every
+    completion.  ``s_bound`` bounds a tuple's distinguished coefficients."""
+    ground, proj = table.ground, table.proj
+    r = len(table.coords) - len(proj)
+    start = tuple((t, 1) for t in range(r))
+    coefficients = ((),)
+    if r > 1:
+        # s_1..s_{r-1} need coefficients of their own only when a row or
+        # column of theirs holds an entry that ``pair`` tells apart from
+        # the empty sum; s_r's is pinned to 0
+        empty = pair((), ())
+        if any(
+            pair(((t, 1),), ((j, 1),)) != empty or pair(((j, 1),), ((t, 1),)) != empty
+            for t in range(r - 1)
+            for j in range(len(table.coords))
+        ):
+            span = range(-2 * s_bound, 2 * s_bound + 1)
+            coefficients = tuple(
+                tuple((t, c) for t, c in enumerate(d) if c)
+                for d in itertools.product(span, repeat=r - 1)
+            )
+    slots = [start]
+    gram = [[pair(start, start)]]
+
+    def grow(remaining: tuple[int, ...]):
+        if not admit(gram):
+            return
         if not remaining:
-            yield prefix + tuple(acc)
+            yield tuple(slots)
             return
         head, rest = remaining[0], remaining[1:]
-        acc.append(((head, 1),))
-        yield from rec(rest, acc)
-        acc.pop()
+        alone = ((r + head, 1),)
+        groups = [(alone, rest)]
         for pos, other in enumerate(rest):
-            for sign in _admissible_signs(ground, proj[head - first], proj[other - first]):
-                acc.append(((head, 1), (other, sign)))
-                yield from rec(rest[:pos] + rest[pos + 1 :], acc)
-                acc.pop()
+            for sign in _admissible_signs(ground, proj[head], proj[other]):
+                groups.append((alone + ((r + other, sign),), rest[:pos] + rest[pos + 1 :]))
+        for group, left in groups:
+            for coefficient in coefficients:
+                x = coefficient + group
+                for row, y in zip(gram, slots):
+                    row.append(pair(y, x))
+                slots.append(x)
+                gram.append([pair(x, y) for y in slots])
+                yield from grow(left)
+                slots.pop()
+                gram.pop()
+                for row in gram:
+                    row.pop()
 
-    return rec(tuple(range(first, first + len(proj))), [])
+    return grow(tuple(range(len(proj))))
+
+
+_newest = operator.itemgetter(-1)
+
+
+def _newest_vanish(gram: list[list]) -> bool:
+    # the older entries vanished when their prefix was admitted
+    return all(gram[-1]) and all(map(_newest, gram))
+
+
+def _first_vanishing(
+    table: AlphaPairing | TupleSpace, s_bound: int = 1
+) -> Optional[tuple[SVector, ...]]:
+    """The first filling of ``table`` whose Gram matrix vanishes."""
+    vanishes = functools.partial(_vanishes, table)
+    for slots in _walk_fillings(table, vanishes, _newest_vanish, s_bound):
+        return slots
+    return None
 
 
 def enumerate_fillings(p: AlphaPairing) -> Iterator[tuple[SVector, ...]]:
     """All fillings: the vector s plus a partition of the letters into
-    singletons and admissible signed pairs."""
-    return _matchings(p.ground, p.proj, 1, (S_VECTOR,))
+    singletons and admissible signed pairs, as the filling walk reaches
+    them with nothing pruned."""
+    return _walk_fillings(p, lambda x, y: None, lambda gram: True)
 
 
 def tautological_filling(p: AlphaPairing) -> tuple[SVector, ...]:
@@ -385,10 +466,8 @@ def filling_is_annihilating(p: AlphaPairing, filling: Sequence[SVector]) -> bool
 
 
 def is_hyperbolic(p: AlphaPairing) -> Optional[tuple[SVector, ...]]:
-    for filling in enumerate_fillings(p):
-        if filling_is_annihilating(p, filling):
-            return filling
-    return None
+    """The first annihilating filling the walk reaches, or None."""
+    return _first_vanishing(p)
 
 
 def are_cobordant(p1: AlphaPairing, p2: AlphaPairing) -> bool:
@@ -451,40 +530,39 @@ def _scalar_value(matrix: list[list], x: SVector, y: SVector):
     return acc
 
 
-def _scalar_gram(matrix: list[list], filling: Sequence[SVector]) -> list[list]:
-    # _scalar_value per entry, inlined: a call per entry made this loop
-    # about 40% slower (2-core host, Python 3.11)
-    gram = []
-    for x in filling:
-        row = []
-        for y in filling:
-            acc = 0
-            for i, c in x:
-                for j, d in y:
-                    acc += c * d * matrix[i][j]
-            row.append(acc)
-        gram.append(row)
-    return gram
+def _least_rank(table: AlphaPairing | TupleSpace, phi: PhiSpec, s_bound: int = 1) -> Genus:
+    """Half the least Gram rank under ``phi`` over the fillings of ``table``."""
+    best: Optional[int] = None
+    asked: list[list] = []
+
+    def below_best(gram):
+        nonlocal asked
+        asked = gram
+        # a prefix of fewer slots than the best rank has a smaller rank
+        return best is None or len(gram) < best or _gram_rank(phi, gram) < best
+
+    # an accepted filling beats the best so far; ``asked`` is the walk's
+    # Gram matrix, which holds the filling's when the walk yields it
+    value = functools.partial(_scalar_value, _phi_matrix(table, phi))
+    for _ in _walk_fillings(table, value, below_best, s_bound):
+        best = _gram_rank(phi, asked)
+        if best == 0:
+            break
+    assert best is not None  # the tautological filling always exists
+    return Genus(best)
 
 
 def genus_of_filling(
     p: AlphaPairing, phi: PhiSpec, filling: Sequence[SVector]
 ) -> Genus:
-    gram = _scalar_gram(_phi_matrix(p, phi), filling)
+    matrix = _phi_matrix(p, phi)
+    gram = [[_scalar_value(matrix, x, y) for y in filling] for x in filling]
     return Genus(_gram_rank(phi, gram))
 
 
 def genus(p: AlphaPairing, phi: PhiSpec) -> Genus:
-    matrix = _phi_matrix(p, phi)
-    best: Optional[int] = None
-    for filling in enumerate_fillings(p):
-        rank = _gram_rank(phi, _scalar_gram(matrix, filling))
-        if best is None or rank < best:
-            best = rank
-        if best == 0:
-            break
-    assert best is not None  # the tautological filling always exists
-    return Genus(best)
+    """Half the least Gram rank over the fillings of ``p``."""
+    return _least_rank(p, phi)
 
 
 def phi_sign_battery(alphabet: InvolutiveAlphabet) -> tuple[PhiSpec, ...]:
@@ -698,6 +776,8 @@ class TupleSpace:
     pairings: tuple[AlphaPairing, ...]
 
     def __post_init__(self):
+        if not self.pairings:
+            raise PairingError("a weak filling needs at least one pairing")
         ground = self.pairings[0].ground
         for p in self.pairings:
             if p.ground != ground:
@@ -747,88 +827,23 @@ class TupleSpace:
 # Gram rank or annihilation.  Modulo that move a coefficient box
 # [-s_bound, s_bound]^r reduces to difference coefficients against the last
 # block, each ranging over [-2*s_bound, 2*s_bound], with the last component
-# pinned to 0.  The searches below enumerate those representatives; the
-# verdicts agree exactly with the literal box search kept as a test oracle
-# (tests/_pairing_oracle.py, checked in TestWeakBoxOracle).
-#
-# A slot of a weak filling is an SVector over the tuple space's one table
-# ``coords``: index t < r is the distinguished element of pairing t and
-# index r + g is global letter g.  Per matching the search is a branch and
-# bound (Land and Doig, 1960) over the coefficient vector of one slot at a
-# time.  It holds the Gram matrix of the slots chosen so far and grows it by
-# one row and one column per slot on descent, dropping them on return; each
-# entry is the caller's rule applied to two slots.  That matrix is the
-# leading principal submatrix of the Gram matrix of every completion, so
-# its rank bounds theirs from below and each of its nonzero entries stays
-# nonzero in all of them.  A subtree whose prefix has rank at least the best
-# so far (tuple_genus), or a nonvanishing entry (is_hyperbolic_tuple), holds
-# no better candidate and is skipped.  Leaves are still reached in the
-# lexicographic order of the full product of coefficient vectors:
-# is_hyperbolic_tuple returns the first annihilating filling and
-# tuple_genus stops at the first of rank 0, so any other order could change
-# the witness or the work done.  The product search is kept as a test
-# oracle too (TestWeakProductOracle).
+# pinned to 0.  The filling walk enumerates those representatives on the
+# tuple space's table; the verdicts agree exactly with the literal box
+# search kept as a test oracle (tests/_pairing_oracle.py, checked in
+# TestWeakBoxOracle).
 
 
-def _weak_search(
-    space: TupleSpace,
-    s_bound: int,
-    pair: Callable[[SVector, SVector], object],
-    admit: Callable[[list[list]], bool],
-):
-    """The normalized weak fillings that ``admit`` accepts, in search order.
-    ``pair(x, y)`` is the Gram entry of two slots over ``space.coords``.
-    ``admit(gram)`` is asked of the Gram matrix of every prefix of slots
-    (slot 0 is s_1 + ... + s_r) and must reject a prefix only when it
-    rejects every completion.  Yields per accepted candidate the
-    coefficient-vector index of each slot, the matching and the
-    coefficient vectors."""
-    r = len(space.pairings)
-    size = r + space.num_letters
-    # s_1..s_{r-1} need coefficients of their own only when a row or column
-    # of theirs holds an entry that ``pair`` tells apart from the empty sum
-    empty = pair((), ())
-    relevant = any(
-        pair(((t, 1),), ((j, 1),)) != empty or pair(((j, 1),), ((t, 1),)) != empty
-        for t in range(r - 1)
-        for j in range(size)
+def _weak_vector(r: int, slot: SVector) -> WeakVector:
+    coeffs = dict(slot)
+    return WeakVector(
+        tuple((i - r, c) for i, c in slot if i >= r), tuple(coeffs.get(t, 0) for t in range(r))
     )
-    spread = (
-        tuple(
-            d + (0,)
-            for d in itertools.product(range(-2 * s_bound, 2 * s_bound + 1), repeat=r - 1)
-        )
-        if relevant
-        else ((0,) * r,)
-    )
-    vectors = ((1,) * r,) + spread
-    heads = [tuple((t, c) for t, c in enumerate(v) if c) for v in vectors]
-    choices = range(1, len(vectors))
-    for matching in _matchings(space.ground, space.proj, 0, ()):
-        letters = [tuple((r + g, a) for g, a in group) for group in matching]
-        slots = [heads[0]]
-        gram = [[pair(heads[0], heads[0])]]
 
-        def walk(keys):
-            if not admit(gram):
-                return
-            if len(keys) > len(matching):
-                yield keys, matching, vectors
-                return
-            tail = letters[len(keys) - 1]
-            for k in choices:
-                x = heads[k] + tail
-                for row, y in zip(gram, slots):
-                    row.append(pair(y, x))
-                slots.append(x)
-                gram.append([pair(x, y) for y in slots])
-                yield from walk(keys + (k,))
-                slots.pop()
-                gram.pop()
-                for row in gram:
-                    row.pop()
 
-        yield from walk((0,))
+def _tuple_space(pairings: Sequence[AlphaPairing], s_bound: int) -> TupleSpace:
+    if s_bound < 1:
+        raise PairingError("s_bound must be at least 1")
+    return TupleSpace(tuple(pairings))
 
 
 def is_hyperbolic_tuple(
@@ -836,18 +851,11 @@ def is_hyperbolic_tuple(
 ) -> Optional[tuple[WeakVector, ...]]:
     """One-sided hyperbolicity search: a returned weak filling annihilates;
     None only means the bounded search found nothing."""
-    if s_bound < 1:
-        raise PairingError("s_bound must be at least 1")
-    space = TupleSpace(tuple(pairings))
-
-    def newest_vanish(gram):
-        # the older entries vanished when their prefix was admitted
-        return all(gram[-1]) and all(row[-1] for row in gram)
-
-    vanishes = functools.partial(_vanishes, space)
-    for keys, matching, vectors in _weak_search(space, s_bound, vanishes, newest_vanish):
-        return tuple(WeakVector(group, vectors[k]) for group, k in zip(((),) + matching, keys))
-    return None
+    space = _tuple_space(pairings, s_bound)
+    slots = _first_vanishing(space, s_bound)
+    if slots is None:
+        return None
+    return tuple(_weak_vector(len(space.pairings), x) for x in slots)
 
 
 def weakly_cobordant(p: AlphaPairing, q: AlphaPairing, s_bound: int = 2) -> bool:
@@ -859,26 +867,7 @@ def tuple_genus(
 ) -> Genus:
     """Minimal half-rank over the bounded weak fillings: an upper bound for
     the true minimum, exact when the optimum has coefficients in range."""
-    if s_bound < 1:
-        raise PairingError("s_bound must be at least 1")
-    space = TupleSpace(tuple(pairings))
-    best: Optional[int] = None
-    rank = 0
-
-    def below_best(gram):
-        nonlocal rank
-        rank = _gram_rank(phi, gram)
-        return best is None or rank < best
-
-    # an accepted candidate beats the best so far; ``rank`` is still its
-    # rank, as below_best ran on it last
-    value = functools.partial(_scalar_value, _phi_matrix(space, phi))
-    for _ in _weak_search(space, s_bound, value, below_best):
-        best = rank
-        if best == 0:
-            break
-    assert best is not None
-    return Genus(best)
+    return _least_rank(_tuple_space(pairings, s_bound), phi, s_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,219 @@
-"""The sparse pairing routes the coordinate kernels replaced, kept as test
-oracles.
+"""The pairing routes the coordinate kernels and the filling walk
+replaced, kept as test oracles.
 
 Values are ``PiElement``s read from ``AlphaPairing.matrix`` and combined
 with sparse group arithmetic; the weak fillings are the literal box of
-coefficient vectors, not the normalized representatives the searches in
-``nanocob.pairings`` walk.  The product search below walks those
-representatives without pruning: the full product of coefficient vectors
-per matching, ranked or checked leaf by leaf.  Both it and the term-table
-walk read Gram matrices off per-matching term tables, one per scalar image
-of the coordinates, instead of the tuple space's one table.
+coefficient vectors, not the normalized representatives the filling walk
+in ``nanocob.pairings`` visits.  The flat searches rank or check every
+whole filling of a pairing, and the matching-major search walks each
+matching from the root in turn.  The product search walks the normalized
+representatives without pruning, ranked or checked leaf by leaf; it reads
+Gram matrices off per-matching term tables, one per scalar image of the
+coordinates, instead of the tuple space's one table.
 """
 
+import functools
 import itertools
 import operator
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from nanocob.algebra import RATIONALS, AlphabetError, PhiSpec, PiElement
+from nanocob.algebra import RATIONALS, AlphabetError, InvolutiveAlphabet, PhiSpec, PiElement
 from nanocob.pairings import (
+    S_VECTOR,
     AlphaPairing,
+    Genus,
     PairingError,
     SVector,
     TupleSpace,
     WeakVector,
+    _admissible_signs,
     _gram_rank,
-    _matchings,
+    _phi_matrix,
+    _scalar_value,
+    _vanishes,
+    filling_is_annihilating,
 )
+
+
+# ---------------------------------------------------------------------------
+# the flat filling searches and the matching-major weak search
+
+
+def _matchings(
+    ground: InvolutiveAlphabet, proj: Sequence[str], first: int, prefix: tuple
+) -> Iterator[tuple[SVector, ...]]:
+    """``prefix`` followed by each partition of the letters ``first``,
+    ``first + 1``, ... (projecting to ``proj``) into singletons and
+    admissible signed pairs.  Deterministic order, letters processed by
+    index, partners proposed in increasing index order."""
+
+    def rec(remaining: tuple[int, ...], acc: list[SVector]) -> Iterator[tuple[SVector, ...]]:
+        if not remaining:
+            yield prefix + tuple(acc)
+            return
+        head, rest = remaining[0], remaining[1:]
+        acc.append(((head, 1),))
+        yield from rec(rest, acc)
+        acc.pop()
+        for pos, other in enumerate(rest):
+            for sign in _admissible_signs(ground, proj[head - first], proj[other - first]):
+                acc.append(((head, 1), (other, sign)))
+                yield from rec(rest[:pos] + rest[pos + 1 :], acc)
+                acc.pop()
+
+    return rec(tuple(range(first, first + len(proj))), [])
+
+
+def flat_fillings(p: AlphaPairing) -> Iterator[tuple[SVector, ...]]:
+    """All fillings: the vector s plus a partition of the letters into
+    singletons and admissible signed pairs."""
+    return _matchings(p.ground, p.proj, 1, (S_VECTOR,))
+
+
+def flat_is_hyperbolic(p: AlphaPairing) -> Optional[tuple[SVector, ...]]:
+    for filling in flat_fillings(p):
+        if filling_is_annihilating(p, filling):
+            return filling
+    return None
+
+
+def _scalar_gram(matrix: list[list], filling: Sequence[SVector]) -> list[list]:
+    # _scalar_value per entry, inlined: a call per entry made this loop
+    # about 40% slower (2-core host, Python 3.11)
+    gram = []
+    for x in filling:
+        row = []
+        for y in filling:
+            acc = 0
+            for i, c in x:
+                for j, d in y:
+                    acc += c * d * matrix[i][j]
+            row.append(acc)
+        gram.append(row)
+    return gram
+
+
+def flat_genus(p: AlphaPairing, phi: PhiSpec) -> Genus:
+    matrix = _phi_matrix(p, phi)
+    best: Optional[int] = None
+    for filling in flat_fillings(p):
+        rank = _gram_rank(phi, _scalar_gram(matrix, filling))
+        if best is None or rank < best:
+            best = rank
+        if best == 0:
+            break
+    assert best is not None  # the tautological filling always exists
+    return Genus(best)
+
+
+def matching_weak_search(
+    space: TupleSpace,
+    s_bound: int,
+    pair: Callable[[SVector, SVector], object],
+    admit: Callable[[list[list]], bool],
+):
+    """The normalized weak fillings that ``admit`` accepts, in search order.
+    ``pair(x, y)`` is the Gram entry of two slots over ``space.coords``.
+    ``admit(gram)`` is asked of the Gram matrix of every prefix of slots
+    (slot 0 is s_1 + ... + s_r) and must reject a prefix only when it
+    rejects every completion.  Yields per accepted candidate the
+    coefficient-vector index of each slot, the matching and the
+    coefficient vectors."""
+    r = len(space.pairings)
+    size = r + space.num_letters
+    # s_1..s_{r-1} need coefficients of their own only when a row or column
+    # of theirs holds an entry that ``pair`` tells apart from the empty sum
+    empty = pair((), ())
+    relevant = any(
+        pair(((t, 1),), ((j, 1),)) != empty or pair(((j, 1),), ((t, 1),)) != empty
+        for t in range(r - 1)
+        for j in range(size)
+    )
+    spread = (
+        tuple(
+            d + (0,)
+            for d in itertools.product(range(-2 * s_bound, 2 * s_bound + 1), repeat=r - 1)
+        )
+        if relevant
+        else ((0,) * r,)
+    )
+    vectors = ((1,) * r,) + spread
+    heads = [tuple((t, c) for t, c in enumerate(v) if c) for v in vectors]
+    choices = range(1, len(vectors))
+    for matching in _matchings(space.ground, space.proj, 0, ()):
+        letters = [tuple((r + g, a) for g, a in group) for group in matching]
+        slots = [heads[0]]
+        gram = [[pair(heads[0], heads[0])]]
+
+        def walk(keys):
+            if not admit(gram):
+                return
+            if len(keys) > len(matching):
+                yield keys, matching, vectors
+                return
+            tail = letters[len(keys) - 1]
+            for k in choices:
+                x = heads[k] + tail
+                for row, y in zip(gram, slots):
+                    row.append(pair(y, x))
+                slots.append(x)
+                gram.append([pair(x, y) for y in slots])
+                yield from walk(keys + (k,))
+                slots.pop()
+                gram.pop()
+                for row in gram:
+                    row.pop()
+
+        yield from walk((0,))
+
+
+def matching_is_hyperbolic_tuple(
+    pairings: Sequence[AlphaPairing], s_bound: int = 2
+) -> Optional[tuple[WeakVector, ...]]:
+    """``is_hyperbolic_tuple`` on the matching-major search."""
+    if s_bound < 1:
+        raise PairingError("s_bound must be at least 1")
+    space = TupleSpace(tuple(pairings))
+
+    def newest_vanish(gram):
+        # the older entries vanished when their prefix was admitted
+        return all(gram[-1]) and all(row[-1] for row in gram)
+
+    vanishes = functools.partial(_vanishes, space)
+    for keys, matching, vectors in matching_weak_search(space, s_bound, vanishes, newest_vanish):
+        return tuple(WeakVector(group, vectors[k]) for group, k in zip(((),) + matching, keys))
+    return None
+
+
+def matching_tuple_genus(
+    pairings: Sequence[AlphaPairing], phi: PhiSpec, s_bound: int = 2
+) -> Genus:
+    """``tuple_genus`` on the matching-major search."""
+    if s_bound < 1:
+        raise PairingError("s_bound must be at least 1")
+    space = TupleSpace(tuple(pairings))
+    best: Optional[int] = None
+    rank = 0
+
+    def below_best(gram):
+        nonlocal rank
+        rank = _gram_rank(phi, gram)
+        return best is None or rank < best
+
+    # an accepted candidate beats the best so far; ``rank`` is still its
+    # rank, as below_best ran on it last
+    value = functools.partial(_scalar_value, _phi_matrix(space, phi))
+    for _ in matching_weak_search(space, s_bound, value, below_best):
+        best = rank
+        if best == 0:
+            break
+    assert best is not None
+    return Genus(best)
+
+
+# ---------------------------------------------------------------------------
+# sparse evaluation
 
 
 def evaluate(p: AlphaPairing, x: SVector, y: SVector) -> PiElement:
@@ -88,13 +276,13 @@ def enumerate_weak_fillings(
 
 
 # ---------------------------------------------------------------------------
-# the term-table route of the weak-filling search
+# the product-order weak search
 #
 # Per matching, a Gram entry of a weak filling is assembled from four term
 # tables in one scalar image of the coordinates: ``Lb`` pairs the letter
 # parts of two slots, ``Rt`` and ``Ct`` pair a letter part with the
 # distinguished part of the other slot, and ``Dt`` pairs two distinguished
-# parts.  The walk rebuilds the whole prefix Gram matrix for every prefix.
+# parts.
 
 
 def _weak_tables(space: TupleSpace, scalar):
@@ -145,97 +333,6 @@ def _gram(terms, keys: Sequence[int]) -> list[list]:
         [Lb[x][y] + Rt[x][ky] + Ct[y][kx] + Dt[kx][ky] for y, ky in enumerate(keys)]
         for x, kx in enumerate(keys)
     ]
-
-
-def term_weak_search(
-    space: TupleSpace,
-    s_bound: int,
-    scalars: Sequence[Callable],
-    admit: Callable[[list, tuple[int, ...]], bool],
-):
-    """The normalized weak fillings that ``admit`` accepts, in search order.
-    ``admit(terms, keys)`` is asked of every prefix of slots: ``terms`` are
-    the matching's Gram terms in each of several scalar images of the
-    pairing coordinates, ``keys`` the coefficient-vector index of each slot
-    (index 0 is s_1 + ... + s_r).  It must reject a prefix only when it
-    rejects every completion.  Yields per accepted candidate its keys, the
-    matching and the coefficient vectors."""
-    r = len(space.pairings)
-    tables = [_weak_tables(space, scalar) for scalar in scalars]
-    relevant = any(
-        D[t] or any(row[t] for row in R) or any(row[t] for row in C)
-        for _, R, C, D in tables
-        for t in range(r - 1)
-    )
-    spread = (
-        tuple(
-            d + (0,)
-            for d in itertools.product(range(-2 * s_bound, 2 * s_bound + 1), repeat=r - 1)
-        )
-        if relevant
-        else ((0,) * r,)
-    )
-    vectors = ((1,) * r,) + spread
-    d_terms = [
-        [[sum(u[t] * v[t] * D[t] for t in range(r)) for v in vectors] for u in vectors]
-        for _, _, _, D in tables
-    ]
-    choices = range(1, len(vectors))
-    for matching in _matchings(space.ground, space.proj, 0, ()):
-        terms = [_matching_terms(matching, t, vectors) + (dt,) for t, dt in zip(tables, d_terms)]
-        size = len(matching) + 1
-
-        def walk(keys):
-            if not admit(terms, keys):
-                return
-            if len(keys) == size:
-                yield keys, matching, vectors
-                return
-            for k in choices:
-                yield from walk(keys + (k,))
-
-        yield from walk((0,))
-
-
-def term_is_hyperbolic_tuple(
-    pairings: Sequence[AlphaPairing], s_bound: int, seen: list
-) -> Optional[tuple[WeakVector, ...]]:
-    """``is_hyperbolic_tuple`` on the term-table walk, one scalar image per
-    coordinate.  Appends, per prefix asked, the matrix of whether each Gram
-    entry vanishes to ``seen``."""
-    space = TupleSpace(tuple(pairings))
-    reduce = space.ground.reduce
-    scalars = [operator.itemgetter(k) for k in range(space.ground.dimension)]
-
-    def vanishes(terms, keys):
-        grams = [_gram(t, keys) for t in terms]
-        seen.append([[not any(reduce(e)) for e in zip(*rows)] for rows in zip(*grams)])
-        return all(map(all, seen[-1]))
-
-    for keys, matching, vectors in term_weak_search(space, s_bound, scalars, vanishes):
-        return tuple(WeakVector(group, vectors[k]) for group, k in zip(((),) + matching, keys))
-    return None
-
-
-def term_tuple_genus(pairings: Sequence[AlphaPairing], phi: PhiSpec, s_bound: int, seen: list) -> int:
-    """Doubled ``tuple_genus`` on the term-table walk.  Appends each prefix
-    Gram matrix it ranks to ``seen``."""
-    space = TupleSpace(tuple(pairings))
-    best: Optional[int] = None
-    rank = 0
-
-    def below_best(terms, keys):
-        nonlocal rank
-        seen.append(_gram(terms[0], keys))
-        rank = _gram_rank(phi, seen[-1])
-        return best is None or rank < best
-
-    for _ in term_weak_search(space, s_bound, [phi.scalar(space.ground)], below_best):
-        best = rank
-        if best == 0:
-            break
-    assert best is not None
-    return best
 
 
 def product_weak_search(space: TupleSpace, s_bound: int, scalars: Sequence[Callable]):

@@ -404,6 +404,47 @@ class TestCommands:
         assert "annihilating\t" in out
         assert "* {s, A-B, C+D}" in out
 
+    # The whole text listing, as complete enumeration of the fillings gave
+    # it: free, mixed and fixed-point alphabets, the empty word and an
+    # 8-letter word.  (alphabet, word, proj, last line, sha256 of stdout)
+    FILLINGS_PINS = (
+        ("alphabet: a x;tau: a<->x", "(empty)", None, "fillings\t1\tannihilating\t1",
+         "6a7a1cdb2ab35c56d303c0bc8fa0857d4b1345fb7271828372cbdb95c8ff0cb3"),
+        ("alphabet: a x;tau: a<->x", "ABAB", "A=a B=x", "fillings\t2\tannihilating\t1",
+         "a69762c925b50ea5b510a9c55e07cee6fd945e57ea7d6d8d90930388bb097fcb"),
+        ("alphabet: a x c z;tau: a<->x c<->z", "ABCADCBD", "A=a B=x C=c D=c",
+         "fillings\t4\tannihilating\t1",
+         "ecbfa80f3c62a9077963903550a4fb3d1a02123c5302a3a80ff144f7c05d3c80"),
+        ("alphabet: a x c;tau: a<->x c<->c", "ABCACB", "A=a B=c C=c",
+         "fillings\t3\tannihilating\t1",
+         "ec8ea23771e4503252d52ae8dc5b7834022f67682e8b0a912a711ac76fcd780d"),
+        ("alphabet: a;tau: a<->a", "ABACBDCD", "A=a B=a C=a D=a",
+         "fillings\t25\tannihilating\t6",
+         "ef8d3629a1bbea6d372bb276f0ff6c2d2f81d8b9277ab3fc111a2b96c1609110"),
+        ("alphabet: a x b y;tau: a<->x b<->y", "ABCDBADCEFGHFEHG",
+         "A=a B=x C=a D=x E=b F=y G=b H=y", "fillings\t100\tannihilating\t25",
+         "30b23d9b5e28f0ddba93c966fe3e90f324d70b4b452449cb149a92cfe5a0332f"),
+    )
+
+    @pytest.mark.parametrize("alphabet, word, proj, last, digest", FILLINGS_PINS)
+    def test_fillings_listing_pinned(self, capsys, alphabet, word, proj, last, digest):
+        argv = ["fillings", "--alphabet", alphabet, "--word", word, "--limit", "100000"]
+        assert main(argv + (["--proj", proj] if proj else [])) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == last
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_fillings_negative_limit_rejected(self, capsys):
+        base = ["fillings", "--alphabet", "alphabet: a x;tau: a<->x",
+                "--word", "ABAB", "--proj", "A=a B=x"]
+        for limit in ("-1", "-3"):
+            assert main(base + ["--limit", limit]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"parse error: --limit must be at least 0, got {limit}\n"
+        assert main(base + ["--limit", "0"]) == 0
+        assert capsys.readouterr().out == "fillings\t2\tannihilating\t1\n"
+
     def test_classify_command(self, capsys):
         code = main(
             [

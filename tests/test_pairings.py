@@ -16,6 +16,7 @@ from nanocob.pairings import (
     OrbitPoly,
     PairingError,
     TupleSpace,
+    WeakVector,
     are_cobordant,
     are_isomorphic,
     covering,
@@ -48,10 +49,13 @@ from nanocob import pairings as pairings_module
 from _pairing_oracle import (
     enumerate_weak_fillings,
     evaluate,
+    flat_fillings,
+    flat_genus,
+    flat_is_hyperbolic,
+    matching_is_hyperbolic_tuple,
+    matching_tuple_genus,
     product_is_hyperbolic_tuple,
     product_tuple_genus,
-    term_is_hyperbolic_tuple,
-    term_tuple_genus,
     tuple_evaluate,
 )
 
@@ -622,6 +626,12 @@ class TestWeakFillings:
             assert (is_hyperbolic_tuple(pairings, 1) is not None) == box_hyperbolic
             assert [tuple_genus(pairings, phi, 1).twice for phi in phis] == box_genera
 
+    def test_empty_tuple_rejected(self, two_free):
+        phi = phi_sign_battery(two_free)[0]
+        for search in (lambda: is_hyperbolic_tuple(()), lambda: tuple_genus((), phi)):
+            with pytest.raises(PairingError, match="at least one pairing"):
+                search()
+
     def test_box_iterator_vectors_are_bounded(self, two_free):
         p1 = AlphaPairing.build(two_free, ("a",), {})
         p2 = AlphaPairing.build(two_free, ("a",), {})
@@ -748,86 +758,178 @@ class TestWeakProductOracle:
         assert hyperbolic >= 10 and odd >= 10
 
 
-class TestWeakWalkOracle:
-    """The one-table walk asks its admit of the same prefix Gram matrices,
-    in the same order, as the term-table walk it replaced
-    (``term_tuple_genus`` and ``term_is_hyperbolic_tuple``), under the
-    genus admit and the vanishing admit, on the shapes of
-    TestWeakProductOracle: skew tuples, tuples with nonzero distinguished
-    values and tuples of tables that are not skew."""
+class _Entry:
+    """A Gram entry that remembers the two slots it pairs; it compares by
+    value, as the walk's distinguished-coefficient probe does."""
+
+    def __init__(self, value, x, y):
+        self.value, self.x, self.y = value, x, y
+
+    def __eq__(self, other):
+        return self.value == other.value
+
+
+class TestFillingWalkOracle:
+    """The filling walk against the searches it replaced: the flat
+    ``genus`` and ``is_hyperbolic`` loops over every whole filling, and the
+    weak search that walked each matching from the root in turn.  Tables
+    with nonzero distinguished values and tables that are not skew give
+    Gram matrices of odd rank, which skew tables never have."""
+
+    FIXED = InvolutiveAlphabet.build(("c",), {"c": "c"})
 
     @staticmethod
-    def _record(monkeypatch, seen, spreads):
-        """Route the weak searches through a copy of ``_weak_search`` that
-        appends each prefix Gram matrix to ``seen`` and the number of
-        coefficient vectors of each leaf to ``spreads``."""
-        search = pairings_module._weak_search
+    def _phis(rng, ground):
+        """A sign map, a rational map, a GF(2) map and a GF(3) map."""
+        free = ground.free_reps()
+        return (
+            rng.choice(phi_sign_battery(ground)),
+            PhiSpec.rationals(
+                ground, {rep: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for rep in free}
+            ),
+            PhiSpec.prime_field(ground, 2, {rep: rng.randint(0, 1) for rep, _ in ground.pairs}),
+            PhiSpec.prime_field(ground, 3, {rep: rng.randint(0, 2) for rep in free}),
+        )
 
-        def recording(space, s_bound, pair, admit):
-            def record(gram):
-                seen.append([list(row) for row in gram])
-                return admit(gram)
-
-            for leaf in search(space, s_bound, pair, record):
-                spreads.append(len(leaf[2]))
-                yield leaf
-
-        monkeypatch.setattr(pairings_module, "_weak_search", recording)
-
-    def test_walks_ask_the_same_grams(self, monkeypatch, two_free, mixed):
-        fixed = InvolutiveAlphabet.build(("c",), {"c": "c"})
-        new, old, spreads = [], [], []
-        self._record(monkeypatch, new, spreads)
-        rng = random.Random(71)
-        short = long = asked = 0
-        for ground in (two_free, mixed, fixed):
-            phis = (
-                rng.choice(phi_sign_battery(ground)),
-                PhiSpec.prime_field(ground, 2, {rep: 1 for rep, _ in ground.pairs}),
+    @staticmethod
+    def _table(rng, ground, m, kind):
+        if kind == "word":
+            return pairing_of_nanoword(random_nanoword(rng, ground, m))
+        if kind == "skew":
+            return random_skew_pairing(rng, ground, m)
+        if kind == "distinguished":
+            r = random_pi_element(rng, ground)
+            return sum_pairings(
+                random_skew_pairing(rng, ground, m), AlphaPairing.distinguished_only(ground, r)
             )
-            for sizes, s_bound in TestWeakProductOracle.SHAPES:
-                for kind in ("skew", "distinguished", "asymmetric"):
-                    pairings = tuple(random_skew_pairing(rng, ground, m) for m in sizes)
-                    if kind == "distinguished":
-                        pairings = tuple(
-                            sum_pairings(p, AlphaPairing.distinguished_only(ground, r))
-                            for p, r in zip(pairings, self._nonzero(rng, ground, len(sizes)))
-                        )
-                    elif kind == "asymmetric":
-                        # an entry may vanish while its transpose does not
-                        pairings = tuple(self._asymmetric(rng, ground, m) for m in sizes)
-                    for phi in phis:
-                        del new[:], old[:], spreads[:]
-                        twice = tuple_genus(pairings, phi, s_bound).twice
-                        assert twice == term_tuple_genus(pairings, phi, s_bound, old)
-                        assert new == old
-                        asked += len(new)
-                        if len(sizes) > 1:
-                            short += spreads[0] == 2
-                            long += spreads[0] > 2
-                    del new[:], old[:]
-                    witness = is_hyperbolic_tuple(pairings, s_bound)
-                    assert witness == term_is_hyperbolic_tuple(pairings, s_bound, old)
-                    assert new == old
-                    asked += len(new)
-        # both spreads of the distinguished coefficients occur
-        assert short >= 20 and long >= 20 and asked > 10000
-
-    @staticmethod
-    def _asymmetric(rng, ground, m):
+        # an entry may vanish while its transpose does not
         entries = {
             (i, j): random_pi_element(rng, ground) for i in range(m + 1) for j in range(m + 1)
         }
         return AlphaPairing.build(ground, [rng.choice(ground.symbols) for _ in range(m)], entries)
 
+    def test_single_pairings_match_flat_searches(self, two_free, mixed):
+        """Genus, witnesses and the filling listing, exactly, on 1,680
+        pairings of 0-7 letters: 1,440 word and skew pairings plus 240
+        tables with distinguished values or without skew symmetry."""
+        rng = random.Random(72)
+        checked = hyperbolic = odd = 0
+        for ground in (two_free, mixed, self.FIXED):
+            for m in range(8):
+                for kind in ("word", "skew") * 30 + ("distinguished", "asymmetric") * 5:
+                    p = self._table(rng, ground, m, kind)
+                    phi = self._phis(rng, ground)[checked % 4]
+                    assert list(enumerate_fillings(p)) == list(flat_fillings(p))
+                    witness = is_hyperbolic(p)
+                    assert witness == flat_is_hyperbolic(p)
+                    twice = genus(p, phi).twice
+                    assert twice == flat_genus(p, phi).twice
+                    checked += 1
+                    hyperbolic += witness is not None
+                    odd += twice % 2
+        assert checked == 1680 and hyperbolic >= 300 and odd >= 20
+
+    def test_tuples_match_matching_major_search(self, two_free, mixed):
+        rng = random.Random(73)
+        hyperbolic = odd = 0
+        for ground in (two_free, mixed, self.FIXED) * 20:
+            sizes, s_bound = rng.choice(TestWeakProductOracle.SHAPES)
+            kind = rng.choice(("skew", "word", "distinguished", "asymmetric"))
+            pairings = tuple(self._table(rng, ground, m, kind) for m in sizes)
+            if kind in ("skew", "word") and sizes in ((1,), (2,), (3,)):
+                # (p, p^-) always has a weak filling
+                pairings = (pairings[0], pairings[0].opposite())
+            for phi in self._phis(rng, ground):
+                twice = tuple_genus(pairings, phi, s_bound).twice
+                assert twice == matching_tuple_genus(pairings, phi, s_bound).twice
+                odd += twice % 2
+            witness = is_hyperbolic_tuple(pairings, s_bound)
+            expected = matching_is_hyperbolic_tuple(pairings, s_bound)
+            assert (witness is None) == (expected is None)
+            if witness is not None:
+                space = TupleSpace(pairings)
+                assert all(tuple_evaluate(space, x, y).is_zero() for x in witness for y in witness)
+                hyperbolic += 1
+        assert hyperbolic >= 10 and odd >= 10
+
     @staticmethod
-    def _nonzero(rng, ground, count):
-        out = []
-        while len(out) < count:
-            r = random_pi_element(rng, ground)
-            if not r.is_zero():
-                out.append(r)
-        return out
+    def _record(monkeypatch, asked):
+        """Route the searches through a walk whose entries carry their
+        slots.  Each prefix asked is checked to hold the entry of slots i
+        and j at (i, j) and appended to ``asked`` as (table, slots, values);
+        ``admit`` sees the values alone."""
+        walk = pairings_module._walk_fillings
+
+        def recording(table, pair, admit, s_bound=1):
+            def tagged(x, y):
+                return _Entry(pair(x, y), x, y)
+
+            def checked(gram):
+                slots = [row[i].x for i, row in enumerate(gram)]
+                assert all(
+                    (e.x, e.y) == (slots[i], slots[j])
+                    for i, row in enumerate(gram)
+                    for j, e in enumerate(row)
+                )
+                values = [[e.value for e in row] for row in gram]
+                asked.append((table, slots, values))
+                return admit(values)
+
+            return walk(table, tagged, checked, s_bound)
+
+        monkeypatch.setattr(pairings_module, "_walk_fillings", recording)
+
+    @staticmethod
+    def _oracle_value(table, x, y):
+        """The value of two slots, read block by block off the pairings'
+        ``matrix``: a slot lists indices below r as distinguished
+        coefficients and r + g as letter g."""
+        if isinstance(table, AlphaPairing):
+            return evaluate(table, x, y)
+        r = len(table.pairings)
+
+        def weak(slot):
+            coeffs = dict(slot)
+            return WeakVector(tuple((i - r, c) for i, c in slot if i >= r),
+                              tuple(coeffs.get(t, 0) for t in range(r)))
+
+        return tuple_evaluate(table, weak(x), weak(y))
+
+    def test_walk_asks_grams_of_its_slots(self, monkeypatch, two_free, mixed):
+        """Every Gram matrix the walk asks about, under the genus rule and
+        the vanishing rule, equals the oracle Gram matrix of its slots."""
+        asked = []
+        self._record(monkeypatch, asked)
+        rng = random.Random(74)
+        total = 0
+        for ground in (two_free, mixed, self.FIXED):
+            for sizes, s_bound in ((5,), 1), ((7,), 1), *TestWeakProductOracle.SHAPES:
+                kind = rng.choice(("word", "skew", "distinguished", "asymmetric"))
+                if len(sizes) > 1 and kind == "word":
+                    kind = "skew"
+                pairings = tuple(self._table(rng, ground, m, kind) for m in sizes)
+                single = len(sizes) == 1
+                searches = [
+                    (lambda: is_hyperbolic(pairings[0]) if single
+                     else is_hyperbolic_tuple(pairings, s_bound), PiElement.is_zero, 0)
+                ]
+                for phi in self._phis(rng, ground):
+                    searches.append((
+                        lambda phi=phi: genus(pairings[0], phi) if single
+                        else tuple_genus(pairings, phi, s_bound),
+                        phi.apply, phi.prime,
+                    ))
+                for search, image, modulus in searches:
+                    del asked[:]
+                    search()
+                    for table, slots, values in asked:
+                        oracle = [[image(self._oracle_value(table, x, y)) for y in slots]
+                                  for x in slots]
+                        if modulus:  # the walk leaves prime-field values unreduced
+                            values = [[v % modulus for v in row] for row in values]
+                        assert values == oracle
+                    total += len(asked)
+        assert total > 5000
 
 
 class TestShiftOfPairings:
