@@ -38,6 +38,7 @@ from .pairings import (
     AlphaPairing,
     Genus,
     UPoly,
+    annihilating_fillings,
     are_cobordant,
     are_isomorphic,
     covering,

@@ -35,6 +35,7 @@ from .moves import (
 )
 from .pairings import (
     Genus,
+    annihilating_fillings,
     enumerate_fillings,
     filling_is_annihilating,
     format_vector,
@@ -196,18 +197,14 @@ def cmd_fillings(args) -> int:
         raise ParseError(None, f"--limit must be at least 0, got {args.limit}")
     w = _load_word(args)
     p = pairing_of_nanoword(w)
-    shown = 0
-    annihilating = 0
-    total = 0
+    # only listed fillings are checked one by one; the pruned walk counts
     lines = []
-    for filling in enumerate_fillings(p):
-        total += 1
-        ann = filling_is_annihilating(p, filling)
-        annihilating += ann
-        if shown < args.limit:
-            shown += 1
-            body = ", ".join(format_vector(p, v) for v in filling)
-            lines.append(f"{'*' if ann else ' '} {{{body}}}")
+    total = 0
+    for total, filling in enumerate(enumerate_fillings(p), 1):
+        if total <= args.limit:
+            mark = "*" if filling_is_annihilating(p, filling) else " "
+            lines.append(f"{mark} {{{', '.join(format_vector(p, v) for v in filling)}}}")
+    annihilating = sum(1 for _ in annihilating_fillings(p))
     lines.append(f"fillings\t{total}\tannihilating\t{annihilating}")
     _emit(lines, args.format)
     return 0

@@ -1,10 +1,11 @@
 """Local moves on nanowords and bounded search over move sequences.
 
-Three homotopy rewrites, deletion of even symmetric factors (surgery),
-deletion of bridges (factors with a segment involution), circular
-shifts, and a breadth-first explorer whose states are canonical keys.
-The inverse-surgery side of the search inserts factors from a small
-template list, since arbitrary insertions are an infinite move space.
+Three homotopy rewrites, deletion of bridges (factors whose segments mirror
+onto one another through a segment involution) and of even symmetric
+factors (surgery: the identity-involution bridges), both from one generator,
+circular shifts, and a breadth-first explorer over canonical keys.  The
+inverse-surgery side of the search inserts factors from a small template
+list, since arbitrary insertions are an infinite move space.
 """
 
 from __future__ import annotations
@@ -397,111 +398,98 @@ def apply_h3(w: Nanoword, site: tuple[int, int, int], inverse: bool = False) -> 
 # factors, surgeries, bridges
 
 
-def _runs(positions: Sequence[int]) -> list[tuple[int, int]]:
-    runs = []
-    start = prev = positions[0]
-    for p in positions[1:]:
-        if p == prev + 1:
-            prev = p
-            continue
-        runs.append((start, prev + 1))
-        start = prev = p
-    runs.append((start, prev + 1))
-    return runs
-
-
-def _segmentations(
-    runs: Sequence[tuple[int, int]], max_k: int
-) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Split each maximal run into nonempty consecutive segments; adjacent
-    segments model empty context between them."""
-
-    def split_run(start: int, end: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        length = end - start
-        for parts in range(1, length + 1):
-            for cuts in itertools.combinations(range(1, length), parts - 1):
-                bounds = (0,) + cuts + (length,)
-                yield tuple(
-                    (start + bounds[t], start + bounds[t + 1]) for t in range(parts)
-                )
-
-    def rec(idx: int, acc: list, budget: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        if idx == len(runs):
-            yield tuple(acc)
-            return
-        remaining_min = len(runs) - idx
-        for pieces in split_run(*runs[idx]):
-            if len(pieces) + (remaining_min - 1) > budget:
-                continue
-            acc.extend(pieces)
-            yield from rec(idx + 1, acc, budget - len(pieces))
-            del acc[-len(pieces):]
-
-    if len(runs) > max_k:
-        return iter(())
-    return rec(0, [], max_k)
-
-
 def enumerate_factors(w: Nanoword, max_letters: int, max_k: int) -> Iterator[Factor]:
     """Every factor within the caps, in deterministic order: by size, then
     letter tuple, then per maximal run of positions by (piece count, cut
-    offsets)."""
+    offsets).  Adjacent segments model empty context between them."""
     m = w.num_letters
     for size in range(1, min(m, max_letters) + 1):
         for subset in itertools.combinations(range(m), size):
-            chosen = set(subset)
-            positions = [i for i, x in enumerate(w.seq) if x in chosen]
-            runs = _runs(positions)
-            if len(runs) > max_k:
+            taken = {p for p, x in enumerate(w.seq) if x in subset}
+            runs = [  # maximal runs of taken positions, as (start, end)
+                (p, next(end for end in itertools.count(p) if end not in taken))
+                for p in sorted(taken)
+                if p - 1 not in taken
+            ]
+            spare = max_k - len(runs)  # cuts left once each run has a segment
+            if spare < 0:
                 continue
-            for segments in _segmentations(runs, max_k):
-                yield Factor(tuple(subset), segments)
+            splits = [
+                [
+                    tuple(zip((start,) + cuts, cuts + (end,)))
+                    for count in range(spare + 1)
+                    for cuts in itertools.combinations(range(start + 1, end), count)
+                ]
+                for start, end in runs
+            ]
+            for pieces in itertools.product(*splits):
+                segments = sum(pieces, ())
+                if len(segments) <= max_k:
+                    yield Factor(subset, segments)
 
 
-def _mirrored_segments(w: Nanoword, max_letters: int) -> list[list]:
-    """Per start position, the even segments that agree with their own
-    mirror, as ``(end, left, right, fresh)``.
+def _mirrored_segments(w: Nanoword, max_letters: int, pairs: bool) -> list[list]:
+    """Per start position, the segments a factor may take there, as
+    ``(end, covered, images, right, fresh, twin)``.
 
-    Each segment grows from its centre one mirrored pair at a time.  A
-    letter with both entries inside must mirror onto one letter of its own
-    projection; once that fails it fails for every larger segment around
-    the centre.  A letter with one entry inside is twisted (its other entry
-    lies in another segment), so its mirror image must carry ``tau`` of its
-    projection.  ``left`` pairs each entry whose other entry lies before
-    the segment with the letter its mirror must hold; ``right`` does the
-    same for the other entries that lie after it.  ``fresh`` counts the
-    letters the segment adds to a factor."""
+    A piece is a segment mirrored onto itself or, with ``pairs``, two equal
+    segments ``[c1 - radius, c1)`` and ``[c2, c2 + radius)`` mirrored onto
+    each other: ``p`` mirrors onto ``top - p`` with ``top = c1 + c2 - 1``.
+    It grows from its centres one mirrored pair at a time while every letter
+    with both entries inside mirrors onto one letter of its own projection.
+
+    The other entry ``q`` of an entry ``p`` must mirror onto the other entry
+    of the letter at ``p``'s image.  That fixes whether the letter is
+    twisted, hence the projection the image must carry; without ``pairs`` a
+    letter split across segments is always twisted.  For ``q`` outside the
+    segment, ``covered`` and ``images`` list each ``p`` with ``q`` before it
+    and the letter at its image; ``right`` pairs each later ``q`` with the
+    letter its image must hold.  ``fresh`` counts the letters the piece adds.
+    A pair is listed at its first segment with ``twin = (start, end,
+    covered, images, right)``; one segment has ``twin`` None."""
     seq, proj, partner = w.seq, w.proj, w.partner
-    twisted = [w.ground.tau(a) for a in proj]  # the projection of a twisted image
+    twisted_proj = [w.ground.tau(a) for a in proj]
     n = len(seq)
     by_start: list[list] = [[] for _ in range(n)]
-    for centre in range(1, n):
-        top = 2 * centre - 1  # position p mirrors onto top - p
-        for radius in range(1, min(centre, n - centre, max_letters) + 1):
-            start, end = centre - radius, centre + radius
-            # The letters at start and end - 1 mirror onto each other.  If
-            # either has both entries inside, so does the other, and their
-            # other entries must mirror onto each other as well.
-            a, b = partner[start], partner[end - 1]
-            if (start <= a < end or start <= b < end) and (
-                a + b != top or proj[seq[start]] != proj[seq[end - 1]]
-            ):
-                break
-            left, right = [], []
-            for p in range(start, end):
-                q = partner[p]
-                if start <= q < end:
-                    continue
-                image = seq[top - p]
-                if proj[image] != twisted[seq[p]]:
-                    break
-                if q < start:
-                    left.append((p, image))
-                else:
-                    right.append((q, image))
+
+    def segment(start: int, end: int, top: int) -> Optional[tuple]:
+        covered, images, right = [], [], []
+        for p in range(start, end):
+            q = partner[p]
+            if start <= q < end:
+                continue
+            mirror = top - p
+            image = seq[mirror]
+            untwisted = pairs and (p < q) != (mirror < partner[mirror])
+            if proj[image] != (proj if untwisted else twisted_proj)[seq[p]]:
+                return None
+            if q < start:
+                covered.append(p)
+                images.append(image)
             else:
-                fresh = (end - start - len(left) + len(right)) // 2
-                by_start[start].append((end, tuple(left), tuple(right), fresh))
+                right.append((q, image))
+        fresh = (end - start - len(covered) + len(right)) // 2
+        return end, tuple(covered), tuple(images), tuple(right), fresh, None
+
+    for c1 in range(1, n):
+        for c2 in range(c1, n) if pairs else (c1,):
+            top = c1 + c2 - 1
+            for radius in range(1, min(c1, n - c2, max_letters) + 1):
+                start, end = c1 - radius, c2 + radius
+                # The letters at start and end - 1 mirror onto each other.  If
+                # either has both entries inside, so does the other, and their
+                # other entries must mirror onto each other as well.
+                a, b = partner[start], partner[end - 1]
+                if (
+                    start <= a < c1 or c2 <= a < end or start <= b < c1 or c2 <= b < end
+                ) and (a + b != top or proj[seq[start]] != proj[seq[end - 1]]):
+                    break
+                if c1 == c2 and (whole := segment(start, end, top)):
+                    by_start[start].append(whole)
+                first = pairs and segment(start, c1, top)
+                if first and (second := segment(c2, end, top)):
+                    twin = (c2,) + second[:4]  # fresh counts the letters of both
+                    by_start[start].append(first[:4] + (first[4] + second[4], twin))
     return by_start
 
 
@@ -520,48 +508,82 @@ def _enumeration_order(factor: Factor) -> tuple:
     return (len(factor.letters), factor.letters, tuple(pieces))
 
 
+def _mirror_factors(
+    w: Nanoword, max_letters: int, max_k: int, pairs: bool
+) -> list[tuple[tuple, tuple[int, ...], Factor]]:
+    """Every factor within the caps with each segment involution ``kappa``
+    that makes it a bridge (without ``pairs`` only the identity: the surgery
+    factors), as ``(order, kappa, factor)`` in the order of
+    ``enumerate_factors`` and then of ``kappa``.
+
+    Segments are chosen left to right from ``_mirrored_segments``.  An entry
+    whose other entry is not yet covered is pending, with the letter its
+    mirror must hold; a pair's first segment promises its second, taken when
+    the scan reaches it.  The next segment may not start past the first
+    pending entry, which no later segment could cover.  A factor is complete
+    when nothing is pending or promised."""
+    by_start = _mirrored_segments(w, max_letters, pairs)
+    n = w.length
+    found: list[tuple[tuple, tuple]] = []  # (segments, kappa) of each factor
+    chosen: list[tuple[int, int]] = []
+    mates: list[int] = []  # kappa of the chosen segments, once each pair is complete
+
+    def extend(after: int, pending: dict, letters: int, promised: tuple) -> None:
+        # promised: (start, option) of the second segments ahead, by start
+        if not pending and not promised and chosen:
+            found.append((tuple(chosen), tuple(mates)))
+        room = max_k - len(chosen) - len(promised)
+        if room < 1 and not promised:
+            return
+        last = min(pending) if pending else n - 1
+        stop = n
+        if promised:  # the next promised segment: no new one may cross it
+            stop = promised[0][0]
+            last = min(last, stop)
+            if room < 1:
+                after = stop  # only the promised segment may follow
+        for start in range(after, last + 1):
+            for end, covered, images, right, fresh, twin in (
+                by_start[start] if start < stop else (promised[0][1],)
+            ):
+                if start < stop < end or letters + fresh > max_letters:
+                    continue
+                if covered and tuple(map(pending.get, covered)) != images:
+                    continue
+                ahead, mate = promised, len(mates)
+                if isinstance(twin, int):  # a promised second segment, mate of twin
+                    mates[twin] = mate
+                    ahead, mate = promised[1:], twin
+                elif twin is not None:  # a pair's first segment promises its second
+                    if room < 2 or any(twin[0] < opt[0] and s < twin[1] for s, opt in promised):
+                        continue  # no room, or it would cross a promised segment
+                    # its letters counted with the first, so its option adds none
+                    ahead = tuple(sorted(promised + ((twin[0], twin[1:] + (0, mate)),)))
+                rest = pending.copy()
+                for p in covered:
+                    del rest[p]
+                rest.update(right)
+                chosen.append((start, end))
+                mates.append(mate)
+                extend(end, rest, letters + fresh, ahead)
+                chosen.pop()
+                mates.pop()
+
+    extend(0, {}, 0, ())
+    out = []
+    for segments, kappa in found:
+        factor = Factor(tuple(sorted({x for s, e in segments for x in w.seq[s:e]})), segments)
+        out.append((_enumeration_order(factor), kappa, factor))
+    out.sort()  # no two factors share their order
+    return out
+
+
 def enumerate_even_symmetric_factors(
     w: Nanoword, max_letters: int = DEFAULT_CAPS.max_letters, max_k: int = DEFAULT_CAPS.max_k
 ) -> list[Factor]:
-    """The surgery factors within the caps: every segment even and
-    accepted by ``mirror_witness`` with the identity ``kappa``, in the
-    order of ``enumerate_factors``.
-
-    They are built, not filtered.  Segments are chosen left to right from
-    ``_mirrored_segments``; an entry whose other entry is not yet covered
-    is pending, with the letter the mirror of that other entry must hold.
-    The next segment may not start past the first pending entry, since no
-    later segment could cover it.  A factor is complete when nothing is
-    pending."""
-    by_start = _mirrored_segments(w, max_letters)
-    found: list[tuple[tuple[int, int], ...]] = []
-    chosen: list[tuple[int, int]] = []
-
-    def extend(after: int, pending: dict[int, int], letters: int) -> None:
-        if chosen and not pending:
-            found.append(tuple(chosen))
-        if len(chosen) >= max_k:
-            return
-        last = min(pending) if pending else w.length - 1
-        for start in range(after, last + 1):
-            for end, left, right, fresh in by_start[start]:
-                if letters + fresh > max_letters:
-                    continue
-                if any(pending.get(p) != image for p, image in left):
-                    continue
-                rest = {q: image for q, image in pending.items() if q >= end}
-                rest.update(right)
-                chosen.append((start, end))
-                extend(end, rest, letters + fresh)
-                chosen.pop()
-
-    extend(0, {}, 0)
-    factors = [
-        Factor(tuple(sorted({w.seq[p] for s, e in segments for p in range(s, e)})), segments)
-        for segments in found
-    ]
-    factors.sort(key=_enumeration_order)
-    return factors
+    """The surgery factors within the caps: the bridges whose ``kappa`` is
+    the identity, in the order of ``enumerate_factors``."""
+    return [factor for _, _, factor in _mirror_factors(w, max_letters, max_k, pairs=False)]
 
 
 def apply_surgery(w: Nanoword, factor: Factor) -> Nanoword:
@@ -667,36 +689,17 @@ def apply_bridge(w: Nanoword, bridge: Bridge) -> Nanoword:
     return word
 
 
-def _involutions(k: int) -> Iterator[tuple[int, ...]]:
-    def rec(assigned: dict[int, int]) -> Iterator[tuple[int, ...]]:
-        free = [r for r in range(k) if r not in assigned]
-        if not free:
-            yield tuple(assigned[r] for r in range(k))
-            return
-        head = free[0]
-        assigned[head] = head
-        yield from rec(assigned)
-        del assigned[head]
-        for other in free[1:]:
-            assigned[head] = other
-            assigned[other] = head
-            yield from rec(assigned)
-            del assigned[head]
-            del assigned[other]
-
-    return rec({})
-
-
 def enumerate_bridges(
     w: Nanoword, max_letters: int = DEFAULT_CAPS.max_letters, max_k: int = DEFAULT_CAPS.max_k
 ) -> list[Bridge]:
-    out = []
-    for factor in enumerate_factors(w, max_letters, max_k):
-        for kappa in _involutions(factor.num_segments):
-            bridge = validate_bridge(w, factor, kappa)
-            if bridge is not None:
-                out.append(bridge)
-    return out
+    """The bridges within the caps: every factor of ``enumerate_factors``
+    with every segment involution ``kappa`` that ``validate_bridge``
+    accepts, ordered by factor in the order of ``enumerate_factors`` and
+    then by ``kappa`` read as a tuple."""
+    return [
+        validate_bridge(w, factor, kappa)
+        for _, kappa, factor in _mirror_factors(w, max_letters, max_k, pairs=True)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -426,14 +426,12 @@ def _newest_vanish(gram: list[list]) -> bool:
     return all(gram[-1]) and all(map(_newest, gram))
 
 
-def _first_vanishing(
+def annihilating_fillings(
     table: AlphaPairing | TupleSpace, s_bound: int = 1
-) -> Optional[tuple[SVector, ...]]:
-    """The first filling of ``table`` whose Gram matrix vanishes."""
-    vanishes = functools.partial(_vanishes, table)
-    for slots in _walk_fillings(table, vanishes, _newest_vanish, s_bound):
-        return slots
-    return None
+) -> Iterator[tuple[SVector, ...]]:
+    """The fillings of ``table`` whose Gram matrix vanishes, in walk order;
+    a prefix with a nonvanishing entry prunes every filling it starts."""
+    return _walk_fillings(table, functools.partial(_vanishes, table), _newest_vanish, s_bound)
 
 
 def enumerate_fillings(p: AlphaPairing) -> Iterator[tuple[SVector, ...]]:
@@ -467,7 +465,7 @@ def filling_is_annihilating(p: AlphaPairing, filling: Sequence[SVector]) -> bool
 
 def is_hyperbolic(p: AlphaPairing) -> Optional[tuple[SVector, ...]]:
     """The first annihilating filling the walk reaches, or None."""
-    return _first_vanishing(p)
+    return next(annihilating_fillings(p), None)
 
 
 def are_cobordant(p1: AlphaPairing, p2: AlphaPairing) -> bool:
@@ -852,7 +850,7 @@ def is_hyperbolic_tuple(
     """One-sided hyperbolicity search: a returned weak filling annihilates;
     None only means the bounded search found nothing."""
     space = _tuple_space(pairings, s_bound)
-    slots = _first_vanishing(space, s_bound)
+    slots = next(annihilating_fillings(space, s_bound), None)
     if slots is None:
         return None
     return tuple(_weak_vector(len(space.pairings), x) for x in slots)

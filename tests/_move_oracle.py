@@ -1,8 +1,10 @@
-"""The move-site and surgery-factor routes that generation replaced, kept
-as test oracles.
+"""The move-site, surgery-factor and bridge routes that generation
+replaced, kept as test oracles.
 
 Surgery factors used to be every factor within the caps with even
-segments, kept when ``mirror_witness`` accepts it.  A surgery factor used
+segments, kept when ``mirror_witness`` accepts it.  Bridges used to be
+every factor within the caps with every segment involution, kept when
+``validate_bridge`` accepts the pair.  A surgery factor used
 to be checked on three paths of its own: ``apply_surgery``,
 ``validate_bridge`` with the identity ``kappa``, and the checks that
 opened ``verify_surgery_filling``.  The second and third
@@ -23,6 +25,7 @@ from nanocob.moves import (
     _h3_positions,
     enumerate_factors,
     neighbors,
+    validate_bridge,
 )
 from nanocob.words import mirror_witness
 
@@ -34,6 +37,38 @@ def even_symmetric_factors_by_filter(w, max_letters, max_k):
         if not any((end - start) % 2 for start, end in f.segments)
         and mirror_witness(w.ground, w.seq, w.proj, f.segments) is not None
     ]
+
+
+def involutions(k):
+    """Every involution of ``range(k)`` in lexicographic order."""
+
+    def rec(assigned):
+        free = [r for r in range(k) if r not in assigned]
+        if not free:
+            yield tuple(assigned[r] for r in range(k))
+            return
+        head = free[0]
+        assigned[head] = head
+        yield from rec(assigned)
+        del assigned[head]
+        for other in free[1:]:
+            assigned[head] = other
+            assigned[other] = head
+            yield from rec(assigned)
+            del assigned[head]
+            del assigned[other]
+
+    return rec({})
+
+
+def bridges_by_filter(w, max_letters, max_k):
+    out = []
+    for factor in enumerate_factors(w, max_letters, max_k):
+        for kappa in involutions(factor.num_segments):
+            bridge = validate_bridge(w, factor, kappa)
+            if bridge is not None:
+                out.append(bridge)
+    return out
 
 
 def factor_is_well_formed_by_scan(w, factor):

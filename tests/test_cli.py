@@ -434,6 +434,53 @@ class TestCommands:
         assert out.splitlines()[-1] == last
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # The whole text listing of ``moves`` under the default caps, as the
+    # filter over every factor and segment involution gave it: the order
+    # and count of the BRIDGE lines included.  (alphabet, word, proj,
+    # bridges line, sha256 of stdout)
+    MOVES_PINS = (
+        ("alphabet: a x;tau: a<->x", "(empty)", None, "bridges\t0",
+         "ee23dedfe34625e09271c584d855baee76193266c4ebdc3a890afab30e69abbd"),
+        ("alphabet: a x;tau: a<->x", "ABBA", "A=a B=x", "bridges\t11",
+         "e5f4c2e2c253ad966979d8af16b66e4aeecf76a7d0ae7c6b1b26296fd46123c4"),
+        ("alphabet: a x b y;tau: a<->x b<->y", "ABCACB", "A=a B=b C=y", "bridges\t17",
+         "1d0605a46a7a8e162beeb60adb9d952dd4866aa00611edfd178f0b3949705951"),
+        ("alphabet: a x c;tau: a<->x c<->c", "ABCACB", "A=a B=c C=c", "bridges\t18",
+         "fac09654feedc092c2daa3c684d9cee5b2bc6f63d72898c7b4264b55cd377b33"),
+        ("alphabet: a;tau: a<->a", "ABAB", "A=a B=a", "bridges\t11",
+         "8fa9b613fa188ec1fead7faace5a5323099cf70602486397ee66988bba2c8f42"),
+        ("alphabet: a x b y;tau: a<->x b<->y", "ABCDBADCEFGHFEHG",
+         "A=a B=x C=a D=x E=b F=y G=b H=y", "bridges\t336",
+         "70af88145f69e4481f40174addd677c3b15dd1b487f5100066e6c61fe834a8bb"),
+    )
+
+    @pytest.mark.parametrize("alphabet, word, proj, bridges, digest", MOVES_PINS)
+    def test_moves_listing_pinned(self, capsys, alphabet, word, proj, bridges, digest):
+        argv = ["moves", "--alphabet", alphabet, "--word", word]
+        assert main(argv + (["--proj", proj] if proj else [])) == 0
+        out = capsys.readouterr().out
+        assert bridges in out.splitlines()
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_fillings_checks_only_listed_fillings(self, capsys, monkeypatch):
+        """The count of annihilating fillings comes from the pruned walk;
+        only the fillings ``--limit`` lists are checked one by one."""
+        import nanocob.cli as cli
+
+        checked = []
+        real = cli.filling_is_annihilating
+        monkeypatch.setattr(
+            cli, "filling_is_annihilating", lambda p, f: checked.append(f) or real(p, f)
+        )
+        argv = ["fillings", "--alphabet", "alphabet: a;tau: a<->a", "--word", "ABACBDCD",
+                "--proj", "A=a B=a C=a D=a"]
+        for limit, lines in ((0, 1), (3, 4), (100, 26)):
+            checked.clear()
+            assert main(argv + ["--limit", str(limit)]) == 0
+            out = capsys.readouterr().out.splitlines()
+            assert len(out) == lines and len(checked) == lines - 1
+            assert out[-1] == "fillings\t25\tannihilating\t6"
+
     def test_fillings_negative_limit_rejected(self, capsys):
         base = ["fillings", "--alphabet", "alphabet: a x;tau: a<->x",
                 "--word", "ABAB", "--proj", "A=a B=x"]

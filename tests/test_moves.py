@@ -33,6 +33,7 @@ from nanocob.words import Nanoword, SymmetryWitness, WordError, mirror_witness
 
 from _move_oracle import (
     bfs_storing_words,
+    bridges_by_filter,
     even_symmetric_factors_by_filter,
     h2_sites_by_scan,
     h3_sites_by_scan,
@@ -434,19 +435,20 @@ class TestBridges:
         assert bridge.arches == 2
         assert seqs(apply_bridge(w, bridge)) == ("L1", "L2", "L1", "L2")
 
-    def test_identity_kappa_is_even_symmetric_factor(self, two_free):
+    def test_identity_kappa_is_even_symmetric_factor(self):
+        """The surgery factors are the identity bridges, in the same order."""
         rng = random.Random(11)
-        for _ in range(25):
-            w = random_nanoword(rng, two_free, rng.randint(1, 4))
-            surgeries = {
+        for trial in range(100):
+            w = random_nanoword(rng, SEARCH_ALPHABETS[trial % 4], rng.randint(1, 4))
+            surgeries = [
                 (f.letters, f.segments)
                 for f in enumerate_even_symmetric_factors(w, 4, 3)
-            }
-            identity_bridges = {
+            ]
+            identity_bridges = [
                 (b.factor.letters, b.factor.segments)
                 for b in enumerate_bridges(w, 4, 3)
                 if b.kappa == tuple(range(len(b.kappa)))
-            }
+            ]
             assert surgeries == identity_bridges
 
     def test_enumeration_on_doubled_letter(self, two_free, word_factory):
@@ -613,6 +615,50 @@ BENCHMARK_ALPHABETS = (
 # The alphabets the benchmark and the roadmap search over: one free orbit,
 # two free orbits, one free orbit plus a fixed point, one fixed point.
 SEARCH_ALPHABETS = BENCHMARK_ALPHABETS + (InvolutiveAlphabet.build(("a",), {"a": "a"}),)
+
+
+class TestBridgeGeneration:
+    """Generating the bridges must match the route it replaces: every
+    factor within the caps with every segment involution, kept when
+    ``validate_bridge`` accepts the pair, in the same order."""
+
+    @pytest.mark.parametrize("ground", SEARCH_ALPHABETS, ids=["ax", "ax-by", "ax-cc", "aa"])
+    def test_matches_filter_oracle_on_random_words(self, ground):
+        rng = random.Random(19)
+        by_arches = [0, 0, 0]
+        for max_letters in range(1, 7):
+            for max_k in range(1, 5):
+                for _ in range(10):
+                    w = random_nanoword(rng, ground, rng.randint(0, 7))
+                    expected = bridges_by_filter(w, max_letters, max_k)
+                    assert enumerate_bridges(w, max_letters, max_k) == expected
+                    for b in expected:
+                        by_arches[b.arches] += 1
+        assert min(by_arches) > 0 and sum(by_arches) > 1000
+
+    def test_promised_segments_stay_disjoint(self):
+        """Two pairs around doubled letters, where a pair's second segment
+        could overlap one already promised when the segment cap is reached."""
+        ground = SEARCH_ALPHABETS[3]
+        w = Nanoword.from_names(ground, "ABBCCDDA", dict.fromkeys("ABCD", "a"))
+        for max_letters in (4, 5):
+            assert enumerate_bridges(w, max_letters, 4) == bridges_by_filter(w, max_letters, 4)
+
+    def test_matches_filter_oracle_on_search_states(self):
+        """Every state three short searches reach, under the caps they use."""
+        starts = (("ABACBC", "aaa", 1), ("ABCACB", "axc", 2), ("ABCBDCAD", "aaaa", 3))
+        checked = 0
+        for text, proj, alphabet in starts:
+            ground = SEARCH_ALPHABETS[alphabet]
+            w = Nanoword.from_names(ground, text, dict(zip("ABCD", proj)))
+            caps = Caps(max_letters=4, max_k=3, bfs_length=w.length + 2, bfs_nodes=20)
+            for seq, ks in bounded_bfs(w, None, caps).reached:
+                state = Nanoword(ground, seq, ks, tuple(f"L{i}" for i in range(len(ks))))
+                assert enumerate_bridges(
+                    state, caps.max_letters, caps.max_k
+                ) == bridges_by_filter(state, caps.max_letters, caps.max_k)
+                checked += 1
+        assert checked > 100
 
 
 def _extra_templates(ground):

@@ -17,6 +17,7 @@ from nanocob.pairings import (
     PairingError,
     TupleSpace,
     WeakVector,
+    annihilating_fillings,
     are_cobordant,
     are_isomorphic,
     covering,
@@ -828,6 +829,21 @@ class TestFillingWalkOracle:
                     hyperbolic += witness is not None
                     odd += twice % 2
         assert checked == 1680 and hyperbolic >= 300 and odd >= 20
+
+    def test_annihilating_fillings_match_per_filling_check(self, two_free, mixed):
+        """The pruned walk yields exactly the fillings that pass the
+        per-filling check, in listing order, on 315 tables of 0-6 letters."""
+        rng = random.Random(73)
+        checked = annihilating = 0
+        for ground in (two_free, mixed, self.FIXED):
+            for m in range(7):
+                for kind in ("word", "skew") * 6 + ("distinguished", "asymmetric", "word"):
+                    p = self._table(rng, ground, m, kind)
+                    expected = [f for f in flat_fillings(p) if filling_is_annihilating(p, f)]
+                    assert list(annihilating_fillings(p)) == expected
+                    checked += 1
+                    annihilating += len(expected)
+        assert checked == 315 and annihilating >= 300
 
     def test_tuples_match_matching_major_search(self, two_free, mixed):
         rng = random.Random(73)
