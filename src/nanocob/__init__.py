@@ -41,6 +41,7 @@ from .pairings import (
     annihilating_fillings,
     are_cobordant,
     are_isomorphic,
+    count_fillings,
     covering,
     enumerate_fillings,
     full_subgroups,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import os
 import sys
 from dataclasses import replace
@@ -30,12 +31,14 @@ from .moves import (
     DEFAULT_CAPS,
     Metamorphosis,
     Move,
+    check_templates,
     enumerate_bridges,
     site_moves,
 )
 from .pairings import (
     Genus,
     annihilating_fillings,
+    count_fillings,
     enumerate_fillings,
     filling_is_annihilating,
     format_vector,
@@ -48,7 +51,7 @@ from .surfaces import (
     surface_stats,
     tautological_gram_rank,
 )
-from .words import EMPTY_WORD, Nanophrase, Nanoword
+from .words import EMPTY_WORD, Nanoword, WordError
 
 PARSE_EXIT = 2
 FAIL_EXIT = 1
@@ -91,22 +94,20 @@ def _load_word(args) -> Nanoword:
 
 def _load_templates(args, ground: InvolutiveAlphabet) -> tuple:
     """Extra insertion factors for the search: each phrase in the file
-    becomes a template, checked to be an even symmetric phrase over the
-    word's alphabet ``ground``."""
+    becomes a template, checked by ``check_templates`` over the word's
+    alphabet ``ground``, also for a word whose verdict needs no search."""
     if not args.templates:
         return ()
     parsed = parse_input(_read_source(args.templates), strict=args.strict)
-    out = []
-    for item in parsed.items:
-        phrase = item.to_phrase() if isinstance(item, Nanoword) else item
-        try:
-            phrase = Nanophrase(ground, phrase.words, phrase.proj, phrase.names)
-        except AlphabetError as exc:
-            raise ParseError(None, f"--templates: {exc} for the word's alphabet") from None
-        if not (phrase.is_even() and phrase.is_symmetric()):
-            raise ParseError(None, "--templates must hold even symmetric phrases only")
-        out.append((phrase.words, phrase.proj))
-    return tuple(out)
+    phrases = [item.to_phrase() if isinstance(item, Nanoword) else item for item in parsed.items]
+    templates = tuple((phrase.words, phrase.proj) for phrase in phrases)
+    try:
+        check_templates(ground, templates)
+    except AlphabetError as exc:
+        raise ParseError(None, f"--templates: {exc} for the word's alphabet") from None
+    except WordError as exc:
+        raise ParseError(None, f"--templates must hold even symmetric phrases only: {exc}") from None
+    return templates
 
 
 def _load_alphabet(args) -> InvolutiveAlphabet:
@@ -197,15 +198,15 @@ def cmd_fillings(args) -> int:
         raise ParseError(None, f"--limit must be at least 0, got {args.limit}")
     w = _load_word(args)
     p = pairing_of_nanoword(w)
-    # only listed fillings are checked one by one; the pruned walk counts
-    lines = []
-    total = 0
-    for total, filling in enumerate(enumerate_fillings(p), 1):
-        if total <= args.limit:
-            mark = "*" if filling_is_annihilating(p, filling) else " "
-            lines.append(f"{mark} {{{', '.join(format_vector(p, v) for v in filling)}}}")
+    # only listed fillings are checked one by one; the total is counted in
+    # closed form and the annihilating ones by the pruned walk
+    lines = [
+        f"{'*' if filling_is_annihilating(p, filling) else ' '} "
+        f"{{{', '.join(format_vector(p, v) for v in filling)}}}"
+        for filling in itertools.islice(enumerate_fillings(p), args.limit)
+    ]
     annihilating = sum(1 for _ in annihilating_fillings(p))
-    lines.append(f"fillings\t{total}\tannihilating\t{annihilating}")
+    lines.append(f"fillings\t{count_fillings(p)}\tannihilating\t{annihilating}")
     _emit(lines, args.format)
     return 0
 
@@ -247,7 +248,7 @@ def cmd_moves(args) -> int:
     bridges = enumerate_bridges(start, caps.max_letters, caps.max_k)
     lines.append(f"bridges\t{len(bridges)}")
     lines += [
-        Move("BRIDGE", (b.factor.letters, b.factor.segments, b.kappa), arches=b.arches).to_line()
+        Move("BRIDGE", (b.factor.letters, b.factor.segments, b.kappa)).to_line()
         for b in bridges
     ]
     lower, upper = length_norm_bounds(w, caps)

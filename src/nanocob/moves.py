@@ -6,6 +6,8 @@ factors (surgery: the identity-involution bridges), both from one generator,
 circular shifts, and a breadth-first explorer over canonical keys.  The
 inverse-surgery side of the search inserts factors from a small template
 list, since arbitrary insertions are an infinite move space.
+An insertion is legal exactly when deleting what it inserted is, so one
+rule, ``validate_bridge``, decides factor moves in both directions.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import AbstractSet, Iterator, Optional, Sequence
 
 from .algebra import InvolutiveAlphabet
-from .words import Nanophrase, Nanoword, WordError, fresh_names, key_of, mirror_witness
+from .words import Nanoword, WordError, fresh_names, key_of, mirror_witness
 
 
 @dataclass(frozen=True)
@@ -82,13 +84,26 @@ class Move:
 
     H1: (i,)  H2: (i, j)  H3: (i, j, k)  SHIFT: ()
     SURG/BRIDGE: (letters, segments[, kappa]) referring to the source word
-    INS: (words, proj, positions) describing the inserted factor
+    INS: (words, proj, positions[, kappa]) describing the inserted factor
+
+    A factor move (SURG, BRIDGE, INS) deletes or inserts a bridge with its
+    ``kappa``, the identity when it has none (as when INS undoes no bridge).
     """
 
     kind: str
     data: tuple
     inverse: bool = False
-    arches: int = 0
+
+    @property
+    def kappa(self) -> Optional[tuple[int, ...]]:
+        """The segment involution of a bridge, or of an insertion undoing one."""
+        if self.kind in ("BRIDGE", "INS") and len(self.data) == len(_LAYOUTS[self.kind]):
+            return self.data[-1]
+        return None
+
+    @property
+    def arches(self) -> int:
+        return arch_count(self.kappa or ())
 
     def apply(self, w: Nanoword) -> Nanoword:
         if self.kind == "H1":
@@ -97,113 +112,110 @@ class Move:
             return apply_h2(w, self.data)
         if self.kind == "H3":
             return apply_h3(w, self.data, self.inverse)
-        if self.kind == "SURG":
-            return apply_surgery(w, Factor(*self.data))
-        if self.kind == "BRIDGE":
-            letters, segments, kappa = self.data
-            bridge = validate_bridge(w, Factor(letters, segments), kappa)
-            if bridge is None:
-                raise WordError("recorded bridge no longer validates")
-            return apply_bridge(w, bridge)
-        if self.kind == "INS":
-            words, proj, positions = self.data
-            return insert_phrase(w, words, proj, positions)
         if self.kind == "SHIFT":
             return w.circular_shift()
-        raise WordError(f"unknown move kind {self.kind!r}")
+        if self.kind not in _LAYOUTS:
+            raise WordError(f"unknown move kind {self.kind!r}")
+        grows = self.kind == "INS"
+        if grows:
+            x = insert_phrase(w, *self.data[:3])
+            letters = tuple(range(w.num_letters, x.num_letters))
+            factor = Factor(letters, inserted_segments(self.data[0], self.data[2]))
+        else:
+            x, factor = w, Factor(*self.data[:2])
+        bridge = validate_bridge(x, factor, self.kappa or range(factor.num_segments))
+        if bridge is None:
+            what = "inserted phrase" if grows else f"factor at {factor.segments}"
+            raise WordError(f"{what} is not a bridge with its kappa")
+        return x if grows else apply_bridge(x, bridge)
 
     def to_line(self) -> str:
-        prefix = "INV " if self.inverse else ""
-        if self.kind in ("H1", "H2", "H3"):
-            return f"{prefix}{self.kind}@{','.join(str(x) for x in self.data)}"
-        if self.kind == "SURG":
-            letters, segments = self.data
-            segs = ",".join(f"{a}-{b}" for a, b in segments)
-            return f"{prefix}SURG letters={','.join(map(str, letters))} segs={segs}"
-        if self.kind == "BRIDGE":
-            letters, segments, kappa = self.data
-            segs = ",".join(f"{a}-{b}" for a, b in segments)
-            kap = ",".join(str(x) for x in kappa)
-            return (
-                f"{prefix}BRIDGE letters={','.join(map(str, letters))} "
-                f"segs={segs} kappa={kap} arches={self.arches}"
-            )
-        if self.kind == "INS":
-            words, proj, positions = self.data
-            body = "|".join(".".join(str(x) for x in word) for word in words)
-            return (
-                f"{prefix}INS words={body} proj={','.join(proj)} "
-                f"at={','.join(map(str, positions))}"
-            )
-        return f"{prefix}{self.kind}"
+        head = f"INV {self.kind}" if self.inverse else self.kind
+        if self.kind in _POSITIONS:
+            return f"{head}@{_join(self.data)}"
+        fields = [f"{n}={_FIELDS[n][0](v)}" for n, v in zip(_LAYOUTS[self.kind], self.data)]
+        if self.kappa is not None:
+            fields.append(f"arches={self.arches}")
+        return " ".join([head, *fields])
 
     @staticmethod
     def from_line(line: str) -> "Move":
+        text = line.strip()
         try:
-            move = Move._parse_line(line.strip())
-        except (KeyError, ValueError) as exc:
-            raise WordError(f"cannot parse move line {line.strip()!r}") from exc
-        if move.inverse and move.kind not in ("H3", "INS"):  # no other kind has an inverse form
-            raise WordError(f"cannot parse move line {line.strip()!r}: only H3 and INS take INV")
-        if move.kind == "BRIDGE" and move.arches != arch_count(move.data[2]):
-            raise WordError(
-                f"cannot parse move line {line.strip()!r}: kappa has "
-                f"{arch_count(move.data[2])} arches, not {move.arches}"
-            )
-        return move
+            return Move._parse_line(text)
+        except KeyError as exc:
+            raise WordError(f"cannot parse move line {text!r}: no field {exc}") from exc
+        except ValueError as exc:
+            raise WordError(f"cannot parse move line {text!r}: {exc}") from exc
 
     @staticmethod
     def _parse_line(text: str) -> "Move":
-        """A missing field raises KeyError; a malformed value or an unknown
-        kind raises ValueError."""
+        """A missing field raises KeyError; a malformed value, an unknown
+        kind or field, a misplaced ``INV`` or a stated ``arches`` that is
+        not the arch count of ``kappa`` raises ValueError."""
         inverse = text.startswith("INV ")
         if inverse:
             text = text[4:]
-        if text == "SHIFT":
-            return Move("SHIFT", (), inverse)
         if "@" in text:
             kind, rest = text.split("@", 1)
-            positions = tuple(int(x) for x in rest.split(","))
-            if len(positions) != _POSITIONS.get(kind):
+            move = Move(kind, _ints(rest), inverse)
+            if len(move.data) != _POSITIONS.get(kind):
                 raise ValueError(f"wrong number of positions for {kind!r}")
-            return Move(kind, positions, inverse)
-        fields = dict(
-            part.split("=", 1) for part in text.split(" ")[1:] if "=" in part
-        )
-        kind = text.split(" ", 1)[0]
-        if kind == "SURG":
-            letters = tuple(int(x) for x in fields["letters"].split(","))
-            segments = _parse_segments(fields["segs"])
-            return Move("SURG", (letters, segments), inverse)
-        if kind == "BRIDGE":
-            letters = tuple(int(x) for x in fields["letters"].split(","))
-            segments = _parse_segments(fields["segs"])
-            kappa = tuple(int(x) for x in fields["kappa"].split(","))
-            return Move(
-                "BRIDGE", (letters, segments, kappa), inverse,
-                arches=int(fields.get("arches", arch_count(kappa))),
-            )
-        if kind == "INS":
-            words = tuple(
-                tuple(int(x) for x in word.split("."))
-                for word in fields["words"].split("|")
-            )
-            proj = tuple(fields["proj"].split(","))
-            positions = tuple(int(x) for x in fields["at"].split(","))
-            return Move("INS", (words, proj, positions), inverse)
-        raise ValueError(f"unknown move kind {kind!r}")
+        else:
+            kind, *parts = text.split(" ")
+            if kind not in _LAYOUTS:
+                raise ValueError(f"unknown move kind {kind!r}")
+            fields = dict(part.partition("=")[::2] for part in parts)
+            layout = _LAYOUTS[kind]
+            if kind == "INS" and "kappa" not in fields:
+                layout = layout[:-1]  # an insertion that undoes no bridge
+            move = Move(kind, tuple(_FIELDS[name][1](fields.pop(name)) for name in layout), inverse)
+            stated = fields.pop("arches", None) if move.kappa is not None else None
+            if fields:
+                raise ValueError(f"{kind} has no field {min(fields)!r}")
+            if stated is not None and int(stated) != move.arches:
+                raise ValueError(f"kappa has {move.arches} arches, not {stated}")
+        if inverse and move.kind not in ("H3", "INS"):  # no other kind has an inverse form
+            raise ValueError("only H3 and INS take INV")
+        return move
+
+
+def _join(values: Sequence, sep: str = ",") -> str:
+    return sep.join(map(str, values))
+
+
+def _ints(text: str, sep: str = ",") -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(sep))
 
 
 _POSITIONS = {"H1": 1, "H2": 2, "H3": 3}
 
+# How each named field of a move line is written, and read back (a
+# malformed value raises ValueError).
+_FIELDS = {
+    "letters": (_join, _ints),
+    "segs": (
+        lambda segments: ",".join(f"{a}-{b}" for a, b in segments),
+        lambda text: tuple((int(a), int(b)) for a, b in (s.split("-") for s in text.split(","))),
+    ),
+    "kappa": (_join, _ints),
+    "words": (
+        lambda words: "|".join(_join(word, ".") for word in words),
+        lambda text: tuple(_ints(word, ".") for word in text.split("|")),
+    ),
+    "proj": (",".join, lambda text: tuple(text.split(","))),
+    "at": (_join, _ints),
+}
 
-def _parse_segments(text: str) -> tuple[tuple[int, int], ...]:
-    """``a-b,c-d`` as ((a, b), (c, d)); anything else raises ValueError."""
-    out = []
-    for seg in text.split(","):
-        start, end = seg.split("-")
-        out.append((int(start), int(end)))
-    return tuple(out)
+# The named fields of each move written with them, in ``data`` order: the
+# factor moves, and SHIFT, which has none.  A line whose move has a
+# ``kappa`` also states its ``arches``, which must agree.
+_LAYOUTS = {
+    "SHIFT": (),
+    "SURG": ("letters", "segs"),
+    "BRIDGE": ("letters", "segs", "kappa"),
+    "INS": ("words", "proj", "at", "kappa"),
+}
 
 
 @dataclass(frozen=True)
@@ -215,9 +227,9 @@ class Metamorphosis:
 
     @property
     def total_arches(self) -> int:
-        """The arches of the bridges deleted, and of their inverses.  A
-        parsed ``BRIDGE`` line's count is ``arch_count`` of its ``kappa``,
-        the count of the bridge its replay validates."""
+        """The arches of the bridges deleted, and of the insertions that
+        undo bridges: the arch count of each move's ``kappa``, the one its
+        replay validates, so a log keeps it."""
         return sum(m.arches for m in self.moves)
 
     def replay(self, start: Nanoword) -> Nanoword:
@@ -237,49 +249,30 @@ class Metamorphosis:
     def inverted(self, start: Nanoword) -> "Metamorphosis":
         """The reverse move sequence, with positions resolved by replaying
         from ``start``.  Replaying the result from the endpoint returns a
-        word isomorphic to ``start``."""
+        word isomorphic to ``start``.  Factor moves keep their ``kappa``, so
+        inverting is total on them and keeps the arches."""
         current = start.canonical_form()
         backward: list[Move] = []
         for move in self.moves:
-            backward.extend(_invert_move(move, current))
-            current = move.apply(current).canonical_form()
+            result = move.apply(current).canonical_form()
+            backward.extend(_invert_move(move, current, result))
+            current = result
         return Metamorphosis(tuple(reversed(backward)))
 
 
-def _segments_to_phrase_payload(
-    w: Nanoword, letters: Sequence[int], segments: Sequence[tuple[int, int]]
-) -> tuple[tuple, tuple[str, ...], tuple[int, ...]]:
-    """(local-id segment words, projections, reinsertion points) describing
-    how to insert the deleted factor back."""
-    local = {g: i for i, g in enumerate(sorted(letters))}
-    words = tuple(
-        tuple(local[x] for x in w.seq[start:end]) for start, end in segments
-    )
-    proj = tuple(w.proj[g] for g in sorted(letters))
-    points = []
-    removed = 0
-    for start, end in segments:
-        points.append(start - removed)
-        removed += end - start
-    return words, proj, tuple(points)
-
-
-def _invert_move(move: Move, w: Nanoword) -> list[Move]:
+def _invert_move(move: Move, w: Nanoword, result: Nanoword) -> list[Move]:
     """Inverse of one move applied to (canonical) ``w``, as replayable
-    moves against the canonical form of the move's result."""
+    moves against ``result``, the canonical form of the move's result.  A
+    factor move inverts to one that keeps its ``kappa``."""
     if move.kind == "H3":
         return [Move("H3", move.data, inverse=not move.inverse)]
-    if move.kind == "INS":
-        words, proj, positions = move.data
-        canonical_seq = move.apply(w).canonical_key()[0]
-        segments = inserted_segments(words, positions)
-        inserted = sorted(
-            {canonical_seq[p] for s, e in segments for p in range(s, e)}
-        )
-        return [Move("SURG", (tuple(inserted), segments), arches=move.arches)]
     if move.kind == "SHIFT":
         return [Move("SHIFT", ())] * (w.length - 1)
-    # the rest delete letters; the inverse inserts them back
+    kappa = () if move.kappa is None else (move.kappa,)
+    if move.kind == "INS":
+        segments = inserted_segments(move.data[0], move.data[2])
+        inserted = sorted({result.seq[p] for s, e in segments for p in range(s, e)})
+        return [Move("BRIDGE" if kappa else "SURG", (tuple(inserted), segments) + kappa)]
     if move.kind == "H1":
         (i,) = move.data
         letters, segments = (w.seq[i],), ((i, i + 2),)
@@ -287,11 +280,14 @@ def _invert_move(move: Move, w: Nanoword) -> list[Move]:
         i, j = move.data
         letters, segments = (w.seq[i], w.seq[i + 1]), ((i, i + 2), (j, j + 2))
     elif move.kind in ("SURG", "BRIDGE"):
-        letters, segments = move.data[0], move.data[1]
+        letters, segments = move.data[:2]
     else:
         raise WordError(f"cannot invert move {move.kind!r}")
-    payload = _segments_to_phrase_payload(w, letters, segments)
-    return [Move("INS", payload, inverse=True, arches=move.arches)]
+    local = {g: i for i, g in enumerate(sorted(letters))}
+    words = tuple(tuple(local[x] for x in w.seq[start:end]) for start, end in segments)
+    # a segment goes back to its start, less the segments deleted before it
+    points = tuple(s - sum(map(len, words[:t])) for t, (s, _) in enumerate(segments))
+    return [Move("INS", (words, tuple(w.proj[g] for g in local), points) + kappa, inverse=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +714,14 @@ def _insertion_templates(ground: InvolutiveAlphabet) -> list[tuple[tuple, tuple[
     return out
 
 
+def check_templates(ground: InvolutiveAlphabet, templates: Sequence[tuple]) -> None:
+    """Check insertion templates as ``INS`` moves into the empty word over
+    ``ground``: each must be an even symmetric phrase, a bridge with the
+    identity ``kappa`` (WordError, or AlphabetError for a foreign symbol)."""
+    for words, proj in templates:
+        Move("INS", (words, proj, (0,) * len(words)), inverse=True).apply(Nanoword.empty(ground))
+
+
 def site_moves(w: Nanoword, caps: Caps = DEFAULT_CAPS) -> Iterator[Move]:
     """The moves at the sites of ``w``, in search order: H1, H2, H3,
     inverse H3, then one surgery per even symmetric factor within the
@@ -738,8 +742,8 @@ def neighbors(
     """Each move the search takes from ``w`` with the canonical key of its
     result: the site moves, then the template insertions that stay within
     the length cap.  An insertion's key is read straight off the grown
-    sequence, without building its word; the templates are trusted to be
-    phrases over ``w.ground`` (``bounded_bfs`` checks them)."""
+    sequence, without building its word or checking it; the templates are
+    trusted to pass ``check_templates`` (``bounded_bfs`` checks them)."""
     for move in site_moves(w, caps):
         yield move, move.apply(w).canonical_key()
     max_len = caps.length_cap(w.length)
@@ -784,12 +788,10 @@ def bounded_bfs(
     without a metamorphosis is never a proof of inequivalence.
 
     A state is a canonical key; its word is built only when it is
-    expanded.  Each extra template is checked once, as a phrase over the
-    word's ground alphabet, since ``neighbors`` builds no word that would
-    check it (WordError or AlphabetError)."""
-    for words, proj in extra_templates:
-        names = tuple(f"N{i + 1}" for i in range(len(proj)))
-        Nanophrase(w.ground, tuple(map(tuple, words)), tuple(proj), names)
+    expanded.  The extra templates are checked once, by
+    ``check_templates``, since ``neighbors`` builds no word that would
+    check them."""
+    check_templates(w.ground, extra_templates)
     start = w.canonical_key()
     target = v.canonical_key() if v is not None else None
     parents: dict[tuple, Optional[tuple[tuple, Move]]] = {start: None}

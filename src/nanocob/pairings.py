@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -439,6 +440,23 @@ def enumerate_fillings(p: AlphaPairing) -> Iterator[tuple[SVector, ...]]:
     singletons and admissible signed pairs, as the filling walk reaches
     them with nothing pruned."""
     return _walk_fillings(p, lambda x, y: None, lambda gram: True)
+
+
+def count_fillings(p: AlphaPairing) -> int:
+    """How many fillings ``enumerate_fillings`` yields, without the walk:
+    pairs never cross orbits, so the count is a product over orbits of
+    ``c(n)``, for the ``n`` letters projecting into the orbit and the ``s``
+    admissible signs of a pair of them, where ``c(0) = c(1) = 1`` and
+    ``c(n) = c(n - 1) + s * (n - 1) * c(n - 2)``: the lowest letter alone,
+    or paired with one of the others under one of ``s`` signs."""
+    total = 1
+    for rep, n in Counter(map(p.ground.orbit_rep, p.proj)).items():
+        s = len(_admissible_signs(p.ground, rep, rep))
+        before, count = 1, 1  # c(k - 2) and c(k - 1)
+        for k in range(2, n + 1):
+            before, count = count, count + s * (k - 1) * before
+        total *= count
+    return total
 
 
 def tautological_filling(p: AlphaPairing) -> tuple[SVector, ...]:

@@ -247,6 +247,12 @@ class TestCommands:
             "INV BRIDGE letters=0 segs=0-1,1-2 kappa=1,0 arches=1\n", "INV SHIFT\n",
             # the stated arch count disagrees with kappa, which has one arch
             "BRIDGE letters=0 segs=0-1,1-2 kappa=1,0 arches=5\n",
+            "INV INS words=0|0 proj=a at=0,2 kappa=1,0 arches=0\n",
+            # a field the kind does not have, misspelt or not; only a move
+            # with a kappa states its arches
+            "INV INS words=0.0 proj=a at=0 kapa=0\n", "SURG letters=0 segs=0-2 kappa=0\n",
+            "SURG letters=0 segs=0-2 arches=0\n", "INV INS words=0.0 proj=a at=0 arches=0\n",
+            "BRIDGE letters=0 segs=0-2 kappa=0 arches=0 extra=1\n",
         ],
     )
     def test_replay_rejects_malformed_log(self, capsys, tmp_path, log):
@@ -283,6 +289,32 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert len(captured.err.splitlines()) == 1
+
+    def test_replay_rejects_forged_insertion(self, capsys, tmp_path):
+        """Inserting ``ABAB``, which is not even symmetric, and deleting the
+        whole word would take a word that is not slice to the empty word."""
+        log_file = tmp_path / "forged.log"
+        log_file.write_text("INV INS words=0.1.0.1 proj=b,a at=4\nSURG letters=0,1,2,3 segs=0-8\n")
+        code = main(
+            ["moves", "--alphabet", "alphabet: a x b y;tau: a<->x b<->y", "--word", "ABAB",
+             "--proj", "A=a B=b", "--replay", str(log_file)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: inserted phrase is not a bridge with its kappa\n"
+
+    def test_replay_counts_arches_of_insertion(self, capsys, tmp_path):
+        """An insertion that undoes a bridge carries its kappa, and so its
+        arches."""
+        log_file = tmp_path / "arch.log"
+        log_file.write_text("INV INS words=0|0 proj=a at=0,2 kappa=1,0 arches=1\n")
+        code = main(
+            ["moves", "--alphabet", "alphabet: a x;tau: a<->x", "--word", "AA",
+             "--proj", "A=x", "--replay", str(log_file)]
+        )
+        assert code == 0
+        assert "arches\t1\n" in capsys.readouterr().out
 
     def test_bad_caps_value_exit_code(self, capsys):
         code = main(
@@ -718,6 +750,21 @@ class TestCommands:
             ]
         )
         assert code == 2
+
+    def test_rejects_template_with_empty_segment(self, tmp_path, capsys):
+        """A template is checked as the factor it inserts, and a factor
+        has no empty segment."""
+        templates = tmp_path / "templates.txt"
+        templates.write_text("alphabet: a x\ntau: a<->x\nphrase: A A | \nproj: A=a\n")
+        code = main(
+            ["check-slice", "--alphabet", "alphabet: a x;tau: a<->x", "--word", "ABBA",
+             "--proj", "A=a B=x", "--templates", str(templates)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: --templates")
+        assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "alphabet, word, proj",

@@ -27,7 +27,7 @@ from nanocob.moves import (
     neighbors,
     validate_bridge,
 )
-from nanocob.explorer import length_norm_bounds, random_nanoword
+from nanocob.explorer import length_norm_bounds, random_nanoword, slice_status
 from nanocob.pairings import verify_surgery_filling
 from nanocob.words import Nanoword, SymmetryWitness, WordError, mirror_witness
 
@@ -528,11 +528,8 @@ class TestSearch:
         w = word_factory(two_free, "ABCBCA", A="a", B="b", C="b")
         factor = Factor((0,), ((0, 1), (5, 6)))
         bridge = validate_bridge(w, factor, (1, 0))
-        move = Move(
-            "BRIDGE",
-            (factor.letters, factor.segments, bridge.kappa),
-            arches=bridge.arches,
-        )
+        move = Move("BRIDGE", (factor.letters, factor.segments, bridge.kappa))
+        assert move.arches == bridge.arches == 1
         line = move.to_line()
         assert "kappa=1,0" in line and "arches=1" in line
         recovered = Move.from_line(line)
@@ -594,7 +591,7 @@ def test_move_lines_round_trip(alphabet, letters, seed):
     caps = Caps(max_letters=3, max_k=3)
     moves = [m for m, _ in neighbors(w, caps)] + [Move("SHIFT", ())]
     moves += [
-        Move("BRIDGE", (b.factor.letters, b.factor.segments, b.kappa), arches=b.arches)
+        Move("BRIDGE", (b.factor.letters, b.factor.segments, b.kappa))
         for b in enumerate_bridges(w, caps.max_letters, caps.max_k)
     ]
     for move in moves:
@@ -699,6 +696,68 @@ def test_foreign_template_rejected_once_per_search():
             bounded_bfs(w, None, caps, ((((0, 0),), ("b",)),))
     with pytest.raises(WordError):
         bounded_bfs(w, None, DEFAULT_CAPS, ((((0, 1),), ("a", "a")),))
+
+
+def test_asymmetric_template_rejected():
+    """A template must be an even symmetric phrase: ``ABAB`` is not, and
+    inserting it would connect the empty word to a word that is not
+    slice."""
+    two_free = BENCHMARK_ALPHABETS[1]
+    empty = Nanoword.empty(two_free)
+    abab = Nanoword.from_names(two_free, "ABAB", {"A": "a", "B": "b"})
+    template = (((0, 1, 0, 1),), ("a", "b"))
+    with pytest.raises(WordError, match="not a bridge"):
+        bounded_bfs(empty, abab, extra_templates=[template])
+    abba = Nanoword.from_names(two_free, "ABBA", {"A": "a", "B": "x"})
+    for w in (empty, abba):
+        with pytest.raises(WordError, match="not a bridge"):
+            slice_status(w, extra_templates=[template])
+
+
+class TestFactorMoveRule:
+    """Insertions are checked, inverted and logged as the bridges they
+    insert, so a replayed log never makes a move its inverse could not."""
+
+    def test_forged_insertion_rejected(self):
+        two_free = BENCHMARK_ALPHABETS[1]
+        w = Nanoword.from_names(two_free, "ABAB", {"A": "a", "B": "b"})
+        forged = Metamorphosis.from_log(
+            "INV INS words=0.1.0.1 proj=b,a at=4\nSURG letters=0,1,2,3 segs=0-8"
+        )
+        with pytest.raises(WordError, match="inserted phrase is not a bridge"):
+            forged.replay(w)
+
+    def test_insertion_checked_with_its_kappa(self):
+        one_orbit = BENCHMARK_ALPHABETS[0]
+        w = Nanoword.from_names(one_orbit, "AA", {"A": "x"})
+        arch = Move.from_line("INV INS words=0|0 proj=a at=0,2 kappa=1,0 arches=1")
+        assert arch.kappa == (1, 0) and arch.arches == 1
+        assert arch.apply(w).letter_seq() == ("N2", "A", "A", "N2")
+        # each one-letter segment onto itself: odd, so no bridge
+        fixed = Move.from_line("INV INS words=0|0 proj=a at=0,2 kappa=0,1")
+        with pytest.raises(WordError, match="not a bridge with its kappa"):
+            fixed.apply(w)
+        # the same phrase without a kappa is checked as a surgery undone
+        with pytest.raises(WordError, match="not a bridge with its kappa"):
+            Move.from_line("INV INS words=0|0 proj=a at=0,2").apply(w)
+
+    @pytest.mark.parametrize("ground", BENCHMARK_ALPHABETS, ids=["ax", "ax-by", "ax-cc"])
+    def test_bridges_invert_twice_and_keep_arches(self, ground):
+        rng = random.Random(5)
+        by_arches = [0, 0, 0]
+        for _ in range(40):
+            w = random_nanoword(rng, ground, rng.randint(1, 4)).canonical_form()
+            for b in enumerate_bridges(w, 4, 4):
+                forward = Metamorphosis((Move("BRIDGE", (b.factor.letters, b.factor.segments, b.kappa)),))
+                end = forward.replay(w)
+                inverse = forward.inverted(w)
+                assert inverse.replay(end).is_isomorphic(w)
+                again = inverse.inverted(end)
+                assert again.replay(w).is_isomorphic(end)
+                for meta in (forward, inverse, again):
+                    assert Metamorphosis.from_log(meta.to_log()).total_arches == b.arches
+                by_arches[b.arches] += 1
+        assert min(by_arches[:2]) > 0 and sum(by_arches) > 100
 
 
 class TestSearchOracle:

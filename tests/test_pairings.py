@@ -20,6 +20,7 @@ from nanocob.pairings import (
     annihilating_fillings,
     are_cobordant,
     are_isomorphic,
+    count_fillings,
     covering,
     enumerate_fillings,
     filling_is_annihilating,
@@ -256,6 +257,24 @@ class TestFillings:
     def test_fixed_point_projection_allows_both_signs(self, mixed):
         p = AlphaPairing.build(mixed, ("c", "c"), {})
         assert len(list(enumerate_fillings(p))) == 3
+
+    @pytest.mark.parametrize(
+        "ground",
+        [
+            InvolutiveAlphabet.fixed_point_free(("a",), ("x",)),
+            InvolutiveAlphabet.fixed_point_free(("a", "b"), ("x", "y")),
+            InvolutiveAlphabet.build(("a", "x", "c"), {"a": "x", "x": "a", "c": "c"}),
+            InvolutiveAlphabet.build(("a",), {"a": "a"}),
+        ],
+        ids=["ax", "ax-by", "ax-cc", "aa"],
+    )
+    def test_count_matches_walk(self, ground):
+        """The closed-form count against the walk it replaces in
+        ``nanocob fillings``."""
+        rng = random.Random(23)
+        for _ in range(100):
+            p = pairing_of_nanoword(random_nanoword(rng, ground, rng.randint(0, 8)))
+            assert count_fillings(p) == sum(1 for _ in enumerate_fillings(p))
 
 
 class TestHyperbolicity:
