@@ -199,14 +199,20 @@ def cmd_fillings(args) -> int:
     w = _load_word(args)
     p = pairing_of_nanoword(w)
     # only listed fillings are checked one by one; the total is counted in
-    # closed form and the annihilating ones by the pruned walk
+    # closed form and the annihilating ones by the pruned walk, unless the
+    # table is zero: every filling annihilates exactly when the tautological
+    # one does, that is when every entry of the table vanishes
     lines = [
         f"{'*' if filling_is_annihilating(p, filling) else ' '} "
         f"{{{', '.join(format_vector(p, v) for v in filling)}}}"
         for filling in itertools.islice(enumerate_fillings(p), args.limit)
     ]
-    annihilating = sum(1 for _ in annihilating_fillings(p))
-    lines.append(f"fillings\t{count_fillings(p)}\tannihilating\t{annihilating}")
+    total = count_fillings(p)
+    if any(map(any, itertools.chain.from_iterable(p.coords))):
+        annihilating = sum(1 for _ in annihilating_fillings(p))
+    else:
+        annihilating = total
+    lines.append(f"fillings\t{total}\tannihilating\t{annihilating}")
     _emit(lines, args.format)
     return 0
 

@@ -351,12 +351,14 @@ def _admissible_signs(ground: InvolutiveAlphabet, a: str, b: str) -> tuple[int, 
 # nonvanishing entry (hyperbolicity) is rejected, and that prunes every
 # filling starting with it, whatever partition of the other letters follows.
 #
-# Leaves come in group-then-coefficient order: singleton before pairs,
-# partners by increasing index, +1 before -1.  The order matters because
-# the hyperbolicity searches return the first vanishing filling reached and
-# the genus searches stop at the first of rank 0: another order could
-# change the witness, the ``nanocob fillings`` listing or the work done,
-# though never the verdict or the genus.
+# Leaves come in group-then-coefficient order: the singleton before the
+# pairs, partners by increasing index, +1 before -1.  The order matters
+# because the hyperbolicity searches return the first vanishing filling
+# reached: another order could change the witness or the ``nanocob
+# fillings`` listing, though never the verdict.  The genus searches return
+# no witness and take the pairs before the singleton (``_pairs_first``):
+# their first leaves then have few slots and a low rank, so the bound
+# prunes early.  Their order changes the work done, never the genus.
 
 
 def _walk_fillings(
@@ -364,11 +366,14 @@ def _walk_fillings(
     pair: Callable[[SVector, SVector], object],
     admit: Callable[[list[list]], bool],
     s_bound: int = 1,
+    *,
+    _pairs_first: bool = False,
 ) -> Iterator[tuple[SVector, ...]]:
     """The fillings of ``table`` whose every prefix ``admit`` accepts, as
     tuples of slots.  ``pair(x, y)`` is the Gram entry of two slots;
     ``admit(gram)`` must reject a prefix only when it rejects every
-    completion.  ``s_bound`` bounds a tuple's distinguished coefficients."""
+    completion.  ``s_bound`` bounds a tuple's distinguished coefficients;
+    ``_pairs_first`` tries each letter's pairs before it alone."""
     ground, proj = table.ground, table.proj
     r = len(table.coords) - len(proj)
     start = tuple((t, 1) for t in range(r))
@@ -399,10 +404,12 @@ def _walk_fillings(
             return
         head, rest = remaining[0], remaining[1:]
         alone = ((r + head, 1),)
-        groups = [(alone, rest)]
-        for pos, other in enumerate(rest):
-            for sign in _admissible_signs(ground, proj[head], proj[other]):
-                groups.append((alone + ((r + other, sign),), rest[:pos] + rest[pos + 1 :]))
+        pairs = [
+            (alone + ((r + other, sign),), rest[:pos] + rest[pos + 1 :])
+            for pos, other in enumerate(rest)
+            for sign in _admissible_signs(ground, proj[head], proj[other])
+        ]
+        groups = pairs + [(alone, rest)] if _pairs_first else [(alone, rest)] + pairs
         for group, left in groups:
             for coefficient in coefficients:
                 x = coefficient + group
@@ -550,18 +557,23 @@ def _least_rank(table: AlphaPairing | TupleSpace, phi: PhiSpec, s_bound: int = 1
     """Half the least Gram rank under ``phi`` over the fillings of ``table``."""
     best: Optional[int] = None
     asked: list[list] = []
+    rank: Optional[int] = None
 
     def below_best(gram):
-        nonlocal asked
-        asked = gram
+        nonlocal asked, rank
+        asked, rank = gram, None
         # a prefix of fewer slots than the best rank has a smaller rank
-        return best is None or len(gram) < best or _gram_rank(phi, gram) < best
+        if best is None or len(gram) < best:
+            return True
+        rank = _gram_rank(phi, gram)
+        return rank < best
 
     # an accepted filling beats the best so far; ``asked`` is the walk's
-    # Gram matrix, which holds the filling's when the walk yields it
+    # Gram matrix, which holds the filling's when the walk yields it, and
+    # ``rank`` its rank when ``below_best`` had to compute it
     value = functools.partial(_scalar_value, _phi_matrix(table, phi))
-    for _ in _walk_fillings(table, value, below_best, s_bound):
-        best = _gram_rank(phi, asked)
+    for _ in _walk_fillings(table, value, below_best, s_bound, _pairs_first=True):
+        best = _gram_rank(phi, asked) if rank is None else rank
         if best == 0:
             break
     assert best is not None  # the tautological filling always exists

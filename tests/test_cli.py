@@ -513,6 +513,52 @@ class TestCommands:
             assert len(out) == lines and len(checked) == lines - 1
             assert out[-1] == "fillings\t25\tannihilating\t6"
 
+    def test_fillings_zero_table_counted_in_closed_form(self, capsys, monkeypatch):
+        """When the tautological filling annihilates (the table is zero),
+        every filling does, and the command counts them in closed form
+        without the walk; on every table its
+        count equals the pruned walk's.  240 seeded words of 0-7 letters
+        over four alphabets, among them at least 30 zero tables of two or
+        more letters."""
+        import random
+
+        import nanocob.cli as cli
+        from nanocob.explorer import random_nanoword
+        from nanocob.pairings import (
+            annihilating_fillings,
+            filling_is_annihilating,
+            pairing_of_nanoword,
+            tautological_filling,
+        )
+
+        walked = []
+        monkeypatch.setattr(
+            cli, "annihilating_fillings", lambda p: walked.append(p) or annihilating_fillings(p)
+        )
+        rng = random.Random(21)
+        zero = 0
+        for alphabet in ("alphabet: a;tau: a<->a", "alphabet: a x;tau: a<->x",
+                         "alphabet: a x c;tau: a<->x c<->c",
+                         "alphabet: a x b y;tau: a<->x b<->y"):
+            ground = parse_input(alphabet.replace(";", "\n")).alphabet
+            for m in list(range(8)) * 6 + [rng.randint(2, 5) for _ in range(12)]:
+                w = random_nanoword(rng, ground, m)
+                p = pairing_of_nanoword(w)
+                argv = ["fillings", "--alphabet", alphabet, "--limit", "0",
+                        "--word", " ".join(w.letter_seq()) or "(empty)"]
+                if m:
+                    argv += ["--proj", " ".join(f"{n}={a}" for n, a in zip(w.names, w.proj))]
+                walked.clear()
+                assert main(argv) == 0
+                *_, total, _, count = capsys.readouterr().out.rstrip("\n").split("\t")
+                assert int(count) == sum(1 for _ in annihilating_fillings(p))
+                if filling_is_annihilating(p, tautological_filling(p)):
+                    assert count == total and not walked
+                    zero += m >= 2
+                else:
+                    assert len(walked) == 1
+        assert zero >= 30
+
     def test_fillings_negative_limit_rejected(self, capsys):
         base = ["fillings", "--alphabet", "alphabet: a x;tau: a<->x",
                 "--word", "ABAB", "--proj", "A=a B=x"]

@@ -895,7 +895,7 @@ class TestFillingWalkOracle:
         ``admit`` sees the values alone."""
         walk = pairings_module._walk_fillings
 
-        def recording(table, pair, admit, s_bound=1):
+        def recording(table, pair, admit, s_bound=1, *, _pairs_first=False):
             def tagged(x, y):
                 return _Entry(pair(x, y), x, y)
 
@@ -910,7 +910,7 @@ class TestFillingWalkOracle:
                 asked.append((table, slots, values))
                 return admit(values)
 
-            return walk(table, tagged, checked, s_bound)
+            return walk(table, tagged, checked, s_bound, _pairs_first=_pairs_first)
 
         monkeypatch.setattr(pairings_module, "_walk_fillings", recording)
 
@@ -965,6 +965,49 @@ class TestFillingWalkOracle:
                         assert values == oracle
                     total += len(asked)
         assert total > 5000
+
+    def test_pairs_first_ranks_fewer_grams(self, monkeypatch, two_free, mixed):
+        """The genus searches walk pairs before the singleton.  On the same
+        seeded tables and tuples, under a sign map and a GF(2) map, the
+        listing order (singleton first) gives the same genus and ranks
+        strictly more Gram matrices in total."""
+        walk, gram_rank = pairings_module._walk_fillings, pairings_module._gram_rank
+        asked_order, order, ranks = set(), {}, {False: 0, True: 0}
+
+        def ordered(*args, _pairs_first=False):
+            asked_order.add(_pairs_first)
+            return walk(*args, _pairs_first=order["pairs_first"])
+
+        def counted(phi, gram):
+            ranks[order["pairs_first"]] += 1
+            return gram_rank(phi, gram)
+
+        monkeypatch.setattr(pairings_module, "_walk_fillings", ordered)
+        monkeypatch.setattr(pairings_module, "_gram_rank", counted)
+        rng = random.Random(75)
+        searches = odd = 0
+        shapes = [((m,), 1) for m in range(2, 8)] + list(TestWeakProductOracle.SHAPES[3:9])
+        for ground in (two_free, mixed, self.FIXED):
+            for sizes, s_bound in shapes:
+                for kind in ("word", "skew", "distinguished", "asymmetric"):
+                    if len(sizes) > 1 and kind == "word":
+                        kind = "skew"
+                    pairings = tuple(self._table(rng, ground, m, kind) for m in sizes)
+                    sign, _, gf2, _ = self._phis(rng, ground)
+                    for phi in (sign, gf2):
+                        genera = []
+                        for pairs_first in (False, True):
+                            order["pairs_first"] = pairs_first
+                            if len(sizes) == 1:
+                                genera.append(genus(pairings[0], phi).twice)
+                            else:
+                                genera.append(tuple_genus(pairings, phi, s_bound).twice)
+                        assert genera[0] == genera[1]
+                        searches += 1
+                        odd += genera[0] % 2
+        assert asked_order == {True}
+        assert searches == 288 and odd >= 10
+        assert ranks[True] < ranks[False]
 
 
 class TestShiftOfPairings:
