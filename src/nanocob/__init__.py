@@ -22,8 +22,6 @@ from .moves import (
     Metamorphosis,
     Move,
     apply_bridge,
-    apply_h1,
-    apply_h2,
     apply_h3,
     apply_surgery,
     bounded_bfs,

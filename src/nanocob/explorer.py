@@ -45,7 +45,7 @@ from .pairings import (
     verify_surgery_filling,
 )
 from .surfaces import genus_rank_check
-from .words import EMPTY_WORD, Nanoword
+from .words import EMPTY_WORD, Nanoword, WordError
 
 
 class EnumerationGuard(ValueError):
@@ -232,7 +232,8 @@ def slice_verdict(
     extra_templates: Sequence[tuple[tuple, tuple[str, ...]]] = (),
 ) -> SliceVerdict:
     """The verdict for the word of an already computed record: the first
-    nonzero obstruction, else a bounded search for the empty word."""
+    nonzero obstruction, else a bounded search for the empty word.  A
+    witness is replayed before it is returned."""
     named = obstruction(record)
     if named is not None:
         return SliceVerdict(NOT_SLICE, named, caps=caps)
@@ -241,8 +242,21 @@ def slice_verdict(
         w, Nanoword.empty(w.ground), caps, extra_templates=extra_templates
     )
     if search.equivalent:
+        _assert_replays(w, search.metamorphosis)
         return SliceVerdict(SLICE, witness=search.metamorphosis, caps=caps)
     return SliceVerdict(UNKNOWN, caps=caps)
+
+
+def _assert_replays(w: Nanoword, witness: Metamorphosis) -> None:
+    """A ``Slice`` witness must take ``w`` to the empty word.  The search
+    reads its children's keys off sequences without applying their moves,
+    so its result is checked here, at the boundary."""
+    try:
+        length = witness.replay(w).length
+    except WordError as exc:
+        raise AssertionError(f"slice witness does not replay: {exc}") from exc
+    if length:
+        raise AssertionError(f"slice witness ends at a word of length {length}, not 0")
 
 
 def length_norm_bounds(w: Nanoword, caps: Caps = DEFAULT_CAPS) -> tuple[int, int]:

@@ -1,6 +1,7 @@
 """Local moves on nanowords and bounded search over move sequences.
 
-Three homotopy rewrites, deletion of bridges (factors whose segments mirror
+Three homotopy rewrites (the first two delete the one- and two-letter
+surgery factors), deletion of bridges (factors whose segments mirror
 onto one another through a segment involution) and of even symmetric
 factors (surgery: the identity-involution bridges), both from one generator,
 circular shifts, and a breadth-first explorer over canonical keys.  The
@@ -86,8 +87,9 @@ class Move:
     SURG/BRIDGE: (letters, segments[, kappa]) referring to the source word
     INS: (words, proj, positions[, kappa]) describing the inserted factor
 
-    A factor move (SURG, BRIDGE, INS) deletes or inserts a bridge with its
-    ``kappa``, the identity when it has none (as when INS undoes no bridge).
+    A factor move (H1, H2, SURG, BRIDGE, INS) deletes or inserts a bridge
+    with its ``kappa``, the identity when it has none (as when INS undoes no
+    bridge, and for H1 and H2, the one- and two-letter surgeries).
     """
 
     kind: str
@@ -105,16 +107,28 @@ class Move:
     def arches(self) -> int:
         return arch_count(self.kappa or ())
 
+    def factor(self, w: Nanoword) -> Factor:
+        """The factor a deleting move takes out of ``w``: for ``H1@i`` the
+        letter at ``i`` on ``(i, i + 2)``, for ``H2@i,j`` the letters at
+        ``i, i + 1`` on ``(i, i + 2), (j, j + 2)``, for SURG and BRIDGE the
+        factor in ``data``.  H1 and H2 are surgeries, which
+        ``validate_bridge`` decides, but an H2 site must also be
+        ``ab ... ba``, not the sibling surgery ``ab ... ab``: a site out of
+        range or not of that shape raises WordError."""
+        if self.kind not in ("H1", "H2"):
+            return Factor(*self.data[:2])
+        i, j = self.data[0], self.data[-1]
+        pair = w.seq[i:i + 2]
+        if min(i, j) < 0 or j + 2 > w.length or (self.kind == "H2" and w.seq[j:j + 2] != pair[::-1]):
+            raise WordError(f"no {self.kind} site at positions {_join(self.data)}")
+        return Factor(tuple(sorted(set(pair))), tuple((s, s + 2) for s in self.data))
+
     def apply(self, w: Nanoword) -> Nanoword:
-        if self.kind == "H1":
-            return apply_h1(w, self.data[0])
-        if self.kind == "H2":
-            return apply_h2(w, self.data)
         if self.kind == "H3":
             return apply_h3(w, self.data, self.inverse)
         if self.kind == "SHIFT":
             return w.circular_shift()
-        if self.kind not in _LAYOUTS:
+        if self.kind not in _LAYOUTS and self.kind not in _POSITIONS:
             raise WordError(f"unknown move kind {self.kind!r}")
         grows = self.kind == "INS"
         if grows:
@@ -122,7 +136,7 @@ class Move:
             letters = tuple(range(w.num_letters, x.num_letters))
             factor = Factor(letters, inserted_segments(self.data[0], self.data[2]))
         else:
-            x, factor = w, Factor(*self.data[:2])
+            x, factor = w, self.factor(w)
         bridge = validate_bridge(x, factor, self.kappa or range(factor.num_segments))
         if bridge is None:
             what = "inserted phrase" if grows else f"factor at {factor.segments}"
@@ -273,17 +287,9 @@ def _invert_move(move: Move, w: Nanoword, result: Nanoword) -> list[Move]:
         segments = inserted_segments(move.data[0], move.data[2])
         inserted = sorted({result.seq[p] for s, e in segments for p in range(s, e)})
         return [Move("BRIDGE" if kappa else "SURG", (tuple(inserted), segments) + kappa)]
-    if move.kind == "H1":
-        (i,) = move.data
-        letters, segments = (w.seq[i],), ((i, i + 2),)
-    elif move.kind == "H2":
-        i, j = move.data
-        letters, segments = (w.seq[i], w.seq[i + 1]), ((i, i + 2), (j, j + 2))
-    elif move.kind in ("SURG", "BRIDGE"):
-        letters, segments = move.data[:2]
-    else:
-        raise WordError(f"cannot invert move {move.kind!r}")
-    local = {g: i for i, g in enumerate(sorted(letters))}
+    factor = move.factor(w)
+    local = {g: i for i, g in enumerate(sorted(factor.letters))}
+    segments = factor.segments
     words = tuple(tuple(local[x] for x in w.seq[start:end]) for start, end in segments)
     # a segment goes back to its start, less the segments deleted before it
     points = tuple(s - sum(map(len, words[:t])) for t, (s, _) in enumerate(segments))
@@ -302,13 +308,6 @@ def find_h1_sites(w: Nanoword) -> list[Move]:
     ]
 
 
-def apply_h1(w: Nanoword, i: int) -> Nanoword:
-    if i < 0 or i + 1 >= w.length or w.seq[i] != w.seq[i + 1]:
-        raise WordError(f"no adjacent doubled letter at position {i}")
-    word, _ = w.delete_letters([w.seq[i]])
-    return word
-
-
 def find_h2_sites(w: Nanoword) -> list[Move]:
     """Sites ``ab ... ba``: for each ``i`` the only candidate ``j`` is the
     other entry of ``b``, so there is at most one site per ``i``."""
@@ -322,21 +321,6 @@ def find_h2_sites(w: Nanoword) -> list[Move]:
         if w.proj[b] == w.ground.tau(w.proj[a]):
             sites.append(Move("H2", (i, j)))
     return sites
-
-
-def apply_h2(w: Nanoword, site: tuple[int, int]) -> Nanoword:
-    i, j = site
-    ok = (
-        0 <= i < i + 1 < j < j + 1 < w.length
-        and w.seq[i] == w.seq[j + 1]
-        and w.seq[i + 1] == w.seq[j]
-        and w.seq[i] != w.seq[i + 1]
-        and w.proj[w.seq[i + 1]] == w.ground.tau(w.proj[w.seq[i]])
-    )
-    if not ok:
-        raise WordError(f"no second-move pattern at positions {site}")
-    word, _ = w.delete_letters([w.seq[i], w.seq[i + 1]])
-    return word
 
 
 def _h3_positions(w: Nanoword, i: int, j: int, k: int, forward: bool) -> Optional[tuple[int, int, int]]:
@@ -724,14 +708,18 @@ def check_templates(ground: InvolutiveAlphabet, templates: Sequence[tuple]) -> N
 
 def site_moves(w: Nanoword, caps: Caps = DEFAULT_CAPS) -> Iterator[Move]:
     """The moves at the sites of ``w``, in search order: H1, H2, H3,
-    inverse H3, then one surgery per even symmetric factor within the
-    caps."""
-    yield from find_h1_sites(w)
-    yield from find_h2_sites(w)
+    inverse H3, then one surgery per even symmetric factor within the caps
+    that is no H1 or H2 site.  Those two moves are the one- and two-letter
+    surgeries, listed once; they are found apart from the factors, since
+    caps with ``letters`` or ``k`` below 2 leave the second one out."""
+    deletions = find_h1_sites(w) + find_h2_sites(w)
+    yield from deletions
     yield from find_h3_sites(w)
     yield from find_h3_sites(w, inverse=True)
+    sites = {move.factor(w).segments for move in deletions}
     for factor in enumerate_even_symmetric_factors(w, caps.max_letters, caps.max_k):
-        yield Move("SURG", (factor.letters, factor.segments))
+        if factor.segments not in sites:
+            yield Move("SURG", (factor.letters, factor.segments))
 
 
 def neighbors(
@@ -741,11 +729,16 @@ def neighbors(
 ) -> Iterator[tuple[Move, tuple]]:
     """Each move the search takes from ``w`` with the canonical key of its
     result: the site moves, then the template insertions that stay within
-    the length cap.  An insertion's key is read straight off the grown
-    sequence, without building its word or checking it; the templates are
-    trusted to pass ``check_templates`` (``bounded_bfs`` checks them)."""
+    the length cap.  A deletion's key is read off the sequence without its
+    factor's letters and an insertion's off the grown sequence, without
+    building a word or checking it (``slice_verdict`` replays its witness,
+    and ``bounded_bfs`` checks the templates); only H3 builds its word."""
     for move in site_moves(w, caps):
-        yield move, move.apply(w).canonical_key()
+        if move.kind == "H3":
+            yield move, move.apply(w).canonical_key()
+        else:
+            drop = move.factor(w).letters
+            yield move, key_of([x for x in w.seq if x not in drop], w.proj)
     max_len = caps.length_cap(w.length)
     base = w.num_letters
     for words, proj in _insertion_templates(w.ground) + list(extra_templates):

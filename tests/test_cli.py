@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nanocob.cli import _load_word, build_parser, main
 from nanocob.explorer import enumerate_nanowords
-from nanocob.moves import neighbors
+from nanocob.moves import Move, neighbors
 from nanocob.parsing import ParseError, parse_caps_option, parse_input
 from nanocob.words import Nanophrase, Nanoword
 
@@ -290,6 +290,43 @@ class TestCommands:
         assert captured.err.startswith("error:")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "word, proj, line",
+        [
+            ("ABBA", "A=a B=x", "H1@0"),  # no doubled letter at 0
+            ("ABBA", "A=a B=x", "H1@-1"),
+            ("ABBA", "A=a B=x", "H1@3"),  # the last position
+            ("ABAB", "A=a B=x", "H2@0,1"),  # overlapping segments
+            ("ABBA", "A=a B=a", "H2@0,2"),  # the projection of B is not tau of A's
+            # the sibling (AB | AB): a surgery, but not the second move
+            ("ABAB", "A=a B=x", "H2@0,2"),
+        ],
+    )
+    def test_replay_rejects_homotopy_deletion_not_of_word(self, capsys, tmp_path, word, proj, line):
+        """H1 and H2 replay as the surgeries they are; a line that names no
+        site of the word is bad input, not a crash."""
+        log_file = tmp_path / "moves.log"
+        log_file.write_text(line + "\n")
+        code = main(
+            ["moves", "--alphabet", "alphabet: a x;tau: a<->x", "--word", word,
+             "--proj", proj, "--replay", str(log_file)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_sibling_of_second_move_replays_as_surgery(self, capsys, tmp_path):
+        log_file = tmp_path / "moves.log"
+        log_file.write_text("SURG letters=0,1 segs=0-2,2-4\n")
+        code = main(
+            ["moves", "--alphabet", "alphabet: a x;tau: a<->x", "--word", "ABAB",
+             "--proj", "A=a B=x", "--replay", str(log_file)]
+        )
+        assert code == 0
+        assert "result\t(empty)" in capsys.readouterr().out
+
     def test_replay_rejects_forged_insertion(self, capsys, tmp_path):
         """Inserting ``ABAB``, which is not even symmetric, and deleting the
         whole word would take a word that is not slice to the empty word."""
@@ -362,17 +399,29 @@ class TestCommands:
             assert len(err.splitlines()) == 1
 
     def test_moves_listing_replays(self, capsys, tmp_path):
-        """Every SURG and BRIDGE line the listing prints replays on its own."""
-        base = ["moves", "--alphabet", "alphabet: a x;tau: a<->x", "--word", "ABBA",
-                "--proj", "A=a B=x"]
-        assert main(base) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert "SURG letters=1 segs=1-3" in lines
-        bridges = [line for line in lines if line.startswith("BRIDGE ")]
-        assert f"bridges\t{len(bridges)}" in lines and bridges
-        log = tmp_path / "move.log"
-        for line in lines:
-            if line.startswith(("SURG ", "BRIDGE ")):
+        """Every move line the listing prints replays on its own, and no
+        SURG line repeats the segments of an H1 or H2 line: those moves are
+        the one- and two-letter surgeries, listed once."""
+        for word, proj, kinds in (
+            ("ABBA", "A=a B=x", {"H1", "H2", "SURG", "BRIDGE"}),
+            ("ABACBC", "A=a B=a C=a", {"H3", "SURG", "BRIDGE"}),
+            ("BACACB", "A=a B=a C=a", {"INV H3", "SURG", "BRIDGE"}),
+        ):
+            base = ["moves", "--alphabet", "alphabet: a x;tau: a<->x", "--word", word,
+                    "--proj", proj]
+            assert main(base) == 0
+            lines = capsys.readouterr().out.splitlines()
+            bridges = [line for line in lines if line.startswith("BRIDGE ")]
+            assert f"bridges\t{len(bridges)}" in lines and bridges
+            moves = [line for line in lines if "\t" not in line]
+            parsed = [Move.from_line(line) for line in moves]
+            assert {("INV " if m.inverse else "") + m.kind for m in parsed} == kinds
+            # the positions an H1 or H2 site deletes, against each SURG's segments
+            sites = {tuple((s, s + 2) for s in m.data) for m in parsed if m.kind in ("H1", "H2")}
+            surgeries = {m.data[1] for m in parsed if m.kind == "SURG"}
+            assert surgeries and not sites & surgeries
+            log = tmp_path / "move.log"
+            for line in moves:
                 log.write_text(line + "\n")
                 assert main(base + ["--replay", str(log)]) == 0, line
                 assert capsys.readouterr().err == ""
@@ -468,22 +517,23 @@ class TestCommands:
 
     # The whole text listing of ``moves`` under the default caps, as the
     # filter over every factor and segment involution gave it: the order
-    # and count of the BRIDGE lines included.  (alphabet, word, proj,
-    # bridges line, sha256 of stdout)
+    # and count of the BRIDGE lines included.  The SURG lines that repeated
+    # an H1 or H2 site are gone; the listings are otherwise unchanged.
+    # (alphabet, word, proj, bridges line, sha256 of stdout)
     MOVES_PINS = (
         ("alphabet: a x;tau: a<->x", "(empty)", None, "bridges\t0",
          "ee23dedfe34625e09271c584d855baee76193266c4ebdc3a890afab30e69abbd"),
         ("alphabet: a x;tau: a<->x", "ABBA", "A=a B=x", "bridges\t11",
-         "e5f4c2e2c253ad966979d8af16b66e4aeecf76a7d0ae7c6b1b26296fd46123c4"),
+         "b2f5cf30fd23713b2c5190db4f909a22be1f8eafef99f729f85f562ae22bf8bf"),
         ("alphabet: a x b y;tau: a<->x b<->y", "ABCACB", "A=a B=b C=y", "bridges\t17",
-         "1d0605a46a7a8e162beeb60adb9d952dd4866aa00611edfd178f0b3949705951"),
+         "38c171d1614115fa82cb83e9230d3a223b526b02485d364cd0384d566ffbe514"),
         ("alphabet: a x c;tau: a<->x c<->c", "ABCACB", "A=a B=c C=c", "bridges\t18",
-         "fac09654feedc092c2daa3c684d9cee5b2bc6f63d72898c7b4264b55cd377b33"),
+         "db887629e15fe04257fed5f7f4d33c11eb190dcb99039eb64b0e91c0156d59c6"),
         ("alphabet: a;tau: a<->a", "ABAB", "A=a B=a", "bridges\t11",
          "8fa9b613fa188ec1fead7faace5a5323099cf70602486397ee66988bba2c8f42"),
         ("alphabet: a x b y;tau: a<->x b<->y", "ABCDBADCEFGHFEHG",
          "A=a B=x C=a D=x E=b F=y G=b H=y", "bridges\t336",
-         "70af88145f69e4481f40174addd677c3b15dd1b487f5100066e6c61fe834a8bb"),
+         "a25e5c1072bad501244d2dc4fb264fbf60c46e6bc5d7b57dc0f1b393304da6b1"),
     )
 
     @pytest.mark.parametrize("alphabet, word, proj, bridges, digest", MOVES_PINS)

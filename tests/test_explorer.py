@@ -29,8 +29,8 @@ from nanocob.explorer import (
     slice_verdict,
     suite_bridge_inequality,
 )
-from nanocob import explorer
-from nanocob.moves import Caps, apply_surgery, bounded_bfs
+from nanocob import explorer, moves
+from nanocob.moves import Caps, Move, apply_surgery, bounded_bfs
 from nanocob.pairings import (
     genus,
     is_hyperbolic,
@@ -297,6 +297,19 @@ class TestSliceStatus:
         from nanocob.moves import Factor
 
         assert verify_surgery_filling(w, Factor((0, 1, 2, 3), ((0, 2), (2, 8))))
+
+    @pytest.mark.parametrize("forged", ["SHIFT", "H1@0"], ids=["wrong-end", "no-site"])
+    def test_forged_witness_is_not_slice(self, monkeypatch, forged):
+        """The search reads child keys without applying their moves, so a
+        forged edge to the empty word must be caught where the verdict
+        leaves: a move that ends elsewhere, or one that does not apply."""
+        ground = InvolutiveAlphabet.fixed_point_free(("a",), ("x",))
+        record = invariant_record(Nanoword.from_names(ground, "ABBA", {"A": "a", "B": "x"}))
+        assert obstruction(record) is None
+        edge = (Move.from_line(forged), Nanoword.empty(ground).canonical_key())
+        monkeypatch.setattr(moves, "neighbors", lambda *args: iter([edge]))
+        with pytest.raises(AssertionError, match="slice witness"):
+            slice_verdict(record)
 
     def test_symmetric_case_of_open_family_is_slice(self, word_factory):
         # |A| = |D| makes the word symmetric, hence slice

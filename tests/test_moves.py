@@ -11,8 +11,6 @@ from nanocob.moves import (
     Metamorphosis,
     Move,
     apply_bridge,
-    apply_h1,
-    apply_h2,
     apply_h3,
     apply_surgery,
     bounded_bfs,
@@ -25,9 +23,10 @@ from nanocob.moves import (
     insert_phrase,
     inserted_segments,
     neighbors,
+    site_moves,
     validate_bridge,
 )
-from nanocob.explorer import length_norm_bounds, random_nanoword, slice_status
+from nanocob.explorer import SLICE, length_norm_bounds, random_nanoword, slice_status
 from nanocob.pairings import verify_surgery_filling
 from nanocob.words import Nanoword, SymmetryWitness, WordError, mirror_witness
 
@@ -59,14 +58,15 @@ class TestH1:
         w = word_factory(two_free, "AABB", A="a", B="b")
         sites = find_h1_sites(w)
         assert [m.data for m in sites] == [(0,), (2,)]
-        assert seqs(apply_h1(w, 0)) == ("L1", "L1")
+        assert seqs(Move("H1", (0,)).apply(w)) == ("L1", "L1")
 
     def test_no_sites_on_linked(self, two_free, word_factory):
         assert find_h1_sites(word_factory(two_free, "ABAB", A="a", B="b")) == []
 
     def test_two_steps_to_empty(self, two_free, word_factory):
         w = word_factory(two_free, "AABB", A="a", B="b")
-        assert apply_h1(apply_h1(w, 0), 0).length == 0
+        h1 = Move("H1", (0,))
+        assert h1.apply(h1.apply(w)).length == 0
 
 
 class TestH2:
@@ -74,7 +74,7 @@ class TestH2:
         w = word_factory(two_free, "ABBA", A="a", B="A")
         sites = find_h2_sites(w)
         assert [m.data for m in sites] == [(0, 2)]
-        assert apply_h2(w, (0, 2)).length == 0
+        assert Move("H2", (0, 2)).apply(w).length == 0
 
     def test_projection_condition(self, two_free, word_factory):
         w = word_factory(two_free, "ABBA", A="a", B="b")
@@ -84,7 +84,7 @@ class TestH2:
         w = word_factory(two_free, "CABBAC", C="b", A="a", B="A")
         sites = find_h2_sites(w)
         assert [m.data for m in sites] == [(1, 3)]
-        assert seqs(apply_h2(w, (1, 3))) == ("L1", "L1")
+        assert seqs(Move("H2", (1, 3)).apply(w)) == ("L1", "L1")
 
 
 class TestH3:
@@ -162,11 +162,11 @@ class TestSurgeryFactors:
 
     def test_h1_h2_agree_with_surgery(self, two_free, word_factory):
         w = word_factory(two_free, "CAAC", A="a", C="b")
-        by_move = apply_h1(w, 1)
+        by_move = Move("H1", (1,)).apply(w)
         by_surgery = apply_surgery(w, Factor((w.names.index("A"),), ((1, 3),)))
         assert by_move == by_surgery
         w2 = word_factory(two_free, "ABBA", A="a", B="A")
-        assert apply_h2(w2, (0, 2)) == apply_surgery(
+        assert Move("H2", (0, 2)).apply(w2) == apply_surgery(
             w2, Factor((0, 1), ((0, 2), (2, 4)))
         )
 
@@ -341,6 +341,36 @@ class TestSiteOracle:
         for trial in range(1200):
             w = random_nanoword(rng, ALPHABETS[trial % 3], rng.randint(0, 7))
             self.assert_sites_match(w)
+
+    def test_no_surgery_repeats_a_site(self):
+        """H1 and H2 are the one- and two-letter surgeries: ``site_moves``
+        lists each once, as the homotopy move, and keeps every other
+        surgery factor in the generator's order."""
+        rng = random.Random(24)
+        dropped = 0
+        for trial in range(1200):
+            w = random_nanoword(rng, ALPHABETS[trial % 3], rng.randint(0, 7))
+            moves = list(site_moves(w))
+            sites = {tuple((s, s + 2) for s in m.data) for m in moves if m.kind in ("H1", "H2")}
+            surgeries = [m.data[1] for m in moves if m.kind == "SURG"]
+            factors = [f.segments for f in enumerate_even_symmetric_factors(w)]
+            assert sites <= set(factors)
+            assert surgeries == [segments for segments in factors if segments not in sites]
+            dropped += len(sites)
+        assert dropped > 500
+
+    @pytest.mark.parametrize("caps", [Caps(max_letters=1), Caps(max_k=1)], ids=["letters-1", "k-1"])
+    def test_second_move_under_starved_caps(self, caps):
+        """Caps below two letters or two segments leave the generator no
+        ``(ab | ba)`` surgery; the second move is found apart from it."""
+        w = Nanoword.from_names(BENCHMARK_ALPHABETS[0], "ABBA", {"A": "a", "B": "x"})
+        moves = list(site_moves(w, caps))
+        assert [m.to_line() for m in moves if m.kind == "H2"] == ["H2@0,2"]
+        assert Factor((0, 1), ((0, 2), (2, 4))) not in enumerate_even_symmetric_factors(
+            w, caps.max_letters, caps.max_k
+        )
+        verdict = slice_status(w, caps)
+        assert verdict.status == SLICE and verdict.witness.to_log() == "H2@0,2"
 
     def test_several_sites_and_repeated_projections(self, two_free, word_factory):
         cases = [
