@@ -4,9 +4,12 @@ Three homotopy rewrites (the first two delete the one- and two-letter
 surgery factors), deletion of bridges (factors whose segments mirror
 onto one another through a segment involution) and of even symmetric
 factors (surgery: the identity-involution bridges), both from one generator,
-circular shifts, and a breadth-first explorer over canonical keys.  The
+circular shifts, and a bounded search over canonical keys.  The
 inverse-surgery side of the search inserts factors from a small template
-list, since arbitrary insertions are an infinite move space.
+list, since arbitrary insertions are an infinite move space.  The search
+takes insertions last: it is breadth-first where an insertion costs 1 and
+every other move costs 0, so a word that homotopy moves and surgeries
+empty is emptied before any state an insertion reached is expanded.
 An insertion is legal exactly when deleting what it inserted is, so one
 rule, ``validate_bridge``, decides factor moves in both directions.
 """
@@ -683,7 +686,7 @@ def enumerate_bridges(
 
 
 # ---------------------------------------------------------------------------
-# bounded breadth-first search
+# bounded search, insertions last
 
 
 def _insertion_templates(ground: InvolutiveAlphabet) -> list[tuple[tuple, tuple[str, ...]]]:
@@ -761,9 +764,13 @@ def neighbors(
 @dataclass(frozen=True)
 class SearchOutcome:
     metamorphosis: Optional[Metamorphosis]  # None when the caps ran out first
-    explored: int
+    explored: int  # states expanded, each counted once
     min_length: int
     reached: AbstractSet[tuple]  # canonical keys of every state discovered
+    # True when no state was left to expand: every state reached within the
+    # length cap was expanded with all its children.  False when the target
+    # was found or the node cap stopped the search.
+    exhausted: bool = False
 
     @property
     def equivalent(self) -> bool:
@@ -780,6 +787,15 @@ def bounded_bfs(
     isomorphism class is reached, otherwise exhaust the caps.  An outcome
     without a metamorphosis is never a proof of inequivalence.
 
+    Insertions come last.  Expanding a state pulls its children from
+    ``neighbors`` until the first insertion, then parks the rest of that
+    iterator in a FIFO ``deferred`` queue; a parked iterator resumes only
+    when no state reached by other moves waits in ``queue``.  So states are
+    expanded in order of the insertions on their path (a 0-1 BFS), those
+    with equal counts in discovery order.  ``explored`` counts a state when
+    it is expanded, and parked insertions resume only while it is below
+    the node cap, so the cap bounds the same work as a plain FIFO search.
+
     A state is a canonical key; its word is built only when it is
     expanded.  The extra templates are checked once, by
     ``check_templates``, since ``neighbors`` builds no word that would
@@ -789,7 +805,7 @@ def bounded_bfs(
     target = v.canonical_key() if v is not None else None
     parents: dict[tuple, Optional[tuple[tuple, Move]]] = {start: None}
 
-    def outcome(found: Optional[tuple], explored: int) -> SearchOutcome:
+    def outcome(found: Optional[tuple], explored: int, exhausted: bool = False) -> SearchOutcome:
         meta = None
         if found is not None:
             moves = []
@@ -798,23 +814,34 @@ def bounded_bfs(
                 moves.append(move)
             meta = Metamorphosis(tuple(reversed(moves)))
         min_length = min(len(seq) for seq, _ in parents)
-        return SearchOutcome(meta, explored, min_length, parents.keys())
+        return SearchOutcome(meta, explored, min_length, parents.keys(), exhausted)
 
     if start == target:
         return outcome(start, 1)
     queue = deque([start])
+    deferred: deque[tuple[tuple, Iterator[tuple[Move, tuple]]]] = deque()
     explored = 0
     max_len = caps.length_cap(w.length)
     scoped = replace(caps, bfs_length=max_len)
-    while queue and explored < caps.bfs_nodes:
-        key = queue.popleft()
-        explored += 1
-        current = Nanoword.from_key(w.ground, key)
-        for move, child in neighbors(current, scoped, extra_templates):
+    while queue or deferred:
+        if explored >= caps.bfs_nodes:
+            return outcome(None, explored)
+        if queue:
+            key = queue.popleft()
+            explored += 1
+            children = neighbors(Nanoword.from_key(w.ground, key), scoped, extra_templates)
+            park = True
+        else:
+            key, children = deferred.popleft()
+            park = False
+        for move, child in children:
+            if park and move.kind == "INS":
+                deferred.append((key, itertools.chain([(move, child)], children)))
+                break
             if len(child[0]) > max_len or child in parents:
                 continue
             parents[child] = (key, move)
             if child == target:
                 return outcome(child, explored)
             queue.append(child)
-    return outcome(None, explored)
+    return outcome(None, explored, exhausted=True)

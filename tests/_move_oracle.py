@@ -11,9 +11,12 @@ opened ``verify_surgery_filling``.  The second and third
 homotopy moves used to be found by scanning every pair and triple of
 positions.  The bounded search used to store a canonical word beside the
 key of every state it discovered, and to build every child's word by
-applying its move.
+applying its move; ``bfs_storing_words`` keeps that loop in today's
+insertions-last order.  Before that order, the search expanded every
+state's children, insertions included, in one FIFO queue: ``bfs_fifo``.
 """
 
+import itertools
 from collections import deque
 from dataclasses import replace
 
@@ -23,11 +26,12 @@ from nanocob.moves import (
     Move,
     SearchOutcome,
     _h3_positions,
+    check_templates,
     enumerate_factors,
     neighbors,
     validate_bridge,
 )
-from nanocob.words import mirror_witness
+from nanocob.words import Nanoword, mirror_witness
 
 
 def even_symmetric_factors_by_filter(w, max_letters, max_k):
@@ -164,14 +168,26 @@ def bfs_storing_words(w, v, caps=DEFAULT_CAPS, extra_templates=()):
         return SearchOutcome(Metamorphosis(()), 1, min_length, parents.keys())
 
     queue = deque([start.canonical_key()])
+    deferred = deque()  # (key, the rest of its children), from the first insertion
     explored = 0
     max_len = caps.length_cap(start.length)
     scoped = replace(caps, bfs_length=max_len)
-    while queue and explored < caps.bfs_nodes:
-        key = queue.popleft()
-        explored += 1
+    while queue or deferred:
+        if explored >= caps.bfs_nodes:
+            return SearchOutcome(None, explored, min_length, parents.keys())
+        if queue:
+            key = queue.popleft()
+            explored += 1
+            children = neighbors(state_words[key], scoped, extra_templates)
+            park = True
+        else:
+            key, children = deferred.popleft()
+            park = False
         current = state_words[key]
-        for move, _ in neighbors(current, scoped, extra_templates):
+        for move, child_key in children:
+            if park and move.kind == "INS":
+                deferred.append((key, itertools.chain([(move, child_key)], children)))
+                break
             result = move.apply(current)
             if result.length > max_len:
                 continue
@@ -185,4 +201,43 @@ def bfs_storing_words(w, v, caps=DEFAULT_CAPS, extra_templates=()):
             if target_key is not None and ckey == target_key:
                 return SearchOutcome(witness(ckey), explored, min_length, parents.keys())
             queue.append(ckey)
-    return SearchOutcome(None, explored, min_length, parents.keys())
+    return SearchOutcome(None, explored, min_length, parents.keys(), exhausted=True)
+
+
+def bfs_fifo(w, v, caps=DEFAULT_CAPS, extra_templates=()):
+    """The search before insertions came last: one FIFO queue, every child
+    of a state generated when it is expanded."""
+    check_templates(w.ground, extra_templates)
+    start = w.canonical_key()
+    target = v.canonical_key() if v is not None else None
+    parents = {start: None}
+
+    def outcome(found, explored, exhausted=False):
+        meta = None
+        if found is not None:
+            moves = []
+            while parents[found] is not None:
+                found, move = parents[found]
+                moves.append(move)
+            meta = Metamorphosis(tuple(reversed(moves)))
+        min_length = min(len(seq) for seq, _ in parents)
+        return SearchOutcome(meta, explored, min_length, parents.keys(), exhausted)
+
+    if start == target:
+        return outcome(start, 1)
+    queue = deque([start])
+    explored = 0
+    max_len = caps.length_cap(w.length)
+    scoped = replace(caps, bfs_length=max_len)
+    while queue and explored < caps.bfs_nodes:
+        key = queue.popleft()
+        explored += 1
+        current = Nanoword.from_key(w.ground, key)
+        for move, child in neighbors(current, scoped, extra_templates):
+            if len(child[0]) > max_len or child in parents:
+                continue
+            parents[child] = (key, move)
+            if child == target:
+                return outcome(child, explored)
+            queue.append(child)
+    return outcome(None, explored, exhausted=not queue)

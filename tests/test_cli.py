@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nanocob.cli import _load_word, build_parser, main
 from nanocob.explorer import enumerate_nanowords
-from nanocob.moves import Move, neighbors
+from nanocob.moves import Metamorphosis, Move, neighbors
 from nanocob.parsing import ParseError, parse_caps_option, parse_input
 from nanocob.words import Nanophrase, Nanoword
 
@@ -398,10 +398,12 @@ class TestCommands:
             assert "line 0" not in err
             assert len(err.splitlines()) == 1
 
-    def test_moves_listing_replays(self, capsys, tmp_path):
-        """Every move line the listing prints replays on its own, and no
-        SURG line repeats the segments of an H1 or H2 line: those moves are
-        the one- and two-letter surgeries, listed once."""
+    def test_moves_listing_replays(self, capsys):
+        """The listing names each move kind the word allows and counts its
+        bridges, and no SURG line repeats the segments of an H1 or H2 line:
+        those moves are the one- and two-letter surgeries, listed once.
+        `test_every_listed_move_replays` replays these listings line by
+        line."""
         for word, proj, kinds in (
             ("ABBA", "A=a B=x", {"H1", "H2", "SURG", "BRIDGE"}),
             ("ABACBC", "A=a B=a C=a", {"H3", "SURG", "BRIDGE"}),
@@ -420,25 +422,13 @@ class TestCommands:
             sites = {tuple((s, s + 2) for s in m.data) for m in parsed if m.kind in ("H1", "H2")}
             surgeries = {m.data[1] for m in parsed if m.kind == "SURG"}
             assert surgeries and not sites & surgeries
-            log = tmp_path / "move.log"
-            for line in moves:
-                log.write_text(line + "\n")
-                assert main(base + ["--replay", str(log)]) == 0, line
-                assert capsys.readouterr().err == ""
 
-    INV_H3_WORD = ["moves", "--alphabet", "alphabet: a x;tau: a<->x", "--word", "BACACB",
-                   "--proj", "A=a B=a C=a"]
-
-    def test_moves_lists_inverse_third_moves(self, capsys):
-        assert main(self.INV_H3_WORD) == 0
-        assert "INV H3@0,2,4" in capsys.readouterr().out.splitlines()
-
-    @pytest.mark.parametrize("word", ["BACACB", "ABBA"])
+    @pytest.mark.parametrize("word", ["BACACB", "ABBA", "ABACBC"])
     def test_every_listed_move_replays(self, capsys, tmp_path, word):
         """The listing holds every move the search takes at a site of the
         word, then the bridges; each of its move lines replays as a
         one-line log."""
-        proj = {"BACACB": "A=a B=a C=a", "ABBA": "A=a B=x"}[word]
+        proj = {"BACACB": "A=a B=a C=a", "ABBA": "A=a B=x", "ABACBC": "A=a B=a C=a"}[word]
         base = ["moves", "--alphabet", "alphabet: a x;tau: a<->x", "--word", word,
                 "--proj", proj]
         assert main(base) == 0
@@ -451,6 +441,13 @@ class TestCommands:
             log.write_text(line + "\n")
             assert main(base + ["--replay", str(log)]) == 0, line
             assert capsys.readouterr().err == ""
+
+    INV_H3_WORD = ["moves", "--alphabet", "alphabet: a x;tau: a<->x", "--word", "BACACB",
+                   "--proj", "A=a B=a C=a"]
+
+    def test_moves_lists_inverse_third_moves(self, capsys):
+        assert main(self.INV_H3_WORD) == 0
+        assert "INV H3@0,2,4" in capsys.readouterr().out.splitlines()
 
     def test_replay_missing_log_file(self, capsys, tmp_path):
         code = main(
@@ -884,6 +881,52 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err.startswith("parse error: --templates:") and "'b'" in captured.err
         assert len(captured.err.splitlines()) == 1
+
+
+# Words of the benchmark's seed-1 and seed-7 `check-slice` streams that
+# were Unknown at `--caps nodes=60` while the search expanded insertions in
+# FIFO order.  Taking insertions last, each is Slice with a short witness.
+# (`ABCADCDB` with `A=a` and the rest `x` occurs twice in the seed-1 stream,
+# so its 17 changed verdicts are 16 words.)
+STREAM_ALPHABETS = {
+    "ax": "alphabet: a x;tau: a<->x",
+    "ax-by": "alphabet: a x b y;tau: a<->x b<->y",
+    "ax-c": "alphabet: a x c;tau: a<->x c<->c",
+}
+STREAM_SLICES = [
+    ("ax-by", "ABCBDCEFEFAD", "A=a B=a C=a D=x E=x F=a", 4),
+    ("ax", "ABCBDEECAD", "A=x B=x C=x D=a E=a", 3),
+    ("ax-c", "ABCCDEDFBEFA", "A=x B=c C=a D=c E=c F=c", 4),
+    ("ax", "ABCADCDB", "A=a B=x C=x D=x", 3),
+    ("ax", "ABCADEECDB", "A=a B=x C=x D=x E=x", 4),
+    ("ax-by", "ABBCDAEDEC", "A=b B=y C=y D=y E=y", 3),
+    ("ax", "ABCBDDCEAEFF", "A=a B=a C=a D=x E=a F=a", 3),
+    ("ax", "ABCADEBFDECF", "A=a B=a C=a D=x E=x F=a", 3),
+    ("ax", "ABCDBEDECA", "A=x B=x C=a D=a E=a", 3),
+    ("ax", "ABCDCEFFDBEA", "A=x B=a C=a D=a E=x F=a", 3),
+    ("ax-by", "ABCDEDECFBFA", "A=y B=b C=b D=a E=x F=b", 3),
+    ("ax-by", "ABCDDEEFBFCA", "A=x B=b C=x D=x E=b F=a", 3),
+    ("ax-by", "ABCDCDBEFAEF", "A=x B=b C=b D=y E=x F=x", 3),
+    ("ax", "ABCDAECDFEFB", "A=a B=a C=a D=x E=a F=a", 3),
+    ("ax-by", "ABCADEECDB", "A=b B=y C=y D=y E=y", 4),
+    ("ax-c", "ABCDDBECEFAF", "A=x B=c C=x D=x E=c F=x", 3),
+]
+
+
+@pytest.mark.parametrize(
+    "alphabet, word, proj, moves",
+    STREAM_SLICES,
+    ids=[f"{word}-{alphabet}" for alphabet, word, _, _ in STREAM_SLICES],
+)
+def test_stream_word_slices_with_insertions_last(capsys, alphabet, word, proj, moves):
+    argv = ["check-slice", "--alphabet", STREAM_ALPHABETS[alphabet], "--word", word,
+            "--proj", proj]
+    assert main(argv + ["--caps", "nodes=60"]) == 0
+    verdict, *log = capsys.readouterr().out.splitlines()
+    assert verdict == f"Slice({moves} moves)"
+    witness = Metamorphosis.from_log("\n".join(log))
+    assert len(witness.moves) == moves
+    assert witness.replay(_load_word(build_parser().parse_args(argv))).length == 0
 
 
 # sha256 of `classify --format csv` for the README tables.  Speeding up the

@@ -31,6 +31,7 @@ from nanocob.pairings import verify_surgery_filling
 from nanocob.words import Nanoword, SymmetryWitness, WordError, mirror_witness
 
 from _move_oracle import (
+    bfs_fifo,
     bfs_storing_words,
     bridges_by_filter,
     even_symmetric_factors_by_filter,
@@ -678,7 +679,7 @@ class TestBridgeGeneration:
         for text, proj, alphabet in starts:
             ground = SEARCH_ALPHABETS[alphabet]
             w = Nanoword.from_names(ground, text, dict(zip("ABCD", proj)))
-            caps = Caps(max_letters=4, max_k=3, bfs_length=w.length + 2, bfs_nodes=20)
+            caps = Caps(max_letters=4, max_k=3, bfs_length=w.length + 2, bfs_nodes=30)
             for seq, ks in bounded_bfs(w, None, caps).reached:
                 state = Nanoword(ground, seq, ks, tuple(f"L{i}" for i in range(len(ks))))
                 assert enumerate_bridges(
@@ -792,7 +793,8 @@ class TestFactorMoveRule:
 
 class TestSearchOracle:
     """The key-only search against the loop it replaced, which stored a
-    canonical word for every state it discovered."""
+    canonical word for every state it discovered, and the insertions-last
+    order against the FIFO order it replaced."""
 
     @pytest.mark.parametrize(
         "caps, max_letters",
@@ -812,10 +814,42 @@ class TestSearchOracle:
                 assert ours.explored == theirs.explored
                 assert ours.min_length == theirs.min_length
                 assert set(ours.reached) == set(theirs.reached)
+                assert ours.exhausted == theirs.exhausted
                 if ours.equivalent:
                     found += 1
                     assert ours.metamorphosis.to_log() == theirs.metamorphosis.to_log()
         assert found >= 3
+
+    def test_insertions_last_against_fifo(self):
+        """Where the FIFO search empties its queue, both orders reach the
+        same states; a FIFO witness without insertions is matched with no
+        more moves and no more expanded states."""
+        rng = random.Random(41)
+        exhaustive = matched = 0
+        for trial in range(200):
+            ground = SEARCH_ALPHABETS[trial % 4]
+            w = random_nanoword(rng, ground, rng.randint(0, 5))
+            caps = Caps(
+                max_letters=rng.randint(2, 6),
+                max_k=rng.randint(2, 4),
+                bfs_length=w.length + rng.choice((0, 2, 4)),
+                bfs_nodes=rng.randint(5, 80),
+            )
+            other = random_nanoword(rng, ground, rng.randint(0, 3))
+            for v in (Nanoword.empty(ground), None, other):
+                ours, fifo = bounded_bfs(w, v, caps), bfs_fifo(w, v, caps)
+                assert fifo.exhausted or not ours.exhausted
+                if fifo.exhausted:
+                    exhaustive += 1
+                    assert set(ours.reached) == set(fifo.reached)
+                    assert ours.equivalent == fifo.equivalent
+                witness = fifo.metamorphosis
+                if witness is not None and all(m.kind != "INS" for m in witness.moves):
+                    matched += 1
+                    assert ours.equivalent
+                    assert len(ours.metamorphosis.moves) <= len(witness.moves)
+                    assert ours.explored <= fifo.explored
+        assert exhaustive > 100 and matched > 200
 
 
 class TestShiftRepertoire:
