@@ -333,24 +333,28 @@ class PiWord:
     def generator(alphabet: InvolutiveAlphabet, symbol: str, power: int = 1) -> "PiWord":
         """The generator attached to ``symbol``, i.e. its orbit generator
         raised to +1 for the representative and -1 for its partner."""
-        symbol = alphabet.check(symbol)
-        rep = alphabet.orbit_rep(symbol)
-        if alphabet.is_fixed(symbol):
-            exp = power % 2
-        else:
-            exp = power if symbol == rep else -power
-        if exp == 0:
-            return PiWord.identity(alphabet)
-        return PiWord(alphabet, ((rep, exp),))
+        return PiWord.from_syllables(alphabet, ((symbol, power),))
 
     @staticmethod
     def from_syllables(
         alphabet: InvolutiveAlphabet, syllables: Iterable[tuple[str, int]]
     ) -> "PiWord":
-        out = PiWord.identity(alphabet)
-        for rep, exp in syllables:
-            out = out * PiWord.generator(alphabet, rep, exp)
-        return out
+        """The reduced product of the syllables ``(symbol, power)``: each is
+        the orbit generator of ``symbol`` raised to ``power``, negated on the
+        partner of a free orbit.  Adjacent powers of one orbit merge, mod 2
+        on a fixed point, and a zero power drops out."""
+        stack: list[tuple[str, int]] = []
+        for symbol, power in syllables:
+            rep = alphabet.orbit_rep(symbol)
+            if symbol != rep:
+                power = -power
+            if stack and stack[-1][0] == rep:
+                power += stack.pop()[1]
+            if alphabet.is_fixed(rep):
+                power %= 2
+            if power:
+                stack.append((rep, power))
+        return PiWord(alphabet, tuple(stack))
 
     def _require_same(self, other: "PiWord") -> None:
         if self.alphabet != other.alphabet:
@@ -361,18 +365,7 @@ class PiWord:
 
     def __mul__(self, other: "PiWord") -> "PiWord":
         self._require_same(other)
-        stack = list(self.syllables)
-        for rep, exp in other.syllables:
-            if stack and stack[-1][0] == rep:
-                merged = stack[-1][1] + exp
-                if self.alphabet.is_fixed(rep):
-                    merged %= 2
-                stack.pop()
-                if merged:
-                    stack.append((rep, merged))
-            else:
-                stack.append((rep, exp))
-        return PiWord(self.alphabet, tuple(stack))
+        return PiWord.from_syllables(self.alphabet, self.syllables + other.syllables)
 
     def inverse(self) -> "PiWord":
         out = []
@@ -381,17 +374,14 @@ class PiWord:
         return PiWord(self.alphabet, tuple(out))
 
     def cyclic_reduction(self) -> "PiWord":
-        """Shortest conjugate obtained by merging matching end syllables."""
-        syl = list(self.syllables)
-        while len(syl) >= 2 and syl[0][0] == syl[-1][0]:
-            rep = syl[0][0]
-            merged = syl[-1][1] + syl[0][1]
-            if self.alphabet.is_fixed(rep):
-                merged %= 2
-            syl = syl[1:-1]
-            if merged:
-                syl.insert(0, (rep, merged))
-        return PiWord(self.alphabet, tuple(syl))
+        """Shortest conjugate: the last syllable moves to the front and the
+        word is reduced again, until its end syllables lie in different
+        orbits."""
+        word = self
+        while len(word.syllables) >= 2 and word.syllables[0][0] == word.syllables[-1][0]:
+            syl = word.syllables
+            word = PiWord.from_syllables(self.alphabet, syl[-1:] + syl[:-1])
+        return word
 
     def abelianized(self) -> PiElement:
         coords = [0] * self.alphabet.dimension

@@ -561,18 +561,17 @@ class SuiteResult:
         return f"{status} {self.name}: {self.checked} checks{extra}"
 
 
+# The suites' alphabets: one free orbit, two free orbits, and one free
+# orbit plus a fixed point.
+_SUITE_ALPHABETS = (
+    InvolutiveAlphabet.fixed_point_free(("a",), ("A",)),
+    InvolutiveAlphabet.fixed_point_free(("a", "b"), ("A", "B")),
+    InvolutiveAlphabet.build(("a", "A", "c"), {"a": "A", "A": "a", "c": "c"}),
+)
+
+
 def _random_alphabet(rng: random.Random, allow_fixed: bool = True) -> InvolutiveAlphabet:
-    choices = [
-        InvolutiveAlphabet.fixed_point_free(("a",), ("A",)),
-        InvolutiveAlphabet.fixed_point_free(("a", "b"), ("A", "B")),
-    ]
-    if allow_fixed:
-        choices.append(
-            InvolutiveAlphabet.build(
-                ("a", "A", "c"), {"a": "A", "A": "a", "c": "c"}
-            )
-        )
-    return rng.choice(choices)
+    return rng.choice(_SUITE_ALPHABETS if allow_fixed else _SUITE_ALPHABETS[:2])
 
 
 def suite_surgery_filling(seed: int = 0, count: int = 500, max_length: int = 14) -> SuiteResult:

@@ -203,67 +203,48 @@ def are_isomorphic(p1: AlphaPairing, p2: AlphaPairing) -> bool:
 # pairing of a nanoword
 
 
-def _interleaving_sign(occ_a: tuple[int, int], occ_b: tuple[int, int]) -> int:
-    ia, ja = occ_a
-    ib, jb = occ_b
-    if ia < ib < ja < jb:
-        return 1
-    if ib < ia < jb < ja:
-        return -1
-    return 0
-
-
 def pairing_of_nanoword(w: Nanoword) -> AlphaPairing:
     """Skew-symmetric pairing whose entries record how the spans of two
     letters interleave, weighted by the projections of the letters that
     cross them.
 
     Computed in coordinates: the projection of a letter is one signed unit
-    coordinate, so each entry is a sum of integers per coordinate."""
+    coordinate, so each entry is a sum of integers per coordinate.  The
+    table is accumulated one letter ``d`` at a time, when the scan reaches
+    its second entry, from the letters whose spans hold its first and its
+    second entry."""
     ground = w.ground
-    m = w.num_letters
-    dim = ground.dimension
     units = [ground.unit(a) for a in w.proj]
-    first: dict[int, int] = {}
-    occ = [(0, 0)] * m
-    for q, x in enumerate(w.seq):
-        occ[x] = (first.setdefault(x, q), q)
-
-    size = m + 1
-    acc = [[[0] * dim for _ in range(size)] for _ in range(size)]
-    for a in range(m):
-        ia, ja = occ[a]
-        es = acc[a + 1][0]
-        for d in range(m):
-            n = _interleaving_sign(occ[a], occ[d])
-            if n:
-                k, sign = units[d]
-                es[k] += n * sign
-        for b in range(a + 1, m):
-            ib, jb = occ[b]
-            val = acc[a + 1][b + 1]
-            for d in range(m):
-                id_, jd = occ[d]
-                k, sign = units[d]
-                if ia < id_ < ja and ib < jd < jb:
-                    val[k] += 2 * sign
-                if ib < id_ < jb and ia < jd < ja:
-                    val[k] -= 2 * sign
-            n = _interleaving_sign(occ[a], occ[b])
-            if n:
-                for k, sign in (units[a], units[b]):
-                    val[k] += n * sign
-
-    # row 0 and the entries below the diagonal are skew images
-    reduce, negate = ground.reduce, ground.negate
-    rows = [[(0,) * dim] * size for _ in range(size)]
-    for a in range(1, size):
-        rows[a][0] = reduce(acc[a][0])
-        rows[0][a] = negate(rows[a][0])
-        for b in range(a + 1, size):
-            rows[a][b] = reduce(acc[a][b])
-            rows[b][a] = negate(rows[a][b])
-    return AlphaPairing(ground, w.proj, w.names, tuple(map(tuple, rows)))
+    size = w.num_letters + 1
+    acc = [[[0] * ground.dimension for _ in range(size)] for _ in range(size)]
+    holds_first: dict[int, set[int]] = {}  # open letter -> spans holding its first entry
+    open_spans: set[int] = set()  # table indices of the letters whose span holds the scan
+    partner = w.partner
+    for p, x in enumerate(w.seq):
+        d = x + 1
+        if partner[p] > p:
+            holds_first[d] = set(open_spans)
+            open_spans.add(d)
+            continue
+        open_spans.discard(d)
+        first, second = holds_first.pop(d), open_spans
+        k, sign = units[x]
+        # a span holding exactly one entry of d interleaves with it
+        for a in first ^ second:
+            n = 1 if a in first else -1
+            ka, sign_a = units[a - 1]
+            acc[a][0][k] += n * sign
+            acc[0][a][k] -= n * sign
+            val = acc[a][d]
+            val[k] += n * sign
+            val[ka] += n * sign_a
+        for a in first:
+            for b in second:
+                if a != b:
+                    acc[a][b][k] += 2 * sign
+                    acc[b][a][k] -= 2 * sign
+    rows = tuple(tuple(map(ground.reduce, row)) for row in acc)
+    return AlphaPairing(ground, w.proj, w.names, rows)
 
 
 def pairing_of_nanoword_alt(w: Nanoword) -> AlphaPairing:

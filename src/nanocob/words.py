@@ -74,8 +74,6 @@ class Nanoword:
         if len(self.proj) != len(self.names):
             raise WordError("projection/name tables misaligned")
         _validate_letters(self.seq, len(self.proj))
-        if len(self.seq) != 2 * len(self.proj):
-            raise WordError("length must be twice the letter count")
         for a in self.proj:
             self.ground.check(a)
         if len(set(self.names)) != len(self.names):
@@ -111,6 +109,9 @@ class Nanoword:
         missing = [n for n in order if n not in proj]
         if missing:
             raise WordError(f"projection missing for {', '.join(missing)}")
+        stray = [n for n in proj if n not in ids]
+        if stray:
+            raise WordError(f"projection given for letters not in the word: {', '.join(stray)}")
         return Nanoword(
             ground, tuple(seq), tuple(proj[n] for n in order), tuple(order)
         )
@@ -242,13 +243,9 @@ class Nanoword:
     def gamma(self) -> PiWord:
         """Product over entries of the orbit generator of the projection,
         inverted at each second occurrence."""
-        seen: set[int] = set()
-        out = PiWord.identity(self.ground)
-        for x in self.seq:
-            power = 1 if x not in seen else -1
-            seen.add(x)
-            out = out * PiWord.generator(self.ground, self.proj[x], power)
-        return out
+        partner = self.partner
+        syllables = [(self.proj[x], 1 if partner[p] > p else -1) for p, x in enumerate(self.seq)]
+        return PiWord.from_syllables(self.ground, syllables)
 
 
 @dataclass(frozen=True)
@@ -261,12 +258,8 @@ class Nanophrase:
     names: tuple[str, ...]
 
     def __post_init__(self):
-        flat = [x for w in self.words for x in w]
-        _validate_letters(flat, len(self.proj))
-        if len(self.proj) != len(self.names):
-            raise WordError("projection/name tables misaligned")
-        for a in self.proj:
-            self.ground.check(a)
+        # a phrase is valid exactly when its concatenation is a nanoword
+        Nanoword(self.ground, tuple(x for w in self.words for x in w), self.proj, self.names)
 
     def is_even(self) -> bool:
         return all(len(w) % 2 == 0 for w in self.words)

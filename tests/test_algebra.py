@@ -18,6 +18,7 @@ from nanocob.algebra import (
 )
 from nanocob.explorer import random_pi_element
 
+import _gamma_oracle
 import _pairing_oracle as oracle
 
 
@@ -198,6 +199,31 @@ class TestPiWord:
         for g_syl in ([("b", 1)], [("a", -2), ("b", 3)], []):
             g = PiWord.from_syllables(two_free, g_syl)
             assert (g.inverse() * u * g).cyclic_key() == u.cyclic_key()
+
+
+    def test_reductions_match_old_merge_loops(self, two_free, mixed):
+        """One reduction loop gives the old generator, product and cyclic
+        reduction, each written out in ``_gamma_oracle``."""
+        fixed = InvolutiveAlphabet.build(("c", "d"), {"c": "c", "d": "d"})
+        rng = random.Random(24)
+        for ground in (two_free, mixed, fixed):
+            for _ in range(300):
+                syl = [
+                    (rng.choice(ground.symbols), rng.randint(-3, 3))
+                    for _ in range(rng.randint(0, 8))
+                ]
+                parts = [_gamma_oracle.generator(ground, a, n) for a, n in syl]
+                expected = ()
+                for part in parts:
+                    expected = _gamma_oracle.product(ground, expected, part)
+                u = PiWord.from_syllables(ground, syl)
+                assert [PiWord.generator(ground, a, n).syllables for a, n in syl] == parts
+                assert u.syllables == expected
+                v = PiWord.from_syllables(ground, syl[::-1])
+                assert (u * v).syllables == _gamma_oracle.product(ground, u.syllables, v.syllables)
+                assert u.cyclic_reduction().syllables == _gamma_oracle.cyclic_reduction(
+                    ground, u.syllables
+                )
 
 
 class TestPhiSpec:

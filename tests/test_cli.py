@@ -58,6 +58,11 @@ class TestParseInput:
         with pytest.raises(ParseError):
             parse_input(ALPHABET + "word: A B A B\nproj: A=a\n")
 
+    def test_stray_projection(self):
+        for block in ("word: A B A B", "phrase: A B | B A"):
+            with pytest.raises(ParseError, match="not in the word: C$"):
+                parse_input(ALPHABET + f"{block}\nproj: A=a B=b C=a\n")
+
     def test_duplicate_symbol(self):
         with pytest.raises(ParseError):
             parse_input("alphabet: a a\ntau: a<->a\n")
@@ -458,6 +463,19 @@ class TestCommands:
         assert code == 2
         assert err.startswith("error:") and "absent.log" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["invariants", "check-slice", "pairing"])
+    def test_stray_projection_exits_2(self, capsys, command):
+        """A --proj entry for a letter the word lacks is bad input, not a
+        silently dropped entry."""
+        code = main([command, "--alphabet", "alphabet: a x;tau: a<->x", "--word", "ABAB",
+                     "--proj", "A=a B=x Z=a"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("parse error:")
+        assert captured.err.endswith("projection given for letters not in the word: Z\n")
+        assert len(captured.err.splitlines()) == 1
 
     def test_surface_command(self, capsys):
         code = main(["surface", "--word", "word: A B A B;proj: A=+ B=+"])

@@ -103,14 +103,16 @@ class TestPairingOfNanoword:
             assert pairing_of_nanoword(w).is_skew_symmetric()
 
     def test_alternate_route_agrees(self, mixed, three_free):
+        fixed = InvolutiveAlphabet.build(("c", "d"), {"c": "c", "d": "d"})
         rng = random.Random(21)
-        for ground in (mixed, three_free):
-            for _ in range(60):
-                w = random_nanoword(rng, ground, rng.randint(0, 6))
-                assert (
-                    pairing_of_nanoword(w).matrix
-                    == pairing_of_nanoword_alt(w).matrix
-                )
+        for low, high, count in ((0, 6, 60), (7, 10, 30)):
+            for ground in (mixed, three_free, fixed):
+                for _ in range(count):
+                    w = random_nanoword(rng, ground, rng.randint(low, high))
+                    assert (
+                        pairing_of_nanoword(w).matrix
+                        == pairing_of_nanoword_alt(w).matrix
+                    )
 
     def test_coords_view_matches_matrix(self, two_free, mixed):
         fixed = InvolutiveAlphabet.build(("c", "d"), {"c": "c", "d": "d"})

@@ -11,6 +11,7 @@ from nanocob.words import (
     key_of,
 )
 
+from _gamma_oracle import gamma_by_products
 from _phrase_route import phrase_witness
 
 
@@ -37,6 +38,14 @@ class TestConstruction:
     def test_missing_projection(self, two_free):
         with pytest.raises(WordError):
             Nanoword.from_names(two_free, "ABAB", {"A": "a"})
+
+    def test_stray_projection_named(self, two_free):
+        with pytest.raises(WordError, match="not in the word: Z, Y$"):
+            Nanoword.from_names(two_free, "ABAB", {"A": "a", "B": "b", "Z": "a", "Y": "b"})
+
+    def test_phrase_with_duplicate_names_rejected(self, two_free):
+        with pytest.raises(WordError, match="duplicate letter names"):
+            Nanophrase(two_free, ((0, 1), (1, 0)), ("a", "A"), ("X", "X"))
 
     def test_from_string(self, two_free, word_factory):
         w = word_factory(two_free, "ABAB", A="a", B="b")
@@ -368,6 +377,16 @@ def test_gamma_lands_in_commutator(data):
     rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
     w = random_word(rng, ground, letters)
     assert w.gamma().abelianized().is_zero()
+
+
+def test_gamma_matches_product_route(two_free, mixed):
+    """Gamma reduced in one pass equals the entry-by-entry product."""
+    fixed = InvolutiveAlphabet.build(("c", "d"), {"c": "c", "d": "d"})
+    rng = random.Random(25)
+    for ground in (two_free, mixed, fixed):
+        for _ in range(300):
+            w = random_word(rng, ground, rng.randint(0, 8))
+            assert w.gamma().syllables == gamma_by_products(w)
 
 
 @settings(max_examples=80, deadline=None)
