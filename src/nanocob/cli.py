@@ -68,20 +68,31 @@ def _read_source(value: str, inline: bool = False) -> str:
 
 
 def _load_item(args):
-    chunks = []
-    if args.alphabet:
-        chunks.append(_read_source(args.alphabet))
+    """The one item of ``--word`` over ``--alphabet``.  An error in the
+    ``--word`` text gives its line there; the compact form names ``--proj``."""
     if not args.word:
         raise ParseError(None, "no word given (--word)")
     # with --proj, --word is compact inline letters, never a file
     word_text = _read_source(args.word, inline=args.proj is not None)
-    if "word:" not in word_text and "phrase:" not in word_text:
-        proj = args.proj or ""
-        word_text = f"word: {word_text}\nproj: {proj}"
-    chunks.append(word_text)
-    parsed = parse_input("\n".join(chunks), strict=args.strict)
-    if not parsed.items:
-        raise ParseError(None, "--word holds no word or phrase")
+    compact = "word:" not in word_text and "phrase:" not in word_text
+    if compact:
+        if not args.alphabet:
+            raise ParseError(None, "no alphabet given (--alphabet)")
+        word_text = f"word: {word_text}\nproj: {args.proj or ''}"
+    head = _read_source(args.alphabet) + "\n" if args.alphabet else ""
+    try:
+        parsed = parse_input(head + word_text, strict=args.strict)
+    except ParseError as exc:
+        skip = len(head.splitlines())
+        if exc.line is None or exc.line <= skip:
+            raise
+        if head:  # a fault of the --alphabet text alone is reported as its own
+            parse_input(head, strict=args.strict)
+        message = str(exc).removeprefix(f"line {exc.line}: ")
+        where = "--proj" if compact else f"--word: line {exc.line - skip}"
+        raise ParseError(None, f"{where}: {message}") from None
+    if len(parsed.items) != 1:
+        raise ParseError(None, f"--word must hold one word or phrase, not {len(parsed.items)}")
     return parsed.items[0]
 
 

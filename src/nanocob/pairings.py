@@ -60,29 +60,13 @@ class AlphaPairing:
     """A pairing stored as its dense coordinate table: ``coords[i][j]`` is
     the value on (i, j) as a ``PiElement`` stores it, in the ground
     alphabet's layout; index 0 is s.  Every kernel reads ``coords``;
-    ``matrix`` is for display."""
+    ``matrix`` is for display.  Kernels construct it from valid values;
+    ``build`` checks a table given in loose parts."""
 
     ground: InvolutiveAlphabet
     proj: tuple[str, ...]
     names: tuple[str, ...]
     coords: Coords
-
-    def __post_init__(self):
-        size = len(self.proj) + 1
-        if len(self.names) != len(self.proj):
-            raise PairingError("projection/name tables misaligned")
-        if len(self.coords) != size or any(len(r) != size for r in self.coords):
-            raise PairingError("matrix shape must cover letters plus s")
-        nfree, dim = self.ground.nfree, self.ground.dimension
-        values = list(itertools.chain.from_iterable(self.coords))
-        if set(map(len, values)) != {dim}:
-            raise PairingError(f"values must have {dim} coordinates")
-        if nfree < dim:
-            fixed = itertools.chain.from_iterable(v[nfree:] for v in values)
-            if not set(fixed) <= {0, 1}:
-                raise PairingError("fixed-orbit coordinates must be 0 or 1")
-        for a in self.proj:
-            self.ground.check(a)
 
     @staticmethod
     def build(
@@ -91,13 +75,22 @@ class AlphaPairing:
         entries: Mapping[tuple[int, int], PiElement],
         names: Optional[Sequence[str]] = None,
     ) -> "AlphaPairing":
+        """The table with the given entries, zero elsewhere; each entry is a
+        ``PiElement`` over ``ground`` at (i, j) with 0 <= i, j <= m."""
+        proj = tuple(proj)
+        names = tuple(f"S{i + 1}" for i in range(len(proj))) if names is None else tuple(names)
+        if len(names) != len(proj):
+            raise PairingError("projection/name tables misaligned")
+        for a in proj:
+            ground.check(a)
         size = len(proj) + 1
         rows = [[(0,) * ground.dimension] * size for _ in range(size)]
         for (i, j), v in entries.items():
+            inside = 0 <= i < size and 0 <= j < size
+            if not (inside and isinstance(v, PiElement) and v.alphabet == ground):
+                raise PairingError(f"entry ({i}, {j}) is off the table or not a value over ground")
             rows[i][j] = v.coords
-        if names is None:
-            names = tuple(f"S{i + 1}" for i in range(len(proj)))
-        return AlphaPairing(ground, tuple(proj), tuple(names), tuple(map(tuple, rows)))
+        return AlphaPairing(ground, proj, names, tuple(map(tuple, rows)))
 
     @staticmethod
     def trivial(ground: InvolutiveAlphabet) -> "AlphaPairing":

@@ -64,10 +64,6 @@ class SurfaceStats:
     boundary_components: int
     genus: int
 
-    def __post_init__(self):
-        if self.euler != 2 - 2 * self.genus - self.boundary_components:
-            raise WordError("inconsistent surface statistics")
-
 
 def ribbon_graph_of(w: Nanoword) -> RibbonGraph:
     _require_signs(w)

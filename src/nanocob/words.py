@@ -51,7 +51,8 @@ def key_of(seq: Sequence[int], proj: Sequence[str]) -> tuple:
     return (renumbered, tuple([proj[old] for old in relabel]))
 
 
-def _validate_letters(seq: Sequence[int], num_letters: int) -> None:
+def _validate_letters(seq: Sequence[int], names: Sequence[str]) -> None:
+    num_letters = len(names)
     counts = [0] * num_letters
     for x in seq:
         if not 0 <= x < num_letters:
@@ -59,7 +60,7 @@ def _validate_letters(seq: Sequence[int], num_letters: int) -> None:
         counts[x] += 1
     bad = [i for i, c in enumerate(counts) if c != 2]
     if bad:
-        detail = ", ".join(f"letter {i} occurs {counts[i]} times" for i in bad)
+        detail = ", ".join(f"letter {names[i]} occurs {counts[i]} times" for i in bad)
         raise WordError(f"not a nanoword: {detail}")
 
 
@@ -73,7 +74,7 @@ class Nanoword:
     def __post_init__(self):
         if len(self.proj) != len(self.names):
             raise WordError("projection/name tables misaligned")
-        _validate_letters(self.seq, len(self.proj))
+        _validate_letters(self.seq, self.names)
         for a in self.proj:
             self.ground.check(a)
         if len(set(self.names)) != len(self.names):
@@ -99,13 +100,6 @@ class Nanoword:
                 ids[name] = len(order)
                 order.append(name)
             seq.append(ids[name])
-        counts = {name: 0 for name in order}
-        for name in letters:
-            counts[name] += 1
-        bad = [n for n, c in counts.items() if c != 2]
-        if bad:
-            detail = ", ".join(f"letter {n} occurs {counts[n]} times" for n in bad)
-            raise WordError(f"not a nanoword: {detail}")
         missing = [n for n in order if n not in proj]
         if missing:
             raise WordError(f"projection missing for {', '.join(missing)}")

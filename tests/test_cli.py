@@ -395,12 +395,27 @@ class TestCommands:
               "--proj", "A=a", "--templates", str(templates)], "--templates"),
             (["invariants", *one_orbit, "--word", "AA", "--proj", "A=a", "--phi", "x=1"], "--phi"),
             (["moves", *one_orbit, "--word", "AA", "--proj", "A=a", "--caps", "mystery=1"], "--caps"),
+            # a bad --word text is named with the line within that option's own text;
+            # the compact --word/--proj form is named by --proj, with no line
+            (["invariants", *one_orbit, "--word", "word: A B A B;proj: A=a B=q"],
+             "--word: line 2: unknown symbol 'q'"),
+            (["pairing", "--alphabet", "alphabet: a x;;tau: a<->x;", "--word", "#;word: A B A"],
+             "--word: line 2: word/phrase is missing its proj line"),
+            (["invariants", *one_orbit, "--word", "ABAB", "--proj", "A=a"],
+             "--proj: projection missing for B"),
+            (["check-slice", *one_orbit, "--word", "ABA", "--proj", "A=a B=x"],
+             "--proj: not a nanoword: letter B occurs 1 times"),
+            (["pairing", "--word", "ABAB", "--proj", "A=a B=x"], "(--alphabet)"),
+            # a second item in --word would go unjudged
+            (["check-slice", *one_orbit, "--word", "word: A B A B;proj: A=a B=x;word: C C;proj: C=a"],
+             "--word must hold one word or phrase"),
         ]
         for argv, option in cases:
             assert main(argv) == 2
-            err = capsys.readouterr().err
+            out, err = capsys.readouterr()
+            assert out == ""
             assert err.startswith("parse error: ") and option in err, err
-            assert "line 0" not in err
+            assert ("line " in err) == ("line " in option), err
             assert len(err.splitlines()) == 1
 
     def test_moves_listing_replays(self, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from nanocob.algebra import RATIONALS, InvolutiveAlphabet, PhiSpec, PiElement
+from nanocob.algebra import RATIONALS, AlphabetError, InvolutiveAlphabet, PhiSpec, PiElement
 from nanocob.explorer import (
     random_nanoword,
     random_pi_element,
@@ -148,24 +148,36 @@ class TestPairingOfNanoword:
                 assert r_of(total) == r_of(prev) + r_of(p)
                 pairings += [p, total]
                 prev = p
+        # the checks no kernel repeats at run time: shape, coordinate
+        # count and fixed bits
         for p in pairings:
+            size = p.num_letters + 1
+            assert len(p.coords) == size and all(len(row) == size for row in p.coords)
+            assert all(len(v) == p.ground.dimension for row in p.coords for v in row)
             assert p.coords == tuple(tuple(v.coordinates() for v in row) for row in p.matrix)
             nfree = len(p.ground.free_reps())
             assert all(bit in (0, 1) for row in p.coords for v in row for bit in v[nfree:])
 
-    def test_malformed_tables_rejected(self, mixed):
-        zero = (0, 0)  # one free orbit, then one fixed point
-        AlphaPairing(mixed, ("a",), ("A",), ((zero, zero), (zero, zero)))
-        for coords in (
-            ((zero, zero),),  # a row short
-            ((zero,), (zero, zero)),  # a column short
-            (((0,), zero), (zero, zero)),  # a coordinate short
-            ((zero, (0, 0, 0)), (zero, zero)),  # a coordinate too many
-            ((zero, (1, 2)), (zero, zero)),  # fixed bit 2
-            ((zero, zero), ((3, -1), zero)),  # fixed bit -1
+    def test_malformed_tables_rejected(self, two_free, mixed):
+        """A malformed table never becomes an ``AlphaPairing``: ``build``,
+        the one entry for a table in loose parts, rejects it."""
+        three_a = PiElement.make(mixed, {"a": 3})
+        AlphaPairing.build(mixed, ("a",), {(1, 0): three_a, (0, 1): -three_a}, ("A",))
+        for proj, entries, names, error in (
+            (("a",), {}, ("A", "B"), PairingError),  # names misaligned
+            (("a", "q"), {}, None, AlphabetError),  # unknown proj symbol
+            (("a",), {(-1, 0): three_a}, None, PairingError),
+            (("a",), {(0, -1): three_a}, None, PairingError),
+            (("a",), {(2, 0): three_a}, None, PairingError),  # m + 1
+            (("a",), {(1, 2): three_a}, None, PairingError),
+            (("a",), {(1, 0): (3, 0)}, None, PairingError),  # coordinates, not a value
         ):
-            with pytest.raises(PairingError):
-                AlphaPairing(mixed, ("a",), ("A",), coords)
+            with pytest.raises(error):
+                AlphaPairing.build(mixed, proj, entries, names)
+        # a value over another alphabet, though of the same dimension
+        assert two_free.dimension == mixed.dimension
+        with pytest.raises(PairingError):
+            AlphaPairing.build(two_free, ("a",), {(1, 0): three_a})
 
     def test_opposite_word_gives_opposite_pairing(self, mixed):
         rng = random.Random(22)
