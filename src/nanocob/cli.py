@@ -55,6 +55,7 @@ from .words import EMPTY_WORD, Nanoword, WordError
 
 PARSE_EXIT = 2
 FAIL_EXIT = 1
+ALPHABET_ONLY = "--alphabet must hold an alphabet only, not a word or phrase"
 
 
 def _read_source(value: str, inline: bool = False) -> str:
@@ -70,10 +71,10 @@ def _read_source(value: str, inline: bool = False) -> str:
 def _load_item(args):
     """The one item of ``--word`` over ``--alphabet``.  An error in the
     ``--word`` text gives its line there; the compact form names ``--proj``."""
-    if not args.word:
-        raise ParseError(None, "no word given (--word)")
     # with --proj, --word is compact inline letters, never a file
-    word_text = _read_source(args.word, inline=args.proj is not None)
+    word_text = _read_source(args.word, inline=args.proj is not None) if args.word else ""
+    if not word_text.strip():
+        raise ParseError(None, "no word given (--word)")
     compact = "word:" not in word_text and "phrase:" not in word_text
     if compact:
         if not args.alphabet:
@@ -92,6 +93,8 @@ def _load_item(args):
         where = "--proj" if compact else f"--word: line {exc.line - skip}"
         raise ParseError(None, f"{where}: {message}") from None
     if len(parsed.items) != 1:
+        if head and parse_input(head, strict=args.strict).items:
+            raise ParseError(None, ALPHABET_ONLY)
         raise ParseError(None, f"--word must hold one word or phrase, not {len(parsed.items)}")
     return parsed.items[0]
 
@@ -125,6 +128,8 @@ def _load_alphabet(args) -> InvolutiveAlphabet:
     if not args.alphabet:
         raise ParseError(None, "no alphabet given (--alphabet)")
     parsed = parse_input(_read_source(args.alphabet), strict=args.strict)
+    if parsed.items:
+        raise ParseError(None, ALPHABET_ONLY)
     return parsed.alphabet
 
 

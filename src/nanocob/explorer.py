@@ -345,7 +345,15 @@ def classify_words(
 ) -> ClassificationTable:
     """Bucket by invariant record, then merge bucket members whose
     equivalence the bounded search certifies: ``j`` joins ``i`` when one
-    search from ``i`` reaches ``j``."""
+    search from ``i`` reaches ``j``.
+
+    No merge search starts from a ``Slice`` row.  A partner it leaves
+    unresolved shares its cobordism key, so every invariant of it vanishes
+    and it is ``Unknown``; its own verdict search has already looked for
+    the empty word.  What this gives up: the search inserts only
+    templates, so its moves are not closed under inversion, and a search
+    from a slice row may reach an ``Unknown`` that the ``Unknown``'s own
+    search misses."""
     records = [invariant_record(w, phis) for w in words]
     verdicts = [slice_verdict(rec, caps) for rec in records]
 
@@ -373,6 +381,8 @@ def classify_words(
         buckets.setdefault(rec.cobordism_key(), []).append(i)
     for members in buckets.values():
         for pos, i in enumerate(members):
+            if verdicts[i].status == SLICE:
+                continue
             reached = None  # searched once, when i first meets an unresolved j
             for j in members[pos + 1 :]:
                 if find(i) == find(j):

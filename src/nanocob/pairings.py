@@ -678,10 +678,13 @@ class UPoly:
         return UPoly(self.alphabet, tuple((rep, -v) for rep, v in self.entries))
 
     def fingerprint(self) -> str:
-        import hashlib
+        """The CRC-32 of the ``u`` text in 8 hex digits: equal ``u`` gives
+        an equal fingerprint.  It is not a ``hashlib`` digest, so no
+        command loads OpenSSL."""
+        import binascii
 
         text = ";".join(f"{rep}:{v}" for rep, v in self.entries)
-        return hashlib.sha256(text.encode()).hexdigest()[:12]
+        return f"{binascii.crc32(text.encode()):08x}"
 
     def __str__(self) -> str:
         return ", ".join(f"u({rep})={v}" for rep, v in self.entries)

@@ -5,6 +5,8 @@ import hashlib
 import io
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -409,6 +411,14 @@ class TestCommands:
             # a second item in --word would go unjudged
             (["check-slice", *one_orbit, "--word", "word: A B A B;proj: A=a B=x;word: C C;proj: C=a"],
              "--word must hold one word or phrase"),
+            # a blank --word is no word, not the empty word
+            (["check-slice", *one_orbit, "--word", " "], "no word given (--word)"),
+            (["check-slice", *one_orbit, "--word", ";"], "no word given (--word)"),
+            # a word in --alphabet is no item of --word, and no command reads it
+            (["check-slice", "--alphabet", "alphabet: a x;tau: a<->x;word: A A;proj: A=a",
+              "--word", "BB", "--proj", "B=a"], "--alphabet must hold an alphabet only"),
+            (["classify", "--alphabet", "alphabet: a x;tau: a<->x;word: A A;proj: A=a",
+              "--half-length", "1"], "--alphabet must hold an alphabet only"),
         ]
         for argv, option in cases:
             assert main(argv) == 2
@@ -971,12 +981,12 @@ README_TABLES = {
     "fixed-point": ("alphabet: a;tau: a<->a", ()),
 }
 README_TABLE_SHA256 = {
-    ("one-orbit", 3): "58b721f43d297ce5f5a8216e4335a17669665a253a257f370f81bdb3648c69af",
-    ("two-orbits", 2): "7ed9b0ab7658062caf4abffce8dafb537b05ac1e2832cce211cc05b8c22fe8ac",
-    ("fixed-point", 0): "550f16f248146fdf3a322e085bc4d27ef6f49eab4b70c4e8cf08fb365c28edc5",
-    ("fixed-point", 1): "0c1c0bdfd3b6bb2220c574b09d51c85a1f402b92f2ef8ac50e639bb4a913a090",
-    ("fixed-point", 2): "2b838f132d4c30bbfcb6178c42fd27d27b5640112812d15f499854bab66ac75d",
-    ("fixed-point", 3): "ade6f6a638bfee58dfc7e712029f0ae8fd58ab2718c271e48e7232e6985cb7a0",
+    ("one-orbit", 3): "fb443d73211041228126916b8b776d11227dc243e664d78ce35dca20afb27429",
+    ("two-orbits", 2): "1c75e8428e77c40da616a13be3f95bb8d72985a196f363ae7b6001409733aa8b",
+    ("fixed-point", 0): "a3c154f49d58e6d89592fab45c69eaa3cb3c3ca28b1a31f84f09277a74f2c4d2",
+    ("fixed-point", 1): "b51140b8cf9776ce699f7eefcc484b87ff2744c6772657cef4948a6c88fab822",
+    ("fixed-point", 2): "3f950c47ac31d34a9f872323e84f1c8369d1745cda1867e7ede2e308185b0cca",
+    ("fixed-point", 3): "fb98ad777c85f8870c43994393a24d926435ef8b3cd2ac545743d1d98d07b60d",
 }
 
 
@@ -987,6 +997,27 @@ def test_readme_table_bytes(capsys, label, half_length):
     assert main(argv + ["--format", "csv", *extra]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == README_TABLE_SHA256[label, half_length]
+
+
+def test_classify_loads_no_openssl():
+    """`u_hash` is a CRC-32, so a `classify` table never imports hashlib,
+    whose `_hashlib` loads OpenSSL.  It runs in a fresh interpreter, since
+    pytest itself imports hashlib."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys\n"
+        "from nanocob.cli import main\n"
+        "main(['classify', '--alphabet', 'alphabet: a;tau: a<->a', '--half-length', '2',"
+        " '--format', 'csv'])\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    *table, loaded = run.stdout.splitlines()
+    assert sum("Slice(" in row for row in table) == 3
+    assert loaded == "False"
 
 
 # `invariants` on one free orbit plus a fixed point, whose u-polynomials

@@ -378,6 +378,28 @@ class TestClassification:
         assert table.rows[0].verdict.status == UNKNOWN
         assert table.pair_status(0, 1) == UNKNOWN
 
+    def test_no_merge_search_from_slice_row(self, two_free, word_factory, monkeypatch):
+        """The empty word before ``ABAB`` under the starved caps above: the
+        slice row starts no merge search, so the table makes only the two
+        verdict searches.  This is what the skip gives up: a search from
+        the empty word reaches ``ABAB`` by inserting the ``AB | AB``
+        template, which ``ABAB``'s own search cannot undo under these caps,
+        so the pair stays unknown."""
+        searches = []
+
+        def counted(w, v, *args, **kwargs):
+            searches.append((w.canonical_key(), v is None))
+            return bounded_bfs(w, v, *args, **kwargs)
+
+        monkeypatch.setattr(explorer, "bounded_bfs", counted)
+        empty = Nanoword.empty(two_free)
+        w = word_factory(two_free, "ABAB", A="a", B="A")
+        caps = Caps(max_letters=1, max_k=1, bfs_nodes=5, bfs_length=4)
+        table = classify_words([empty, w], caps)
+        assert [row.verdict.status for row in table.rows] == [SLICE, UNKNOWN]
+        assert table.pair_status(0, 1) == UNKNOWN
+        assert searches == [(empty.canonical_key(), False), (w.canonical_key(), False)]
+
     def test_phi_battery_size(self, two_free, mixed):
         from nanocob.pairings import phi_sign_battery
 

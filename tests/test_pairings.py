@@ -5,12 +5,13 @@ import pytest
 
 from nanocob.algebra import RATIONALS, AlphabetError, InvolutiveAlphabet, PhiSpec, PiElement
 from nanocob.explorer import (
+    _SUITE_ALPHABETS,
     random_nanoword,
     random_pi_element,
     random_skew_pairing,
     random_surgery_instance,
 )
-from nanocob.moves import apply_surgery
+from nanocob.moves import apply_surgery, neighbors, site_moves
 from nanocob.pairings import (
     AlphaPairing,
     OrbitPoly,
@@ -323,11 +324,32 @@ class TestCobordance:
             assert are_cobordant(p, p)
 
     def test_surgery_images_cobordant(self, mixed):
+        """Surgeries, and then every child that ``neighbors`` yields (H1, H2,
+        H3, inverse H3, SURG and template INS), keep the pairing's cobordism
+        class: on seeded words over each suite alphabet, the first word
+        drawn and each later one with a move kind not yet seen."""
         rng = random.Random(27)
         for _ in range(40):
             w, factor = random_surgery_instance(rng, mixed, max_total_length=10)
             x = apply_surgery(w, factor)
             assert are_cobordant(pairing_of_nanoword(w), pairing_of_nanoword(x))
+        every = {"H1", "H2", "H3", "INV H3", "SURG", "INS"}
+        for ground in _SUITE_ALPHABETS:
+            seen = set()
+            for _ in range(2000):
+                w = random_nanoword(rng, ground, rng.randint(2, 5))
+                kinds = {"INV " * move.inverse + move.kind for move in site_moves(w)} | {"INS"}
+                if kinds <= seen:
+                    continue
+                seen |= kinds
+                p = pairing_of_nanoword(w)
+                for move, key in neighbors(w):
+                    x = move.apply(w)
+                    assert x.canonical_key() == key
+                    assert are_cobordant(p, pairing_of_nanoword(x)), (w, move.to_line())
+                if seen == every:
+                    break
+            assert seen == every, ground
 
     def test_trivial_vs_linked_pair(self, two_free, word_factory):
         p = pairing_of_nanoword(word_factory(two_free, "ABAB", A="a", B="b"))
