@@ -70,12 +70,15 @@ def _read_source(value: str, inline: bool = False) -> str:
 
 def _load_item(args):
     """The one item of ``--word`` over ``--alphabet``.  An error in the
-    ``--word`` text gives its line there; the compact form names ``--proj``."""
+    ``--word`` text gives its line there.  Text without ':' is the compact
+    form, letters whose projections ``--proj`` gives: an error there names
+    ``--proj`` and no line, except that text with no letters names
+    ``--word``."""
     # with --proj, --word is compact inline letters, never a file
     word_text = _read_source(args.word, inline=args.proj is not None) if args.word else ""
     if not word_text.strip():
         raise ParseError(None, "no word given (--word)")
-    compact = "word:" not in word_text and "phrase:" not in word_text
+    compact = ":" not in word_text
     if compact:
         if not args.alphabet:
             raise ParseError(None, "no alphabet given (--alphabet)")
@@ -90,7 +93,13 @@ def _load_item(args):
         if head:  # a fault of the --alphabet text alone is reported as its own
             parse_input(head, strict=args.strict)
         message = str(exc).removeprefix(f"line {exc.line}: ")
-        where = "--proj" if compact else f"--word: line {exc.line - skip}"
+        where = f"--word: line {exc.line - skip}"
+        if compact:
+            # the word line's own error is a word with no letters; the word's
+            # checks against the projections are reported at that line too,
+            # raised from the word's own error
+            empty = exc.line == skip + 1 and exc.__cause__ is None
+            where = "--word" if empty else "--proj"
         raise ParseError(None, f"{where}: {message}") from None
     if len(parsed.items) != 1:
         if head and parse_input(head, strict=args.strict).items:

@@ -11,7 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence
+from typing import AbstractSet, Callable, Iterator, Optional, Sequence
 
 from .algebra import InvolutiveAlphabet, PhiSpec, PiElement, PiWord
 from .moves import (
@@ -26,6 +26,7 @@ from .moves import (
     enumerate_bridges,
     insert_phrase,
     inserted_segments,
+    key_images,
 )
 from .pairings import (
     AlphaPairing,
@@ -353,7 +354,12 @@ def classify_words(
     the empty word.  What this gives up: the search inserts only
     templates, so its moves are not closed under inversion, and a search
     from a slice row may reach an ``Unknown`` that the ``Unknown``'s own
-    search misses."""
+    search misses.
+
+    An exhausted merge search is filed under every image of its start key
+    (``key_images``), and a row whose key is filed starts no search of its
+    own: the images of what the search reached are what a search from that
+    image would reach.  A search the node cap stopped is never reused."""
     records = [invariant_record(w, phis) for w in words]
     verdicts = [slice_verdict(rec, caps) for rec in records]
 
@@ -376,6 +382,20 @@ def classify_words(
         union(i, j)
 
     merge_caps = replace(caps, bfs_nodes=min(caps.bfs_nodes, 600))
+    keys = [rec.word.canonical_key() for rec in records]
+    # each exhausted merge search's reached set, under every image of its
+    # start key, with the index of that image in ``key_images``
+    filed: dict[tuple, tuple[int, AbstractSet[tuple]]] = {}
+
+    def merge_search(i: int) -> tuple[int, AbstractSet[tuple]]:
+        if keys[i] in filed:
+            return filed[keys[i]]
+        search = bounded_bfs(words[i], None, merge_caps)
+        if search.exhausted:
+            for t, image in enumerate(key_images(words[i].ground, keys[i])):
+                filed.setdefault(image, (t, search.reached))
+        return 0, search.reached
+
     buckets: dict[tuple, list[int]] = {}
     for i, rec in enumerate(records):
         buckets.setdefault(rec.cobordism_key(), []).append(i)
@@ -383,17 +403,19 @@ def classify_words(
         for pos, i in enumerate(members):
             if verdicts[i].status == SLICE:
                 continue
-            reached = None  # searched once, when i first meets an unresolved j
+            found = None  # looked up once, when i first meets an unresolved j
             for j in members[pos + 1 :]:
                 if find(i) == find(j):
                     continue
-                key = records[j].word.canonical_key()
-                if records[i].word.canonical_key() == key:
+                if keys[i] == keys[j]:
                     union(i, j)
                     continue
-                if reached is None:
-                    reached = bounded_bfs(words[i], None, merge_caps).reached
-                if key in reached:
+                if found is None:
+                    found = merge_search(i)
+                t, reached = found
+                # i's key is image t of the search's start, so j is reached
+                # exactly when image t of j is: each map is an involution
+                if key_images(words[j].ground, keys[j])[t] in reached:
                     union(i, j)
 
     rows = tuple(

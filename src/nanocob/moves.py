@@ -761,6 +761,25 @@ def neighbors(
             yield move, key_of(seq, grown_proj)
 
 
+def key_images(ground: InvolutiveAlphabet, key: tuple) -> tuple[tuple, tuple, tuple, tuple]:
+    """The four images of a state key under the symmetries of the search:
+    the identity, ``tau`` on every projection, reversal, and both.
+
+    The moves compare projections only up to ``tau`` and read segments as
+    mirror images, so each map takes the H1, H2, H3 and inverse-H3 sites,
+    the surgery factors within the caps and the template set onto
+    themselves, and keeps lengths; each is an involution.  So an exhausted
+    ``bounded_bfs`` from an image of ``w`` reaches exactly the images, under
+    the same map, of the keys reached from ``w``.  A search the node cap
+    stopped has no such image: which states it reaches depends on its
+    expansion order, which the maps change."""
+    seq, proj = key
+    twisted = tuple([ground.tau(a) for a in proj])
+    backward = seq[::-1]
+    # tau leaves the letter order alone, so its image is already canonical
+    return key, (seq, twisted), key_of(backward, proj), key_of(backward, twisted)
+
+
 @dataclass(frozen=True)
 class SearchOutcome:
     metamorphosis: Optional[Metamorphosis]  # None when the caps ran out first

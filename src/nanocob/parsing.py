@@ -9,9 +9,11 @@
 
 Blank lines and ``#`` comments are skipped.  A ``word:`` value with a
 single multi-character token is split into characters, except
-``(empty)``, the empty word as the command line prints it.  In strict mode
-a symbol may appear in only one tau pair; otherwise consistent
-redeclarations (``a<->b b<->a``) are accepted.
+``(empty)``, the empty word as the command line prints it.  A ``word:``
+or ``phrase:`` value with no tokens is an error: the empty word is
+written ``(empty)``.  In strict mode a symbol may appear in only one tau
+pair; otherwise consistent redeclarations (``a<->b b<->a``) are
+accepted.
 """
 
 from __future__ import annotations
@@ -151,6 +153,8 @@ def parse_input(text: str, strict: bool = False) -> ParsedInput:
                 raise ParseError(line_no, "previous word/phrase is missing its proj line")
             finish_alphabet(line_no)
             tokens = value.replace("|", " | ").split() if key == "phrase" else _tokens(value)
+            if not tokens and value != EMPTY_WORD:
+                raise ParseError(line_no, f"{key} has no letters (the empty word is {EMPTY_WORD})")
             pending = (key, tokens, line_no)
         elif key == "proj":
             attach_projection(_parse_proj(value, line_no), line_no)

@@ -47,6 +47,14 @@ class TestParseInput:
             assert isinstance(p, Nanophrase)
             assert p.words == ((0, 1), (1, 0))
 
+    def test_no_letters_is_no_word(self):
+        for line in ("word:", "word: # a comment", "phrase:"):
+            with pytest.raises(ParseError, match="has no letters") as err:
+                parse_input(ALPHABET + f"{line}\nproj:\n")
+            assert err.value.line == 3
+        (w,) = parse_input(ALPHABET + "word: (empty)\nproj:\n").items
+        assert w.length == 0
+
     def test_occurrence_error_message(self):
         with pytest.raises(ParseError) as err:
             parse_input(ALPHABET + "word: A B A\nproj: A=a B=b\n")
@@ -414,6 +422,13 @@ class TestCommands:
             # a blank --word is no word, not the empty word
             (["check-slice", *one_orbit, "--word", " "], "no word given (--word)"),
             (["check-slice", *one_orbit, "--word", ";"], "no word given (--word)"),
+            # nor is a comment alone, in compact letters or in file text
+            (["check-slice", *one_orbit, "--word", "#"], "--word: word has no letters"),
+            (["check-slice", *one_orbit, "--word", "word: # A A;proj: A=a"],
+             "--word: line 1: word has no letters"),
+            # text with a ':' is never compact letters
+            (["check-slice", *one_orbit, "--word", "proj: A=a"],
+             "--word: line 1: proj line without a preceding word/phrase"),
             # a word in --alphabet is no item of --word, and no command reads it
             (["check-slice", "--alphabet", "alphabet: a x;tau: a<->x;word: A A;proj: A=a",
               "--word", "BB", "--proj", "B=a"], "--alphabet must hold an alphabet only"),

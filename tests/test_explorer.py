@@ -30,7 +30,7 @@ from nanocob.explorer import (
     suite_bridge_inequality,
 )
 from nanocob import explorer, moves
-from nanocob.moves import Caps, Move, apply_surgery, bounded_bfs
+from nanocob.moves import Caps, Move, apply_surgery, bounded_bfs, key_images
 from nanocob.pairings import (
     genus,
     is_hyperbolic,
@@ -468,7 +468,14 @@ class TestReachedSetMerge:
         assert components == pairwise_components(words, caps)
         assert len(set(components)) > 1
 
+    def test_one_orbit_table(self):
+        words = enumerate_nanowords(3, InvolutiveAlphabet.fixed_point_free(("a",), ("x",)))
+        assert self.components(words) == pairwise_components(words)
+
     def test_one_search_per_left_word(self, monkeypatch):
+        """The one-orbit half-length-3 table makes 3 merge searches.  With
+        each search filed under its start key alone it makes 10, and the 7
+        it no longer makes start at images (``key_images``) of the 3."""
         starts = []
 
         def counting_bfs(w, v, *args, **kwargs):
@@ -479,7 +486,15 @@ class TestReachedSetMerge:
         monkeypatch.setattr(explorer, "bounded_bfs", counting_bfs)
         ground = InvolutiveAlphabet.fixed_point_free(("a",), ("x",))
         classify(3, ground)
+        searched = list(starts)
+        assert len(searched) == len(set(searched)) == 3
+        starts.clear()
+        monkeypatch.setattr(explorer, "key_images", lambda ground, key: (key,) * 4)
+        classify(3, ground)
         assert len(starts) == len(set(starts)) == 10
+        images = {image for key in searched for image in key_images(ground, key)}
+        assert set(starts) - set(searched) <= images
+        assert len(set(starts) - set(searched)) == 7
 
 
 class TestSoundnessCheck:

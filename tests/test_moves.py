@@ -22,11 +22,18 @@ from nanocob.moves import (
     find_h3_sites,
     insert_phrase,
     inserted_segments,
+    key_images,
     neighbors,
     site_moves,
     validate_bridge,
 )
-from nanocob.explorer import SLICE, length_norm_bounds, random_nanoword, slice_status
+from nanocob.explorer import (
+    SLICE,
+    _SUITE_ALPHABETS,
+    length_norm_bounds,
+    random_nanoword,
+    slice_status,
+)
 from nanocob.pairings import verify_surgery_filling
 from nanocob.words import Nanoword, SymmetryWitness, WordError, mirror_witness
 
@@ -850,6 +857,51 @@ class TestSearchOracle:
                     assert len(ours.metamorphosis.moves) <= len(witness.moves)
                     assert ours.explored <= fifo.explored
         assert exhaustive > 100 and matched > 200
+
+
+class TestSearchSymmetry:
+    """``key_images`` maps: ``tau`` on every projection, reversal, and
+    both.  On seeded words, a search from an image ends as the search from
+    the word does, exhausted or at the node cap, and when both exhaust, the
+    image reaches exactly the images of what the word reaches;
+    ``classify_words`` reuses a merge search on this."""
+
+    MAPS = {1: "tau", 2: "reversal", 3: "reversal and tau"}
+
+    def test_images_search_alike(self):
+        exhausted = dict.fromkeys(self.MAPS, 0)
+        # fewer and shorter words where the caps let searches grow large
+        for nodes, words in ((50, 24), (300, 8), (2000, 4)):
+            for slack in (0, 2, 4):
+                rng = random.Random(100 * nodes + slack)
+                top = (4 if nodes < 2000 else 3) - slack // 2
+                for trial in range(words):
+                    ground = _SUITE_ALPHABETS[trial % 3]
+                    w = random_nanoword(rng, ground, rng.randint(1, top))
+                    caps = Caps(bfs_length=w.length + slack, bfs_nodes=nodes)
+                    ours = bounded_bfs(w, None, caps)
+                    images = key_images(ground, w.canonical_key())
+                    for t, name in self.MAPS.items():
+                        if images[t] == images[0]:
+                            continue
+                        theirs = bounded_bfs(Nanoword.from_key(ground, images[t]), None, caps)
+                        assert theirs.exhausted == ours.exhausted, (name, str(w), caps)
+                        if ours.exhausted:
+                            exhausted[t] += 1
+                            mapped = {key_images(ground, key)[t] for key in ours.reached}
+                            assert set(theirs.reached) == mapped, (name, str(w), caps)
+        assert min(exhausted.values()) >= 15, exhausted
+
+    def test_images_are_involutions(self):
+        rng = random.Random(5)
+        for trial in range(60):
+            ground = _SUITE_ALPHABETS[trial % 3]
+            key = random_nanoword(rng, ground, rng.randint(0, 5)).canonical_key()
+            images = key_images(ground, key)
+            assert images[0] == key
+            for t, image in enumerate(images):
+                assert Nanoword.from_key(ground, image).canonical_key() == image
+                assert key_images(ground, image)[t] == key
 
 
 class TestShiftRepertoire:
