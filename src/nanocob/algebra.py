@@ -10,6 +10,7 @@ implemented with exact integer arithmetic and eager reduction.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -460,7 +461,7 @@ class PhiSpec:
     def prime_field(
         alphabet: InvolutiveAlphabet, p: int, values: Mapping[str, int]
     ) -> "PhiSpec":
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
             raise PhiSpecError(f"{p} is not prime")
         _require_reps(alphabet, values)
         vals = {}

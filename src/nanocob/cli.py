@@ -55,7 +55,6 @@ from .words import EMPTY_WORD, Nanoword, WordError
 
 PARSE_EXIT = 2
 FAIL_EXIT = 1
-ALPHABET_ONLY = "--alphabet must hold an alphabet only, not a word or phrase"
 
 
 def _read_source(value: str, inline: bool = False) -> str:
@@ -68,44 +67,37 @@ def _read_source(value: str, inline: bool = False) -> str:
     return value.replace(";", "\n")
 
 
-def _load_item(args):
-    """The one item of ``--word`` over ``--alphabet``.  An error in the
-    ``--word`` text gives its line there.  Text without ':' is the compact
-    form, letters whose projections ``--proj`` gives: an error there names
-    ``--proj`` and no line, except that text with no letters names
-    ``--word``."""
-    # with --proj, --word is compact inline letters, never a file
-    word_text = _read_source(args.word, inline=args.proj is not None) if args.word else ""
-    if not word_text.strip():
-        raise ParseError(None, "no word given (--word)")
-    compact = ":" not in word_text
-    if compact:
-        if not args.alphabet:
-            raise ParseError(None, "no alphabet given (--alphabet)")
-        word_text = f"word: {word_text}\nproj: {args.proj or ''}"
-    head = _read_source(args.alphabet) + "\n" if args.alphabet else ""
+def _parse_option(args, option, text: str, ground: Optional[InvolutiveAlphabet] = None):
+    """The text given as ``option``, parsed on its own or over ``ground``.
+    Every error names the option and the line within its text; a tuple
+    ``option`` names the option each line of the text came from, and no
+    line."""
     try:
-        parsed = parse_input(head + word_text, strict=args.strict)
+        return parse_input(text, strict=args.strict, ground=ground)
     except ParseError as exc:
-        skip = len(head.splitlines())
-        if exc.line is None or exc.line <= skip:
-            raise
-        if head:  # a fault of the --alphabet text alone is reported as its own
-            parse_input(head, strict=args.strict)
-        message = str(exc).removeprefix(f"line {exc.line}: ")
-        where = f"--word: line {exc.line - skip}"
-        if compact:
-            # the word line's own error is a word with no letters; the word's
-            # checks against the projections are reported at that line too,
-            # raised from the word's own error
-            empty = exc.line == skip + 1 and exc.__cause__ is None
-            where = "--word" if empty else "--proj"
-        raise ParseError(None, f"{where}: {message}") from None
-    if len(parsed.items) != 1:
-        if head and parse_input(head, strict=args.strict).items:
-            raise ParseError(None, ALPHABET_ONLY)
-        raise ParseError(None, f"--word must hold one word or phrase, not {len(parsed.items)}")
-    return parsed.items[0]
+        if isinstance(option, tuple):
+            raise ParseError(None, f"{option[exc.line - 1]}: {exc.message}") from None
+        raise ParseError(None, f"{option}: {exc}") from None
+
+
+def _load_item(args):
+    """The one item of ``--word``, read over ``--alphabet``, or declaring
+    its own alphabet when no ``--alphabet`` is given.  One line without ':'
+    is the compact form, letters whose projections ``--proj`` gives."""
+    # with --proj, --word is compact inline letters, never a file
+    text = _read_source(args.word, inline=args.proj is not None) if args.word else ""
+    if not text.strip():
+        raise ParseError(None, "no word given (--word)")
+    lines = text.splitlines()
+    if ":" in text or len(lines) > 1:
+        ground = _load_alphabet(args) if args.alphabet else None
+        items = _parse_option(args, "--word", text, ground).items
+    else:  # line 1 from --word, line 2 from --proj, kept to one line
+        text = f"word: {lines[0]}\nproj: {' '.join((args.proj or '').split())}"
+        items = _parse_option(args, ("--word", "--proj"), text, _load_alphabet(args)).items
+    if len(items) != 1:
+        raise ParseError(None, f"--word must hold one word or phrase, not {len(items)}")
+    return items[0]
 
 
 def _load_word(args) -> Nanoword:
@@ -121,7 +113,7 @@ def _load_templates(args, ground: InvolutiveAlphabet) -> tuple:
     alphabet ``ground``, also for a word whose verdict needs no search."""
     if not args.templates:
         return ()
-    parsed = parse_input(_read_source(args.templates), strict=args.strict)
+    parsed = _parse_option(args, "--templates", _read_source(args.templates))
     phrases = [item.to_phrase() if isinstance(item, Nanoword) else item for item in parsed.items]
     templates = tuple((phrase.words, phrase.proj) for phrase in phrases)
     try:
@@ -136,9 +128,9 @@ def _load_templates(args, ground: InvolutiveAlphabet) -> tuple:
 def _load_alphabet(args) -> InvolutiveAlphabet:
     if not args.alphabet:
         raise ParseError(None, "no alphabet given (--alphabet)")
-    parsed = parse_input(_read_source(args.alphabet), strict=args.strict)
+    parsed = _parse_option(args, "--alphabet", _read_source(args.alphabet))
     if parsed.items:
-        raise ParseError(None, ALPHABET_ONLY)
+        raise ParseError(None, "--alphabet must hold an alphabet only, not a word or phrase")
     return parsed.alphabet
 
 
@@ -265,9 +257,12 @@ def cmd_moves(args) -> int:
     w = _load_word(args)
     caps = _caps(args)
     if args.replay:
-        with open(args.replay, "r", encoding="utf-8") as handle:
-            meta = Metamorphosis.from_log(handle.read())
-        result = meta.replay(w)
+        try:
+            with open(args.replay, "r", encoding="utf-8") as handle:
+                meta = Metamorphosis.from_log(handle.read())
+            result = meta.replay(w)
+        except WordError as exc:
+            raise WordError(f"--replay: {exc}") from None
         print(f"result\t{' '.join(result.letter_seq()) or EMPTY_WORD}")
         print(f"proj\t{' '.join(f'{n}={a}' for n, a in zip(result.names, result.proj))}")
         print(f"arches\t{meta.total_arches}")

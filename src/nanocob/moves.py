@@ -250,9 +250,14 @@ class Metamorphosis:
         return sum(m.arches for m in self.moves)
 
     def replay(self, start: Nanoword) -> Nanoword:
+        """The canonical end of the moves from ``start``; a move that does
+        not apply raises WordError, led by its 1-based position."""
         current = start.canonical_form()
-        for move in self.moves:
-            current = move.apply(current).canonical_form()
+        for number, move in enumerate(self.moves, start=1):
+            try:
+                current = move.apply(current).canonical_form()
+            except ValueError as exc:
+                raise WordError(f"move {number}: {exc}") from exc
         return current
 
     def to_log(self) -> str:

@@ -13,7 +13,7 @@ single multi-character token is split into characters, except
 or ``phrase:`` value with no tokens is an error: the empty word is
 written ``(empty)``.  In strict mode a symbol may appear in only one tau
 pair; otherwise consistent redeclarations (``a<->b b<->a``) are
-accepted.
+accepted.  Text read over a given alphabet declares none of its own.
 """
 
 from __future__ import annotations
@@ -28,11 +28,13 @@ from .words import EMPTY_WORD, Nanophrase, Nanoword
 
 class ParseError(ValueError):
     """Bad input text, at a 1-based ``line`` of it, or a bad command-line
-    option (``line`` None, the message names the option)."""
+    option (``line`` None, the message names the option).  ``message`` is
+    the text without its line."""
 
     def __init__(self, line: Optional[int], message: str):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
+        self.message = message
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,13 @@ def _parse_proj(value: str, line_no: int) -> dict[str, str]:
     return out
 
 
-def parse_input(text: str, strict: bool = False) -> ParsedInput:
-    alphabet: Optional[InvolutiveAlphabet] = None
+def parse_input(
+    text: str, strict: bool = False, ground: Optional[InvolutiveAlphabet] = None
+) -> ParsedInput:
+    """The alphabet and items of ``text``, which declares its alphabet
+    first, or, given ``ground``, is read over that alphabet and holds no
+    ``alphabet:`` or ``tau:`` line."""
+    alphabet = ground
     symbols: list[str] = []
     tau: dict[str, str] = {}
     items: list[Union[Nanoword, Nanophrase]] = []
@@ -91,40 +98,34 @@ def parse_input(text: str, strict: bool = False) -> ParsedInput:
             raise ParseError(line_no, "proj line without a preceding word/phrase")
         kind, tokens, word_line = pending
         ground = finish_alphabet(line_no)
+        flat = [t for t in tokens if t != "|"] if kind == "phrase" else tokens
         for name, symbol in proj.items():
             if symbol not in ground:
                 raise ParseError(line_no, f"unknown symbol {symbol!r} in projection")
         try:
-            if kind == "word":
-                items.append(Nanoword.from_names(ground, tokens, proj))
-            else:
-                flat = [t for t in tokens if t != "|"]
-                word = Nanoword.from_names(ground, flat, proj)
-                splits = []
-                chunk: list[int] = []
-                pos = 0
-                for t in tokens:
-                    if t == "|":
-                        splits.append(tuple(chunk))
-                        chunk = []
-                    else:
-                        chunk.append(word.seq[pos])
-                        pos += 1
-                splits.append(tuple(chunk))
-                items.append(
-                    Nanophrase(ground, tuple(splits), word.proj, word.names)
-                )
+            item = Nanoword.from_names(ground, flat, proj)
+            if kind == "phrase":  # the letters of each '|'-separated segment, in turn
+                seq = iter(item.seq)
+                parts = " ".join(tokens).split("|")
+                splits = tuple(tuple(next(seq) for _ in part.split()) for part in parts)
+                item = Nanophrase(ground, splits, item.proj, item.names)
+            items.append(item)
         except ValueError as exc:
-            raise ParseError(word_line, str(exc)) from exc
+            # a missing or stray projection, which ``from_names`` checks
+            # first, is the proj line's fault; any other is the word's
+            raise ParseError(word_line if proj.keys() == set(flat) else line_no, str(exc)) from exc
         pending = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if ":" not in line:
+        key, colon, value = line.partition(":")
+        if not colon:
             raise ParseError(line_no, f"expected 'key: value', got {line!r}")
-        key, value = (part.strip() for part in line.split(":", 1))
+        key, value = key.strip(), value.strip()
+        if ground is not None and key in ("alphabet", "tau"):
+            raise ParseError(line_no, f"no {key} line here: the alphabet is given")
         if key == "alphabet":
             if symbols:
                 raise ParseError(line_no, "alphabet declared twice")

@@ -244,6 +244,13 @@ class TestPhiSpec:
         assert phi.apply(c + c) == 0
         assert phi.apply(c) == 1
 
+    def test_prime_field_rejects_non_primes(self, pm):
+        """Primality is decided in integers, so a modulus past float range
+        is rejected like any other composite, not by an OverflowError."""
+        for p in (-3, 0, 1, 4, 9, 10**400):
+            with pytest.raises(PhiSpecError, match="is not prime"):
+                PhiSpec.prime_field(pm, p, {})
+
     def test_rational_phi_rejected_on_fixed_point(self, mixed):
         with pytest.raises(PhiSpecError):
             PhiSpec.rationals(mixed, {"c": 1})

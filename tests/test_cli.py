@@ -279,7 +279,7 @@ class TestCommands:
         )
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error: cannot parse move line")
+        assert err.startswith("error: --replay: cannot parse move line")
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
@@ -354,7 +354,7 @@ class TestCommands:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == "error: inserted phrase is not a bridge with its kappa\n"
+        assert captured.err == "error: --replay: move 1: inserted phrase is not a bridge with its kappa\n"
 
     def test_replay_counts_arches_of_insertion(self, capsys, tmp_path):
         """An insertion that undoes a bridge carries its kappa, and so its
@@ -396,25 +396,52 @@ class TestCommands:
     def test_option_errors_name_the_option(self, capsys, tmp_path):
         templates = tmp_path / "templates.txt"
         templates.write_text("alphabet: a b\ntau: a<->b\nword: A B A B\nproj: A=a B=b\n")
+        odd_templates = tmp_path / "odd.txt"
+        odd_templates.write_text("alphabet: a x\ntau: a<->x\nword: A B A\nproj: A=a B=x\n")
         one_orbit = ["--alphabet", "alphabet: a x;tau: a<->x"]
+        bad_tau = ["--alphabet", "alphabet: a x;tau: a<->q"]
         cases = [
             (["pairing", *one_orbit], "--word"),
             (["pairing", *one_orbit, "--word", "phrase: A B | B A;proj: A=a B=x"], "--word"),
             (["classify", "--half-length", "1"], "--alphabet"),
             (["check-slice", "--alphabet", "alphabet: a b;tau: a<->b", "--word", "AA",
               "--proj", "A=a", "--templates", str(templates)], "--templates"),
+            # each option's text is parsed on its own, and a fault in it names
+            # that option and the line within it
+            (["check-slice", *bad_tau, "--word", "AA", "--proj", "A=a"],
+             "--alphabet: line 2: unknown symbol 'q' in tau"),
+            (["classify", *bad_tau, "--half-length", "1"],
+             "--alphabet: line 2: unknown symbol 'q' in tau"),
+            (["check-slice", "--alphabet", "alphabet: a x", "--word", "AA", "--proj", "A=a"],
+             "--alphabet: line 1: tau missing for a, x"),
+            # --word text is read over --alphabet and cannot finish it
+            (["check-slice", "--alphabet", "alphabet: a x", "--word", "tau: a<->x;word: A A;proj: A=a"],
+             "--alphabet: line 1: tau missing for a, x"),
+            (["check-slice", *one_orbit, "--word", "tau: a<->x;word: A A;proj: A=a"],
+             "--word: line 1: no tau line here"),
+            # compact letters take one line; more is --word text, read line by line
+            (["check-slice", *one_orbit, "--word", "AB;AB", "--proj", "A=a B=x"],
+             "--word: line 1: expected 'key: value'"),
+            (["check-slice", *one_orbit, "--word", "ABAB", "--proj", "A=a\nB=q"],
+             "--proj: unknown symbol 'q' in projection"),
+            (["check-slice", *one_orbit, "--word", "ABAB;", "--proj", "A=q B=x"],
+             "--proj: unknown symbol 'q' in projection"),
+            (["check-slice", *one_orbit, "--templates", str(odd_templates), "--word", "AA",
+              "--proj", "A=a"], "--templates: line 3: not a nanoword"),
             (["invariants", *one_orbit, "--word", "AA", "--proj", "A=a", "--phi", "x=1"], "--phi"),
             (["moves", *one_orbit, "--word", "AA", "--proj", "A=a", "--caps", "mystery=1"], "--caps"),
             # a bad --word text is named with the line within that option's own text;
-            # the compact --word/--proj form is named by --proj, with no line
+            # the compact --word/--proj form names the option at fault, with no line
             (["invariants", *one_orbit, "--word", "word: A B A B;proj: A=a B=q"],
              "--word: line 2: unknown symbol 'q'"),
+            (["invariants", *one_orbit, "--word", "word: A B A B;proj: A=a"],
+             "--word: line 2: projection missing for B"),
             (["pairing", "--alphabet", "alphabet: a x;;tau: a<->x;", "--word", "#;word: A B A"],
              "--word: line 2: word/phrase is missing its proj line"),
             (["invariants", *one_orbit, "--word", "ABAB", "--proj", "A=a"],
              "--proj: projection missing for B"),
             (["check-slice", *one_orbit, "--word", "ABA", "--proj", "A=a B=x"],
-             "--proj: not a nanoword: letter B occurs 1 times"),
+             "--word: not a nanoword: letter B occurs 1 times"),
             (["pairing", "--word", "ABAB", "--proj", "A=a B=x"], "(--alphabet)"),
             # a second item in --word would go unjudged
             (["check-slice", *one_orbit, "--word", "word: A B A B;proj: A=a B=x;word: C C;proj: C=a"],
