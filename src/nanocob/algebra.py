@@ -247,7 +247,7 @@ class PiElement:
         return PiElement(alphabet, tuple(sign if t == k else 0 for t in range(alphabet.dimension)))
 
     def _require_same(self, other: "PiElement") -> None:
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise AlphabetError("ground alphabet mismatch")
 
     @property

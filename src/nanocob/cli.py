@@ -57,13 +57,18 @@ PARSE_EXIT = 2
 FAIL_EXIT = 1
 
 
-def _read_source(value: str, inline: bool = False) -> str:
+def _read_source(value: str, inline: bool = False, option: Optional[str] = None) -> str:
     """The text an option value stands for.  A value holding ':' or ';' is
     inline text, with ';' separating lines, and so is one the caller marks
-    ``inline``; any other value names a file when one exists."""
-    if not inline and ":" not in value and ";" not in value and os.path.exists(value):
-        with open(value, "r", encoding="utf-8") as handle:
-            return handle.read()
+    ``inline``; any other value names a file when one exists.  Inline text
+    of a named ``option`` always holds a ':', so its other values must name
+    a file."""
+    if not inline and ":" not in value and ";" not in value:
+        if os.path.exists(value):
+            with open(value, "r", encoding="utf-8") as handle:
+                return handle.read()
+        if option:
+            raise ParseError(None, f"{option}: no such file {value!r}")
     return value.replace(";", "\n")
 
 
@@ -113,7 +118,7 @@ def _load_templates(args, ground: InvolutiveAlphabet) -> tuple:
     alphabet ``ground``, also for a word whose verdict needs no search."""
     if not args.templates:
         return ()
-    parsed = _parse_option(args, "--templates", _read_source(args.templates))
+    parsed = _parse_option(args, "--templates", _read_source(args.templates, option="--templates"))
     phrases = [item.to_phrase() if isinstance(item, Nanoword) else item for item in parsed.items]
     templates = tuple((phrase.words, phrase.proj) for phrase in phrases)
     try:
@@ -128,7 +133,7 @@ def _load_templates(args, ground: InvolutiveAlphabet) -> tuple:
 def _load_alphabet(args) -> InvolutiveAlphabet:
     if not args.alphabet:
         raise ParseError(None, "no alphabet given (--alphabet)")
-    parsed = _parse_option(args, "--alphabet", _read_source(args.alphabet))
+    parsed = _parse_option(args, "--alphabet", _read_source(args.alphabet, option="--alphabet"))
     if parsed.items:
         raise ParseError(None, "--alphabet must hold an alphabet only, not a word or phrase")
     return parsed.alphabet

@@ -783,10 +783,9 @@ def bridge_inequality_suite(
             enumerate_bridges(w, _BRIDGE_LETTERS, _BRIDGE_SEGMENTS)
         ):
             x = apply_bridge(w, bridge)
-            p_x = pairing_of_nanoword(x)
             key = x.canonical_key()
             if key not in sigma_cache:
-                p_sum = sum_pairings(p_w, p_x.opposite())
+                p_sum = sum_pairings(p_w, pairing_of_nanoword(x).opposite())
                 sigma_cache[key] = [genus(p_sum, phi).twice for phi in phis]
             for twice in sigma_cache[key]:
                 checked += 1
@@ -794,8 +793,9 @@ def bridge_inequality_suite(
                 if slack < 0:
                     return BridgeReport(checked, weak_checked, 1, slack)
                 min_slack = slack if min_slack is None else min(min_slack, slack)
-            small = p_w.num_letters + p_x.num_letters <= 3
+            small = w.num_letters + x.num_letters <= 3
             if count % _WEAK_EVERY == 0 and small:
+                p_x = pairing_of_nanoword(x)
                 for phi in phis:
                     weak_checked += 1
                     weak_twice = tuple_genus((p_w, p_x.opposite()), phi).twice

@@ -23,6 +23,8 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .algebra import (
+    FIXED,
+    FREE,
     AlphabetError,
     InvolutiveAlphabet,
     PhiSpec,
@@ -203,13 +205,15 @@ def pairing_of_nanoword(w: Nanoword) -> AlphaPairing:
 
     Computed in coordinates: the projection of a letter is one signed unit
     coordinate, so each entry is a sum of integers per coordinate.  The
-    table is accumulated one letter ``d`` at a time, when the scan reaches
-    its second entry, from the letters whose spans hold its first and its
-    second entry."""
+    table is accumulated one integer matrix per coordinate and one letter
+    ``d`` at a time, when the scan reaches its second entry, from the
+    letters whose spans hold its first and its second entry; the matrices
+    of the fixed coordinates are then read mod 2, and the entries zipped
+    into coordinate tuples."""
     ground = w.ground
     units = [ground.unit(a) for a in w.proj]
     size = w.num_letters + 1
-    acc = [[[0] * ground.dimension for _ in range(size)] for _ in range(size)]
+    acc = [[[0] * size for _ in range(size)] for _ in range(ground.dimension)]
     holds_first: dict[int, set[int]] = {}  # open letter -> spans holding its first entry
     open_spans: set[int] = set()  # table indices of the letters whose span holds the scan
     partner = w.partner
@@ -222,21 +226,25 @@ def pairing_of_nanoword(w: Nanoword) -> AlphaPairing:
         open_spans.discard(d)
         first, second = holds_first.pop(d), open_spans
         k, sign = units[x]
+        acc_k = acc[k]
         # a span holding exactly one entry of d interleaves with it
         for a in first ^ second:
             n = 1 if a in first else -1
             ka, sign_a = units[a - 1]
-            acc[a][0][k] += n * sign
-            acc[0][a][k] -= n * sign
-            val = acc[a][d]
-            val[k] += n * sign
-            val[ka] += n * sign_a
+            acc_k[a][0] += n * sign
+            acc_k[0][a] -= n * sign
+            acc_k[a][d] += n * sign
+            acc[ka][a][d] += n * sign_a
         for a in first:
             for b in second:
                 if a != b:
-                    acc[a][b][k] += 2 * sign
-                    acc[b][a][k] -= 2 * sign
-    rows = tuple(tuple(map(ground.reduce, row)) for row in acc)
+                    acc_k[a][b] += 2 * sign
+                    acc_k[b][a] -= 2 * sign
+    for k in range(ground.nfree, ground.dimension):
+        acc[k] = [[v % 2 for v in row] for row in acc[k]]
+    if not acc:  # no symbols: only the empty word, whose one value is ()
+        return AlphaPairing(ground, w.proj, w.names, (((),),))
+    rows = tuple(map(tuple, map(zip, *acc)))
     return AlphaPairing(ground, w.proj, w.names, rows)
 
 
@@ -246,14 +254,14 @@ def pairing_of_nanoword_alt(w: Nanoword) -> AlphaPairing:
     ground = w.ground
     m = w.num_letters
     occ = [w.occurrences(i) for i in range(m)]
+    letter = [PiElement.of_letter(ground, a) for a in w.proj]
+    zero = PiElement.zero(ground)
 
     def bracket(x: range, y: range) -> PiElement:
-        acc = PiElement.zero(ground)
-        for d in range(m):
-            in_x = sum(1 for t in occ[d] if t in x)
-            in_y = sum(1 for t in occ[d] if t in y)
-            if in_x == 1 and in_y == 1:
-                acc = acc + PiElement.of_letter(ground, w.proj[d])
+        acc = zero
+        for (i, j), value in zip(occ, letter):
+            if (i in x) + (j in x) == 1 and (i in y) + (j in y) == 1:
+                acc = acc + value
         return acc
 
     def entry(a: int, b: int) -> PiElement:
@@ -274,9 +282,7 @@ def pairing_of_nanoword_alt(w: Nanoword) -> AlphaPairing:
         x = range(ia + 1, ib)
         y = range(ib + 1, ja)
         z = range(ja + 1, jb)
-        return (bracket(x, y) + bracket(x, z) + bracket(y, z)).scaled(2) + (
-            PiElement.of_letter(ground, w.proj[a]) + PiElement.of_letter(ground, w.proj[b])
-        )
+        return (bracket(x, y) + bracket(x, z) + bracket(y, z)).scaled(2) + (letter[a] + letter[b])
 
     entries: dict[tuple[int, int], PiElement] = {}
     for a in range(m):
@@ -451,9 +457,10 @@ def _vanishes(p: AlphaPairing | TupleSpace, x: SVector, y: SVector) -> bool:
     coords = p.coords
     acc = [0] * p.ground.dimension
     for i, c in x:
+        row = coords[i]
         for j, d in y:
             k = c * d
-            for t, v in enumerate(coords[i][j]):
+            for t, v in enumerate(row[j]):
                 acc[t] += k * v
     return not any(p.ground.reduce(acc))
 
@@ -515,15 +522,16 @@ def _gram_rank(phi: PhiSpec, gram: list[list]) -> int:
 def _phi_matrix(p: AlphaPairing | TupleSpace, phi: PhiSpec) -> list[list]:
     """Scalar image of the table of a pairing or a tuple space."""
     scalar = phi.scalar(p.ground)
-    return [[scalar(c) for c in row] for row in p.coords]
+    return [list(map(scalar, row)) for row in p.coords]
 
 
 def _scalar_value(matrix: list[list], x: SVector, y: SVector):
     """The bilinear value of x and y on a scalar image of the table."""
     acc = 0
     for i, c in x:
+        row = matrix[i]
         for j, d in y:
-            acc += c * d * matrix[i][j]
+            acc += c * d * row[j]
     return acc
 
 
@@ -692,17 +700,16 @@ class UPoly:
 
 def u_polynomial(p: AlphaPairing) -> UPoly:
     ground = p.ground
-    by_symbol: dict[str, list[PiElement]] = {}
+    by_symbol: dict[str, list[PiElement]] = {a: [] for a in ground.symbols}
     for a, row in zip(p.proj, p.coords[1:]):
         if any(row[0]):
-            by_symbol.setdefault(a, []).append(PiElement(ground, row[0]))
+            by_symbol[a].append(PiElement(ground, row[0]))
     entries = []
-    for orbit in ground.orbits():
-        rep = orbit.representative
-        deltas: list[tuple[PiElement, int]] = [(g, 1) for g in by_symbol.get(rep, [])]
-        if orbit.is_free:
-            deltas.extend((g, -1) for g in by_symbol.get(ground.tau(rep), []))
-        entries.append((rep, OrbitPoly.build(orbit.kind, deltas)))
+    for rep, other in ground.pairs:
+        deltas = [(g, 1) for g in by_symbol[rep]]
+        if rep != other:
+            deltas += [(g, -1) for g in by_symbol[other]]
+        entries.append((rep, OrbitPoly.build(FIXED if rep == other else FREE, deltas)))
     return UPoly(ground, tuple(entries))
 
 

@@ -461,6 +461,12 @@ class TestCommands:
               "--word", "BB", "--proj", "B=a"], "--alphabet must hold an alphabet only"),
             (["classify", "--alphabet", "alphabet: a x;tau: a<->x;word: A A;proj: A=a",
               "--half-length", "1"], "--alphabet must hold an alphabet only"),
+            # inline --alphabet and --templates text holds a ':', so a value
+            # without one is a path, and a missing file is said to be one
+            (["check-slice", *one_orbit, "--word", "AA", "--proj", "A=a", "--templates",
+              str(tmp_path / "missing-templates.txt")], "--templates: no such file"),
+            (["classify", "--alphabet", str(tmp_path / "missing-alphabet.txt"), "--half-length", "1"],
+             "--alphabet: no such file"),
         ]
         for argv, option in cases:
             assert main(argv) == 2

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -59,8 +60,14 @@ from _pairing_oracle import (
     matching_tuple_genus,
     product_is_hyperbolic_tuple,
     product_tuple_genus,
+    sparse_apply,
+    sparse_make,
     tuple_evaluate,
 )
+
+
+# sha256 of the coordinate tables of ``test_coords_pinned``'s sample
+PAIRING_SAMPLE_SHA256 = "abefc8cbcd9be60846037517400b78e487e1f8ccf3679259afbbbf30b5d8978b"
 
 
 def pi(ground, text_free=(), torsion=()):
@@ -114,6 +121,20 @@ class TestPairingOfNanoword:
                         pairing_of_nanoword(w).matrix
                         == pairing_of_nanoword_alt(w).matrix
                     )
+
+    def test_coords_pinned(self, mixed, three_free):
+        """The coordinate tables of a seeded sample keep the digest pinned
+        from an earlier kernel: a slip that the alternative route shares
+        would still move it."""
+        fixed = InvolutiveAlphabet.build(("c", "d"), {"c": "c", "d": "d"})
+        rng = random.Random(31)
+        digest = hashlib.sha256()
+        for ground in (three_free, mixed, fixed):
+            for letters in range(11):
+                for _ in range(10):
+                    w = random_nanoword(rng, ground, letters)
+                    digest.update(repr(pairing_of_nanoword(w).coords).encode())
+        assert digest.hexdigest() == PAIRING_SAMPLE_SHA256
 
     def test_coords_view_matches_matrix(self, two_free, mixed):
         fixed = InvolutiveAlphabet.build(("c", "d"), {"c": "c", "d": "d"})
@@ -601,6 +622,44 @@ class TestGenusOracle:
         for m, expected in telephone.items():
             p = AlphaPairing.build(two_free, ("a",) * m, {})
             assert sum(1 for _ in enumerate_fillings(p)) == expected
+
+
+class TestScalarTableOracle:
+    """``_phi_matrix`` entry by entry against ``sparse_apply`` on the
+    sparse view of each value; ``flat_genus`` shares ``_phi_matrix`` and
+    cannot check it."""
+
+    @staticmethod
+    def _phis(ground):
+        free, fixed = ground.free_reps(), ground.fixed_reps()
+        return (
+            PhiSpec.rationals(ground, {r: Fraction(2 * k - 3, k + 1) for k, r in enumerate(free, 1)}),
+            PhiSpec.prime_field(ground, 2, dict.fromkeys(free + fixed, 1)),
+            PhiSpec.prime_field(ground, 7, {r: 3 * k - 1 for k, r in enumerate(free, 1)}),
+        )
+
+    def test_entries_match_sparse_apply(self, two_free, mixed):
+        fixed = InvolutiveAlphabet.build(("c", "d"), {"c": "c", "d": "d"})
+        rng = random.Random(64)
+        checked = 0
+        for ground in (two_free, mixed, fixed):
+            tables = []
+            for _ in range(8):
+                p = pairing_of_nanoword(random_nanoword(rng, ground, rng.randint(0, 6)))
+                q = random_skew_pairing(rng, ground, rng.randint(0, 3))
+                tables += [p, q, TupleSpace((q, p.opposite()))]
+            for table in tables:
+                for phi in self._phis(ground):
+                    matrix = pairings_module._phi_matrix(table, phi)
+                    assert len(matrix) == len(table.coords)
+                    for row, values in zip(matrix, table.coords):
+                        assert len(row) == len(values)
+                        for got, c in zip(row, values):
+                            v = PiElement(ground, c)
+                            sparse = sparse_make(ground, dict(v.free), v.torsion)
+                            assert got == sparse_apply(phi, sparse)
+                            checked += 1
+        assert checked > 1000
 
 
 class TestWeakFillings:
