@@ -201,10 +201,6 @@ class Orbit:
     representative: str
     kind: str  # FREE or FIXED
 
-    @property
-    def is_free(self) -> bool:
-        return self.kind == FREE
-
 
 @dataclass(frozen=True)
 class PiElement:
