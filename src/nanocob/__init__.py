@@ -9,7 +9,6 @@ per-orbit polynomial, genera, surface cross-checks).
 
 from .algebra import (
     InvolutiveAlphabet,
-    Orbit,
     PhiSpec,
     PiElement,
     PiWord,

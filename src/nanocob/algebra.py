@@ -12,10 +12,51 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, Union
+
+
+class Value:
+    """Base of the immutable value types.
+
+    A subclass's fields are the positional parameters of its ``__init__``,
+    in order; ``__init__`` checks them and stores each in ``__dict__``
+    (``cached_property`` stores there too).  Values of one class are equal
+    when their fields are, and hash as the tuple of their fields; the repr
+    is ``Name(field=value, ...)``.  Assigning or deleting an attribute
+    raises."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        get = operator.attrgetter(*cls._fields)
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda value: (get(value),))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, checked like a new value."""
+        return type(self)(**{**dict(zip(self._fields, self._values(self))), **changes})
 
 
 class AlphabetError(ValueError):
@@ -26,8 +67,7 @@ FREE = "free"
 FIXED = "fixed"
 
 
-@dataclass(frozen=True)
-class InvolutiveAlphabet:
+class InvolutiveAlphabet(Value):
     """Ordered symbol set with an involution, given as canonical orbit pairs.
 
     ``pairs`` lists each orbit exactly once as ``(rep, other)`` with
@@ -35,8 +75,10 @@ class InvolutiveAlphabet:
     points appear as ``(a, a)``.
     """
 
-    symbols: tuple[str, ...]
-    pairs: tuple[tuple[str, str], ...]
+    def __init__(self, symbols: tuple[str, ...], pairs: tuple[tuple[str, str], ...]):
+        fields = self.__dict__
+        fields["symbols"] = symbols
+        fields["pairs"] = pairs
 
     @staticmethod
     def build(symbols: Sequence[str], tau: Mapping[str, str]) -> "InvolutiveAlphabet":
@@ -122,11 +164,6 @@ class InvolutiveAlphabet:
     def orbit_rep(self, symbol: str) -> str:
         return self._rep[self.check(symbol)]
 
-    def orbits(self) -> tuple["Orbit", ...]:
-        return tuple(
-            Orbit(rep, FIXED if rep == other else FREE) for rep, other in self.pairs
-        )
-
     @cached_property
     def _free_reps(self) -> tuple[str, ...]:
         return tuple(rep for rep, other in self.pairs if rep != other)
@@ -194,16 +231,7 @@ class InvolutiveAlphabet:
         return f"alphabet: {' '.join(self.symbols)} | tau: {tau_text}"
 
 
-@dataclass(frozen=True)
-class Orbit:
-    """One involution orbit, named by its first-declared member."""
-
-    representative: str
-    kind: str  # FREE or FIXED
-
-
-@dataclass(frozen=True)
-class PiElement:
+class PiElement(Value):
     """Element of the abelian group on the alphabet with a + tau(a) = 0.
 
     Stored as its coordinate tuple in the alphabet's layout (free-orbit
@@ -211,8 +239,10 @@ class PiElement:
     structural.  ``free`` and ``torsion`` are sparse views of it.
     """
 
-    alphabet: InvolutiveAlphabet
-    coords: tuple[int, ...]
+    def __init__(self, alphabet: InvolutiveAlphabet, coords: tuple[int, ...]):
+        fields = self.__dict__
+        fields["alphabet"] = alphabet
+        fields["coords"] = coords
 
     @staticmethod
     def make(
@@ -310,8 +340,7 @@ class PiElement:
         return self.format()
 
 
-@dataclass(frozen=True)
-class PiWord:
+class PiWord(Value):
     """Reduced word in the free product of cyclic groups on the orbits.
 
     Syllables are (orbit representative, exponent) with adjacent
@@ -319,8 +348,10 @@ class PiWord:
     order-2 (fixed-orbit) generators.
     """
 
-    alphabet: InvolutiveAlphabet
-    syllables: tuple[tuple[str, int], ...]
+    def __init__(self, alphabet: InvolutiveAlphabet, syllables: tuple[tuple[str, int], ...]):
+        fields = self.__dict__
+        fields["alphabet"] = alphabet
+        fields["syllables"] = syllables
 
     @staticmethod
     def identity(alphabet: InvolutiveAlphabet) -> "PiWord":
@@ -425,8 +456,7 @@ def _require_reps(alphabet: InvolutiveAlphabet, values: Mapping[str, object]) ->
             raise PhiSpecError(f"{key!r} is not an orbit representative")
 
 
-@dataclass(frozen=True)
-class PhiSpec:
+class PhiSpec(Value):
     """Additive map from the abelianized group into an exact coefficient
     field: the rationals or a prime field GF(p).
 
@@ -436,9 +466,11 @@ class PhiSpec:
     phi(a) = 0 there.
     """
 
-    target: str
-    prime: int
-    values: tuple[tuple[str, Union[Fraction, int]], ...]
+    def __init__(self, target: str, prime: int, values: tuple[tuple[str, Union[Fraction, int]], ...]):
+        fields = self.__dict__
+        fields["target"] = target
+        fields["prime"] = prime
+        fields["values"] = values
 
     @staticmethod
     def rationals(

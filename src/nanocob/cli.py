@@ -13,7 +13,6 @@ import functools
 import itertools
 import os
 import sys
-from dataclasses import replace
 from typing import Optional, Sequence
 
 from .algebra import AlphabetError, InvolutiveAlphabet, PhiSpec, PhiSpecError
@@ -57,19 +56,23 @@ PARSE_EXIT = 2
 FAIL_EXIT = 1
 
 
-def _read_source(value: str, inline: bool = False, option: Optional[str] = None) -> str:
-    """The text an option value stands for.  A value holding ':' or ';' is
-    inline text, with ';' separating lines, and so is one the caller marks
-    ``inline``; any other value names a file when one exists.  Inline text
-    of a named ``option`` always holds a ':', so its other values must name
-    a file."""
-    if not inline and ":" not in value and ";" not in value:
-        if os.path.exists(value):
-            with open(value, "r", encoding="utf-8") as handle:
-                return handle.read()
-        if option:
-            raise ParseError(None, f"{option}: no such file {value!r}")
-    return value.replace(";", "\n")
+def _read_source(value: str, option: str, inline: bool = False, path: bool = False) -> str:
+    """The text the value of ``option`` stands for.  A value holding ':' or
+    ';' is inline text, with ';' separating lines, and so is one the caller
+    marks ``inline``; any other value, and every value the caller marks
+    ``path``, names a UTF-8 file.  A value that names no file is a
+    ParseError, since it may be mistyped inline text; a file that cannot be
+    read is an OSError.  Both name the option."""
+    if inline or (not path and (":" in value or ";" in value)):
+        return value.replace(";", "\n")
+    if not path and not os.path.exists(value):
+        raise ParseError(None, f"{option}: no such file {value!r}")
+    try:
+        with open(value, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise OSError(f"{option}: cannot read {value!r}: {reason}") from None
 
 
 def _parse_option(args, option, text: str, ground: Optional[InvolutiveAlphabet] = None):
@@ -89,8 +92,11 @@ def _load_item(args):
     """The one item of ``--word``, read over ``--alphabet``, or declaring
     its own alphabet when no ``--alphabet`` is given.  One line without ':'
     is the compact form, letters whose projections ``--proj`` gives."""
-    # with --proj, --word is compact inline letters, never a file
-    text = _read_source(args.word, inline=args.proj is not None) if args.word else ""
+    word = args.word or ""
+    # with --proj, --word is compact inline letters, never a file, and so
+    # is a value that names no file
+    inline = args.proj is not None or not os.path.exists(word)
+    text = _read_source(word, "--word", inline=inline)
     if not text.strip():
         raise ParseError(None, "no word given (--word)")
     lines = text.splitlines()
@@ -118,7 +124,7 @@ def _load_templates(args, ground: InvolutiveAlphabet) -> tuple:
     alphabet ``ground``, also for a word whose verdict needs no search."""
     if not args.templates:
         return ()
-    parsed = _parse_option(args, "--templates", _read_source(args.templates, option="--templates"))
+    parsed = _parse_option(args, "--templates", _read_source(args.templates, "--templates"))
     phrases = [item.to_phrase() if isinstance(item, Nanoword) else item for item in parsed.items]
     templates = tuple((phrase.words, phrase.proj) for phrase in phrases)
     try:
@@ -133,7 +139,7 @@ def _load_templates(args, ground: InvolutiveAlphabet) -> tuple:
 def _load_alphabet(args) -> InvolutiveAlphabet:
     if not args.alphabet:
         raise ParseError(None, "no alphabet given (--alphabet)")
-    parsed = _parse_option(args, "--alphabet", _read_source(args.alphabet, option="--alphabet"))
+    parsed = _parse_option(args, "--alphabet", _read_source(args.alphabet, "--alphabet"))
     if parsed.items:
         raise ParseError(None, "--alphabet must hold an alphabet only, not a word or phrase")
     return parsed.alphabet
@@ -142,7 +148,7 @@ def _load_alphabet(args) -> InvolutiveAlphabet:
 def _caps(args) -> Caps:
     caps = DEFAULT_CAPS
     if args.caps:
-        caps = replace(caps, **parse_caps_option(args.caps))
+        caps = caps.replace(**parse_caps_option(args.caps))
     return caps
 
 
@@ -227,7 +233,8 @@ def cmd_fillings(args) -> int:
     lines = [
         f"{'*' if filling_is_annihilating(p, filling) else ' '} "
         f"{{{', '.join(format_vector(p, v) for v in filling)}}}"
-        for filling in itertools.islice(enumerate_fillings(p), args.limit)
+        # islice stops at most at sys.maxsize, more fillings than any table has
+        for filling in itertools.islice(enumerate_fillings(p), min(args.limit, sys.maxsize))
     ]
     total = count_fillings(p)
     if any(map(any, itertools.chain.from_iterable(p.coords))):
@@ -263,8 +270,7 @@ def cmd_moves(args) -> int:
     caps = _caps(args)
     if args.replay:
         try:
-            with open(args.replay, "r", encoding="utf-8") as handle:
-                meta = Metamorphosis.from_log(handle.read())
+            meta = Metamorphosis.from_log(_read_source(args.replay, "--replay", path=True))
             result = meta.replay(w)
         except WordError as exc:
             raise WordError(f"--replay: {exc}") from None

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import AbstractSet, Callable, Iterator, Optional, Sequence
 
-from .algebra import InvolutiveAlphabet, PhiSpec, PiElement, PiWord
+from .algebra import InvolutiveAlphabet, PhiSpec, PiElement, PiWord, Value
 from .moves import (
     Caps,
     DEFAULT_CAPS,
@@ -120,8 +119,7 @@ def enumerate_nanowords(
 # invariant records and slice verdicts
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
+class InvariantRecord(Value):
     """The invariants of one word, each computed on first read and then
     kept.  ``word`` is the canonical form; the invariants are read off
     ``source``, the word as given, under the coefficient maps ``phis``.
@@ -133,9 +131,11 @@ class InvariantRecord:
     under every coefficient map, so a hyperbolic pairing has genus 0 under
     all of them."""
 
-    word: Nanoword
-    source: Nanoword
-    phis: tuple[PhiSpec, ...]
+    def __init__(self, word: Nanoword, source: Nanoword, phis: tuple[PhiSpec, ...]):
+        fields = self.__dict__
+        fields["word"] = word
+        fields["source"] = source
+        fields["phis"] = phis
 
     @cached_property
     def pairing(self) -> AlphaPairing:
@@ -189,12 +189,19 @@ NOT_SLICE = "not_slice"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class SliceVerdict:
-    status: str
-    obstruction: Optional[str] = None
-    witness: Optional[Metamorphosis] = None
-    caps: Caps = DEFAULT_CAPS
+class SliceVerdict(Value):
+    def __init__(
+        self,
+        status: str,
+        obstruction: Optional[str] = None,
+        witness: Optional[Metamorphosis] = None,
+        caps: Caps = DEFAULT_CAPS,
+    ):
+        fields = self.__dict__
+        fields["status"] = status
+        fields["obstruction"] = obstruction
+        fields["witness"] = witness
+        fields["caps"] = caps
 
     def __str__(self) -> str:
         if self.status == SLICE:
@@ -292,18 +299,20 @@ DISTINCT = "distinct"
 COBORDANT = "cobordant"
 
 
-@dataclass(frozen=True)
-class ClassRow:
-    index: int
-    record: InvariantRecord
-    verdict: SliceVerdict
-    component: int
+class ClassRow(Value):
+    def __init__(self, index: int, record: InvariantRecord, verdict: SliceVerdict, component: int):
+        fields = self.__dict__
+        fields["index"] = index
+        fields["record"] = record
+        fields["verdict"] = verdict
+        fields["component"] = component
 
 
-@dataclass(frozen=True)
-class ClassificationTable:
-    rows: tuple[ClassRow, ...]
-    caps: Caps
+class ClassificationTable(Value):
+    def __init__(self, rows: tuple[ClassRow, ...], caps: Caps):
+        fields = self.__dict__
+        fields["rows"] = rows
+        fields["caps"] = caps
 
     def pair_status(self, i: int, j: int) -> str:
         a, b = self.rows[i], self.rows[j]
@@ -381,7 +390,7 @@ def classify_words(
     for i, j in zip(slice_members, slice_members[1:]):
         union(i, j)
 
-    merge_caps = replace(caps, bfs_nodes=min(caps.bfs_nodes, 600))
+    merge_caps = caps.replace(bfs_nodes=min(caps.bfs_nodes, 600))
     keys = [rec.word.canonical_key() for rec in records]
     # each exhausted merge search's reached set, under every image of its
     # start key, with the index of that image in ``key_images``
@@ -580,12 +589,13 @@ def random_skew_pairing(
 # verification suites
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    passed: bool
-    checked: int
-    detail: str = ""
+class SuiteResult(Value):
+    def __init__(self, name: str, passed: bool, checked: int, detail: str = ""):
+        fields = self.__dict__
+        fields["name"] = name
+        fields["passed"] = passed
+        fields["checked"] = checked
+        fields["detail"] = detail
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -737,12 +747,15 @@ def suite_sandwich(seed: int = 0, pairs: int = 100, s_bound: int = 2) -> SuiteRe
     return SuiteResult("sandwich", True, pairs)
 
 
-@dataclass(frozen=True)
-class BridgeReport:
-    checked: int
-    weak_checked: int
-    violations: int
-    min_slack_quadrupled: Optional[int]
+class BridgeReport(Value):
+    def __init__(
+        self, checked: int, weak_checked: int, violations: int, min_slack_quadrupled: Optional[int]
+    ):
+        fields = self.__dict__
+        fields["checked"] = checked
+        fields["weak_checked"] = weak_checked
+        fields["violations"] = violations
+        fields["min_slack_quadrupled"] = min_slack_quadrupled
 
     @property
     def passed(self) -> bool:

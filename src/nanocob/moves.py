@@ -18,21 +18,28 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, replace
 from typing import AbstractSet, Iterator, Optional, Sequence
 
-from .algebra import InvolutiveAlphabet
+from .algebra import InvolutiveAlphabet, Value
 from .words import Nanoword, WordError, fresh_names, key_of, mirror_witness
 
 
-@dataclass(frozen=True)
-class Caps:
-    """Search bounds shared by factor/bridge enumeration and the BFS."""
+class Caps(Value):
+    """Search bounds shared by factor/bridge enumeration and the BFS.
+    ``bfs_length`` None means the start length + 4."""
 
-    max_letters: int = 6
-    max_k: int = 4
-    bfs_length: Optional[int] = None  # default: start length + 4
-    bfs_nodes: int = 4000
+    def __init__(
+        self,
+        max_letters: int = 6,
+        max_k: int = 4,
+        bfs_length: Optional[int] = None,
+        bfs_nodes: int = 4000,
+    ):
+        fields = self.__dict__
+        fields["max_letters"] = max_letters
+        fields["max_k"] = max_k
+        fields["bfs_length"] = bfs_length
+        fields["bfs_nodes"] = bfs_nodes
 
     def describe(self) -> str:
         return ",".join(f"{key}={getattr(self, field)}" for key, field in CAP_KEYS.items())
@@ -49,28 +56,36 @@ CAP_KEYS = {"letters": "max_letters", "k": "max_k", "bfs": "bfs_length", "nodes"
 DEFAULT_CAPS = Caps()
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(Value):
     """A subset of letters realized by disjoint in-order segments covering
-    exactly their entries."""
+    exactly their entries; the segments are half-open position ranges."""
 
-    letters: tuple[int, ...]
-    segments: tuple[tuple[int, int], ...]  # half-open position ranges
+    def __init__(self, letters: tuple[int, ...], segments: tuple[tuple[int, int], ...]):
+        fields = self.__dict__
+        fields["letters"] = letters
+        fields["segments"] = segments
 
     @property
     def num_segments(self) -> int:
         return len(self.segments)
 
 
-@dataclass(frozen=True)
-class Bridge:
+class Bridge(Value):
     """A factor plus an involution on its segment indices, with the forced
     letter involution and the per-letter twist indicator."""
 
-    factor: Factor
-    kappa: tuple[int, ...]
-    iota: tuple[tuple[int, int], ...]
-    epsilon: tuple[tuple[int, int], ...]
+    def __init__(
+        self,
+        factor: Factor,
+        kappa: tuple[int, ...],
+        iota: tuple[tuple[int, int], ...],
+        epsilon: tuple[tuple[int, int], ...],
+    ):
+        fields = self.__dict__
+        fields["factor"] = factor
+        fields["kappa"] = kappa
+        fields["iota"] = iota
+        fields["epsilon"] = epsilon
 
     @property
     def arches(self) -> int:
@@ -82,8 +97,7 @@ def arch_count(kappa: Sequence[int]) -> int:
     return sum(1 for r, image in enumerate(kappa) if r < image)
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(Value):
     """One replayable rewrite.  ``data`` is kind-specific:
 
     H1: (i,)  H2: (i, j)  H3: (i, j, k)  SHIFT: ()
@@ -95,9 +109,11 @@ class Move:
     bridge, and for H1 and H2, the one- and two-letter surgeries).
     """
 
-    kind: str
-    data: tuple
-    inverse: bool = False
+    def __init__(self, kind: str, data: tuple, inverse: bool = False):
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["data"] = data
+        fields["inverse"] = inverse
 
     @property
     def kappa(self) -> Optional[tuple[int, ...]]:
@@ -235,12 +251,12 @@ _LAYOUTS = {
 }
 
 
-@dataclass(frozen=True)
-class Metamorphosis:
+class Metamorphosis(Value):
     """A replayable move sequence.  Replay canonicalizes after every move,
     matching how the search generated it."""
 
-    moves: tuple[Move, ...]
+    def __init__(self, moves: tuple[Move, ...]):
+        self.__dict__["moves"] = moves
 
     @property
     def total_arches(self) -> int:
@@ -785,16 +801,28 @@ def key_images(ground: InvolutiveAlphabet, key: tuple) -> tuple[tuple, tuple, tu
     return key, (seq, twisted), key_of(backward, proj), key_of(backward, twisted)
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    metamorphosis: Optional[Metamorphosis]  # None when the caps ran out first
-    explored: int  # states expanded, each counted once
-    min_length: int
-    reached: AbstractSet[tuple]  # canonical keys of every state discovered
-    # True when no state was left to expand: every state reached within the
-    # length cap was expanded with all its children.  False when the target
-    # was found or the node cap stopped the search.
-    exhausted: bool = False
+class SearchOutcome(Value):
+    """What a search found: ``metamorphosis`` is None when the caps ran out
+    first; ``explored`` counts the states expanded, each once; ``reached``
+    holds the canonical keys of every state discovered.  ``exhausted`` is
+    True when no state was left to expand, so every state reached within
+    the length cap was expanded with all its children, and False when the
+    target was found or the node cap stopped the search."""
+
+    def __init__(
+        self,
+        metamorphosis: Optional[Metamorphosis],
+        explored: int,
+        min_length: int,
+        reached: AbstractSet[tuple],
+        exhausted: bool = False,
+    ):
+        fields = self.__dict__
+        fields["metamorphosis"] = metamorphosis
+        fields["explored"] = explored
+        fields["min_length"] = min_length
+        fields["reached"] = reached
+        fields["exhausted"] = exhausted
 
     @property
     def equivalent(self) -> bool:
@@ -846,7 +874,7 @@ def bounded_bfs(
     deferred: deque[tuple[tuple, Iterator[tuple[Move, tuple]]]] = deque()
     explored = 0
     max_len = caps.length_cap(w.length)
-    scoped = replace(caps, bfs_length=max_len)
+    scoped = caps.replace(bfs_length=max_len)
     while queue or deferred:
         if explored >= caps.bfs_nodes:
             return outcome(None, explored)

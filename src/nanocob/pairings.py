@@ -17,7 +17,6 @@ import functools
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -30,6 +29,7 @@ from .algebra import (
     PhiSpec,
     PiElement,
     RATIONALS,
+    Value,
 )
 from .intlinalg import IntegerLattice, integer_rank, rank_mod_p, rational_rank
 from .moves import Factor, surgery_bridge
@@ -57,18 +57,25 @@ def _vector(entries: Mapping[int, int]) -> SVector:
 Coords = tuple[tuple[tuple[int, ...], ...], ...]
 
 
-@dataclass(frozen=True)
-class AlphaPairing:
+class AlphaPairing(Value):
     """A pairing stored as its dense coordinate table: ``coords[i][j]`` is
     the value on (i, j) as a ``PiElement`` stores it, in the ground
     alphabet's layout; index 0 is s.  Every kernel reads ``coords``;
     ``matrix`` is for display.  Kernels construct it from valid values;
     ``build`` checks a table given in loose parts."""
 
-    ground: InvolutiveAlphabet
-    proj: tuple[str, ...]
-    names: tuple[str, ...]
-    coords: Coords
+    def __init__(
+        self,
+        ground: InvolutiveAlphabet,
+        proj: tuple[str, ...],
+        names: tuple[str, ...],
+        coords: Coords,
+    ):
+        fields = self.__dict__
+        fields["ground"] = ground
+        fields["proj"] = proj
+        fields["names"] = names
+        fields["coords"] = coords
 
     @staticmethod
     def build(
@@ -492,16 +499,14 @@ def format_vector(p: AlphaPairing, v: SVector) -> str:
 # genus
 
 
-@dataclass(frozen=True)
-class Genus:
+class Genus(Value):
     """Half the rank of a filling Gram matrix, stored doubled so
     half-integers stay exact."""
 
-    twice: int
-
-    def __post_init__(self):
-        if self.twice < 0:
+    def __init__(self, twice: int):
+        if twice < 0:
             raise PairingError("genus cannot be negative")
+        self.__dict__["twice"] = twice
 
     @property
     def value(self) -> Fraction:
@@ -601,14 +606,16 @@ def _normalize_monomial(g: PiElement) -> tuple[PiElement, int, bool]:
     return g, 1, True
 
 
-@dataclass(frozen=True)
-class OrbitPoly:
+class OrbitPoly(Value):
     """Value of the polynomial invariant on one orbit: a combination of
     basis monomials modulo inversion of the variables (and modulo 2 on
-    fixed orbits and on self-inverse monomials)."""
+    fixed orbits and on self-inverse monomials).  ``kind`` is
+    ``algebra.FREE`` or ``algebra.FIXED``."""
 
-    kind: str  # algebra.FREE or algebra.FIXED
-    terms: tuple[tuple[PiElement, int], ...]
+    def __init__(self, kind: str, terms: tuple[tuple[PiElement, int], ...]):
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["terms"] = terms
 
     @staticmethod
     def build(kind: str, deltas: Iterable[tuple[PiElement, int]]) -> "OrbitPoly":
@@ -657,13 +664,14 @@ class OrbitPoly:
         return out[1:] if out.startswith("+") else out
 
 
-@dataclass(frozen=True)
-class UPoly:
+class UPoly(Value):
     """The polynomial invariant, one value per orbit representative; the
     value on the other orbit member is the negation."""
 
-    alphabet: InvolutiveAlphabet
-    entries: tuple[tuple[str, OrbitPoly], ...]
+    def __init__(self, alphabet: InvolutiveAlphabet, entries: tuple[tuple[str, OrbitPoly], ...]):
+        fields = self.__dict__
+        fields["alphabet"] = alphabet
+        fields["entries"] = entries
 
     def value(self, symbol: str) -> OrbitPoly:
         rep = self.alphabet.orbit_rep(symbol)
@@ -771,29 +779,29 @@ def verify_surgery_filling(w: Nanoword, factor: Factor) -> bool:
 # weak fillings and tuples
 
 
-@dataclass(frozen=True)
-class WeakVector:
-    """Vector over a tuple of pairings: a combination of letters plus one
-    coefficient per distinguished element."""
+class WeakVector(Value):
+    """Vector over a tuple of pairings: a combination of letters, as
+    ``(global letter index, coeff)`` pairs, plus one coefficient per
+    distinguished element."""
 
-    letters: tuple[tuple[int, int], ...]  # (global letter index, coeff)
-    s_coeffs: tuple[int, ...]
+    def __init__(self, letters: tuple[tuple[int, int], ...], s_coeffs: tuple[int, ...]):
+        fields = self.__dict__
+        fields["letters"] = letters
+        fields["s_coeffs"] = s_coeffs
 
 
-@dataclass(frozen=True)
-class TupleSpace:
+class TupleSpace(Value):
     """Disjoint union of the letter sets of several pairings with the
     block-orthogonal bilinear extension."""
 
-    pairings: tuple[AlphaPairing, ...]
-
-    def __post_init__(self):
-        if not self.pairings:
+    def __init__(self, pairings: tuple[AlphaPairing, ...]):
+        if not pairings:
             raise PairingError("a weak filling needs at least one pairing")
-        ground = self.pairings[0].ground
-        for p in self.pairings:
+        ground = pairings[0].ground
+        for p in pairings:
             if p.ground != ground:
                 raise PairingError("ground alphabet mismatch")
+        self.__dict__["pairings"] = pairings
 
     @property
     def ground(self) -> InvolutiveAlphabet:

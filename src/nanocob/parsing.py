@@ -18,10 +18,9 @@ accepted.  Text read over a given alphabet declares none of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
-from .algebra import InvolutiveAlphabet
+from .algebra import InvolutiveAlphabet, Value
 from .moves import CAP_KEYS
 from .words import EMPTY_WORD, Nanophrase, Nanoword
 
@@ -37,10 +36,11 @@ class ParseError(ValueError):
         self.message = message
 
 
-@dataclass(frozen=True)
-class ParsedInput:
-    alphabet: InvolutiveAlphabet
-    items: tuple[Union[Nanoword, Nanophrase], ...]
+class ParsedInput(Value):
+    def __init__(self, alphabet: InvolutiveAlphabet, items: tuple[Union[Nanoword, Nanophrase], ...]):
+        fields = self.__dict__
+        fields["alphabet"] = alphabet
+        fields["items"] = items
 
 
 def _tokens(value: str) -> list[str]:

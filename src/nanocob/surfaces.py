@@ -12,9 +12,7 @@ which is the module's cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra import InvolutiveAlphabet, PhiSpec
+from .algebra import InvolutiveAlphabet, PhiSpec, Value
 from .intlinalg import integer_rank
 from .pairings import pairing_of_nanoword
 from .words import Nanoword, WordError
@@ -27,8 +25,7 @@ def _require_signs(w: Nanoword) -> None:
         raise WordError("ribbon graphs need the {+,-} ground alphabet")
 
 
-@dataclass(frozen=True)
-class RibbonGraph:
+class RibbonGraph(Value):
     """The thickened diagram as a permutation of half-edges.
 
     Half-edge ``2t`` enters the vertex at word position ``t`` and
@@ -38,9 +35,11 @@ class RibbonGraph:
     circles.
     """
 
-    num_vertices: int
-    num_edges: int
-    faces: tuple[int, ...]
+    def __init__(self, num_vertices: int, num_edges: int, faces: tuple[int, ...]):
+        fields = self.__dict__
+        fields["num_vertices"] = num_vertices
+        fields["num_edges"] = num_edges
+        fields["faces"] = faces
 
     def boundary_components(self) -> int:
         if not self.faces:
@@ -58,11 +57,12 @@ class RibbonGraph:
         return cycles
 
 
-@dataclass(frozen=True)
-class SurfaceStats:
-    euler: int
-    boundary_components: int
-    genus: int
+class SurfaceStats(Value):
+    def __init__(self, euler: int, boundary_components: int, genus: int):
+        fields = self.__dict__
+        fields["euler"] = euler
+        fields["boundary_components"] = boundary_components
+        fields["genus"] = genus
 
 
 def ribbon_graph_of(w: Nanoword) -> RibbonGraph:

@@ -8,11 +8,10 @@ forms and hashing stay cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .algebra import AlphabetError, InvolutiveAlphabet, PiWord
+from .algebra import AlphabetError, InvolutiveAlphabet, PiWord, Value
 
 
 # How the empty word is printed; the parser reads it back.
@@ -64,21 +63,26 @@ def _validate_letters(seq: Sequence[int], names: Sequence[str]) -> None:
         raise WordError(f"not a nanoword: {detail}")
 
 
-@dataclass(frozen=True)
-class Nanoword:
-    ground: InvolutiveAlphabet
-    seq: tuple[int, ...]
-    proj: tuple[str, ...]
-    names: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.proj) != len(self.names):
+class Nanoword(Value):
+    def __init__(
+        self,
+        ground: InvolutiveAlphabet,
+        seq: tuple[int, ...],
+        proj: tuple[str, ...],
+        names: tuple[str, ...],
+    ):
+        if len(proj) != len(names):
             raise WordError("projection/name tables misaligned")
-        _validate_letters(self.seq, self.names)
-        for a in self.proj:
-            self.ground.check(a)
-        if len(set(self.names)) != len(self.names):
+        _validate_letters(seq, names)
+        for a in proj:
+            ground.check(a)
+        if len(set(names)) != len(names):
             raise WordError("duplicate letter names")
+        fields = self.__dict__
+        fields["ground"] = ground
+        fields["seq"] = seq
+        fields["proj"] = proj
+        fields["names"] = names
 
     @staticmethod
     def empty(ground: InvolutiveAlphabet) -> "Nanoword":
@@ -242,18 +246,23 @@ class Nanoword:
         return PiWord.from_syllables(self.ground, syllables)
 
 
-@dataclass(frozen=True)
-class Nanophrase:
+class Nanophrase(Value):
     """A sequence of words whose concatenation is a nanoword."""
 
-    ground: InvolutiveAlphabet
-    words: tuple[tuple[int, ...], ...]
-    proj: tuple[str, ...]
-    names: tuple[str, ...]
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        ground: InvolutiveAlphabet,
+        words: tuple[tuple[int, ...], ...],
+        proj: tuple[str, ...],
+        names: tuple[str, ...],
+    ):
         # a phrase is valid exactly when its concatenation is a nanoword
-        Nanoword(self.ground, tuple(x for w in self.words for x in w), self.proj, self.names)
+        Nanoword(ground, tuple(x for w in words for x in w), proj, names)
+        fields = self.__dict__
+        fields["ground"] = ground
+        fields["words"] = words
+        fields["proj"] = proj
+        fields["names"] = names
 
     def is_even(self) -> bool:
         return all(len(w) % 2 == 0 for w in self.words)
@@ -285,13 +294,14 @@ class Nanophrase:
         return f"({body}) [{proj}]"
 
 
-@dataclass(frozen=True)
-class SymmetryWitness:
+class SymmetryWitness(Value):
     """The letter involution of the mirror rule and the per-letter twist
     indicator ``epsilon``, as sorted ``(letter, value)`` pairs."""
 
-    iota: tuple[tuple[int, int], ...]
-    epsilon: tuple[tuple[int, int], ...]
+    def __init__(self, iota: tuple[tuple[int, int], ...], epsilon: tuple[tuple[int, int], ...]):
+        fields = self.__dict__
+        fields["iota"] = iota
+        fields["epsilon"] = epsilon
 
 
 def mirror_witness(

@@ -18,7 +18,6 @@ state's children, insertions included, in one FIFO queue: ``bfs_fifo``.
 
 import itertools
 from collections import deque
-from dataclasses import replace
 
 from nanocob.moves import (
     DEFAULT_CAPS,
@@ -171,7 +170,7 @@ def bfs_storing_words(w, v, caps=DEFAULT_CAPS, extra_templates=()):
     deferred = deque()  # (key, the rest of its children), from the first insertion
     explored = 0
     max_len = caps.length_cap(start.length)
-    scoped = replace(caps, bfs_length=max_len)
+    scoped = caps.replace(bfs_length=max_len)
     while queue or deferred:
         if explored >= caps.bfs_nodes:
             return SearchOutcome(None, explored, min_length, parents.keys())
@@ -228,7 +227,7 @@ def bfs_fifo(w, v, caps=DEFAULT_CAPS, extra_templates=()):
     queue = deque([start])
     explored = 0
     max_len = caps.length_cap(w.length)
-    scoped = replace(caps, bfs_length=max_len)
+    scoped = caps.replace(bfs_length=max_len)
     while queue and explored < caps.bfs_nodes:
         key = queue.popleft()
         explored += 1

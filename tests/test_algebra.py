@@ -14,9 +14,29 @@ from nanocob.algebra import (
     PhiSpecError,
     PiElement,
     PiWord,
+    Value,
     pi_word_is_conjugate,
 )
-from nanocob.explorer import random_pi_element
+from nanocob.explorer import (
+    NOT_SLICE,
+    BridgeReport,
+    SliceVerdict,
+    SuiteResult,
+    classify_words,
+    invariant_record,
+    random_pi_element,
+)
+from nanocob.moves import Caps, Factor, Metamorphosis, Move, bounded_bfs, enumerate_bridges
+from nanocob.pairings import (
+    Genus,
+    OrbitPoly,
+    TupleSpace,
+    WeakVector,
+    pairing_of_nanoword,
+    u_polynomial,
+)
+from nanocob.parsing import parse_input
+from nanocob.surfaces import ribbon_graph_of, surface_stats
 
 import _gamma_oracle
 import _pairing_oracle as oracle
@@ -31,25 +51,27 @@ class TestAlphabet:
         with pytest.raises(AlphabetError):
             InvolutiveAlphabet.build(("a", "a"), {"a": "a"})
 
+    @staticmethod
+    def orbits(ab):
+        """Each orbit's representative and kind, in orbit order, read off
+        ``pairs``, ``free_reps()`` and ``fixed_reps()``."""
+        kinds = {**dict.fromkeys(ab.free_reps(), FREE), **dict.fromkeys(ab.fixed_reps(), FIXED)}
+        assert len(kinds) == len(ab.pairs)
+        return [(rep, kinds[rep]) for rep, _ in ab.pairs]
+
     def test_orbit_decomposition_free(self):
         ab = InvolutiveAlphabet.build(("a", "b"), {"a": "b", "b": "a"})
-        orbits = ab.orbits()
-        assert [(o.representative, o.kind) for o in orbits] == [("a", FREE)]
+        assert self.orbits(ab) == [("a", FREE)]
 
     def test_orbit_decomposition_fixed(self):
         ab = InvolutiveAlphabet.build(("a",), {"a": "a"})
-        assert [(o.representative, o.kind) for o in ab.orbits()] == [
-            ("a", FIXED)
-        ]
+        assert self.orbits(ab) == [("a", FIXED)]
 
     def test_orbit_decomposition_union(self):
         ab = InvolutiveAlphabet.build(
             ("a", "b", "c"), {"a": "b", "b": "a", "c": "c"}
         )
-        assert [(o.representative, o.kind) for o in ab.orbits()] == [
-            ("a", FREE),
-            ("c", FIXED),
-        ]
+        assert self.orbits(ab) == [("a", FREE), ("c", FIXED)]
 
     def test_every_symbol_covered_once(self, three_free):
         members = [
@@ -353,3 +375,77 @@ class TestSparseOracle:
                 x, sx = PiElement.make(ground, *args), oracle.sparse_make(ground, *args)
                 for phi in phis:
                     assert phi.apply(x) == oracle.sparse_apply(phi, sx)
+
+
+def value_samples(mixed, pm, word_factory):
+    """One value of every value type, with a field to change and a new
+    value for it that the type accepts."""
+    w = word_factory(mixed, "ABAB", A="a", B="A")
+    pairing = pairing_of_nanoword(w)
+    table = classify_words([w])
+    search = bounded_bfs(w, None, Caps(bfs_nodes=5))
+    graph = ribbon_graph_of(word_factory(pm, "ABAB", A="+", B="+"))
+    move = Move("H1", (0,))
+    samples = [
+        (mixed, "pairs", ()),
+        (PiElement.of_letter(mixed, "a"), "coords", (0, 1)),
+        (PiWord.generator(mixed, "a"), "syllables", (("c", 1),)),
+        (PhiSpec.rationals(mixed, {"a": 1}), "prime", 3),
+        (w, "proj", ("A", "a")),
+        (w.to_phrase(), "words", ((0, 1), (0, 1))),
+        (word_factory(mixed, "ABBA", A="a", B="a").to_phrase().symmetry_witness(), "epsilon", ()),
+        (Caps(), "bfs_nodes", 10),
+        (Factor((0,), ((0, 2),)), "segments", ((1, 3),)),
+        (enumerate_bridges(w, 2, 2)[0], "epsilon", ((0, 1),)),
+        (move, "inverse", True),
+        (Metamorphosis((move,)), "moves", ()),
+        # a search's reached keys are a view of its dict, which no hash takes
+        (search.replace(reached=frozenset(search.reached)), "explored", 0),
+        (invariant_record(w), "phis", ()),
+        (SliceVerdict(NOT_SLICE, "gamma"), "obstruction", "u"),
+        (table.rows[0], "component", 1),
+        (table, "caps", Caps(bfs_nodes=10)),
+        (SuiteResult("sandwich", True, 3), "detail", "late"),
+        (BridgeReport(1, 0, 0, None), "violations", 1),
+        (pairing, "names", ("X", "Y")),
+        (Genus(2), "twice", 0),
+        (OrbitPoly(FREE, ()), "kind", FIXED),
+        (u_polynomial(pairing), "entries", ()),
+        (WeakVector(((0, 1),), (0,)), "s_coeffs", (1,)),
+        (TupleSpace((pairing,)), "pairings", (pairing, pairing)),
+        (parse_input("alphabet: a x\ntau: a<->x\nword: A A\nproj: A=a\n"), "items", ()),
+        (graph, "faces", ()),
+        (surface_stats(graph), "genus", 5),
+    ]
+    return {type(value).__name__: (value, name, new) for value, name, new in samples}
+
+
+VALUE_TYPES = sorted(cls.__name__ for cls in Value.__subclasses__())
+
+
+def test_every_value_type_sampled(mixed, pm, word_factory):
+    assert sorted(value_samples(mixed, pm, word_factory)) == VALUE_TYPES
+
+
+@pytest.mark.parametrize("type_name", VALUE_TYPES)
+def test_value_semantics(mixed, pm, word_factory, type_name):
+    """Values compare and hash by their fields, refuse assignment and
+    deletion, and print as ``Name(field=value, ...)``."""
+    value, name, new = value_samples(mixed, pm, word_factory)[type_name]
+    old = getattr(value, name)
+    copy = value.replace()
+    assert copy is not value and copy == value and hash(copy) == hash(value)
+    changed = value.replace(**{name: new})
+    assert changed != value and getattr(changed, name) == new
+    with pytest.raises(AttributeError):
+        setattr(value, name, new)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    assert getattr(value, name) == old and value == copy
+    text = repr(value)
+    assert text.startswith(f"{type_name}(") and f"{name}={old!r}" in text
+
+
+def test_value_repr_pinned():
+    assert repr(Genus(twice=2)) == "Genus(twice=2)"
+    assert repr(Move("H1", (0,))) == "Move(kind='H1', data=(0,), inverse=False)"

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import os
 import shlex
 import subprocess
@@ -534,8 +535,27 @@ class TestCommands:
         )
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error:") and "absent.log" in err
+        assert err.startswith(f"error: --replay: cannot read {str(tmp_path / 'absent.log')!r}")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("option", ["--alphabet", "--word", "--templates", "--replay"])
+    def test_unreadable_files_name_the_option(self, capsys, tmp_path, option):
+        """A directory and a file that is not UTF-8 are each one error line
+        naming the option and the file."""
+        base = {"--alphabet": "alphabet: a x;tau: a<->x", "--word": "AA", "--proj": "A=a"}
+        command = "moves" if option == "--replay" else "check-slice"
+        undecodable = tmp_path / "latin1.txt"
+        undecodable.write_bytes(b"alphabet: \xe9\n")
+        for path, reason in [(tmp_path, "Is a directory"), (undecodable, "'utf-8' codec can't decode")]:
+            values = {**base, option: str(path)}
+            if option == "--word":
+                del values["--proj"]  # a --word next to --proj is never a file
+            argv = [command, *itertools.chain.from_iterable(values.items())]
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"error: {option}: cannot read {str(path)!r}: {reason}"), err
+            assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["invariants", "check-slice", "pairing"])
     def test_stray_projection_exits_2(self, capsys, command):
@@ -707,6 +727,16 @@ class TestCommands:
             assert captured.err == f"parse error: --limit must be at least 0, got {limit}\n"
         assert main(base + ["--limit", "0"]) == 0
         assert capsys.readouterr().out == "fillings\t2\tannihilating\t1\n"
+
+    def test_fillings_limit_beyond_maxsize_lists_all(self, capsys):
+        """A limit past sys.maxsize is a limit past the total, like any other."""
+        base = ["fillings", "--alphabet", "alphabet: a x;tau: a<->x",
+                "--word", "ABAB", "--proj", "A=a B=x"]
+        assert main(base + ["--limit", "3"]) == 0
+        listing = capsys.readouterr().out
+        assert main(base + ["--limit", str(10 * sys.maxsize)]) == 0
+        assert capsys.readouterr().out == listing
+        assert len(listing.splitlines()) == 3
 
     def test_classify_command(self, capsys):
         code = main(

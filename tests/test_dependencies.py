@@ -1,11 +1,16 @@
 """The package has no runtime dependencies: every absolute import in its
-sources names a standard-library module, whatever else is installed."""
+sources names a standard-library module, whatever else is installed.  Nor
+does importing it load ``dataclasses``, whose class decoration generates
+and compiles code at every import."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "nanocob").glob("*.py"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted((SRC / "nanocob").glob("*.py"))
 
 
 def absolute_imports(path: Path) -> set[str]:
@@ -25,3 +30,14 @@ def test_sources_import_only_the_standard_library():
         path.name: sorted(absolute_imports(path) - sys.stdlib_module_names) for path in SOURCES
     }
     assert {name: mods for name, mods in foreign.items() if mods} == {}
+
+
+def test_import_loads_no_dataclasses():
+    """Run in a fresh interpreter without site packages, since pytest
+    itself imports dataclasses and inspect."""
+    script = "import sys, nanocob.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "[]\n"

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -430,7 +429,7 @@ def pairwise_components(words, caps=Caps()):
     slice_members = [i for i, v in enumerate(verdicts) if v.status == SLICE]
     for i, j in zip(slice_members, slice_members[1:]):
         union(i, j)
-    merge_caps = replace(caps, bfs_nodes=min(caps.bfs_nodes, 600))
+    merge_caps = caps.replace(bfs_nodes=min(caps.bfs_nodes, 600))
     buckets = {}
     for i, rec in enumerate(records):
         buckets.setdefault(rec.cobordism_key(), []).append(i)
@@ -508,7 +507,7 @@ class TestSoundnessCheck:
         _assert_sound(table)
         assert table.rows[0].component != table.rows[1].component
         planted = ClassificationTable(
-            tuple(replace(row, component=0) for row in table.rows), table.caps
+            tuple(row.replace(component=0) for row in table.rows), table.caps
         )
         with pytest.raises(AssertionError):
             _assert_sound(planted)
