@@ -306,16 +306,12 @@ class PiElement(Value):
     def scaled(self, k: int) -> "PiElement":
         return PiElement(self.alphabet, self.alphabet.reduce(k * c for c in self.coords))
 
-    def coordinates(self) -> tuple[int, ...]:
-        """Free-orbit integer coefficients, then fixed-orbit bits, each in
-        orbit order."""
-        return self.coords
-
     @staticmethod
     def from_coordinates(
         alphabet: InvolutiveAlphabet, coords: Sequence[int]
     ) -> "PiElement":
-        """Inverse of ``coordinates``; fixed-orbit entries are read mod 2."""
+        """The value whose ``coords`` are ``coords``, checked for length;
+        fixed-orbit entries are read mod 2."""
         if len(coords) != alphabet.dimension:
             raise AlphabetError(f"values have {alphabet.dimension} coordinates, got {len(coords)}")
         return PiElement(alphabet, alphabet.reduce(coords))
@@ -512,9 +508,6 @@ class PhiSpec(Value):
                 raise PhiSpecError(f"sign for {rep!r} must be +-1")
         return PhiSpec.rationals(alphabet, {r: signs.get(r, 1) for r in alphabet.free_reps()})
 
-    def value(self, rep: str) -> Union[Fraction, int]:
-        return dict(self.values)[rep]
-
     @cached_property
     def integral(self) -> bool:
         """Whether every value is an integer, so that images of integer
@@ -522,7 +515,7 @@ class PhiSpec(Value):
         return all(v.denominator == 1 for _, v in self.values)
 
     def weights(self, alphabet: InvolutiveAlphabet) -> tuple[Union[Fraction, int], ...]:
-        """The map as a weight vector over ``PiElement.coordinates()``:
+        """The map as a weight vector over ``PiElement.coords``:
         phi(x) is the dot product of the weights with the coordinates of
         x, reduced mod p over GF(p).  Integral values are given as ints."""
         vals = dict(self.values)

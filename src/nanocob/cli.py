@@ -215,9 +215,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_pairing(args) -> int:
     w = _load_word(args)
-    p = pairing_of_nanoword(w)
-    sep = "\t" if args.format == "text" else ","
-    print(p.format_matrix(sep))
+    _emit(pairing_of_nanoword(w).format_matrix().split("\n"), args.format)
     return 0
 
 
@@ -423,6 +421,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return PARSE_EXIT
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return PARSE_EXIT
+    except RecursionError:
+        # the filling walk recurses once per letter group
+        print("error: input too large: recursion limit reached", file=sys.stderr)
         return PARSE_EXIT
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from functools import cached_property
 from typing import AbstractSet, Callable, Iterator, Optional, Sequence
 
@@ -76,17 +77,13 @@ def matching_to_word(
     matching: Sequence[tuple[int, int]],
     labels: Sequence[str],
 ) -> Nanoword:
-    chords = sorted(matching)
-    seq = [0] * (2 * len(chords))
-    for cid, (i, j) in enumerate(chords):
+    """The word of a chord matching with one projection per chord.  Chords
+    are numbered by first position, so the word is its own canonical form."""
+    seq = [0] * (2 * len(matching))
+    for cid, (i, j) in enumerate(sorted(matching)):
         seq[i] = cid
         seq[j] = cid
-    return Nanoword(
-        ground,
-        tuple(seq),
-        tuple(labels),
-        tuple(f"L{i + 1}" for i in range(len(chords))),
-    )
+    return Nanoword.from_key(ground, (tuple(seq), tuple(labels)))
 
 
 # Largest half-length enumerated without ``allow_large``.
@@ -102,6 +99,14 @@ def enumerate_nanowords(
     already its own canonical form and no two coincide."""
     if half_length < 0:
         raise EnumerationGuard("half-length must be nonnegative")
+    # no list holds more than sys.maxsize words, whatever ``allow_large`` says
+    count = 1
+    for k in range(1, half_length + 1):
+        count *= (2 * k - 1) * len(ground.symbols)
+        if count > sys.maxsize:
+            raise EnumerationGuard(
+                f"half-length {half_length} gives more than {sys.maxsize} words"
+            )
     if not allow_large and (len(ground.symbols) > 3 or half_length > MAX_HALF_LENGTH):
         raise EnumerationGuard(
             "enumeration grows as (2n-1)!! * |alphabet|^n; pass allow_large=True"
@@ -121,8 +126,9 @@ def enumerate_nanowords(
 
 class InvariantRecord(Value):
     """The invariants of one word, each computed on first read and then
-    kept.  ``word`` is the canonical form; the invariants are read off
-    ``source``, the word as given, under the coefficient maps ``phis``.
+    kept, under the coefficient maps ``phis``.  ``invariant_record`` files
+    a word under its canonical form: no invariant depends on letter ids or
+    names.
 
     A verdict reads the invariants cheapest first (gamma, then u, then the
     genera, then hyperbolicity) and stops at the first that is nonzero, so
@@ -131,19 +137,18 @@ class InvariantRecord(Value):
     under every coefficient map, so a hyperbolic pairing has genus 0 under
     all of them."""
 
-    def __init__(self, word: Nanoword, source: Nanoword, phis: tuple[PhiSpec, ...]):
+    def __init__(self, word: Nanoword, phis: tuple[PhiSpec, ...]):
         fields = self.__dict__
         fields["word"] = word
-        fields["source"] = source
         fields["phis"] = phis
 
     @cached_property
     def pairing(self) -> AlphaPairing:
-        return pairing_of_nanoword(self.source)
+        return pairing_of_nanoword(self.word)
 
     @cached_property
     def gamma(self) -> PiWord:
-        return self.source.gamma()
+        return self.word.gamma()
 
     @cached_property
     def gamma_cyclic(self) -> tuple:
@@ -181,7 +186,7 @@ def invariant_record(
     w: Nanoword, phis: Optional[Sequence[PhiSpec]] = None
 ) -> InvariantRecord:
     phis = phi_sign_battery(w.ground) if phis is None else tuple(phis)
-    return InvariantRecord(w.canonical_form(), w, phis)
+    return InvariantRecord(w.canonical_form(), phis)
 
 
 SLICE = "slice"
@@ -277,7 +282,7 @@ def length_norm_bounds(w: Nanoword, caps: Caps = DEFAULT_CAPS) -> tuple[int, int
     search = bounded_bfs(w, Nanoword.empty(w.ground), caps)
     if search.equivalent:
         return 0, 0
-    upper = search.min_length // 2
+    upper = min(len(seq) for seq, _ in search.reached) // 2
     record = invariant_record(w)
     if obstruction(record) is None:
         return 0, upper
@@ -309,10 +314,8 @@ class ClassRow(Value):
 
 
 class ClassificationTable(Value):
-    def __init__(self, rows: tuple[ClassRow, ...], caps: Caps):
-        fields = self.__dict__
-        fields["rows"] = rows
-        fields["caps"] = caps
+    def __init__(self, rows: tuple[ClassRow, ...]):
+        self.__dict__["rows"] = rows
 
     def pair_status(self, i: int, j: int) -> str:
         a, b = self.rows[i], self.rows[j]
@@ -430,7 +433,7 @@ def classify_words(
     rows = tuple(
         ClassRow(i, records[i], verdicts[i], find(i)) for i in range(len(words))
     )
-    table = ClassificationTable(rows, caps)
+    table = ClassificationTable(rows)
     _assert_sound(table)
     return table
 
@@ -476,20 +479,18 @@ def random_nanoword(
 
 
 def random_even_symmetric_phrase(
-    rng: random.Random,
-    ground: InvolutiveAlphabet,
-    max_segments: int = 3,
-    max_segment_length: int = 6,
+    rng: random.Random, ground: InvolutiveAlphabet
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
     """A random even symmetric nanophrase, as (segment words with local
     letter ids, projections).
 
     Positions are matched mirror-symmetrically, so the position-forced
     letter involution exists by construction; projections on each
-    involution orbit are then chosen to satisfy the twist rule.
+    involution orbit are then chosen to satisfy the twist rule.  The
+    phrase has one to three segments, each of even length two to six.
     """
-    k = rng.randint(1, max_segments)
-    lengths = [rng.randrange(2, max_segment_length + 1, 2) for _ in range(k)]
+    k = rng.randint(1, 3)
+    lengths = [rng.randrange(2, 7, 2) for _ in range(k)]
     positions = [(r, i) for r in range(k) for i in range(lengths[r])]
 
     def mirror(pos: tuple[int, int]) -> tuple[int, int]:
@@ -542,10 +543,9 @@ def random_surgery_instance(
     rng: random.Random,
     ground: InvolutiveAlphabet,
     max_total_length: int = 14,
-    max_segments: int = 3,
 ) -> tuple[Nanoword, Factor]:
     """A word containing a random even symmetric factor, plus that factor."""
-    words, proj = random_even_symmetric_phrase(rng, ground, max_segments)
+    words, proj = random_even_symmetric_phrase(rng, ground)
     phrase_length = sum(len(word) for word in words)
     budget = max(0, (max_total_length - phrase_length) // 2)
     context = random_nanoword(rng, ground, rng.randint(0, budget))
@@ -556,11 +556,9 @@ def random_surgery_instance(
     return w, factor
 
 
-def random_pi_element(
-    rng: random.Random, ground: InvolutiveAlphabet, spread: int = 2
-) -> PiElement:
+def random_pi_element(rng: random.Random, ground: InvolutiveAlphabet) -> PiElement:
     free = {
-        rep: rng.randint(-spread, spread)
+        rep: rng.randint(-2, 2)
         for rep in ground.free_reps()
         if rng.random() < 0.7
     }

@@ -65,10 +65,6 @@ class Factor(Value):
         fields["letters"] = letters
         fields["segments"] = segments
 
-    @property
-    def num_segments(self) -> int:
-        return len(self.segments)
-
 
 class Bridge(Value):
     """A factor plus an involution on its segment indices, with the forced
@@ -156,7 +152,7 @@ class Move(Value):
             factor = Factor(letters, inserted_segments(self.data[0], self.data[2]))
         else:
             x, factor = w, self.factor(w)
-        bridge = validate_bridge(x, factor, self.kappa or range(factor.num_segments))
+        bridge = validate_bridge(x, factor, self.kappa or range(len(factor.segments)))
         if bridge is None:
             what = "inserted phrase" if grows else f"factor at {factor.segments}"
             raise WordError(f"{what} is not a bridge with its kappa")
@@ -600,7 +596,7 @@ def surgery_bridge(w: Nanoword, factor: Factor) -> Bridge:
     """``factor`` as the bridge a surgery deletes, with the identity
     ``kappa``; raises WordError unless it is an even symmetric factor of
     ``w``."""
-    bridge = validate_bridge(w, factor, range(factor.num_segments))
+    bridge = validate_bridge(w, factor, range(len(factor.segments)))
     if bridge is None:
         raise WordError(f"segments {factor.segments} are not an even symmetric factor")
     return bridge
@@ -813,14 +809,12 @@ class SearchOutcome(Value):
         self,
         metamorphosis: Optional[Metamorphosis],
         explored: int,
-        min_length: int,
         reached: AbstractSet[tuple],
         exhausted: bool = False,
     ):
         fields = self.__dict__
         fields["metamorphosis"] = metamorphosis
         fields["explored"] = explored
-        fields["min_length"] = min_length
         fields["reached"] = reached
         fields["exhausted"] = exhausted
 
@@ -865,8 +859,7 @@ def bounded_bfs(
                 found, move = parents[found]
                 moves.append(move)
             meta = Metamorphosis(tuple(reversed(moves)))
-        min_length = min(len(seq) for seq, _ in parents)
-        return SearchOutcome(meta, explored, min_length, parents.keys(), exhausted)
+        return SearchOutcome(meta, explored, parents.keys(), exhausted)
 
     if start == target:
         return outcome(start, 1)

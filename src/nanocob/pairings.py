@@ -17,7 +17,6 @@ import functools
 import itertools
 import operator
 from collections import Counter
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -139,11 +138,12 @@ class AlphaPairing(Value):
         rows = tuple(tuple(map(self.ground.negate, row)) for row in self.coords)
         return AlphaPairing(self.ground, self.proj, self.names, rows)
 
-    def format_matrix(self, sep: str = "\t") -> str:
+    def format_matrix(self) -> str:
+        """The table as tab-separated lines, headed by the letter names."""
         labels = ("s",) + self.names
-        lines = [sep.join((" ",) + labels)]
+        lines = ["\t".join((" ",) + labels)]
         for lab, row in zip(labels, self.matrix):
-            lines.append(sep.join((lab,) + tuple(str(v) for v in row)))
+            lines.append("\t".join((lab,) + tuple(str(v) for v in row)))
         return "\n".join(lines)
 
 
@@ -507,10 +507,6 @@ class Genus(Value):
         if twice < 0:
             raise PairingError("genus cannot be negative")
         self.__dict__["twice"] = twice
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.twice, 2)
 
     def __str__(self) -> str:
         return str(self.twice // 2) if self.twice % 2 == 0 else f"{self.twice}/2"

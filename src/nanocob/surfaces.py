@@ -12,7 +12,7 @@ which is the module's cross-check.
 
 from __future__ import annotations
 
-from .algebra import InvolutiveAlphabet, PhiSpec, Value
+from .algebra import InvolutiveAlphabet, Value
 from .intlinalg import integer_rank
 from .pairings import pairing_of_nanoword
 from .words import Nanoword, WordError
@@ -96,16 +96,12 @@ def surface_stats(graph: RibbonGraph) -> SurfaceStats:
     return SurfaceStats(euler, boundary, genus2 // 2)
 
 
-def phi_zero(ground: InvolutiveAlphabet) -> PhiSpec:
-    """The identification of the {+,-} value group with the integers."""
-    return PhiSpec.rationals(ground, {"+": 1})
-
-
 def tautological_gram_rank(w: Nanoword) -> int:
     _require_signs(w)
     # The tautological filling is the basis s, A, B, ..., so its Gram
     # matrix is the pairing table itself; over {+,-} a value is one
-    # integer coordinate, and that integer is its image under phi_zero.
+    # integer coordinate, and that integer is its image under the map
+    # phi(+) = 1 that identifies the {+,-} value group with the integers.
     p = pairing_of_nanoword(w)
     return integer_rank([[v for (v,) in row] for row in p.coords])
 

@@ -67,7 +67,7 @@ def involutions(k):
 def bridges_by_filter(w, max_letters, max_k):
     out = []
     for factor in enumerate_factors(w, max_letters, max_k):
-        for kappa in involutions(factor.num_segments):
+        for kappa in involutions(len(factor.segments)):
             bridge = validate_bridge(w, factor, kappa)
             if bridge is not None:
                 out.append(bridge)
@@ -154,7 +154,6 @@ def bfs_storing_words(w, v, caps=DEFAULT_CAPS, extra_templates=()):
     target_key = v.canonical_key() if v is not None else None
     parents = {start.canonical_key(): None}
     state_words = {start.canonical_key(): start}
-    min_length = start.length
 
     def witness(key):
         moves = []
@@ -164,7 +163,7 @@ def bfs_storing_words(w, v, caps=DEFAULT_CAPS, extra_templates=()):
         return Metamorphosis(tuple(reversed(moves)))
 
     if target_key is not None and start.canonical_key() == target_key:
-        return SearchOutcome(Metamorphosis(()), 1, min_length, parents.keys())
+        return SearchOutcome(Metamorphosis(()), 1, parents.keys())
 
     queue = deque([start.canonical_key()])
     deferred = deque()  # (key, the rest of its children), from the first insertion
@@ -173,7 +172,7 @@ def bfs_storing_words(w, v, caps=DEFAULT_CAPS, extra_templates=()):
     scoped = caps.replace(bfs_length=max_len)
     while queue or deferred:
         if explored >= caps.bfs_nodes:
-            return SearchOutcome(None, explored, min_length, parents.keys())
+            return SearchOutcome(None, explored, parents.keys())
         if queue:
             key = queue.popleft()
             explored += 1
@@ -196,11 +195,10 @@ def bfs_storing_words(w, v, caps=DEFAULT_CAPS, extra_templates=()):
             child = result.canonical_form()
             parents[ckey] = (key, move)
             state_words[ckey] = child
-            min_length = min(min_length, child.length)
             if target_key is not None and ckey == target_key:
-                return SearchOutcome(witness(ckey), explored, min_length, parents.keys())
+                return SearchOutcome(witness(ckey), explored, parents.keys())
             queue.append(ckey)
-    return SearchOutcome(None, explored, min_length, parents.keys(), exhausted=True)
+    return SearchOutcome(None, explored, parents.keys(), exhausted=True)
 
 
 def bfs_fifo(w, v, caps=DEFAULT_CAPS, extra_templates=()):
@@ -219,8 +217,7 @@ def bfs_fifo(w, v, caps=DEFAULT_CAPS, extra_templates=()):
                 found, move = parents[found]
                 moves.append(move)
             meta = Metamorphosis(tuple(reversed(moves)))
-        min_length = min(len(seq) for seq, _ in parents)
-        return SearchOutcome(meta, explored, min_length, parents.keys(), exhausted)
+        return SearchOutcome(meta, explored, parents.keys(), exhausted)
 
     if start == target:
         return outcome(start, 1)

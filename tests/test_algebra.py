@@ -120,7 +120,7 @@ class TestPiElement:
         for ground in (mixed, three_free):
             for _ in range(30):
                 x = random_pi_element(rng, ground)
-                assert PiElement.from_coordinates(ground, x.coordinates()) == x
+                assert PiElement.from_coordinates(ground, x.coords) == x
         # fixed-orbit entries are read mod 2
         assert PiElement.from_coordinates(mixed, (2, 3)) == PiElement.make(mixed, {"a": 2}, ("c",))
 
@@ -293,7 +293,7 @@ class TestPhiSpec:
             weights = phi.weights(ground)
             for _ in range(20):
                 x = random_pi_element(rng, ground)
-                value = sum(w * c for w, c in zip(weights, x.coordinates()))
+                value = sum(w * c for w, c in zip(weights, x.coords))
                 assert (value % phi.prime if phi.prime else value) == phi.apply(x)
         assert [phi.integral for _, phi in maps] == [False, True, True, True]
         integral = PhiSpec.rationals(mixed, {"a": Fraction(2)}).weights(mixed)
@@ -404,7 +404,7 @@ def value_samples(mixed, pm, word_factory):
         (invariant_record(w), "phis", ()),
         (SliceVerdict(NOT_SLICE, "gamma"), "obstruction", "u"),
         (table.rows[0], "component", 1),
-        (table, "caps", Caps(bfs_nodes=10)),
+        (table, "rows", ()),
         (SuiteResult("sandwich", True, 3), "detail", "late"),
         (BridgeReport(1, 0, 0, None), "violations", 1),
         (pairing, "names", ("X", "Y")),

@@ -188,6 +188,8 @@ class TestCommands:
              "--word", "phrase: A B | B A;proj: A=a B=x"],
             ["fillings", "--alphabet", "alphabet: a x c z;tau: a<->x c<->z",
              "--word", "ABCADCBD", "--proj", "A=a B=x C=c D=c"],
+            ["pairing", "--alphabet", "alphabet: a x b y c z;tau: a<->x b<->y c<->z",
+             "--word", "ABCBAC", "--proj", "A=a B=b C=c"],
         )
         fields = []
         for argv in commands:
@@ -786,6 +788,39 @@ class TestCommands:
         assert "--allow-large" in captured.err
         assert "allow_large" not in captured.err
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("half_length", ["2000", "99999999999999999999"])
+    def test_oversized_classify_exits_2_in_one_line(self, capsys, half_length):
+        """More words than any list holds are refused even with --allow-large."""
+        code = main(["classify", "--alphabet", "alphabet: a x;tau: a<->x",
+                     "--half-length", half_length, "--allow-large"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: half-length {half_length} gives more than")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_recursion_limit_exits_2_in_one_line(self, capsys):
+        """The filling walk recurses once per letter group, so a long word
+        can pass the recursion limit; that is a bad input, not a crash."""
+        letters = [f"L{i}" for i in range(300)]
+        word = " ".join(f"{n} {n}" for n in letters)
+        proj = " ".join(f"{n}=a" for n in letters)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            for command in ("invariants", "check-slice"):
+                code = main([command, "--alphabet", "alphabet: a x;tau: a<->x",
+                             "--word", f"word: {word};proj: {proj}"])
+                captured = capsys.readouterr()
+                assert code == 2
+                assert captured.out == ""
+                assert captured.err == "error: input too large: recursion limit reached\n"
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_jobs_other_than_one_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -35,7 +35,9 @@ from nanocob.pairings import (
     is_hyperbolic,
     pairing_of_nanoword,
     phi_sign_battery,
+    r_of,
     sum_pairings,
+    u_polynomial,
 )
 from nanocob.words import Nanoword
 
@@ -109,6 +111,10 @@ class TestEnumeration:
         with pytest.raises(EnumerationGuard):
             enumerate_nanowords(2, big)
         assert enumerate_nanowords(2, big, allow_large=True)
+        # 29!! * 2^15 words outnumber sys.maxsize, so no list can hold them
+        small = InvolutiveAlphabet.fixed_point_free(("a",), ("A",))
+        with pytest.raises(EnumerationGuard, match="more than"):
+            enumerate_nanowords(15, small, allow_large=True)
 
 
 class TestInvariantRecord:
@@ -190,6 +196,33 @@ class TestLazyRecord:
             named[obstruction(eager)] += 1
         # every verdict path is taken
         assert set(named) == {"gamma", "u", "genus", "pairing", None}, named
+
+    def test_invariants_of_word_as_given(self):
+        """The record reads every invariant off the canonical form; each
+        equals the kernel's value on the word as given, whose letter ids
+        are permuted and whose letters are renamed."""
+        rng = random.Random(33)
+        for _ in range(300):
+            ground = rng.choice(list(RECORD_MAPS))
+            canonical = random_nanoword(rng, ground, rng.randint(0, 6))
+            ids = list(range(canonical.num_letters))
+            rng.shuffle(ids)
+            proj = [""] * len(ids)
+            for old, new in enumerate(ids):
+                proj[new] = canonical.proj[old]
+            names = [f"Q{k}" for k in ids]
+            rng.shuffle(names)
+            w = Nanoword(ground, tuple(ids[x] for x in canonical.seq), tuple(proj), tuple(names))
+            phis = rng.choice(RECORD_MAPS[ground])
+            record = invariant_record(w, phis)
+            p = pairing_of_nanoword(w)
+            assert record.word == canonical, w
+            assert record.gamma == w.gamma(), w
+            assert record.gamma_cyclic == w.gamma().cyclic_key(), w
+            assert record.u == u_polynomial(p), w
+            assert record.genera == tuple((phi.label(), genus(p, phi).twice) for phi in phis), w
+            assert record.hyperbolic == (is_hyperbolic(p) is not None), w
+            assert record.r == r_of(p), w
 
     def test_hyperbolic_pairings_have_genus_zero(self):
         """The shortcut the genera take: an annihilating filling has a zero
@@ -506,9 +539,7 @@ class TestSoundnessCheck:
         table = classify_words(words)
         _assert_sound(table)
         assert table.rows[0].component != table.rows[1].component
-        planted = ClassificationTable(
-            tuple(row.replace(component=0) for row in table.rows), table.caps
-        )
+        planted = ClassificationTable(tuple(row.replace(component=0) for row in table.rows))
         with pytest.raises(AssertionError):
             _assert_sound(planted)
 

@@ -224,7 +224,7 @@ class TestSurgeryIsIdentityBridge:
                     continue
                 accepted += 1
                 assert apply_surgery(w, factor) == w.delete_letters(factor.letters)[0]
-                bridge = validate_bridge(w, factor, range(factor.num_segments))
+                bridge = validate_bridge(w, factor, range(len(factor.segments)))
                 assert (bridge.iota, bridge.epsilon) == (witness.iota, witness.epsilon)
                 if accepted % 10 == 0:
                     filled += 1
@@ -819,7 +819,6 @@ class TestSearchOracle:
                 theirs = bfs_storing_words(w, v, caps)
                 assert ours.equivalent == theirs.equivalent
                 assert ours.explored == theirs.explored
-                assert ours.min_length == theirs.min_length
                 assert set(ours.reached) == set(theirs.reached)
                 assert ours.exhausted == theirs.exhausted
                 if ours.equivalent:

@@ -176,7 +176,7 @@ class TestPairingOfNanoword:
             size = p.num_letters + 1
             assert len(p.coords) == size and all(len(row) == size for row in p.coords)
             assert all(len(v) == p.ground.dimension for row in p.coords for v in row)
-            assert p.coords == tuple(tuple(v.coordinates() for v in row) for row in p.matrix)
+            assert p.coords == tuple(tuple(v.coords for v in row) for row in p.matrix)
             nfree = len(p.ground.free_reps())
             assert all(bit in (0, 1) for row in p.coords for v in row for bit in v[nfree:])
 

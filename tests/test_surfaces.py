@@ -9,7 +9,6 @@ from nanocob.intlinalg import rational_rank
 from nanocob.pairings import genus, pairing_of_nanoword, tautological_filling
 from nanocob.surfaces import (
     genus_rank_check,
-    phi_zero,
     ribbon_graph_of,
     surface_stats,
     tautological_gram_rank,
@@ -94,7 +93,7 @@ class TestGenusRankIdentity:
 
     def test_minimum_genus_bounded_by_surface(self, pm):
         rng = random.Random(52)
-        phi = phi_zero(pm)
+        phi = PhiSpec.rationals(pm, {"+": 1})
         for _ in range(25):
             w = random_nanoword(rng, pm, rng.randint(1, 5))
             sigma_twice = genus(pairing_of_nanoword(w), phi).twice
@@ -103,7 +102,7 @@ class TestGenusRankIdentity:
     def test_gram_rank_matches_evaluate_route(self, pm):
         """The Gram rank through the scalar pairing matrix against the
         route through the sparse ``evaluate`` oracle and ``rational_rank``."""
-        phi = phi_zero(pm)
+        phi = PhiSpec.rationals(pm, {"+": 1})
         for n in range(5):
             for w in enumerate_nanowords(n, pm):
                 p = pairing_of_nanoword(w)
