@@ -15,12 +15,10 @@ from .algebra import (
     pi_word_is_conjugate,
 )
 from .moves import (
-    Bridge,
     Caps,
     Factor,
     Metamorphosis,
     Move,
-    apply_bridge,
     apply_h3,
     apply_surgery,
     bounded_bfs,

@@ -438,10 +438,6 @@ def pi_word_is_conjugate(u: PiWord, v: PiWord) -> bool:
     return u.cyclic_key() == v.cyclic_key()
 
 
-RATIONALS = "Q"
-PRIME_FIELD = "F"
-
-
 class PhiSpecError(ValueError):
     """Raised when a coefficient homomorphism violates the torsion relations."""
 
@@ -454,7 +450,7 @@ def _require_reps(alphabet: InvolutiveAlphabet, values: Mapping[str, object]) ->
 
 class PhiSpec(Value):
     """Additive map from the abelianized group into an exact coefficient
-    field: the rationals or a prime field GF(p).
+    field: the rationals (``prime`` 0) or a prime field GF(``prime``).
 
     Values are given on orbit representatives; any other key is
     rejected.  On a fixed orbit the relation a + a = 0 forces
@@ -462,9 +458,8 @@ class PhiSpec(Value):
     phi(a) = 0 there.
     """
 
-    def __init__(self, target: str, prime: int, values: tuple[tuple[str, Union[Fraction, int]], ...]):
+    def __init__(self, prime: int, values: tuple[tuple[str, Union[Fraction, int]], ...]):
         fields = self.__dict__
-        fields["target"] = target
         fields["prime"] = prime
         fields["values"] = values
 
@@ -479,7 +474,7 @@ class PhiSpec(Value):
             if alphabet.is_fixed(rep) and v != 0:
                 raise PhiSpecError(f"rational phi must vanish on fixed point {rep!r}")
             vals[rep] = v
-        return PhiSpec(RATIONALS, 0, tuple(sorted(vals.items(), key=lambda kv: alphabet.index(kv[0]))))
+        return PhiSpec(0, tuple(sorted(vals.items(), key=lambda kv: alphabet.index(kv[0]))))
 
     @staticmethod
     def prime_field(
@@ -496,7 +491,7 @@ class PhiSpec(Value):
                     f"phi over GF({p}) must satisfy 2*phi = 0 on fixed point {rep!r}"
                 )
             vals[rep] = v
-        return PhiSpec(PRIME_FIELD, p, tuple(sorted(vals.items(), key=lambda kv: alphabet.index(kv[0]))))
+        return PhiSpec(p, tuple(sorted(vals.items(), key=lambda kv: alphabet.index(kv[0]))))
 
     @staticmethod
     def signs(alphabet: InvolutiveAlphabet, signs: Mapping[str, int]) -> "PhiSpec":
@@ -540,6 +535,6 @@ class PhiSpec(Value):
 
     def label(self) -> str:
         inside = ",".join(f"{r}={v}" for r, v in self.values)
-        base = "Q" if self.target == RATIONALS else f"GF({self.prime})"
+        base = f"GF({self.prime})" if self.prime else "Q"
         return f"phi[{base}]({inside})"
 

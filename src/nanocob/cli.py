@@ -29,7 +29,6 @@ from .moves import (
     Caps,
     DEFAULT_CAPS,
     Metamorphosis,
-    Move,
     check_templates,
     enumerate_bridges,
     site_moves,
@@ -282,10 +281,7 @@ def cmd_moves(args) -> int:
     lines = [move.to_line() for move in site_moves(start, caps)]
     bridges = enumerate_bridges(start, caps.max_letters, caps.max_k)
     lines.append(f"bridges\t{len(bridges)}")
-    lines += [
-        Move("BRIDGE", (b.factor.letters, b.factor.segments, b.kappa)).to_line()
-        for b in bridges
-    ]
+    lines += [bridge.to_line() for bridge in bridges]
     lower, upper = length_norm_bounds(w, caps)
     lines.append(f"length-norm\t[{lower}, {upper}]")
     _emit(lines, args.format)

@@ -20,7 +20,6 @@ from .moves import (
     Factor,
     Metamorphosis,
     Move,
-    apply_bridge,
     apply_surgery,
     bounded_bfs,
     enumerate_bridges,
@@ -793,7 +792,7 @@ def bridge_inequality_suite(
         for count, bridge in enumerate(
             enumerate_bridges(w, _BRIDGE_LETTERS, _BRIDGE_SEGMENTS)
         ):
-            x = apply_bridge(w, bridge)
+            x = bridge.apply(w)
             key = x.canonical_key()
             if key not in sigma_cache:
                 p_sum = sum_pairings(p_w, pairing_of_nanoword(x).opposite())

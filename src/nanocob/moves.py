@@ -21,7 +21,7 @@ from collections import deque
 from typing import AbstractSet, Iterator, Optional, Sequence
 
 from .algebra import InvolutiveAlphabet, Value
-from .words import Nanoword, WordError, fresh_names, key_of, mirror_witness
+from .words import Nanoword, SymmetryWitness, WordError, fresh_names, key_of, mirror_witness
 
 
 class Caps(Value):
@@ -66,33 +66,6 @@ class Factor(Value):
         fields["segments"] = segments
 
 
-class Bridge(Value):
-    """A factor plus an involution on its segment indices, with the forced
-    letter involution and the per-letter twist indicator."""
-
-    def __init__(
-        self,
-        factor: Factor,
-        kappa: tuple[int, ...],
-        iota: tuple[tuple[int, int], ...],
-        epsilon: tuple[tuple[int, int], ...],
-    ):
-        fields = self.__dict__
-        fields["factor"] = factor
-        fields["kappa"] = kappa
-        fields["iota"] = iota
-        fields["epsilon"] = epsilon
-
-    @property
-    def arches(self) -> int:
-        return arch_count(self.kappa)
-
-
-def arch_count(kappa: Sequence[int]) -> int:
-    """The arches of a segment involution: its pairs of swapped segments."""
-    return sum(1 for r, image in enumerate(kappa) if r < image)
-
-
 class Move(Value):
     """One replayable rewrite.  ``data`` is kind-specific:
 
@@ -120,7 +93,8 @@ class Move(Value):
 
     @property
     def arches(self) -> int:
-        return arch_count(self.kappa or ())
+        """The arches of ``kappa``: its pairs of swapped segments."""
+        return sum(1 for r, image in enumerate(self.kappa or ()) if r < image)
 
     def factor(self, w: Nanoword) -> Factor:
         """The factor a deleting move takes out of ``w``: for ``H1@i`` the
@@ -152,11 +126,10 @@ class Move(Value):
             factor = Factor(letters, inserted_segments(self.data[0], self.data[2]))
         else:
             x, factor = w, self.factor(w)
-        bridge = validate_bridge(x, factor, self.kappa or range(len(factor.segments)))
-        if bridge is None:
+        if validate_bridge(x, factor, self.kappa or range(len(factor.segments))) is None:
             what = "inserted phrase" if grows else f"factor at {factor.segments}"
             raise WordError(f"{what} is not a bridge with its kappa")
-        return x if grows else apply_bridge(x, bridge)
+        return x if grows else x.delete_letters(factor.letters)[0]
 
     def to_line(self) -> str:
         head = f"INV {self.kind}" if self.inverse else self.kind
@@ -587,19 +560,9 @@ def enumerate_even_symmetric_factors(
 
 
 def apply_surgery(w: Nanoword, factor: Factor) -> Nanoword:
-    """Delete an even symmetric factor: a bridge whose ``kappa`` is the
-    identity."""
-    return apply_bridge(w, surgery_bridge(w, factor))
-
-
-def surgery_bridge(w: Nanoword, factor: Factor) -> Bridge:
-    """``factor`` as the bridge a surgery deletes, with the identity
-    ``kappa``; raises WordError unless it is an even symmetric factor of
-    ``w``."""
-    bridge = validate_bridge(w, factor, range(len(factor.segments)))
-    if bridge is None:
-        raise WordError(f"segments {factor.segments} are not an even symmetric factor")
-    return bridge
+    """Delete an even symmetric factor: the ``SURG`` move on ``factor``, a
+    bridge whose ``kappa`` is the identity."""
+    return Move("SURG", (factor.letters, factor.segments)).apply(w)
 
 
 def insert_phrase(
@@ -658,12 +621,13 @@ def factor_is_well_formed(w: Nanoword, factor: Factor) -> bool:
 
 def validate_bridge(
     w: Nanoword, factor: Factor, kappa: Sequence[int]
-) -> Optional[Bridge]:
+) -> Optional[SymmetryWitness]:
     """Check the bridge conditions for a factor and a segment involution:
     ``kappa`` an involution, matching segment lengths, even length on fixed
     segments, then the mirror rule (``mirror_witness``) with ``kappa``.
     With the identity ``kappa`` these are the conditions on a surgery
-    factor."""
+    factor.  Returns the mirror rule's witness (``iota``, ``epsilon``), or
+    None when a condition fails."""
     if not factor_is_well_formed(w, factor):
         return None
     segments = factor.segments
@@ -678,26 +642,18 @@ def validate_bridge(
         (start, end), (image_start, image_end) = segments[r], segments[image]
         if end - start != image_end - image_start or (image == r and (end - start) % 2):
             return None
-    witness = mirror_witness(w.ground, w.seq, w.proj, segments, kappa)
-    if witness is None:
-        return None
-    return Bridge(factor, kappa, witness.iota, witness.epsilon)
-
-
-def apply_bridge(w: Nanoword, bridge: Bridge) -> Nanoword:
-    word, _ = w.delete_letters(bridge.factor.letters)
-    return word
+    return mirror_witness(w.ground, w.seq, w.proj, segments, kappa)
 
 
 def enumerate_bridges(
     w: Nanoword, max_letters: int = DEFAULT_CAPS.max_letters, max_k: int = DEFAULT_CAPS.max_k
-) -> list[Bridge]:
-    """The bridges within the caps: every factor of ``enumerate_factors``
-    with every segment involution ``kappa`` that ``validate_bridge``
-    accepts, ordered by factor in the order of ``enumerate_factors`` and
-    then by ``kappa`` read as a tuple."""
+) -> list[Move]:
+    """The bridges within the caps, as ``BRIDGE`` moves: every factor of
+    ``enumerate_factors`` with every segment involution ``kappa`` that
+    ``validate_bridge`` accepts, ordered by factor in the order of
+    ``enumerate_factors`` and then by ``kappa`` read as a tuple."""
     return [
-        validate_bridge(w, factor, kappa)
+        Move("BRIDGE", (factor.letters, factor.segments, kappa))
         for _, kappa, factor in _mirror_factors(w, max_letters, max_k, pairs=True)
     ]
 

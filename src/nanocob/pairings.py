@@ -27,12 +27,11 @@ from .algebra import (
     InvolutiveAlphabet,
     PhiSpec,
     PiElement,
-    RATIONALS,
     Value,
 )
 from .intlinalg import IntegerLattice, integer_rank, rank_mod_p, rational_rank
-from .moves import Factor, surgery_bridge
-from .words import Nanoword, fresh_names
+from .moves import Factor, validate_bridge
+from .words import Nanoword, WordError, fresh_names
 
 
 class PairingError(ValueError):
@@ -515,7 +514,7 @@ class Genus(Value):
 def _gram_rank(phi: PhiSpec, gram: list[list]) -> int:
     """Rank of a Gram matrix of phi-values; with integral phi over Q the
     entries are ints."""
-    if phi.target != RATIONALS:
+    if phi.prime:
         return rank_mod_p(gram, phi.prime)
     return integer_rank(gram) if phi.integral else rational_rank(gram)
 
@@ -735,9 +734,11 @@ def verify_surgery_filling(w: Nanoword, factor: Factor) -> bool:
     """Check the orthogonality relations behind surgery invariance and that
     the associated filling annihilates the summed pairing.  Raises
     WordError unless ``factor`` is an even symmetric factor of ``w``."""
-    bridge = surgery_bridge(w, factor)
-    iota = dict(bridge.iota)
-    eps = dict(bridge.epsilon)
+    witness = validate_bridge(w, factor, range(len(factor.segments)))
+    if witness is None:
+        raise WordError(f"segments {factor.segments} are not an even symmetric factor")
+    iota = dict(witness.iota)
+    eps = dict(witness.epsilon)
     b_letters = sorted(iota)
     b_plus = [b for b in b_letters if b <= iota[b]]
     c_letters = [i for i in range(w.num_letters) if i not in iota]

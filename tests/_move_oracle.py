@@ -65,13 +65,12 @@ def involutions(k):
 
 
 def bridges_by_filter(w, max_letters, max_k):
-    out = []
-    for factor in enumerate_factors(w, max_letters, max_k):
-        for kappa in involutions(len(factor.segments)):
-            bridge = validate_bridge(w, factor, kappa)
-            if bridge is not None:
-                out.append(bridge)
-    return out
+    return [
+        Move("BRIDGE", (factor.letters, factor.segments, kappa))
+        for factor in enumerate_factors(w, max_letters, max_k)
+        for kappa in involutions(len(factor.segments))
+        if validate_bridge(w, factor, kappa) is not None
+    ]
 
 
 def factor_is_well_formed_by_scan(w, factor):

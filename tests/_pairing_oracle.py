@@ -18,7 +18,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from nanocob.algebra import RATIONALS, AlphabetError, InvolutiveAlphabet, PhiSpec, PiElement
+from nanocob.algebra import AlphabetError, InvolutiveAlphabet, PhiSpec, PiElement
 from nanocob.pairings import (
     S_VECTOR,
     AlphaPairing,
@@ -477,7 +477,7 @@ def sparse_format(alphabet, x: SparseValue, torsion_suffix: bool = False) -> str
 
 def sparse_apply(phi: PhiSpec, x: SparseValue):
     vals = dict(phi.values)
-    if phi.target == RATIONALS:
+    if not phi.prime:
         acc = Fraction(0)
         for rep, c in x[0]:
             acc += c * vals[rep]

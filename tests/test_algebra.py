@@ -26,7 +26,7 @@ from nanocob.explorer import (
     invariant_record,
     random_pi_element,
 )
-from nanocob.moves import Caps, Factor, Metamorphosis, Move, bounded_bfs, enumerate_bridges
+from nanocob.moves import Caps, Factor, Metamorphosis, Move, bounded_bfs
 from nanocob.pairings import (
     Genus,
     OrbitPoly,
@@ -396,7 +396,6 @@ def value_samples(mixed, pm, word_factory):
         (word_factory(mixed, "ABBA", A="a", B="a").to_phrase().symmetry_witness(), "epsilon", ()),
         (Caps(), "bfs_nodes", 10),
         (Factor((0,), ((0, 2),)), "segments", ((1, 3),)),
-        (enumerate_bridges(w, 2, 2)[0], "epsilon", ((0, 1),)),
         (move, "inverse", True),
         (Metamorphosis((move,)), "moves", ()),
         # a search's reached keys are a view of its dict, which no hash takes

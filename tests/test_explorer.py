@@ -682,7 +682,7 @@ class TestEvidenceTables:
 class TestBridgeSuite:
     def test_zero_arch_bridges_have_zero_genus_gap(self, two_free):
         rng = random.Random(60)
-        from nanocob.moves import enumerate_bridges, apply_bridge
+        from nanocob.moves import enumerate_bridges
         from nanocob.pairings import (
             genus,
             pairing_of_nanoword,
@@ -698,7 +698,7 @@ class TestBridgeSuite:
             for bridge in enumerate_bridges(w, 3, 3):
                 if bridge.arches:
                     continue
-                x = apply_bridge(w, bridge)
+                x = bridge.apply(w)
                 total = sum_pairings(p_w, pairing_of_nanoword(x).opposite())
                 for phi in phi_sign_battery(two_free):
                     assert genus(total, phi).twice == 0

@@ -10,7 +10,6 @@ from nanocob.moves import (
     Factor,
     Metamorphosis,
     Move,
-    apply_bridge,
     apply_h3,
     apply_surgery,
     bounded_bfs,
@@ -224,8 +223,7 @@ class TestSurgeryIsIdentityBridge:
                     continue
                 accepted += 1
                 assert apply_surgery(w, factor) == w.delete_letters(factor.letters)[0]
-                bridge = validate_bridge(w, factor, range(len(factor.segments)))
-                assert (bridge.iota, bridge.epsilon) == (witness.iota, witness.epsilon)
+                assert validate_bridge(w, factor, range(len(factor.segments))) == witness
                 if accepted % 10 == 0:
                     filled += 1
                     assert verify_surgery_filling(w, factor)
@@ -434,33 +432,38 @@ class TestMirrorRule:
             w = random_nanoword(rng, ground, rng.randint(1, 4))
             for b in enumerate_bridges(w, 3, 4):
                 total += 1
-                assert (b.iota, b.epsilon) == bridge_witness(w, b.factor, b.kappa)
+                factor = b.factor(w)
+                witness = validate_bridge(w, factor, b.kappa)
+                assert (witness.iota, witness.epsilon) == bridge_witness(w, factor, b.kappa)
         assert total == 1069
+
+
+def bridge_move(factor, kappa):
+    return Move("BRIDGE", (factor.letters, factor.segments, kappa))
 
 
 class TestBridges:
     def test_single_letter_one_arch(self, two_free, word_factory):
         w = word_factory(two_free, "ABCBCA", A="a", B="b", C="b")
         factor = Factor((0,), ((0, 1), (5, 6)))
-        bridge = validate_bridge(w, factor, (1, 0))
-        assert bridge is not None
-        assert bridge.arches == 1
-        assert dict(bridge.epsilon)[0] == 0
+        witness = validate_bridge(w, factor, (1, 0))
+        assert witness is not None
+        assert bridge_move(factor, (1, 0)).arches == 1
+        assert dict(witness.epsilon)[0] == 0
 
     def test_adjacent_pair_bridge(self, two_free, word_factory):
         w = word_factory(two_free, "CABBAC", C="b", A="a", B="b")
         factor = Factor((1, 2), ((1, 3), (3, 5)))
-        bridge = validate_bridge(w, factor, (1, 0))
-        assert bridge is not None
-        assert seqs(apply_bridge(w, bridge)) == ("L1", "L1")
+        assert validate_bridge(w, factor, (1, 0)) is not None
+        assert seqs(bridge_move(factor, (1, 0)).apply(w)) == ("L1", "L1")
 
     def test_middle_palindrome_bridge(self, two_free, word_factory):
         w = word_factory(two_free, "ABCBCDAD", A="a", B="b", C="b", D="a")
         factor = Factor((0, 1, 2), ((0, 1), (1, 5), (6, 7)))
-        bridge = validate_bridge(w, factor, (2, 1, 0))
-        assert bridge is not None
+        bridge = bridge_move(factor, (2, 1, 0))
+        assert validate_bridge(w, factor, bridge.kappa) is not None
         assert bridge.arches == 1
-        assert seqs(apply_bridge(w, bridge)) == ("L1", "L1")
+        assert seqs(bridge.apply(w)) == ("L1", "L1")
 
     def test_double_arch_bridge(self, two_free, word_factory):
         w = word_factory(
@@ -468,10 +471,10 @@ class TestBridges:
         )
         letters = tuple(sorted(w.names.index(n) for n in "ABC"))
         factor = Factor(letters, ((0, 1), (3, 5), (6, 8), (9, 10)))
-        bridge = validate_bridge(w, factor, (3, 2, 1, 0))
-        assert bridge is not None
+        bridge = bridge_move(factor, (3, 2, 1, 0))
+        assert validate_bridge(w, factor, bridge.kappa) is not None
         assert bridge.arches == 2
-        assert seqs(apply_bridge(w, bridge)) == ("L1", "L2", "L1", "L2")
+        assert seqs(bridge.apply(w)) == ("L1", "L2", "L1", "L2")
 
     def test_identity_kappa_is_even_symmetric_factor(self):
         """The surgery factors are the identity bridges, in the same order."""
@@ -483,7 +486,7 @@ class TestBridges:
                 for f in enumerate_even_symmetric_factors(w, 4, 3)
             ]
             identity_bridges = [
-                (b.factor.letters, b.factor.segments)
+                b.data[:2]
                 for b in enumerate_bridges(w, 4, 3)
                 if b.kappa == tuple(range(len(b.kappa)))
             ]
@@ -492,7 +495,7 @@ class TestBridges:
     def test_enumeration_on_doubled_letter(self, two_free, word_factory):
         w = word_factory(two_free, "AA", A="a")
         bridges = enumerate_bridges(w, 2, 3)
-        kinds = {(b.factor.segments, b.kappa, b.arches) for b in bridges}
+        kinds = {(b.factor(w).segments, b.kappa, b.arches) for b in bridges}
         assert (((0, 2),), (0,), 0) in kinds  # whole factor, zero arches
         assert (((0, 1), (1, 2)), (1, 0), 1) in kinds  # split, one arch
 
@@ -504,8 +507,12 @@ class TestBridges:
         for _ in range(10):
             w = random_nanoword(rng, two_free, rng.randint(1, 3))
             for b in enumerate_bridges(w, 3, 4):
-                again = validate_bridge(w, b.factor, b.kappa)
-                assert again is not None and again == b
+                assert b.kind == "BRIDGE"
+                factor = b.factor(w)
+                witness = validate_bridge(w, factor, b.kappa)
+                assert witness == mirror_witness(w.ground, w.seq, w.proj, factor.segments, b.kappa)
+                assert witness is not None
+                assert b.apply(w) == w.delete_letters(factor.letters)[0]
 
 
 class TestSearch:
@@ -565,9 +572,9 @@ class TestSearch:
     def test_bridge_move_log_round_trip(self, two_free, word_factory):
         w = word_factory(two_free, "ABCBCA", A="a", B="b", C="b")
         factor = Factor((0,), ((0, 1), (5, 6)))
-        bridge = validate_bridge(w, factor, (1, 0))
-        move = Move("BRIDGE", (factor.letters, factor.segments, bridge.kappa))
-        assert move.arches == bridge.arches == 1
+        assert validate_bridge(w, factor, (1, 0)) is not None
+        move = bridge_move(factor, (1, 0))
+        assert move.arches == 1
         line = move.to_line()
         assert "kappa=1,0" in line and "arches=1" in line
         recovered = Move.from_line(line)
@@ -628,10 +635,7 @@ def test_move_lines_round_trip(alphabet, letters, seed):
     w = w.canonical_form()
     caps = Caps(max_letters=3, max_k=3)
     moves = [m for m, _ in neighbors(w, caps)] + [Move("SHIFT", ())]
-    moves += [
-        Move("BRIDGE", (b.factor.letters, b.factor.segments, b.kappa))
-        for b in enumerate_bridges(w, caps.max_letters, caps.max_k)
-    ]
+    moves += enumerate_bridges(w, caps.max_letters, caps.max_k)
     for move in moves:
         assert Move.from_line(move.to_line()) == move
     meta = Metamorphosis(tuple(moves))
@@ -786,7 +790,7 @@ class TestFactorMoveRule:
         for _ in range(40):
             w = random_nanoword(rng, ground, rng.randint(1, 4)).canonical_form()
             for b in enumerate_bridges(w, 4, 4):
-                forward = Metamorphosis((Move("BRIDGE", (b.factor.letters, b.factor.segments, b.kappa)),))
+                forward = Metamorphosis((b,))
                 end = forward.replay(w)
                 inverse = forward.inverted(w)
                 assert inverse.replay(end).is_isomorphic(w)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from nanocob.algebra import RATIONALS, AlphabetError, InvolutiveAlphabet, PhiSpec, PiElement
+from nanocob.algebra import AlphabetError, InvolutiveAlphabet, PhiSpec, PiElement
 from nanocob.explorer import (
     _SUITE_ALPHABETS,
     random_nanoword,
@@ -794,7 +794,7 @@ class TestWeakBoxOracle:
                 return True, [0] * len(phis)
             for k, phi in enumerate(phis):
                 gram = [[phi.apply(v) for v in row] for row in values]
-                if phi.target == RATIONALS:
+                if not phi.prime:
                     rank = rational_rank(gram)
                 else:
                     rank = rank_mod_p(gram, phi.prime)
