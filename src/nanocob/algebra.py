@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 class Value:
@@ -61,6 +60,15 @@ class Value:
 
 class AlphabetError(ValueError):
     """Raised for malformed alphabets or symbols outside the alphabet."""
+
+
+def _integer(value: object, what: str, error: type[ValueError]) -> int:
+    """``value`` read as an int (``operator.index``, so ``True`` is 1);
+    anything else, such as a float or a fraction, raises ``error``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 FREE = "free"
@@ -252,6 +260,7 @@ class PiElement(Value):
     ) -> "PiElement":
         coords = [0] * alphabet.dimension
         for r, c in dict(free).items():
+            c = _integer(c, f"coefficient of {r!r}", AlphabetError)
             if c == 0:
                 continue
             if alphabet.orbit_rep(r) != r or alphabet.is_fixed(r):
@@ -310,10 +319,11 @@ class PiElement(Value):
     def from_coordinates(
         alphabet: InvolutiveAlphabet, coords: Sequence[int]
     ) -> "PiElement":
-        """The value whose ``coords`` are ``coords``, checked for length;
-        fixed-orbit entries are read mod 2."""
+        """The value whose ``coords`` are ``coords``, checked for length and
+        for integer entries; fixed-orbit entries are read mod 2."""
         if len(coords) != alphabet.dimension:
             raise AlphabetError(f"values have {alphabet.dimension} coordinates, got {len(coords)}")
+        coords = [_integer(c, f"coordinate {k}", AlphabetError) for k, c in enumerate(coords)]
         return PiElement(alphabet, alphabet.reduce(coords))
 
     def format(self, torsion_suffix: bool = False) -> str:
@@ -439,42 +449,31 @@ def pi_word_is_conjugate(u: PiWord, v: PiWord) -> bool:
 
 
 class PhiSpecError(ValueError):
-    """Raised when a coefficient homomorphism violates the torsion relations."""
-
-
-def _require_reps(alphabet: InvolutiveAlphabet, values: Mapping[str, object]) -> None:
-    for key in values:
-        if key not in alphabet or alphabet.orbit_rep(key) != key:
-            raise PhiSpecError(f"{key!r} is not an orbit representative")
+    """Raised when a coefficient homomorphism is malformed or violates the
+    torsion relations."""
 
 
 class PhiSpec(Value):
     """Additive map from the abelianized group into an exact coefficient
-    field: the rationals (``prime`` 0) or a prime field GF(``prime``).
+    field, the rationals (``prime`` 0) or a prime field GF(``prime``),
+    given by integer values on the orbit representatives.  Any other key,
+    and any value that is not an integer, is rejected.
 
-    Values are given on orbit representatives; any other key is
-    rejected.  On a fixed orbit the relation a + a = 0 forces
-    2*phi(a) = 0, so rational targets (and odd prime fields) demand
-    phi(a) = 0 there.
+    Integers lose nothing over Q: a genus is a Gram rank, which scaling
+    the map by a nonzero integer leaves unchanged, so every rational map
+    has an integral twin with the same genera.  On a fixed orbit the
+    relation a + a = 0 forces 2*phi(a) = 0, so rational targets (and odd
+    prime fields) demand phi(a) = 0 there.
     """
 
-    def __init__(self, prime: int, values: tuple[tuple[str, Union[Fraction, int]], ...]):
+    def __init__(self, prime: int, values: tuple[tuple[str, int], ...]):
         fields = self.__dict__
         fields["prime"] = prime
         fields["values"] = values
 
     @staticmethod
-    def rationals(
-        alphabet: InvolutiveAlphabet, values: Mapping[str, Union[int, Fraction]]
-    ) -> "PhiSpec":
-        _require_reps(alphabet, values)
-        vals = {}
-        for rep, _ in alphabet.pairs:
-            v = Fraction(values.get(rep, 0))
-            if alphabet.is_fixed(rep) and v != 0:
-                raise PhiSpecError(f"rational phi must vanish on fixed point {rep!r}")
-            vals[rep] = v
-        return PhiSpec(0, tuple(sorted(vals.items(), key=lambda kv: alphabet.index(kv[0]))))
+    def rationals(alphabet: InvolutiveAlphabet, values: Mapping[str, int]) -> "PhiSpec":
+        return PhiSpec._build(alphabet, 0, values)
 
     @staticmethod
     def prime_field(
@@ -482,46 +481,37 @@ class PhiSpec(Value):
     ) -> "PhiSpec":
         if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
             raise PhiSpecError(f"{p} is not prime")
-        _require_reps(alphabet, values)
-        vals = {}
-        for rep, _ in alphabet.pairs:
-            v = values.get(rep, 0) % p
-            if alphabet.is_fixed(rep) and (2 * v) % p != 0:
-                raise PhiSpecError(
-                    f"phi over GF({p}) must satisfy 2*phi = 0 on fixed point {rep!r}"
-                )
-            vals[rep] = v
-        return PhiSpec(p, tuple(sorted(vals.items(), key=lambda kv: alphabet.index(kv[0]))))
+        return PhiSpec._build(alphabet, p, values)
 
     @staticmethod
-    def signs(alphabet: InvolutiveAlphabet, signs: Mapping[str, int]) -> "PhiSpec":
-        """A +/-1 valued map on every symbol; requires tau fixed-point-free."""
-        if alphabet.fixed_reps():
-            raise PhiSpecError("sign-valued phi needs a fixed-point-free involution")
-        for rep in alphabet.free_reps():
-            if signs.get(rep, 1) not in (1, -1):
-                raise PhiSpecError(f"sign for {rep!r} must be +-1")
-        return PhiSpec.rationals(alphabet, {r: signs.get(r, 1) for r in alphabet.free_reps()})
+    def _build(alphabet: InvolutiveAlphabet, prime: int, values: Mapping[str, int]) -> "PhiSpec":
+        """The map with ``values`` on the orbit representatives (0 where
+        none is given), reduced mod ``prime`` when it is nonzero."""
+        for key in values:
+            if key not in alphabet or alphabet.orbit_rep(key) != key:
+                raise PhiSpecError(f"{key!r} is not an orbit representative")
+        vals = []
+        for rep, other in alphabet.pairs:
+            v = _integer(values.get(rep, 0), f"value at {rep!r}", PhiSpecError)
+            if prime:
+                v %= prime
+            if rep == other and (2 * v % prime if prime else v):
+                raise PhiSpecError(
+                    f"phi over GF({prime}) must satisfy 2*phi = 0 on fixed point {rep!r}"
+                    if prime
+                    else f"rational phi must vanish on fixed point {rep!r}"
+                )
+            vals.append((rep, v))
+        return PhiSpec(prime, tuple(vals))
 
-    @cached_property
-    def integral(self) -> bool:
-        """Whether every value is an integer, so that images of integer
-        coordinates are plain ints."""
-        return all(v.denominator == 1 for _, v in self.values)
-
-    def weights(self, alphabet: InvolutiveAlphabet) -> tuple[Union[Fraction, int], ...]:
+    def weights(self, alphabet: InvolutiveAlphabet) -> tuple[int, ...]:
         """The map as a weight vector over ``PiElement.coords``:
         phi(x) is the dot product of the weights with the coordinates of
-        x, reduced mod p over GF(p).  Integral values are given as ints."""
+        x, reduced mod p over GF(p)."""
         vals = dict(self.values)
-        return tuple(
-            int(v) if v.denominator == 1 else v
-            for v in map(vals.__getitem__, alphabet.free_reps() + alphabet.fixed_reps())
-        )
+        return tuple(map(vals.__getitem__, alphabet.free_reps() + alphabet.fixed_reps()))
 
-    def scalar(
-        self, alphabet: InvolutiveAlphabet
-    ) -> Callable[[Sequence[int]], Union[Fraction, int]]:
+    def scalar(self, alphabet: InvolutiveAlphabet) -> Callable[[Sequence[int]], int]:
         """The map on coordinate tuples of ``alphabet``: the dot product
         with the weights, reduced mod p over GF(p)."""
         weights = self.weights(alphabet)
@@ -530,11 +520,10 @@ class PhiSpec(Value):
             return lambda c: sum(map(operator.mul, weights, c)) % prime
         return lambda c: sum(map(operator.mul, weights, c))
 
-    def apply(self, x: PiElement) -> Union[Fraction, int]:
+    def apply(self, x: PiElement) -> int:
         return self.scalar(x.alphabet)(x.coords)
 
     def label(self) -> str:
         inside = ",".join(f"{r}={v}" for r, v in self.values)
         base = f"GF({self.prime})" if self.prime else "Q"
         return f"phi[{base}]({inside})"
-

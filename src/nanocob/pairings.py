@@ -29,7 +29,7 @@ from .algebra import (
     PiElement,
     Value,
 )
-from .intlinalg import IntegerLattice, integer_rank, rank_mod_p, rational_rank
+from .intlinalg import IntegerLattice, integer_rank, rank_mod_p
 from .moves import Factor, validate_bridge
 from .words import Nanoword, WordError, fresh_names
 
@@ -511,12 +511,10 @@ class Genus(Value):
         return str(self.twice // 2) if self.twice % 2 == 0 else f"{self.twice}/2"
 
 
-def _gram_rank(phi: PhiSpec, gram: list[list]) -> int:
-    """Rank of a Gram matrix of phi-values; with integral phi over Q the
-    entries are ints."""
-    if phi.prime:
-        return rank_mod_p(gram, phi.prime)
-    return integer_rank(gram) if phi.integral else rational_rank(gram)
+def _gram_rank(phi: PhiSpec, gram: list[list[int]]) -> int:
+    """Rank of a Gram matrix of phi-values: integer entries, read mod p
+    over GF(p)."""
+    return rank_mod_p(gram, phi.prime) if phi.prime else integer_rank(gram)
 
 
 def _phi_matrix(p: AlphaPairing | TupleSpace, phi: PhiSpec) -> list[list]:

@@ -124,6 +124,17 @@ class TestPiElement:
         # fixed-orbit entries are read mod 2
         assert PiElement.from_coordinates(mixed, (2, 3)) == PiElement.make(mixed, {"a": 2}, ("c",))
 
+    def test_non_integer_coefficients_rejected(self, mixed):
+        """Coefficients are integers: a float or a fraction is refused with
+        ``AlphabetError`` instead of becoming a value like ``1.5a``."""
+        for bad in (1.5, Fraction(1, 2), Fraction(2), 2.0, "1"):
+            with pytest.raises(AlphabetError, match="coefficient of 'a' must be an integer"):
+                PiElement.make(mixed, {"a": bad})
+            with pytest.raises(AlphabetError, match="coordinate 0 must be an integer"):
+                PiElement.from_coordinates(mixed, (bad, 1))
+        assert PiElement.make(mixed, {"a": True}).coords == (1, 0)
+        assert PiElement.from_coordinates(mixed, (True, 3)).coords == (1, 1)
+
 
 class TestPiWord:
     def test_inverse_pair_cancels(self, two_free):
@@ -277,14 +288,10 @@ class TestPhiSpec:
         with pytest.raises(PhiSpecError):
             PhiSpec.rationals(mixed, {"c": 1})
 
-    def test_sign_phi_requires_fixed_point_free(self, mixed):
-        with pytest.raises(PhiSpecError):
-            PhiSpec.signs(mixed, {"a": 1})
-
     def test_weights_agree_with_apply(self, two_free, mixed):
         rng = random.Random(61)
         maps = (
-            (two_free, PhiSpec.rationals(two_free, {"a": Fraction(1, 2), "b": -3})),
+            (two_free, PhiSpec.rationals(two_free, {"a": 5, "b": -3})),
             (two_free, PhiSpec.prime_field(two_free, 3, {"a": 1, "b": 2})),
             (mixed, PhiSpec.prime_field(mixed, 2, {"a": 1, "c": 1})),
             (mixed, PhiSpec.rationals(mixed, {"a": 2})),
@@ -295,9 +302,30 @@ class TestPhiSpec:
                 x = random_pi_element(rng, ground)
                 value = sum(w * c for w, c in zip(weights, x.coords))
                 assert (value % phi.prime if phi.prime else value) == phi.apply(x)
-        assert [phi.integral for _, phi in maps] == [False, True, True, True]
-        integral = PhiSpec.rationals(mixed, {"a": Fraction(2)}).weights(mixed)
-        assert integral == (2, 0) and all(type(w) is int for w in integral)
+
+    @pytest.mark.parametrize("prime", (0, 5))
+    @pytest.mark.parametrize(
+        "value", (Fraction(1, 2), Fraction(2), 1.5, 0.1, 2.0, "3", None), ids=repr
+    )
+    def test_non_integer_values_rejected(self, prime, value):
+        """A value that is not an integer is refused where the map is
+        built, naming its representative, over Q and over GF(p) alike."""
+        ground = InvolutiveAlphabet.fixed_point_free(("a",), ("x",))
+        message = f"value at 'a' must be an integer, got {value!r}"
+        with pytest.raises(PhiSpecError) as caught:
+            if prime:
+                PhiSpec.prime_field(ground, prime, {"a": value})
+            else:
+                PhiSpec.rationals(ground, {"a": value})
+        assert str(caught.value) == message
+
+    def test_bool_value_reads_as_one(self, two_free):
+        for phi in (
+            PhiSpec.rationals(two_free, {"a": True}),
+            PhiSpec.prime_field(two_free, 5, {"a": True}),
+        ):
+            assert phi.values == (("a", 1), ("b", 0)) and phi.label().endswith("(a=1,b=0)")
+            assert all(type(v) is int for _, v in phi.values)
 
     def test_non_representative_keys_rejected(self, two_free, mixed):
         for key in ("A", "q"):
@@ -364,9 +392,7 @@ class TestSparseOracle:
         for ground in self.grounds(two_free, mixed):
             free, fixed = ground.free_reps(), ground.fixed_reps()
             phis = (
-                PhiSpec.rationals(
-                    ground, {r: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for r in free}
-                ),
+                PhiSpec.rationals(ground, {r: rng.randint(-6, 6) for r in free}),
                 PhiSpec.prime_field(ground, 2, {r: rng.randint(0, 1) for r in free + fixed}),
                 PhiSpec.prime_field(ground, 3, {r: rng.randint(0, 2) for r in free}),
             )

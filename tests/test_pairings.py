@@ -1,6 +1,5 @@
 import hashlib
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -526,17 +525,33 @@ class TestGenus:
         phi = PhiSpec.prime_field(two_free, 2, {"a": 1, "b": 1})
         assert genus(pairing_of_nanoword(w), phi).twice in (0, 2, 4)
 
-    def test_fractional_phi_scales_out(self, two_free):
-        """A rational map with fractional values gives the same genera as
-        its integral multiple."""
+    def test_fractional_phi_scales_out(self):
+        """A genus is a Gram rank, so scaling the map by a nonzero integer c
+        (a unit of the field: over GF(p), c coprime to p) leaves it
+        unchanged; this is why a map with fractions has an integral twin.
+        Random words of 3-5 letters over the free and mixed suite
+        alphabets, over Q, GF(5) and GF(7)."""
         rng = random.Random(63)
-        half = PhiSpec.rationals(two_free, {"a": Fraction(1, 2), "b": Fraction(-3, 2)})
-        whole = PhiSpec.rationals(two_free, {"a": 1, "b": -3})
-        for _ in range(10):
-            p = random_skew_pairing(rng, two_free, rng.randint(1, 3))
-            q = random_skew_pairing(rng, two_free, 1)
-            assert genus(p, half) == genus(p, whole)
-            assert tuple_genus((p, q), half, 1) == tuple_genus((p, q), whole, 1)
+        checked = positive = 0
+        for ground in _SUITE_ALPHABETS:
+            for prime in (0, 5, 7):
+                for _ in range(4):
+                    values = {r: rng.choice((-2, -1, 1, 2, 3)) for r in ground.free_reps()}
+                    p = pairing_of_nanoword(random_nanoword(rng, ground, rng.randint(3, 5)))
+                    q = pairing_of_nanoword(random_nanoword(rng, ground, rng.randint(1, 2)))
+                    genera = set()
+                    for c in (1, -3, -2, 2, 3):
+                        scaled = {r: c * v for r, v in values.items()}
+                        phi = (
+                            PhiSpec.prime_field(ground, prime, scaled)
+                            if prime
+                            else PhiSpec.rationals(ground, scaled)
+                        )
+                        genera.add((genus(p, phi).twice, tuple_genus((p, q), phi, 1).twice))
+                    assert len(genera) == 1
+                    checked += 1
+                    positive += genera.pop()[0] > 0
+        assert checked == 36 and positive >= 12
 
     def test_skew_pairings_have_integer_genus(self, mixed, two_free):
         rng = random.Random(48)
@@ -633,7 +648,7 @@ class TestScalarTableOracle:
     def _phis(ground):
         free, fixed = ground.free_reps(), ground.fixed_reps()
         return (
-            PhiSpec.rationals(ground, {r: Fraction(2 * k - 3, k + 1) for k, r in enumerate(free, 1)}),
+            PhiSpec.rationals(ground, {r: 2 * k - 5 for k, r in enumerate(free, 1)}),
             PhiSpec.prime_field(ground, 2, dict.fromkeys(free + fixed, 1)),
             PhiSpec.prime_field(ground, 7, {r: 3 * k - 1 for k, r in enumerate(free, 1)}),
         )
@@ -895,12 +910,14 @@ class TestFillingWalkOracle:
 
     @staticmethod
     def _phis(rng, ground):
-        """A sign map, a rational map, a GF(2) map and a GF(3) map."""
+        """A sign map, a map over Q, a GF(2) map and a GF(3) map.  The Q
+        map has weights 2n/d for random n and d in {1, 2}: the integral
+        twin, with the same genera, of the map with values n/d."""
         free = ground.free_reps()
         return (
             rng.choice(phi_sign_battery(ground)),
             PhiSpec.rationals(
-                ground, {rep: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for rep in free}
+                ground, {rep: rng.randint(-3, 3) * (2 // rng.randint(1, 2)) for rep in free}
             ),
             PhiSpec.prime_field(ground, 2, {rep: rng.randint(0, 1) for rep, _ in ground.pairs}),
             PhiSpec.prime_field(ground, 3, {rep: rng.randint(0, 2) for rep in free}),
