@@ -16,11 +16,9 @@ from .algebra import (
 )
 from .moves import (
     Caps,
-    Factor,
     Metamorphosis,
     Move,
     apply_h3,
-    apply_surgery,
     bounded_bfs,
     enumerate_bridges,
     enumerate_even_symmetric_factors,

@@ -54,7 +54,8 @@ class Value:
         raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
 
     def replace(self, **changes):
-        """A copy with the given fields changed, checked like a new value."""
+        """A copy with the given fields changed, made by ``__init__``: it
+        passes the checks ``__init__`` makes, and no others."""
         return type(self)(**{**dict(zip(self._fields, self._values(self))), **changes})
 
 
@@ -313,6 +314,7 @@ class PiElement(Value):
         return PiElement(self.alphabet, self.alphabet.reduce(coords))
 
     def scaled(self, k: int) -> "PiElement":
+        k = _integer(k, "scale factor", AlphabetError)
         return PiElement(self.alphabet, self.alphabet.reduce(k * c for c in self.coords))
 
     @staticmethod
@@ -453,6 +455,10 @@ class PhiSpecError(ValueError):
     torsion relations."""
 
 
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
 class PhiSpec(Value):
     """Additive map from the abelianized group into an exact coefficient
     field, the rationals (``prime`` 0) or a prime field GF(``prime``),
@@ -467,9 +473,12 @@ class PhiSpec(Value):
     """
 
     def __init__(self, prime: int, values: tuple[tuple[str, int], ...]):
+        # the checks that need no alphabet; ``_build`` makes the rest
+        if prime and not _is_prime(_integer(prime, "prime", PhiSpecError)):
+            raise PhiSpecError(f"{prime} is not prime")
         fields = self.__dict__
         fields["prime"] = prime
-        fields["values"] = values
+        fields["values"] = tuple((r, _integer(v, f"value at {r!r}", PhiSpecError)) for r, v in values)
 
     @staticmethod
     def rationals(alphabet: InvolutiveAlphabet, values: Mapping[str, int]) -> "PhiSpec":
@@ -479,7 +488,7 @@ class PhiSpec(Value):
     def prime_field(
         alphabet: InvolutiveAlphabet, p: int, values: Mapping[str, int]
     ) -> "PhiSpec":
-        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        if not _is_prime(p):
             raise PhiSpecError(f"{p} is not prime")
         return PhiSpec._build(alphabet, p, values)
 

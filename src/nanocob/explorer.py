@@ -17,10 +17,8 @@ from .algebra import InvolutiveAlphabet, PhiSpec, PiElement, PiWord, Value
 from .moves import (
     Caps,
     DEFAULT_CAPS,
-    Factor,
     Metamorphosis,
     Move,
-    apply_surgery,
     bounded_bfs,
     enumerate_bridges,
     insert_phrase,
@@ -542,8 +540,8 @@ def random_surgery_instance(
     rng: random.Random,
     ground: InvolutiveAlphabet,
     max_total_length: int = 14,
-) -> tuple[Nanoword, Factor]:
-    """A word containing a random even symmetric factor, plus that factor."""
+) -> tuple[Nanoword, Move]:
+    """A word containing a random even symmetric factor, and its ``SURG`` move."""
     words, proj = random_even_symmetric_phrase(rng, ground)
     phrase_length = sum(len(word) for word in words)
     budget = max(0, (max_total_length - phrase_length) // 2)
@@ -551,8 +549,8 @@ def random_surgery_instance(
     points = sorted(rng.randint(0, context.length) for _ in words)
     w = insert_phrase(context, words, proj, points)
     base = context.num_letters
-    factor = Factor(tuple(range(base, base + len(proj))), inserted_segments(words, points))
-    return w, factor
+    letters = tuple(range(base, base + len(proj)))
+    return w, Move("SURG", (letters, inserted_segments(words, points)))
 
 
 def random_pi_element(rng: random.Random, ground: InvolutiveAlphabet) -> PiElement:
@@ -617,8 +615,8 @@ def suite_surgery_filling(seed: int = 0, count: int = 500, max_length: int = 14)
     rng = random.Random(seed)
     for trial in range(count):
         ground = _random_alphabet(rng)
-        w, factor = random_surgery_instance(rng, ground, max_length)
-        if not verify_surgery_filling(w, factor):
+        w, surgery = random_surgery_instance(rng, ground, max_length)
+        if not verify_surgery_filling(w, surgery):
             return SuiteResult(
                 "surgery-filling", False, trial + 1, f"failed on {w}"
             )
@@ -643,8 +641,8 @@ def _random_move_instance(rng: random.Random, ground: InvolutiveAlphabet):
     the move's phrase inside a random context."""
     kind = rng.choice(("H1", "H2", "H3", "SURG"))
     if kind == "SURG":
-        w, factor = random_surgery_instance(rng, ground, max_total_length=12)
-        return kind, w, apply_surgery(w, factor)
+        w, surgery = random_surgery_instance(rng, ground, max_total_length=12)
+        return kind, w, surgery.apply(w)
     context = random_nanoword(rng, ground, rng.randint(0, 3))
     words = _MOVE_PHRASES[kind]
     if kind == "H1":

@@ -56,16 +56,6 @@ CAP_KEYS = {"letters": "max_letters", "k": "max_k", "bfs": "bfs_length", "nodes"
 DEFAULT_CAPS = Caps()
 
 
-class Factor(Value):
-    """A subset of letters realized by disjoint in-order segments covering
-    exactly their entries; the segments are half-open position ranges."""
-
-    def __init__(self, letters: tuple[int, ...], segments: tuple[tuple[int, int], ...]):
-        fields = self.__dict__
-        fields["letters"] = letters
-        fields["segments"] = segments
-
-
 class Move(Value):
     """One replayable rewrite.  ``data`` is kind-specific:
 
@@ -96,40 +86,43 @@ class Move(Value):
         """The arches of ``kappa``: its pairs of swapped segments."""
         return sum(1 for r, image in enumerate(self.kappa or ()) if r < image)
 
-    def factor(self, w: Nanoword) -> Factor:
-        """The factor a deleting move takes out of ``w``: for ``H1@i`` the
+    def factor(self, w: Nanoword) -> tuple:
+        """The factor a deleting move takes out of ``w``, as ``(letters,
+        segments)``: letters and the disjoint in-order segments (half-open
+        position ranges) covering exactly their entries.  For ``H1@i`` the
         letter at ``i`` on ``(i, i + 2)``, for ``H2@i,j`` the letters at
         ``i, i + 1`` on ``(i, i + 2), (j, j + 2)``, for SURG and BRIDGE the
-        factor in ``data``.  H1 and H2 are surgeries, which
+        head of ``data``.  H1 and H2 are surgeries, which
         ``validate_bridge`` decides, but an H2 site must also be
         ``ab ... ba``, not the sibling surgery ``ab ... ab``: a site out of
-        range or not of that shape raises WordError."""
+        range or not of that shape raises WordError, and so does a move
+        that deletes no factor (H3, SHIFT, INS)."""
+        if self.kind in ("SURG", "BRIDGE"):
+            return self.data[:2]
         if self.kind not in ("H1", "H2"):
-            return Factor(*self.data[:2])
+            raise WordError(f"move kind {self.kind!r} deletes no factor")
         i, j = self.data[0], self.data[-1]
         pair = w.seq[i:i + 2]
         if min(i, j) < 0 or j + 2 > w.length or (self.kind == "H2" and w.seq[j:j + 2] != pair[::-1]):
             raise WordError(f"no {self.kind} site at positions {_join(self.data)}")
-        return Factor(tuple(sorted(set(pair))), tuple((s, s + 2) for s in self.data))
+        return tuple(sorted(set(pair))), tuple((s, s + 2) for s in self.data)
 
     def apply(self, w: Nanoword) -> Nanoword:
         if self.kind == "H3":
             return apply_h3(w, self.data, self.inverse)
         if self.kind == "SHIFT":
             return w.circular_shift()
-        if self.kind not in _LAYOUTS and self.kind not in _POSITIONS:
-            raise WordError(f"unknown move kind {self.kind!r}")
         grows = self.kind == "INS"
         if grows:
             x = insert_phrase(w, *self.data[:3])
             letters = tuple(range(w.num_letters, x.num_letters))
-            factor = Factor(letters, inserted_segments(self.data[0], self.data[2]))
+            segments = inserted_segments(self.data[0], self.data[2])
         else:
-            x, factor = w, self.factor(w)
-        if validate_bridge(x, factor, self.kappa or range(len(factor.segments))) is None:
-            what = "inserted phrase" if grows else f"factor at {factor.segments}"
+            x, (letters, segments) = w, self.factor(w)
+        if validate_bridge(x, letters, segments, self.kappa or range(len(segments))) is None:
+            what = "inserted phrase" if grows else f"factor at {segments}"
             raise WordError(f"{what} is not a bridge with its kappa")
-        return x if grows else x.delete_letters(factor.letters)[0]
+        return x if grows else x.delete_letters(letters)[0]
 
     def to_line(self) -> str:
         head = f"INV {self.kind}" if self.inverse else self.kind
@@ -280,9 +273,8 @@ def _invert_move(move: Move, w: Nanoword, result: Nanoword) -> list[Move]:
         segments = inserted_segments(move.data[0], move.data[2])
         inserted = sorted({result.seq[p] for s, e in segments for p in range(s, e)})
         return [Move("BRIDGE" if kappa else "SURG", (tuple(inserted), segments) + kappa)]
-    factor = move.factor(w)
-    local = {g: i for i, g in enumerate(sorted(factor.letters))}
-    segments = factor.segments
+    letters, segments = move.factor(w)
+    local = {g: i for i, g in enumerate(sorted(letters))}
     words = tuple(tuple(local[x] for x in w.seq[start:end]) for start, end in segments)
     # a segment goes back to its start, less the segments deleted before it
     points = tuple(s - sum(map(len, words[:t])) for t, (s, _) in enumerate(segments))
@@ -371,10 +363,11 @@ def apply_h3(w: Nanoword, site: tuple[int, int, int], inverse: bool = False) -> 
 # factors, surgeries, bridges
 
 
-def enumerate_factors(w: Nanoword, max_letters: int, max_k: int) -> Iterator[Factor]:
-    """Every factor within the caps, in deterministic order: by size, then
-    letter tuple, then per maximal run of positions by (piece count, cut
-    offsets).  Adjacent segments model empty context between them."""
+def enumerate_factors(w: Nanoword, max_letters: int, max_k: int) -> Iterator[tuple]:
+    """Every factor within the caps, as ``(letters, segments)``, in
+    deterministic order: by size, then letter tuple, then per maximal run of
+    positions by (piece count, cut offsets).  Adjacent segments model empty
+    context between them."""
     m = w.num_letters
     for size in range(1, min(m, max_letters) + 1):
         for subset in itertools.combinations(range(m), size):
@@ -398,7 +391,7 @@ def enumerate_factors(w: Nanoword, max_letters: int, max_k: int) -> Iterator[Fac
             for pieces in itertools.product(*splits):
                 segments = sum(pieces, ())
                 if len(segments) <= max_k:
-                    yield Factor(subset, segments)
+                    yield subset, segments
 
 
 def _mirrored_segments(w: Nanoword, max_letters: int, pairs: bool) -> list[list]:
@@ -466,11 +459,11 @@ def _mirrored_segments(w: Nanoword, max_letters: int, pairs: bool) -> list[list]
     return by_start
 
 
-def _enumeration_order(factor: Factor) -> tuple:
+def _enumeration_order(letters: tuple, segments: tuple) -> tuple:
     """The sort key that puts factors in the order of ``enumerate_factors``."""
     pieces: list[tuple[int, tuple[int, ...]]] = []  # per run: piece count, cut offsets
     run_start = run_end = -1
-    for start, end in factor.segments:
+    for start, end in segments:
         if start == run_end:
             parts, cuts = pieces[-1]
             pieces[-1] = (parts + 1, cuts + (start - run_start,))
@@ -478,15 +471,15 @@ def _enumeration_order(factor: Factor) -> tuple:
             run_start = start
             pieces.append((1, ()))
         run_end = end
-    return (len(factor.letters), factor.letters, tuple(pieces))
+    return (len(letters), letters, tuple(pieces))
 
 
 def _mirror_factors(
     w: Nanoword, max_letters: int, max_k: int, pairs: bool
-) -> list[tuple[tuple, tuple[int, ...], Factor]]:
+) -> list[tuple[tuple, tuple[int, ...], tuple, tuple]]:
     """Every factor within the caps with each segment involution ``kappa``
     that makes it a bridge (without ``pairs`` only the identity: the surgery
-    factors), as ``(order, kappa, factor)`` in the order of
+    factors), as ``(order, kappa, letters, segments)`` in the order of
     ``enumerate_factors`` and then of ``kappa``.
 
     Segments are chosen left to right from ``_mirrored_segments``.  An entry
@@ -545,24 +538,19 @@ def _mirror_factors(
     extend(0, {}, 0, ())
     out = []
     for segments, kappa in found:
-        factor = Factor(tuple(sorted({x for s, e in segments for x in w.seq[s:e]})), segments)
-        out.append((_enumeration_order(factor), kappa, factor))
+        letters = tuple(sorted({x for s, e in segments for x in w.seq[s:e]}))
+        out.append((_enumeration_order(letters, segments), kappa, letters, segments))
     out.sort()  # no two factors share their order
     return out
 
 
 def enumerate_even_symmetric_factors(
     w: Nanoword, max_letters: int = DEFAULT_CAPS.max_letters, max_k: int = DEFAULT_CAPS.max_k
-) -> list[Factor]:
-    """The surgery factors within the caps: the bridges whose ``kappa`` is
-    the identity, in the order of ``enumerate_factors``."""
-    return [factor for _, _, factor in _mirror_factors(w, max_letters, max_k, pairs=False)]
-
-
-def apply_surgery(w: Nanoword, factor: Factor) -> Nanoword:
-    """Delete an even symmetric factor: the ``SURG`` move on ``factor``, a
-    bridge whose ``kappa`` is the identity."""
-    return Move("SURG", (factor.letters, factor.segments)).apply(w)
+) -> list[Move]:
+    """The surgeries within the caps, as ``SURG`` moves: the bridges whose
+    ``kappa`` is the identity, in the order of ``enumerate_factors``."""
+    surgeries = _mirror_factors(w, max_letters, max_k, pairs=False)
+    return [Move("SURG", (letters, segments)) for _, _, letters, segments in surgeries]
 
 
 def insert_phrase(
@@ -601,15 +589,15 @@ def inserted_segments(
     return tuple(segments)
 
 
-def factor_is_well_formed(w: Nanoword, factor: Factor) -> bool:
+def factor_is_well_formed(w: Nanoword, letters: Sequence[int], segments: Sequence) -> bool:
     """Letters distinct ids of letters of ``w``; segments disjoint,
     ascending, in range, covering exactly the entries of those letters."""
-    chosen = set(factor.letters)
-    if len(chosen) != len(factor.letters):
+    chosen = set(letters)
+    if len(chosen) != len(letters):
         return False
     seq = w.seq
     last = covered = 0
-    for start, end in factor.segments:
+    for start, end in segments:
         if not last <= start < end <= len(seq) or not chosen.issuperset(seq[start:end]):
             return False
         last = end
@@ -620,17 +608,17 @@ def factor_is_well_formed(w: Nanoword, factor: Factor) -> bool:
 
 
 def validate_bridge(
-    w: Nanoword, factor: Factor, kappa: Sequence[int]
+    w: Nanoword, letters: Sequence[int], segments: Sequence, kappa: Sequence[int]
 ) -> Optional[SymmetryWitness]:
-    """Check the bridge conditions for a factor and a segment involution:
-    ``kappa`` an involution, matching segment lengths, even length on fixed
-    segments, then the mirror rule (``mirror_witness``) with ``kappa``.
+    """Check the bridge conditions for a factor, ``letters`` on
+    ``segments``, and a segment involution: ``kappa`` an involution,
+    matching segment lengths, even length on fixed segments, then the
+    mirror rule (``mirror_witness``) with ``kappa``.
     With the identity ``kappa`` these are the conditions on a surgery
     factor.  Returns the mirror rule's witness (``iota``, ``epsilon``), or
     None when a condition fails."""
-    if not factor_is_well_formed(w, factor):
+    if not factor_is_well_formed(w, letters, segments):
         return None
-    segments = factor.segments
     kappa = tuple(kappa)
     k = len(kappa)
     if k != len(segments):
@@ -653,8 +641,8 @@ def enumerate_bridges(
     ``validate_bridge`` accepts, ordered by factor in the order of
     ``enumerate_factors`` and then by ``kappa`` read as a tuple."""
     return [
-        Move("BRIDGE", (factor.letters, factor.segments, kappa))
-        for _, kappa, factor in _mirror_factors(w, max_letters, max_k, pairs=True)
+        Move("BRIDGE", (letters, segments, kappa))
+        for _, kappa, letters, segments in _mirror_factors(w, max_letters, max_k, pairs=True)
     ]
 
 
@@ -692,10 +680,10 @@ def site_moves(w: Nanoword, caps: Caps = DEFAULT_CAPS) -> Iterator[Move]:
     yield from deletions
     yield from find_h3_sites(w)
     yield from find_h3_sites(w, inverse=True)
-    sites = {move.factor(w).segments for move in deletions}
-    for factor in enumerate_even_symmetric_factors(w, caps.max_letters, caps.max_k):
-        if factor.segments not in sites:
-            yield Move("SURG", (factor.letters, factor.segments))
+    sites = {move.factor(w)[1] for move in deletions}
+    for move in enumerate_even_symmetric_factors(w, caps.max_letters, caps.max_k):
+        if move.data[1] not in sites:
+            yield move
 
 
 def neighbors(
@@ -713,7 +701,7 @@ def neighbors(
         if move.kind == "H3":
             yield move, move.apply(w).canonical_key()
         else:
-            drop = move.factor(w).letters
+            drop, _ = move.factor(w)
             yield move, key_of([x for x in w.seq if x not in drop], w.proj)
     max_len = caps.length_cap(w.length)
     base = w.num_letters

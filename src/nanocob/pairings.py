@@ -30,7 +30,7 @@ from .algebra import (
     Value,
 )
 from .intlinalg import IntegerLattice, integer_rank, rank_mod_p
-from .moves import Factor, validate_bridge
+from .moves import Move, validate_bridge
 from .words import Nanoword, WordError, fresh_names
 
 
@@ -728,13 +728,15 @@ def u_degree(u: UPoly, symbol: str) -> int:
 # surgery consistency
 
 
-def verify_surgery_filling(w: Nanoword, factor: Factor) -> bool:
+def verify_surgery_filling(w: Nanoword, surgery: Move) -> bool:
     """Check the orthogonality relations behind surgery invariance and that
     the associated filling annihilates the summed pairing.  Raises
-    WordError unless ``factor`` is an even symmetric factor of ``w``."""
-    witness = validate_bridge(w, factor, range(len(factor.segments)))
+    WordError unless ``surgery`` deletes an even symmetric factor of ``w``
+    (``Move.factor``)."""
+    letters, segments = surgery.factor(w)
+    witness = validate_bridge(w, letters, segments, range(len(segments)))
     if witness is None:
-        raise WordError(f"segments {factor.segments} are not an even symmetric factor")
+        raise WordError(f"segments {segments} are not an even symmetric factor")
     iota = dict(witness.iota)
     eps = dict(witness.epsilon)
     b_letters = sorted(iota)

@@ -1,11 +1,12 @@
 """The move-site, surgery-factor and bridge routes that generation
 replaced, kept as test oracles.
 
-Surgery factors used to be every factor within the caps with even
+Surgeries used to be every factor within the caps with even
 segments, kept when ``mirror_witness`` accepts it.  Bridges used to be
 every factor within the caps with every segment involution, kept when
 ``validate_bridge`` accepts the pair.  A surgery factor used
-to be checked on three paths of its own: ``apply_surgery``,
+to be checked on three paths of its own: ``apply_surgery`` (since
+replaced by the ``SURG`` move),
 ``validate_bridge`` with the identity ``kappa``, and the checks that
 opened ``verify_surgery_filling``.  The second and third
 homotopy moves used to be found by scanning every pair and triple of
@@ -35,10 +36,10 @@ from nanocob.words import Nanoword, mirror_witness
 
 def even_symmetric_factors_by_filter(w, max_letters, max_k):
     return [
-        f
-        for f in enumerate_factors(w, max_letters, max_k)
-        if not any((end - start) % 2 for start, end in f.segments)
-        and mirror_witness(w.ground, w.seq, w.proj, f.segments) is not None
+        Move("SURG", (letters, segments))
+        for letters, segments in enumerate_factors(w, max_letters, max_k)
+        if not any((end - start) % 2 for start, end in segments)
+        and mirror_witness(w.ground, w.seq, w.proj, segments) is not None
     ]
 
 
@@ -66,25 +67,25 @@ def involutions(k):
 
 def bridges_by_filter(w, max_letters, max_k):
     return [
-        Move("BRIDGE", (factor.letters, factor.segments, kappa))
-        for factor in enumerate_factors(w, max_letters, max_k)
-        for kappa in involutions(len(factor.segments))
-        if validate_bridge(w, factor, kappa) is not None
+        Move("BRIDGE", (letters, segments, kappa))
+        for letters, segments in enumerate_factors(w, max_letters, max_k)
+        for kappa in involutions(len(segments))
+        if validate_bridge(w, letters, segments, kappa) is not None
     ]
 
 
-def factor_is_well_formed_by_scan(w, factor):
+def factor_is_well_formed_by_scan(w, letters, segments):
     """Letters distinct ids of letters of ``w``; segments disjoint,
     ascending, in range, covering exactly the positions a scan of the whole
     word finds for those letters."""
-    chosen = set(factor.letters)
-    if len(chosen) != len(factor.letters):
+    chosen = set(letters)
+    if len(chosen) != len(letters):
         return False
     if any(not 0 <= x < w.num_letters for x in chosen):
         return False
     last = 0
     covered = []
-    for start, end in factor.segments:
+    for start, end in segments:
         if not (0 <= start < end <= w.length) or start < last:
             return False
         last = end
@@ -93,35 +94,35 @@ def factor_is_well_formed_by_scan(w, factor):
     return covered == expected
 
 
-def surgery_accepted_by_apply(w, factor):
+def surgery_accepted_by_apply(w, letters, segments):
     """The checks ``apply_surgery`` made: well formed, even, symmetric."""
     return (
-        factor_is_well_formed_by_scan(w, factor)
-        and not any((end - start) % 2 for start, end in factor.segments)
-        and mirror_witness(w.ground, w.seq, w.proj, factor.segments) is not None
+        factor_is_well_formed_by_scan(w, letters, segments)
+        and not any((end - start) % 2 for start, end in segments)
+        and mirror_witness(w.ground, w.seq, w.proj, segments) is not None
     )
 
 
-def surgery_accepted_by_bridge(w, factor):
+def surgery_accepted_by_bridge(w, letters, segments):
     """The bridge checks with the identity ``kappa``: well formed, every
     fixed segment even, then the mirror rule read with ``kappa``."""
-    if not factor_is_well_formed_by_scan(w, factor):
+    if not factor_is_well_formed_by_scan(w, letters, segments):
         return False
-    if any((end - start) % 2 for start, end in factor.segments):
+    if any((end - start) % 2 for start, end in segments):
         return False
-    kappa = tuple(range(len(factor.segments)))
-    return mirror_witness(w.ground, w.seq, w.proj, factor.segments, kappa) is not None
+    kappa = tuple(range(len(segments)))
+    return mirror_witness(w.ground, w.seq, w.proj, segments, kappa) is not None
 
 
-def surgery_witness_by_filling_checks(w, factor):
+def surgery_witness_by_filling_checks(w, letters, segments):
     """The witness ``verify_surgery_filling`` read, or None where its
     opening checks (even, symmetric, the letters cut out) refused.  These
     checks assumed ascending in-range segments, so the oracle is only
     meaningful on such factors."""
-    if any((end - start) % 2 for start, end in factor.segments):
+    if any((end - start) % 2 for start, end in segments):
         return None
-    witness = mirror_witness(w.ground, w.seq, w.proj, factor.segments)
-    if witness is None or [b for b, _ in witness.iota] != sorted(factor.letters):
+    witness = mirror_witness(w.ground, w.seq, w.proj, segments)
+    if witness is None or [b for b, _ in witness.iota] != sorted(letters):
         return None
     return witness
 

@@ -43,12 +43,12 @@ def phrase_witness(phrase):
     return SymmetryWitness(tuple(sorted(iota.items())), tuple(sorted(epsilon.items())))
 
 
-def bridge_witness(w, factor, kappa):
+def bridge_witness(w, letters, segments, kappa):
     """``(iota, epsilon)`` of a bridge by the positional route, or None;
-    ``factor`` and ``kappa`` must already pass the segment checks."""
+    the factor and ``kappa`` must already pass the segment checks."""
     iota = {}
-    for r, (start, end) in enumerate(factor.segments):
-        ts, _ = factor.segments[kappa[r]]
+    for r, (start, end) in enumerate(segments):
+        ts, _ = segments[kappa[r]]
         n = end - start
         for offset in range(n):
             x = w.seq[start + offset]
@@ -57,21 +57,21 @@ def bridge_witness(w, factor, kappa):
                 return None
 
     segment_of = {}
-    for r, (start, end) in enumerate(factor.segments):
+    for r, (start, end) in enumerate(segments):
         for pos in range(start, end):
             segment_of[pos] = r
 
     def symmetric_position(pos):
         r = segment_of[pos]
-        start, end = factor.segments[r]
-        ts, _ = factor.segments[kappa[r]]
+        start, end = segments[r]
+        ts, _ = segments[kappa[r]]
         return ts + (end - 1 - pos)
 
     epsilon = {}
-    for b in factor.letters:
+    for b in letters:
         first, _ = w.occurrences(b)
         epsilon[b] = 1 if symmetric_position(first) == w.occurrences(iota[b])[0] else 0
-    for b in factor.letters:
+    for b in letters:
         expected = w.proj[b]
         if epsilon[b]:
             expected = w.ground.tau(expected)

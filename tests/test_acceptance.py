@@ -24,7 +24,7 @@ from nanocob.explorer import (
     suite_sandwich,
     suite_surgery_filling,
 )
-from nanocob.moves import Caps, Factor
+from nanocob.moves import Caps
 from nanocob.pairings import (
     filling_is_annihilating,
     format_vector,

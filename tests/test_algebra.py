@@ -26,7 +26,7 @@ from nanocob.explorer import (
     invariant_record,
     random_pi_element,
 )
-from nanocob.moves import Caps, Factor, Metamorphosis, Move, bounded_bfs
+from nanocob.moves import Caps, Metamorphosis, Move, bounded_bfs
 from nanocob.pairings import (
     Genus,
     OrbitPoly,
@@ -134,6 +134,15 @@ class TestPiElement:
                 PiElement.from_coordinates(mixed, (bad, 1))
         assert PiElement.make(mixed, {"a": True}).coords == (1, 0)
         assert PiElement.from_coordinates(mixed, (True, 3)).coords == (1, 1)
+
+    def test_non_integer_scale_rejected(self, mixed):
+        """``scaled`` reads its factor as ``make`` reads a coefficient:
+        ``1.5a`` and ``1/2a`` are no values."""
+        a = PiElement.of_letter(mixed, "a")
+        for bad in (1.5, Fraction(1, 2)):
+            with pytest.raises(AlphabetError, match="scale factor must be an integer"):
+                a.scaled(bad)
+        assert a.scaled(True) == a and a.scaled(-3).coords == (-3, 0)
 
 
 class TestPiWord:
@@ -327,6 +336,18 @@ class TestPhiSpec:
             assert phi.values == (("a", 1), ("b", 0)) and phi.label().endswith("(a=1,b=0)")
             assert all(type(v) is int for _, v in phi.values)
 
+    def test_constructor_checks_prime_and_values(self, two_free):
+        """A map made without ``_build``, by ``replace`` or the bare
+        constructor, is still checked for what needs no alphabet: the
+        prime, and integer values."""
+        phi = PhiSpec.rationals(two_free, {"a": 1})
+        with pytest.raises(PhiSpecError, match="value at 'a' must be an integer, got 0.5"):
+            phi.replace(values=(("a", 0.5),))
+        for prime in (4, 1, -3):
+            with pytest.raises(PhiSpecError, match=f"{prime} is not prime"):
+                PhiSpec(prime, (("a", 1), ("b", 0)))
+        assert phi.replace(prime=5).label() == "phi[GF(5)](a=1,b=0)"
+
     def test_non_representative_keys_rejected(self, two_free, mixed):
         for key in ("A", "q"):
             with pytest.raises(PhiSpecError):
@@ -421,7 +442,6 @@ def value_samples(mixed, pm, word_factory):
         (w.to_phrase(), "words", ((0, 1), (0, 1))),
         (word_factory(mixed, "ABBA", A="a", B="a").to_phrase().symmetry_witness(), "epsilon", ()),
         (Caps(), "bfs_nodes", 10),
-        (Factor((0,), ((0, 2),)), "segments", ((1, 3),)),
         (move, "inverse", True),
         (Metamorphosis((move,)), "moves", ()),
         # a search's reached keys are a view of its dict, which no hash takes

@@ -29,7 +29,7 @@ from nanocob.explorer import (
     suite_bridge_inequality,
 )
 from nanocob import explorer, moves
-from nanocob.moves import Caps, Move, apply_surgery, bounded_bfs, key_images
+from nanocob.moves import Caps, Move, bounded_bfs, key_images
 from nanocob.pairings import (
     genus,
     is_hyperbolic,
@@ -326,9 +326,8 @@ class TestSliceStatus:
         assert verdict.status == SLICE
         assert verdict.witness.replay(w).length == 0
         from nanocob.pairings import verify_surgery_filling
-        from nanocob.moves import Factor
 
-        assert verify_surgery_filling(w, Factor((0, 1, 2, 3), ((0, 2), (2, 8))))
+        assert verify_surgery_filling(w, Move("SURG", ((0, 1, 2, 3), ((0, 2), (2, 8)))))
 
     @pytest.mark.parametrize("forged", ["SHIFT", "H1@0"], ids=["wrong-end", "no-site"])
     def test_forged_witness_is_not_slice(self, monkeypatch, forged):
@@ -604,9 +603,9 @@ class TestPlantedInstances:
         rows = []
         for _ in range(200):
             ground = explorer._random_alphabet(rng)
-            w, factor = random_surgery_instance(rng, ground)
-            x = apply_surgery(w, factor)
-            rows.append((w.seq, w.proj, factor.letters, factor.segments, x.seq, x.proj))
+            w, surgery = random_surgery_instance(rng, ground)
+            x = surgery.apply(w)
+            rows.append((w.seq, w.proj, *surgery.data, x.seq, x.proj))
         assert self.digest(rows) == self.SURGERY_DIGESTS[seed]
 
 

@@ -7,11 +7,9 @@ from nanocob.algebra import AlphabetError, InvolutiveAlphabet
 from nanocob.moves import (
     DEFAULT_CAPS,
     Caps,
-    Factor,
     Metamorphosis,
     Move,
     apply_h3,
-    apply_surgery,
     bounded_bfs,
     enumerate_bridges,
     enumerate_even_symmetric_factors,
@@ -120,67 +118,56 @@ class TestSurgeryFactors:
         w = word_factory(two_free, "BAAB", A="a", B="b")
         a_id = w.names.index("A")
         factors = enumerate_even_symmetric_factors(w, 2, 4)
-        assert any(
-            f.letters == (a_id,) and f.segments == ((1, 3),) for f in factors
-        )
+        assert Move("SURG", ((a_id,), ((1, 3),))) in factors
 
     def test_split_pair_factor_found(self, two_free, word_factory):
         w = word_factory(two_free, "ABBA", A="a", B="A")
         factors = enumerate_even_symmetric_factors(w, 2, 4)
-        assert any(
-            f.letters == (0, 1) and f.segments == ((0, 2), (2, 4)) for f in factors
-        )
+        assert Move("SURG", ((0, 1), ((0, 2), (2, 4)))) in factors
 
     def test_two_segment_example(self, word_factory):
         ground = InvolutiveAlphabet.fixed_point_free(("a", "c"), ("A", "C"))
         w = word_factory(ground, "ABCACDBD", A="a", B="A", C="c", D="c")
         factors = enumerate_even_symmetric_factors(w, 4, 4)
-        assert any(
-            set(f.letters) == {0, 1, 2, 3} and f.segments == ((0, 2), (2, 8))
-            for f in factors
-        )
+        assert Move("SURG", ((0, 1, 2, 3), ((0, 2), (2, 8)))) in factors
 
     def test_surgery_deletes_inner_square(self, word_factory):
         ground = InvolutiveAlphabet.fixed_point_free(("a", "c"), ("A", "C"))
         w = word_factory(ground, "ABACDCDB", A="a", B="a", C="c", D="c")
-        factor = Factor((2, 3), ((3, 7),))
-        assert seqs(apply_surgery(w, factor)) == ("L1", "L2", "L1", "L2")
+        surgery = Move("SURG", ((2, 3), ((3, 7),)))
+        assert seqs(surgery.apply(w)) == ("L1", "L2", "L1", "L2")
 
     def test_whole_word_factor_for_symmetric(self, two_free, word_factory):
         w = word_factory(two_free, "ABBA", A="a", B="b")
-        factor = Factor((0, 1), ((0, 4),))
-        assert apply_surgery(w, factor).length == 0
+        assert Move("SURG", ((0, 1), ((0, 4),))).apply(w).length == 0
 
     def test_two_segment_deletion_to_empty(self, word_factory):
         ground = InvolutiveAlphabet.fixed_point_free(("a", "c"), ("A", "C"))
         w = word_factory(ground, "ABCACDBD", A="a", B="A", C="c", D="c")
-        factor = Factor((0, 1, 2, 3), ((0, 2), (2, 8)))
-        assert apply_surgery(w, factor).length == 0
+        assert Move("SURG", ((0, 1, 2, 3), ((0, 2), (2, 8)))).apply(w).length == 0
 
     def test_uneven_factor_rejected(self, two_free, word_factory):
         w = word_factory(two_free, "ABAB", A="a", B="a")
         with pytest.raises(WordError):
-            apply_surgery(w, Factor((0,), ((0, 1), (2, 3))))
+            Move("SURG", ((0,), ((0, 1), (2, 3)))).apply(w)
 
     def test_asymmetric_factor_rejected(self, two_free, word_factory):
         w = word_factory(two_free, "ABAB", A="a", B="b")
         with pytest.raises(WordError):
-            apply_surgery(w, Factor((0, 1), ((0, 4),)))
+            Move("SURG", ((0, 1), ((0, 4),))).apply(w)
 
     def test_h1_h2_agree_with_surgery(self, two_free, word_factory):
         w = word_factory(two_free, "CAAC", A="a", C="b")
         by_move = Move("H1", (1,)).apply(w)
-        by_surgery = apply_surgery(w, Factor((w.names.index("A"),), ((1, 3),)))
+        by_surgery = Move("SURG", ((w.names.index("A"),), ((1, 3),))).apply(w)
         assert by_move == by_surgery
         w2 = word_factory(two_free, "ABBA", A="a", B="A")
-        assert Move("H2", (0, 2)).apply(w2) == apply_surgery(
-            w2, Factor((0, 1), ((0, 2), (2, 4)))
-        )
+        assert Move("H2", (0, 2)).apply(w2) == Move("SURG", ((0, 1), ((0, 2), (2, 4)))).apply(w2)
 
 
-def _malformed(rng, w, factor):
-    """``factor`` broken in one way a log line or a caller could break it."""
-    letters, segments = list(factor.letters), list(factor.segments)
+def _malformed(rng, w, letters, segments):
+    """A factor broken in one way a log line or a caller could break it."""
+    letters, segments = list(letters), list(segments)
     how = rng.randrange(7)
     if how == 0 and len(letters) > 1:
         letters.pop(rng.randrange(len(letters)))  # a letter left out
@@ -198,7 +185,7 @@ def _malformed(rng, w, factor):
     else:
         start, end = segments[0]
         segments[0] = (end, start)  # reversed range
-    return Factor(tuple(letters), tuple(segments))
+    return tuple(letters), tuple(segments)
 
 
 class TestSurgeryIsIdentityBridge:
@@ -213,44 +200,60 @@ class TestSurgeryIsIdentityBridge:
             ground = ALPHABETS[trial % 3]
             w = random_nanoword(rng, ground, rng.randint(1, 4))
             for factor in enumerate_factors(w, 4, 4):
-                ok = surgery_accepted_by_apply(w, factor)
-                assert ok == surgery_accepted_by_bridge(w, factor)
-                witness = surgery_witness_by_filling_checks(w, factor)
+                letters, segments = factor
+                surgery = Move("SURG", factor)
+                ok = surgery_accepted_by_apply(w, letters, segments)
+                assert ok == surgery_accepted_by_bridge(w, letters, segments)
+                witness = surgery_witness_by_filling_checks(w, letters, segments)
                 assert ok == (witness is not None)
                 if not ok:
                     with pytest.raises(WordError):
-                        apply_surgery(w, factor)
+                        surgery.apply(w)
                     continue
                 accepted += 1
-                assert apply_surgery(w, factor) == w.delete_letters(factor.letters)[0]
-                assert validate_bridge(w, factor, range(len(factor.segments))) == witness
+                assert surgery.apply(w) == w.delete_letters(letters)[0]
+                assert validate_bridge(w, letters, segments, range(len(segments))) == witness
                 if accepted % 10 == 0:
                     filled += 1
-                    assert verify_surgery_filling(w, factor)
+                    assert verify_surgery_filling(w, surgery)
             for factor in rng.choices(list(enumerate_factors(w, 4, 4)), k=3):
-                bad = _malformed(rng, w, factor)
-                ok = surgery_accepted_by_apply(w, bad)
-                assert ok == surgery_accepted_by_bridge(w, bad)
+                bad = _malformed(rng, w, *factor)
+                surgery = Move("SURG", bad)
+                ok = surgery_accepted_by_apply(w, *bad)
+                assert ok == surgery_accepted_by_bridge(w, *bad)
                 if ok:
-                    assert apply_surgery(w, bad) == w.delete_letters(bad.letters)[0]
+                    assert surgery.apply(w) == w.delete_letters(bad[0])[0]
                     continue
                 malformed += 1
                 with pytest.raises(WordError):
-                    apply_surgery(w, bad)
+                    surgery.apply(w)
                 with pytest.raises(WordError):
-                    verify_surgery_filling(w, bad)
-                with pytest.raises(WordError):
-                    Move("SURG", (bad.letters, bad.segments)).apply(w)
+                    verify_surgery_filling(w, surgery)
         assert (accepted, filled, malformed) == (433, 43, 450)
 
     def test_out_of_order_segments_rejected_everywhere(self, two_free, word_factory):
         """The filling check used to accept segments given out of order."""
         w = word_factory(two_free, "AABB", A="a", B="b")
-        backwards = Factor((0, 1), ((2, 4), (0, 2)))
-        assert surgery_witness_by_filling_checks(w, backwards) is not None
-        for check in (apply_surgery, verify_surgery_filling):
-            with pytest.raises(WordError):
-                check(w, backwards)
+        backwards = Move("SURG", ((0, 1), ((2, 4), (0, 2))))
+        assert surgery_witness_by_filling_checks(w, *backwards.data) is not None
+        with pytest.raises(WordError):
+            backwards.apply(w)
+        with pytest.raises(WordError):
+            verify_surgery_filling(w, backwards)
+
+
+@pytest.mark.parametrize(
+    "move",
+    [Move("H3", (0, 2, 4)), Move("SHIFT", ()), Move("INS", (((0, 0),), ("a",), (0,)), inverse=True)],
+    ids=["H3", "SHIFT", "INS"],
+)
+def test_moves_deleting_no_factor_have_none(two_free, word_factory, move):
+    """H3, SHIFT and INS delete no factor: ``Move.factor`` refuses them,
+    so ``verify_surgery_filling`` does too."""
+    w = word_factory(two_free, "ABACBC", A="a", B="a", C="a")
+    for read in (move.factor, lambda w: verify_surgery_filling(w, move)):
+        with pytest.raises(WordError, match="deletes no factor"):
+            read(w)
 
 
 class TestInsertedSegments:
@@ -286,9 +289,9 @@ class TestEvenFactorGeneration:
     @staticmethod
     def filtered(w, max_letters, max_k):
         return [
-            f
-            for f in enumerate_factors(w, max_letters, max_k)
-            if not any((end - start) % 2 for start, end in f.segments)
+            (letters, segments)
+            for letters, segments in enumerate_factors(w, max_letters, max_k)
+            if not any((end - start) % 2 for start, end in segments)
         ]
 
     def test_matches_parity_filter_in_order(self):
@@ -300,9 +303,9 @@ class TestEvenFactorGeneration:
             max_letters = rng.randint(1, 4)
             expected = self.filtered(w, max_letters, max_k)
             assert enumerate_even_symmetric_factors(w, max_letters, max_k) == [
-                f
-                for f in expected
-                if phrase_witness(factor_phrase(w, f.letters, f.segments)) is not None
+                Move("SURG", factor)
+                for factor in expected
+                if phrase_witness(factor_phrase(w, *factor)) is not None
             ]
 
     def test_matches_filter_oracle_on_random_words(self):
@@ -359,7 +362,7 @@ class TestSiteOracle:
             moves = list(site_moves(w))
             sites = {tuple((s, s + 2) for s in m.data) for m in moves if m.kind in ("H1", "H2")}
             surgeries = [m.data[1] for m in moves if m.kind == "SURG"]
-            factors = [f.segments for f in enumerate_even_symmetric_factors(w)]
+            factors = [m.data[1] for m in enumerate_even_symmetric_factors(w)]
             assert sites <= set(factors)
             assert surgeries == [segments for segments in factors if segments not in sites]
             dropped += len(sites)
@@ -372,7 +375,7 @@ class TestSiteOracle:
         w = Nanoword.from_names(BENCHMARK_ALPHABETS[0], "ABBA", {"A": "a", "B": "x"})
         moves = list(site_moves(w, caps))
         assert [m.to_line() for m in moves if m.kind == "H2"] == ["H2@0,2"]
-        assert Factor((0, 1), ((0, 2), (2, 4))) not in enumerate_even_symmetric_factors(
+        assert Move("SURG", ((0, 1), ((0, 2), (2, 4)))) not in enumerate_even_symmetric_factors(
             w, caps.max_letters, caps.max_k
         )
         verdict = slice_status(w, caps)
@@ -406,15 +409,14 @@ class TestMirrorRule:
         for trial in range(150):
             ground = ALPHABETS[trial % 3]
             w = random_nanoword(rng, ground, rng.randint(1, 4))
-            for f in enumerate_factors(w, 3, 3):
-                witness = mirror_witness(w.ground, w.seq, w.proj, f.segments)
-                phrase = factor_phrase(w, f.letters, f.segments)
+            for glob, segments in enumerate_factors(w, 3, 3):
+                witness = mirror_witness(w.ground, w.seq, w.proj, segments)
+                phrase = factor_phrase(w, glob, segments)
                 local = phrase_witness(phrase)
                 if local is None:
                     assert witness is None
                     continue
                 symmetric += 1
-                glob = f.letters
                 assert witness == SymmetryWitness(
                     tuple((glob[a], glob[b]) for a, b in local.iota),
                     tuple((glob[a], e) for a, e in local.epsilon),
@@ -432,36 +434,30 @@ class TestMirrorRule:
             w = random_nanoword(rng, ground, rng.randint(1, 4))
             for b in enumerate_bridges(w, 3, 4):
                 total += 1
-                factor = b.factor(w)
-                witness = validate_bridge(w, factor, b.kappa)
-                assert (witness.iota, witness.epsilon) == bridge_witness(w, factor, b.kappa)
+                witness = validate_bridge(w, *b.data)
+                assert (witness.iota, witness.epsilon) == bridge_witness(w, *b.data)
         assert total == 1069
-
-
-def bridge_move(factor, kappa):
-    return Move("BRIDGE", (factor.letters, factor.segments, kappa))
 
 
 class TestBridges:
     def test_single_letter_one_arch(self, two_free, word_factory):
         w = word_factory(two_free, "ABCBCA", A="a", B="b", C="b")
-        factor = Factor((0,), ((0, 1), (5, 6)))
-        witness = validate_bridge(w, factor, (1, 0))
+        bridge = Move("BRIDGE", ((0,), ((0, 1), (5, 6)), (1, 0)))
+        witness = validate_bridge(w, *bridge.data)
         assert witness is not None
-        assert bridge_move(factor, (1, 0)).arches == 1
+        assert bridge.arches == 1
         assert dict(witness.epsilon)[0] == 0
 
     def test_adjacent_pair_bridge(self, two_free, word_factory):
         w = word_factory(two_free, "CABBAC", C="b", A="a", B="b")
-        factor = Factor((1, 2), ((1, 3), (3, 5)))
-        assert validate_bridge(w, factor, (1, 0)) is not None
-        assert seqs(bridge_move(factor, (1, 0)).apply(w)) == ("L1", "L1")
+        bridge = Move("BRIDGE", ((1, 2), ((1, 3), (3, 5)), (1, 0)))
+        assert validate_bridge(w, *bridge.data) is not None
+        assert seqs(bridge.apply(w)) == ("L1", "L1")
 
     def test_middle_palindrome_bridge(self, two_free, word_factory):
         w = word_factory(two_free, "ABCBCDAD", A="a", B="b", C="b", D="a")
-        factor = Factor((0, 1, 2), ((0, 1), (1, 5), (6, 7)))
-        bridge = bridge_move(factor, (2, 1, 0))
-        assert validate_bridge(w, factor, bridge.kappa) is not None
+        bridge = Move("BRIDGE", ((0, 1, 2), ((0, 1), (1, 5), (6, 7)), (2, 1, 0)))
+        assert validate_bridge(w, *bridge.data) is not None
         assert bridge.arches == 1
         assert seqs(bridge.apply(w)) == ("L1", "L1")
 
@@ -470,9 +466,8 @@ class TestBridges:
             two_free, "ADEBCDCAEB", A="a", B="a", C="b", D="b", E="a"
         )
         letters = tuple(sorted(w.names.index(n) for n in "ABC"))
-        factor = Factor(letters, ((0, 1), (3, 5), (6, 8), (9, 10)))
-        bridge = bridge_move(factor, (3, 2, 1, 0))
-        assert validate_bridge(w, factor, bridge.kappa) is not None
+        bridge = Move("BRIDGE", (letters, ((0, 1), (3, 5), (6, 8), (9, 10)), (3, 2, 1, 0)))
+        assert validate_bridge(w, *bridge.data) is not None
         assert bridge.arches == 2
         assert seqs(bridge.apply(w)) == ("L1", "L2", "L1", "L2")
 
@@ -481,10 +476,7 @@ class TestBridges:
         rng = random.Random(11)
         for trial in range(100):
             w = random_nanoword(rng, SEARCH_ALPHABETS[trial % 4], rng.randint(1, 4))
-            surgeries = [
-                (f.letters, f.segments)
-                for f in enumerate_even_symmetric_factors(w, 4, 3)
-            ]
+            surgeries = [m.data for m in enumerate_even_symmetric_factors(w, 4, 3)]
             identity_bridges = [
                 b.data[:2]
                 for b in enumerate_bridges(w, 4, 3)
@@ -495,7 +487,7 @@ class TestBridges:
     def test_enumeration_on_doubled_letter(self, two_free, word_factory):
         w = word_factory(two_free, "AA", A="a")
         bridges = enumerate_bridges(w, 2, 3)
-        kinds = {(b.factor(w).segments, b.kappa, b.arches) for b in bridges}
+        kinds = {(b.factor(w)[1], b.kappa, b.arches) for b in bridges}
         assert (((0, 2),), (0,), 0) in kinds  # whole factor, zero arches
         assert (((0, 1), (1, 2)), (1, 0), 1) in kinds  # split, one arch
 
@@ -508,11 +500,11 @@ class TestBridges:
             w = random_nanoword(rng, two_free, rng.randint(1, 3))
             for b in enumerate_bridges(w, 3, 4):
                 assert b.kind == "BRIDGE"
-                factor = b.factor(w)
-                witness = validate_bridge(w, factor, b.kappa)
-                assert witness == mirror_witness(w.ground, w.seq, w.proj, factor.segments, b.kappa)
+                letters, segments = b.factor(w)
+                witness = validate_bridge(w, letters, segments, b.kappa)
+                assert witness == mirror_witness(w.ground, w.seq, w.proj, segments, b.kappa)
                 assert witness is not None
-                assert b.apply(w) == w.delete_letters(factor.letters)[0]
+                assert b.apply(w) == w.delete_letters(letters)[0]
 
 
 class TestSearch:
@@ -571,9 +563,8 @@ class TestSearch:
 
     def test_bridge_move_log_round_trip(self, two_free, word_factory):
         w = word_factory(two_free, "ABCBCA", A="a", B="b", C="b")
-        factor = Factor((0,), ((0, 1), (5, 6)))
-        assert validate_bridge(w, factor, (1, 0)) is not None
-        move = bridge_move(factor, (1, 0))
+        move = Move("BRIDGE", ((0,), ((0, 1), (5, 6)), (1, 0)))
+        assert validate_bridge(w, *move.data) is not None
         assert move.arches == 1
         line = move.to_line()
         assert "kappa=1,0" in line and "arches=1" in line

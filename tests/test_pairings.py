@@ -11,7 +11,7 @@ from nanocob.explorer import (
     random_skew_pairing,
     random_surgery_instance,
 )
-from nanocob.moves import apply_surgery, neighbors, site_moves
+from nanocob.moves import Move, neighbors, site_moves
 from nanocob.pairings import (
     AlphaPairing,
     OrbitPoly,
@@ -350,8 +350,8 @@ class TestCobordance:
         drawn and each later one with a move kind not yet seen."""
         rng = random.Random(27)
         for _ in range(40):
-            w, factor = random_surgery_instance(rng, mixed, max_total_length=10)
-            x = apply_surgery(w, factor)
+            w, surgery = random_surgery_instance(rng, mixed, max_total_length=10)
+            x = surgery.apply(w)
             assert are_cobordant(pairing_of_nanoword(w), pairing_of_nanoword(x))
         every = {"H1", "H2", "H3", "INV H3", "SURG", "INS"}
         for ground in _SUITE_ALPHABETS:
@@ -380,26 +380,22 @@ class TestSurgeryFilling:
     def test_inner_square_deletion(self, word_factory):
         ground = InvolutiveAlphabet.fixed_point_free(("a", "c"), ("A", "C"))
         w = word_factory(ground, "ABACDCDB", A="a", B="a", C="c", D="c")
-        from nanocob.moves import Factor
-
-        assert verify_surgery_filling(w, Factor((2, 3), ((3, 7),)))
+        assert verify_surgery_filling(w, Move("SURG", ((2, 3), ((3, 7),))))
 
     def test_word_times_reverse(self, two_free):
         rng = random.Random(28)
-        from nanocob.moves import Factor
-
         for _ in range(10):
             v = random_nanoword(rng, two_free, rng.randint(1, 3))
             w = v.concatenate(v.opposite())
-            factor = Factor(tuple(range(w.num_letters)), ((0, w.length),))
-            assert verify_surgery_filling(w, factor)
+            surgery = Move("SURG", (tuple(range(w.num_letters)), ((0, w.length),)))
+            assert verify_surgery_filling(w, surgery)
 
     def test_random_instances(self, mixed, two_free):
         rng = random.Random(29)
         for ground in (mixed, two_free):
             for _ in range(50):
-                w, factor = random_surgery_instance(rng, ground, max_total_length=12)
-                assert verify_surgery_filling(w, factor)
+                w, surgery = random_surgery_instance(rng, ground, max_total_length=12)
+                assert verify_surgery_filling(w, surgery)
 
 
 class TestUPolynomial:
