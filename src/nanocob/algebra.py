@@ -142,10 +142,6 @@ class InvolutiveAlphabet(Value):
         return t
 
     @cached_property
-    def _index(self) -> dict[str, int]:
-        return {a: i for i, a in enumerate(self.symbols)}
-
-    @cached_property
     def _rep(self) -> dict[str, str]:
         r: dict[str, str] = {}
         for a, b in self.pairs:
@@ -154,18 +150,15 @@ class InvolutiveAlphabet(Value):
         return r
 
     def __contains__(self, symbol: str) -> bool:
-        return symbol in self._index
+        return symbol in self._tau
 
     def check(self, symbol: str) -> str:
-        if symbol not in self._index:
+        if symbol not in self._tau:
             raise AlphabetError(f"unknown symbol {symbol!r}")
         return symbol
 
     def tau(self, symbol: str) -> str:
         return self._tau[self.check(symbol)]
-
-    def index(self, symbol: str) -> int:
-        return self._index[self.check(symbol)]
 
     def is_fixed(self, symbol: str) -> bool:
         return self.tau(symbol) == symbol

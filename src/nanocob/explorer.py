@@ -108,8 +108,6 @@ def enumerate_nanowords(
         raise EnumerationGuard(
             "enumeration grows as (2n-1)!! * |alphabet|^n; pass allow_large=True"
         )
-    if half_length == 0:
-        return [Nanoword.empty(ground)]
     return [
         matching_to_word(ground, matching, labels)
         for matching in enumerate_matchings(half_length)
@@ -278,6 +276,7 @@ def length_norm_bounds(w: Nanoword, caps: Caps = DEFAULT_CAPS) -> tuple[int, int
     plus one.  The upper bound is half the shortest length reached."""
     search = bounded_bfs(w, Nanoword.empty(w.ground), caps)
     if search.equivalent:
+        _assert_replays(w, search.metamorphosis)
         return 0, 0
     upper = min(len(seq) for seq, _ in search.reached) // 2
     record = invariant_record(w)
@@ -415,9 +414,6 @@ def classify_words(
             found = None  # looked up once, when i first meets an unresolved j
             for j in members[pos + 1 :]:
                 if find(i) == find(j):
-                    continue
-                if keys[i] == keys[j]:
-                    union(i, j)
                     continue
                 if found is None:
                     found = merge_search(i)
@@ -637,12 +633,11 @@ _MOVE_PHRASES = {"H1": ((0, 0),), "H2": ((0, 1), (1, 0)), "H3": ((0, 1), (0, 2),
 
 
 def _random_move_instance(rng: random.Random, ground: InvolutiveAlphabet):
-    """A (word, moved word) pair for a random move type, built by planting
-    the move's phrase inside a random context."""
+    """A (word, move) pair for a random move type, built by planting the
+    move's phrase inside a random context."""
     kind = rng.choice(("H1", "H2", "H3", "SURG"))
     if kind == "SURG":
-        w, surgery = random_surgery_instance(rng, ground, max_total_length=12)
-        return kind, w, surgery.apply(w)
+        return random_surgery_instance(rng, ground, max_total_length=12)
     context = random_nanoword(rng, ground, rng.randint(0, 3))
     words = _MOVE_PHRASES[kind]
     if kind == "H1":
@@ -654,7 +649,7 @@ def _random_move_instance(rng: random.Random, ground: InvolutiveAlphabet):
         proj = (a, ground.tau(a)) if kind == "H2" else (a, a, a)
     w = insert_phrase(context, words, proj, points)
     starts = tuple(start for start, _ in inserted_segments(words, points))
-    return kind, w, Move(kind, starts).apply(w)
+    return w, Move(kind, starts)
 
 
 def suite_move_invariance(seed: int = 0, count: int = 1000) -> SuiteResult:
@@ -663,10 +658,10 @@ def suite_move_invariance(seed: int = 0, count: int = 1000) -> SuiteResult:
     for trial in range(count - shifts):
         ground = _random_alphabet(rng)
         phis = phi_sign_battery(ground)
-        kind, w, moved = _random_move_instance(rng, ground)
-        if _record_for_move_check(w, phis) != _record_for_move_check(moved, phis):
+        w, move = _random_move_instance(rng, ground)
+        if _record_for_move_check(w, phis) != _record_for_move_check(move.apply(w), phis):
             return SuiteResult(
-                "move-invariance", False, trial + 1, f"{kind} changed invariants on {w}"
+                "move-invariance", False, trial + 1, f"{move.kind} changed invariants on {w}"
             )
     for trial in range(shifts):
         ground = _random_alphabet(rng)

@@ -99,14 +99,6 @@ class AlphaPairing(Value):
             rows[i][j] = v.coords
         return AlphaPairing(ground, proj, names, tuple(map(tuple, rows)))
 
-    @staticmethod
-    def trivial(ground: InvolutiveAlphabet) -> "AlphaPairing":
-        return AlphaPairing.build(ground, (), {})
-
-    @staticmethod
-    def distinguished_only(ground: InvolutiveAlphabet, r: PiElement) -> "AlphaPairing":
-        return AlphaPairing.build(ground, (), {(0, 0): r})
-
     @property
     def num_letters(self) -> int:
         return len(self.proj)
@@ -115,9 +107,6 @@ class AlphaPairing(Value):
     def matrix(self) -> tuple[tuple[PiElement, ...], ...]:
         """The table as ``PiElement``s."""
         return tuple(tuple(PiElement(self.ground, c) for c in row) for row in self.coords)
-
-    def entry(self, i: int, j: int) -> PiElement:
-        return self.matrix[i][j]
 
     def is_skew_symmetric(self) -> bool:
         coords, negate = self.coords, self.ground.negate
@@ -129,9 +118,6 @@ class AlphaPairing(Value):
                 if coords[i][j] != negate(coords[j][i]):
                     return False
         return True
-
-    def is_normal(self) -> bool:
-        return not any(self.coords[0][0])
 
     def opposite(self) -> "AlphaPairing":
         rows = tuple(tuple(map(self.ground.negate, row)) for row in self.coords)
@@ -573,9 +559,11 @@ def genus(p: AlphaPairing, phi: PhiSpec) -> Genus:
     return _least_rank(p, phi)
 
 
+@functools.cache
 def phi_sign_battery(alphabet: InvolutiveAlphabet) -> tuple[PhiSpec, ...]:
     """Every assignment of +-1 to the free orbit representatives (fixed
-    points go to 0), deduplicated by global negation."""
+    points go to 0), deduplicated by global negation.  Kept per alphabet:
+    the maps are immutable values."""
     reps = alphabet.free_reps()
     if not reps:
         return (PhiSpec.rationals(alphabet, {}),)

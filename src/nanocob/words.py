@@ -285,9 +285,6 @@ class Nanophrase(Value):
             seq.extend(w)
         return mirror_witness(self.ground, seq, self.proj, segments)
 
-    def is_symmetric(self) -> bool:
-        return self.symmetry_witness() is not None
-
     def __str__(self) -> str:
         body = " | ".join(" ".join(self.names[x] for x in w) for w in self.words)
         proj = " ".join(f"{n}={a}" for n, a in zip(self.names, self.proj))

@@ -413,7 +413,7 @@ SparseValue = tuple[tuple[tuple[str, int], ...], tuple[str, ...]]
 
 
 def sparse_make(alphabet, free=(), torsion=()) -> SparseValue:
-    idx = alphabet.index
+    idx = alphabet.symbols.index
     fr = {r: c for r, c in dict(free).items() if c != 0}
     for r in fr:
         if alphabet.orbit_rep(r) != r or alphabet.is_fixed(r):

@@ -51,6 +51,14 @@ class TestEnumeration:
         assert len(words) == 1
         assert words[0].canonical_form().letter_seq() == ("L1", "L1")
 
+    @pytest.mark.parametrize(
+        "ground",
+        [*explorer._SUITE_ALPHABETS, InvolutiveAlphabet.plus_minus(), InvolutiveAlphabet.build((), {})],
+        ids=["one-orbit", "two-orbits", "orbit-and-fixed", "plus-minus", "no-symbols"],
+    )
+    def test_half_length_zero_is_the_empty_word(self, ground):
+        assert enumerate_nanowords(0, ground, allow_large=True) == [Nanoword.empty(ground)]
+
     def test_matching_count_double_factorial(self):
         assert len(list(enumerate_matchings(2))) == 3
         assert len(list(enumerate_matchings(3))) == 15
@@ -346,7 +354,7 @@ class TestSliceStatus:
         # |A| = |D| makes the word symmetric, hence slice
         ground = InvolutiveAlphabet.fixed_point_free(("a", "c"), ("A", "C"))
         w = word_factory(ground, "ABCADCBD", A="a", B="A", C="a", D="a")
-        assert w.to_phrase().is_symmetric()
+        assert w.to_phrase().symmetry_witness() is not None
         assert slice_status(w).status == SLICE
 
 
@@ -409,6 +417,23 @@ class TestClassification:
         assert table.rows[0].verdict.status == UNKNOWN
         assert table.pair_status(0, 1) == UNKNOWN
 
+    @pytest.mark.parametrize(
+        "proj, caps, status",
+        [
+            ({"A": "a", "B": "b"}, Caps(), NOT_SLICE),
+            ({"A": "a", "B": "A"}, Caps(max_letters=1, max_k=1, bfs_nodes=5, bfs_length=4), UNKNOWN),
+        ],
+        ids=["obstructed", "starved"],
+    )
+    def test_equal_words_share_a_component(self, two_free, word_factory, proj, caps, status):
+        """A merge search's reached set holds its start, so a repeated word
+        joins its first copy, also when the search stops at the node cap.
+        Neither copy is Slice, so only the merge loop can join them."""
+        w = word_factory(two_free, "ABAB", **proj)
+        table = classify_words([w, w], caps)
+        assert table.rows[0].verdict.status == status
+        assert table.rows[0].component == table.rows[1].component == 0
+
     def test_no_merge_search_from_slice_row(self, two_free, word_factory, monkeypatch):
         """The empty word before ``ABAB`` under the starved caps above: the
         slice row starts no merge search, so the table makes only the two
@@ -440,6 +465,12 @@ class TestClassification:
             ("a", "b", "c"), ("A", "B", "C")
         )
         assert len(phi_sign_battery(three)) == 4
+
+    def test_phi_battery_kept_per_alphabet(self):
+        """Equal alphabets share one battery: its maps are built once."""
+        first = phi_sign_battery(InvolutiveAlphabet.fixed_point_free(("a", "b"), ("A", "B")))
+        again = phi_sign_battery(InvolutiveAlphabet.fixed_point_free(("a", "b"), ("A", "B")))
+        assert again is first
 
 
 def pairwise_components(words, caps=Caps()):
@@ -593,8 +624,9 @@ class TestPlantedInstances:
         rows = []
         for _ in range(200):
             ground = explorer._random_alphabet(rng)
-            kind, w, moved = explorer._random_move_instance(rng, ground)
-            rows.append((kind, w.seq, w.proj, moved.seq, moved.proj))
+            w, move = explorer._random_move_instance(rng, ground)
+            moved = move.apply(w)
+            rows.append((move.kind, w.seq, w.proj, moved.seq, moved.proj))
         assert self.digest(rows) == self.MOVE_DIGESTS[seed]
 
     @pytest.mark.parametrize("seed", range(3))

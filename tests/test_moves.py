@@ -9,6 +9,7 @@ from nanocob.moves import (
     Caps,
     Metamorphosis,
     Move,
+    SearchOutcome,
     apply_h3,
     bounded_bfs,
     enumerate_bridges,
@@ -24,6 +25,7 @@ from nanocob.moves import (
     site_moves,
     validate_bridge,
 )
+from nanocob import explorer
 from nanocob.explorer import (
     SLICE,
     _SUITE_ALPHABETS,
@@ -948,6 +950,16 @@ class TestLengthNormBounds:
     def test_symmetric_is_zero(self, two_free, word_factory):
         w = word_factory(two_free, "ABBA", A="a", B="b")
         assert length_norm_bounds(w) == (0, 0)
+
+    @pytest.mark.parametrize("forged", ["SHIFT", "H1@0"], ids=["wrong-end", "no-site"])
+    def test_forged_witness_is_not_norm_zero(self, two_free, word_factory, monkeypatch, forged):
+        """Norm 0 rests on a witness to the empty word, so one that ends
+        elsewhere, or does not apply, must be caught before it is reported."""
+        outcome = SearchOutcome(Metamorphosis((Move.from_line(forged),)), 1, frozenset())
+        monkeypatch.setattr(explorer, "bounded_bfs", lambda *args: outcome)
+        w = word_factory(two_free, "ABAB", A="a", B="b")
+        with pytest.raises(AssertionError, match="slice witness"):
+            length_norm_bounds(w)
 
     def test_lower_never_exceeds_upper(self, two_free):
         rng = random.Random(15)

@@ -88,9 +88,9 @@ class TestPairingOfNanoword:
         }
         labels = {"s": 0, "A": 1, "B": 2, "C": 3}
         for (row, col), value in expect.items():
-            assert p.entry(labels[row], labels[col]) == value
-            assert p.entry(labels[col], labels[row]) == -value
-        assert p.entry(0, 0).is_zero()
+            assert p.matrix[labels[row]][labels[col]] == value
+            assert p.matrix[labels[col]][labels[row]] == -value
+        assert p.matrix[0][0].is_zero()
 
     def test_doubled_letter_is_zero(self, two_free, word_factory):
         p = pairing_of_nanoword(word_factory(two_free, "AA", A="a"))
@@ -99,9 +99,9 @@ class TestPairingOfNanoword:
     def test_linked_pair_hand_computed(self, two_free, word_factory):
         w = word_factory(two_free, "ABAB", A="a", B="b")
         p = pairing_of_nanoword(w)
-        assert p.entry(1, 2) == pi(two_free, {"a": 1, "b": 1})
-        assert p.entry(1, 0) == pi(two_free, {"b": 1})
-        assert p.entry(2, 0) == pi(two_free, {"a": -1})
+        assert p.matrix[1][2] == pi(two_free, {"a": 1, "b": 1})
+        assert p.matrix[1][0] == pi(two_free, {"b": 1})
+        assert p.matrix[2][0] == pi(two_free, {"a": -1})
 
     def test_skew_symmetry_random(self, mixed):
         rng = random.Random(20)
@@ -155,7 +155,7 @@ class TestPairingOfNanoword:
                 letter = extra.randint(1, p.num_letters)
                 pairings.append(m_shift(p, letter, extra.randint(-2, 2)))
         for ground in (fixed, mixed):
-            prev = AlphaPairing.trivial(ground)
+            prev = AlphaPairing.build(ground, (), {})
             for _ in range(20):
                 m = extra.randint(0, 3)
                 entries = {
@@ -164,7 +164,7 @@ class TestPairingOfNanoword:
                     for j in range(m + 1)
                 }
                 p = AlphaPairing.build(ground, [extra.choice(ground.symbols) for _ in range(m)], entries)
-                assert all(p.entry(i, j) == v for (i, j), v in entries.items())
+                assert all(p.matrix[i][j] == v for (i, j), v in entries.items())
                 total = sum_pairings(prev, p)
                 assert r_of(total) == r_of(prev) + r_of(p)
                 pairings += [p, total]
@@ -248,7 +248,7 @@ class TestPairingOfNanoword:
 class TestSumOpposite:
     def test_sum_with_trivial_is_isomorphic(self, two_free, word_factory):
         p = pairing_of_nanoword(word_factory(two_free, "ABAB", A="a", B="b"))
-        total = sum_pairings(p, AlphaPairing.trivial(two_free))
+        total = sum_pairings(p, AlphaPairing.build(two_free, (), {}))
         assert are_isomorphic(total, p)
 
     def test_opposite_involution(self, two_free):
@@ -273,7 +273,7 @@ class TestFillings:
         assert rendered == {("s", "S1", "S2"), ("s", "S1+S2")}
 
     def test_empty_core_has_one_filling(self, two_free):
-        p = AlphaPairing.trivial(two_free)
+        p = AlphaPairing.build(two_free, (), {})
         assert list(enumerate_fillings(p)) == [(((0, 1),),)]
 
     def test_distinct_orbits_only_tautological(self, two_free):
@@ -333,7 +333,7 @@ class TestHyperbolicity:
         assert is_hyperbolic(pairing_of_nanoword(w)) is None
 
     def test_trivial_pairing_hyperbolic(self, two_free):
-        assert is_hyperbolic(AlphaPairing.trivial(two_free)) is not None
+        assert is_hyperbolic(AlphaPairing.build(two_free, (), {})) is not None
 
 
 class TestCobordance:
@@ -373,7 +373,7 @@ class TestCobordance:
 
     def test_trivial_vs_linked_pair(self, two_free, word_factory):
         p = pairing_of_nanoword(word_factory(two_free, "ABAB", A="a", B="b"))
-        assert not are_cobordant(AlphaPairing.trivial(two_free), p)
+        assert not are_cobordant(AlphaPairing.build(two_free, (), {}), p)
 
 
 class TestSurgeryFilling:
@@ -691,7 +691,7 @@ class TestWeakFillings:
             p = random_skew_pairing(rng, two_free, rng.randint(1, 2))
             phi = rng.choice(phi_sign_battery(two_free))
             alone = tuple_genus((p,), phi, 2).twice
-            padded = tuple_genus((p, AlphaPairing.trivial(two_free)), phi, 2).twice
+            padded = tuple_genus((p, AlphaPairing.build(two_free, (), {})), phi, 2).twice
             assert alone == padded
 
     def test_sandwich_inequality(self, two_free):
@@ -740,7 +740,7 @@ class TestWeakFillings:
             pairings = tuple(
                 sum_pairings(
                     random_skew_pairing(rng, ground, m),
-                    AlphaPairing.distinguished_only(ground, random_pi_element(rng, ground)),
+                    AlphaPairing.build(ground, (), {(0, 0): random_pi_element(rng, ground)}),
                 )
                 for m in rng.choice(((1,), (2,), (1, 1), (2, 1)))
             )
@@ -861,7 +861,7 @@ class TestWeakProductOracle:
                 # nonzero distinguished self-values: Gram matrices of odd rank
                 pairings = tuple(
                     sum_pairings(
-                        p, AlphaPairing.distinguished_only(ground, random_pi_element(rng, ground))
+                        p, AlphaPairing.build(ground, (), {(0, 0): random_pi_element(rng, ground)})
                     )
                     for p in pairings
                 )
@@ -928,7 +928,7 @@ class TestFillingWalkOracle:
         if kind == "distinguished":
             r = random_pi_element(rng, ground)
             return sum_pairings(
-                random_skew_pairing(rng, ground, m), AlphaPairing.distinguished_only(ground, r)
+                random_skew_pairing(rng, ground, m), AlphaPairing.build(ground, (), {(0, 0): r})
             )
         # an entry may vanish while its transpose does not
         entries = {
@@ -1151,7 +1151,7 @@ class TestShiftOfPairings:
         rng = random.Random(43)
         p = random_skew_pairing(rng, two_free, 2)
         shifted = m_shift(p, 1, 2)
-        assert shifted.entry(1, 0) == -p.entry(1, 0)
+        assert shifted.matrix[1][0] == -p.matrix[1][0]
         assert shifted.proj[0] == two_free.tau(p.proj[0])
 
     def test_polynomial_invariant_under_pairing_shift(self, mixed, two_free):
@@ -1171,23 +1171,23 @@ class TestRInvariant:
 
     def test_distinguished_only_pairing(self, two_free):
         r = pi(two_free, {"a": 2})
-        p = AlphaPairing.distinguished_only(two_free, r)
+        p = AlphaPairing.build(two_free, (), {(0, 0): r})
         assert r_of(p) == r
-        assert not p.is_normal()
+        assert any(p.coords[0][0])
 
     def test_additive_over_sums(self, two_free):
         r1 = pi(two_free, {"a": 1})
         r2 = pi(two_free, {"b": -1})
         total = sum_pairings(
-            AlphaPairing.distinguished_only(two_free, r1),
-            AlphaPairing.distinguished_only(two_free, r2),
+            AlphaPairing.build(two_free, (), {(0, 0): r1}),
+            AlphaPairing.build(two_free, (), {(0, 0): r2}),
         )
         assert r_of(total) == r1 + r2
 
     def test_cobordant_pairings_share_r(self, two_free):
         r = pi(two_free, {"a": 3})
-        p1 = AlphaPairing.distinguished_only(two_free, r)
-        p2 = AlphaPairing.distinguished_only(two_free, pi(two_free, {"a": 1}))
+        p1 = AlphaPairing.build(two_free, (), {(0, 0): r})
+        p2 = AlphaPairing.build(two_free, (), {(0, 0): pi(two_free, {"a": 1})})
         assert are_cobordant(p1, p1)
         assert not are_cobordant(p1, p2)
 
