@@ -392,7 +392,8 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and then shared: parsing
-    does not change it."""
+    does not change it.  Its ``commands`` maps each command's name to that
+    command's own parser."""
     parser = _Parser(
         prog="nanocob",
         description="nanoword cobordism toolkit: invariants, pairings, "
@@ -404,12 +405,22 @@ def build_parser() -> argparse.ArgumentParser:
         for option in options:
             p.add_argument(f"--{option}", **OPTIONS[option])
         p.set_defaults(fn=fn)
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # The top-level parser hands every argument after a command's name to
+    # that command's parser, so that parser parses them on its own; the
+    # top-level parser runs only when no command is named, for its help,
+    # usage and messages.
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -85,6 +85,9 @@ def matching_to_word(
 
 # Largest half-length enumerated without ``allow_large``.
 MAX_HALF_LENGTH = 6
+# Most words enumerated without ``allow_large``: three symbols at half-length
+# 6, (2*6 - 1)!! * 3^6 = 10395 * 729 of them.
+MAX_WORDS = 10395 * 3**6
 
 
 def enumerate_nanowords(
@@ -104,7 +107,7 @@ def enumerate_nanowords(
             raise EnumerationGuard(
                 f"half-length {half_length} gives more than {sys.maxsize} words"
             )
-    if not allow_large and (len(ground.symbols) > 3 or half_length > MAX_HALF_LENGTH):
+    if not allow_large and (half_length > MAX_HALF_LENGTH or count > MAX_WORDS):
         raise EnumerationGuard(
             "enumeration grows as (2n-1)!! * |alphabet|^n; pass allow_large=True"
         )

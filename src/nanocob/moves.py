@@ -787,11 +787,13 @@ def bounded_bfs(
     the node cap, so the cap bounds the same work as a plain FIFO search.
 
     A state is a canonical key; its word is built only when it is
-    expanded.  The extra templates are checked once, by
-    ``check_templates``, since ``neighbors`` builds no word that would
-    check them."""
+    expanded, except the start's, which is ``w.canonical_form()``.  The
+    extra templates are checked once, by ``check_templates``, since
+    ``neighbors`` builds no word that would check them."""
     check_templates(w.ground, extra_templates)
-    start = w.canonical_key()
+    origin = w.canonical_form()
+    # a canonical form's sequence and projections are its key
+    start = (origin.seq, origin.proj)
     target = v.canonical_key() if v is not None else None
     parents: dict[tuple, Optional[tuple[tuple, Move]]] = {start: None}
 
@@ -818,7 +820,8 @@ def bounded_bfs(
         if queue:
             key = queue.popleft()
             explored += 1
-            children = neighbors(Nanoword.from_key(w.ground, key), scoped, extra_templates)
+            word = origin if key is start else Nanoword.from_key(w.ground, key)
+            children = neighbors(word, scoped, extra_templates)
             park = True
         else:
             key, children = deferred.popleft()

@@ -163,7 +163,12 @@ class Nanoword(Value):
         return Nanoword(ground, seq, proj, _default_names(len(proj)))
 
     def canonical_form(self) -> "Nanoword":
-        return Nanoword.from_key(self.ground, self.canonical_key())
+        """The word with its key's sequence and projections and the default
+        names: the word itself when it already is that word."""
+        seq, proj = key = self.canonical_key()
+        if seq == self.seq and proj == self.proj and self.names == _default_names(len(proj)):
+            return self
+        return Nanoword.from_key(self.ground, key)
 
     def is_isomorphic(self, other: "Nanoword") -> bool:
         return self.ground == other.ground and self.canonical_key() == other.canonical_key()

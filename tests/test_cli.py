@@ -777,7 +777,7 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "alphabet, half_length",
-        [("alphabet: a x;tau: a<->x", "7"), ("alphabet: a x b y;tau: a<->x b<->y", "1")],
+        [("alphabet: a x;tau: a<->x", "7"), ("alphabet: a x b y;tau: a<->x b<->y", "6")],
     )
     def test_enumeration_guard_names_the_flag(self, capsys, alphabet, half_length):
         code = main(["classify", "--alphabet", alphabet, "--half-length", half_length])
@@ -788,6 +788,17 @@ class TestCommands:
         assert "--allow-large" in captured.err
         assert "allow_large" not in captured.err
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("half_length, rows", [("0", 1), ("1", 4)])
+    def test_small_table_needs_no_flag(self, capsys, half_length, rows):
+        """The guard counts words, not symbols: a four-symbol table of a
+        few words is built without --allow-large."""
+        code = main(["classify", "--alphabet", "alphabet: a x b y;tau: a<->x b<->y",
+                     "--half-length", half_length])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert len(captured.out.splitlines()) == 1 + rows
 
     @pytest.mark.parametrize("half_length", ["2000", "99999999999999999999"])
     def test_oversized_classify_exits_2_in_one_line(self, capsys, half_length):
@@ -1293,6 +1304,104 @@ def test_removed_option_exits_2_in_one_line(capsys, command, option):
     assert captured.err.startswith(f"parse error: unrecognized arguments: --{option}")
     assert len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", sorted(VALID_ARGV))
+def test_command_line_is_parsed_once(capsys, monkeypatch, command):
+    """A command line that names a command is parsed by that command's
+    parser alone: the top-level parser would only scan it once more before
+    handing it on."""
+    top = build_parser()
+    (sub,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+    parses = []
+
+    def top_level(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a command line")
+
+    def counted(parser):
+        real = parser.parse_known_args
+
+        def parse_known_args(*args, **kwargs):
+            parses.append(parser.prog)
+            return real(*args, **kwargs)
+
+        return parse_known_args
+
+    monkeypatch.setattr(top, "parse_args", top_level)
+    monkeypatch.setattr(top, "parse_known_args", top_level)
+    for parser in sub.choices.values():
+        monkeypatch.setattr(parser, "parse_known_args", counted(parser))
+    main(VALID_ARGV[command])  # `surface` refuses the word's alphabet after parsing
+    assert parses == [f"nanocob {command}"]
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["nanocob", "check-slice", *ONE_ORBIT_WORD[:2],
+                                      "--word", "ABBA", "--proj", "A=a B=x"])
+    assert main() == 0
+    assert capsys.readouterr().out == "Slice(1 moves)\nH2@0,2\n"
+
+
+# Command lines the top-level parser answers or a command's parser
+# refuses, with the exit code, stdout and stderr each gives.  Help texts and
+# the list of choices follow the running Python's argparse, so they are
+# pinned by their start; the one-line errors are pinned whole.
+BAD_COMMAND_LINES = {
+    "no-arguments": ([], 2, "", "parse error: the following arguments are required: command\n"),
+    "unknown-command": (["bogus"], 2, "",
+                        "parse error: argument command: invalid choice: 'bogus' (choose from "),
+    "short-help": (["-h"], 0, "usage: nanocob [-h]", ""),
+    "long-help": (["--help"], 0, "usage: nanocob [-h]", ""),
+    "command-help": (["check-slice", "-h"], 0, "usage: nanocob check-slice [-h]", ""),
+    "missing-required": (["classify", "--alphabet", "alphabet: a x;tau: a<->x"], 2, "",
+                         "parse error: the following arguments are required: --half-length\n"),
+    "unknown-option": ([*VALID_ARGV["check-slice"], "--bogus"], 2, "",
+                       "parse error: unrecognized arguments: --bogus\n"),
+    "option-before-command": (["--jobs", "2"], 2, "",
+                              "parse error: argument command: invalid choice: '2' (choose from "),
+}
+
+
+def exit_of(capsys, call) -> tuple:
+    with pytest.raises(SystemExit) as exc:
+        call()
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", BAD_COMMAND_LINES)
+def test_bad_command_line_answered_as_the_top_level_parser_does(capsys, name):
+    """Whichever parser reads a command line, ``main`` exits and prints what
+    the top-level parser does on it."""
+    argv, code, out, err = BAD_COMMAND_LINES[name]
+    got = exit_of(capsys, lambda: main(argv))
+    assert got == exit_of(capsys, lambda: build_parser().parse_args(argv))
+    assert got[0] == code
+    for text, pinned in ((got[1], out), (got[2], err)):
+        if pinned.endswith("\n") or not pinned:
+            assert text == pinned
+        else:
+            assert text.startswith(pinned)
+    assert len(got[2].splitlines()) == (1 if code else 0)
+    if name == "command-help":
+        assert "--word" in got[1]
+
+
+def test_check_slice_builds_one_canonical_word(capsys, monkeypatch):
+    """The record, the search and the replay of a one-move witness share
+    the one canonical word of the request; the empty end is canonical."""
+    built = []
+    from_key = Nanoword.from_key
+
+    def counted(ground, key):
+        built.append(key)
+        return from_key(ground, key)
+
+    monkeypatch.setattr(Nanoword, "from_key", staticmethod(counted))
+    argv = ["check-slice", *ONE_ORBIT_WORD[:2], "--word", "ABBA", "--proj", "A=a B=x"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "Slice(1 moves)\nH2@0,2\n"
+    assert built == [((0, 1, 1, 0), ("a", "x"))]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

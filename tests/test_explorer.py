@@ -116,13 +116,27 @@ class TestEnumeration:
         big = InvolutiveAlphabet.fixed_point_free(
             ("a", "b", "c", "d"), ("A", "B", "C", "D")
         )
+        # 11!! * 8^6, about 2.7e9 words; 8 symbols at half-length 2 are 192
         with pytest.raises(EnumerationGuard):
-            enumerate_nanowords(2, big)
+            enumerate_nanowords(6, big)
         assert enumerate_nanowords(2, big, allow_large=True)
         # 29!! * 2^15 words outnumber sys.maxsize, so no list can hold them
         small = InvolutiveAlphabet.fixed_point_free(("a",), ("A",))
         with pytest.raises(EnumerationGuard, match="more than"):
             enumerate_nanowords(15, small, allow_large=True)
+
+
+    def test_guard_counts_words(self, monkeypatch):
+        """Without ``allow_large`` a table of at most ``MAX_WORDS`` words is
+        built, whatever the size of its alphabet; 12 words over one orbit at
+        half-length 2 stand in for the 10395 * 3^6 of the real bound."""
+        assert explorer.MAX_WORDS == 7_577_955
+        one = InvolutiveAlphabet.fixed_point_free(("a",), ("A",))
+        monkeypatch.setattr(explorer, "MAX_WORDS", 12)
+        assert len(enumerate_nanowords(2, one)) == 12
+        with pytest.raises(EnumerationGuard, match="allow_large=True"):
+            enumerate_nanowords(3, one)
+        assert len(enumerate_nanowords(3, one, allow_large=True)) == 120
 
 
 class TestInvariantRecord:

@@ -79,6 +79,21 @@ class TestCanonicalForm:
             once = w.canonical_form()
             assert once.canonical_form() == once
 
+    def test_canonical_word_is_its_own_form(self, two_free, word_factory):
+        """A word that already is its canonical form is returned as it is,
+        so its ``partner`` table is kept; any other word gets a new one."""
+        from nanocob.explorer import enumerate_nanowords
+
+        for w in enumerate_nanowords(2, two_free, allow_large=True):
+            assert w.canonical_form() is w
+        named = word_factory(two_free, "ABAB", A="a", B="b")
+        out_of_order = Nanoword(two_free, (1, 0, 1, 0), ("b", "a"), ("L1", "L2"))
+        renamed = Nanoword(two_free, (0, 1, 0, 1), ("a", "b"), ("L2", "L1"))
+        for w in (named, out_of_order, renamed):
+            c = w.canonical_form()
+            assert c is not w and c.canonical_form() is c
+            assert (c.seq, c.proj, c.names) == ((0, 1, 0, 1), ("a", "b"), ("L1", "L2"))
+
     def test_isomorphism_detected_by_exhaustive_bijections(self, two_free, word_factory):
         w1 = word_factory(two_free, "BAAB", A="a", B="a")
         w2 = word_factory(two_free, "ABBA", A="a", B="a")
